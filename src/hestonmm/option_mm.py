@@ -23,13 +23,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .heston import HestonParams, MidState
 from .intensity import ArrivalParams
-from .option_pricing import PricingGrid
+from .option_pricing import C, C_NU, DELTA, GAMMA, PricingGrid, cell
 from .quotes import RiskParams, inventory_coefficient
-from .seeding import FUNCTIONAL_STREAM, OPTION_MM_STREAM, block_ranges, path_generator
+from .seeding import DEFAULT_BLOCK, FUNCTIONAL_STREAM, OPTION_MM_STREAM, block_ranges, path_generator
 
 __all__ = [
     "OptionMMState",
@@ -78,46 +77,57 @@ class Functionals:
     se_m: float = 0.0
 
 
-def _simulate_integrals(
-    s0: float, nu0: float, t: float, T: float,
-    heston: HestonParams, grid: PricingGrid,
-    n_paths: int, seed: int, dt_target: float,
-    max_exit_fraction: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _off_grid(grid: PricingGrid, s: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Paths whose state lies outside the pricing grid, where the greeks
+    and prices read from it are clamped to its edge."""
+    return ((s < grid.s_grid[0]) | (s > grid.s_grid[-1])
+            | (nu < grid.nu_grid[0]) | (nu > grid.nu_grid[-1]))
+
+
+def _integrals(
+    starts: list[tuple[float, float, int]], t: float, T: float,
+    heston: HestonParams, grid: PricingGrid, n_paths: int, dt_target: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-path left-endpoint quadratures of the three integrands along
-    real-world paths started at (s0, nu0, t)."""
+    real-world paths started at time ``t``, ``n_paths`` from each
+    ``(s0, nu0, seed)`` in ``starts``, simulated together in blocks of at
+    most ``DEFAULT_BLOCK`` paths.  Node ``n`` owns rows ``n * n_paths``
+    onward of the returned (i1, i2, i3, exited) arrays; ``exited`` flags the
+    paths that left the grid before the last step."""
     tau = T - t
     n_steps = max(1, round(tau / dt_target))
     dt = tau / n_steps
     sqrt_dt = math.sqrt(dt)
     rho, rho_c, xi = heston.rho, math.sqrt(1.0 - heston.rho**2), heston.xi
-
     s_lo, s_hi = grid.s_grid[0], grid.s_grid[-1]
     v_lo, v_hi = grid.nu_grid[0], grid.nu_grid[-1]
+    s_start = np.array([st[0] for st in starts], dtype=np.float64)
+    nu_start = np.array([st[1] for st in starts], dtype=np.float64)
 
-    i1 = np.empty(n_paths)
-    i2 = np.empty(n_paths)
-    i3 = np.empty(n_paths)
-    exited = 0
-    for lo, hi in block_ranges(n_paths):
-        shocks = np.stack([
-            path_generator(seed, FUNCTIONAL_STREAM, i).standard_normal((n_steps, 2))
-            for i in range(lo, hi)
-        ])
+    total = len(starts) * n_paths
+    i1 = np.empty(total)
+    i2 = np.empty(total)
+    i3 = np.empty(total)
+    exited = np.empty(total, dtype=bool)
+    draws = np.empty((min(DEFAULT_BLOCK, total), n_steps, 2))
+    for lo, hi in block_ranges(total):
+        shocks = draws[:hi - lo]
+        for row, r in zip(shocks, range(lo, hi)):
+            node, i = divmod(r, n_paths)
+            path_generator(starts[node][2], FUNCTIONAL_STREAM, i).standard_normal(out=row)
         n = hi - lo
-        s = np.full(n, s0)
-        nu = np.full(n, nu0)
+        node_of_row = np.arange(lo, hi) // n_paths
+        s = s_start[node_of_row]
+        nu = nu_start[node_of_row]
         a1 = np.zeros(n)
         a2 = np.zeros(n)
         a3 = np.zeros(n)
         out = np.zeros(n, dtype=bool)
         for step in range(n_steps):
-            out |= (s < s_lo) | (s > s_hi) | (nu < v_lo) | (nu > v_hi)
-            sc = np.clip(s, s_lo, s_hi)
-            vc = np.clip(nu, v_lo, v_hi)
-            dplane, _, cplane = grid.greek_planes(t + step * dt)
-            delta = grid._bilinear(dplane, sc, vc)
-            c_nu = grid._bilinear(cplane, sc, vc)
+            out |= _off_grid(grid, s, nu)
+            g = grid._bilinear(grid._time_slice(t + step * dt),
+                               np.clip(s, s_lo, s_hi), np.clip(nu, v_lo, v_hi))
+            delta, c_nu = g[:, DELTA], g[:, C_NU]
             a1 += nu * (delta + rho * xi * c_nu) * dt
             a2 += nu * (delta**2 + 2.0 * rho * xi * delta * c_nu + xi**2 * c_nu**2) * dt
             a3 += nu * c_nu**2 * dt
@@ -127,14 +137,41 @@ def _simulate_integrals(
             z_v = rho * z_s + rho_c * shocks[:, step, 1]
             s = s + root * z_s * sqrt_dt
             nu = np.maximum(nu + heston.theta * (heston.alpha - nu) * dt + xi * root * z_v * sqrt_dt, 0.0)
-        i1[lo:hi], i2[lo:hi], i3[lo:hi] = a1, a2, a3
-        exited += int(out.sum())
+        i1[lo:hi], i2[lo:hi], i3[lo:hi], exited[lo:hi] = a1, a2, a3, out
+    return i1, i2, i3, exited
+
+
+def _check_exits(exited: int, n_paths: int, max_exit_fraction: float) -> None:
     if exited > max_exit_fraction * n_paths:
         raise GridExitError(
             f"{exited}/{n_paths} paths left the pricing grid "
             f"(allowed fraction {max_exit_fraction}); widen the grid"
         )
+
+
+def _simulate_integrals(
+    s0: float, nu0: float, t: float, T: float,
+    heston: HestonParams, grid: PricingGrid,
+    n_paths: int, seed: int, dt_target: float,
+    max_exit_fraction: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-path quadratures of the three integrands from one state: a
+    one-node call of the batched kernel ``_integrals``."""
+    i1, i2, i3, exited = _integrals([(s0, nu0, seed)], t, T, heston, grid, n_paths, dt_target)
+    _check_exits(int(exited.sum()), n_paths, max_exit_fraction)
     return i1, i2, i3
+
+
+def _functionals(i1, i2, i3, gamma: float, xi: float) -> Functionals:
+    root_n = math.sqrt(i1.size)
+    return Functionals(
+        h1=-gamma * float(i1.mean()),
+        h2=-0.5 * gamma * float(i2.mean()),
+        m=-0.5 * gamma * xi**2 * float(i3.mean()),
+        se_h1=gamma * float(i1.std(ddof=1)) / root_n,
+        se_h2=0.5 * gamma * float(i2.std(ddof=1)) / root_n,
+        se_m=0.5 * gamma * xi**2 * float(i3.std(ddof=1)) / root_n,
+    )
 
 
 def estimate_functionals(
@@ -155,16 +192,7 @@ def estimate_functionals(
         raise ValueError("n_paths must be at least 1000")
     i1, i2, i3 = _simulate_integrals(s, nu, t, T, heston, grid, n_paths, seed,
                                      dt_target, max_exit_fraction)
-    g = risk.gamma
-    root_n = math.sqrt(n_paths)
-    return Functionals(
-        h1=-g * float(i1.mean()),
-        h2=-0.5 * g * float(i2.mean()),
-        m=-0.5 * g * heston.xi**2 * float(i3.mean()),
-        se_h1=g * float(i1.std(ddof=1)) / root_n,
-        se_h2=0.5 * g * float(i2.std(ddof=1)) / root_n,
-        se_m=0.5 * g * heston.xi**2 * float(i3.std(ddof=1)) / root_n,
-    )
+    return _functionals(i1, i2, i3, risk.gamma, heston.xi)
 
 
 class FunctionalLattice:
@@ -178,12 +206,14 @@ class FunctionalLattice:
         self.h1 = np.asarray(h1)
         self.h2 = np.asarray(h2)
         self.m = np.asarray(m)
-        pts = (self.s_nodes, self.nu_nodes, self.t_nodes)
-        self._interp = {
-            "h1": RegularGridInterpolator(pts, self.h1, bounds_error=False, fill_value=None),
-            "h2": RegularGridInterpolator(pts, self.h2, bounds_error=False, fill_value=None),
-            "m": RegularGridInterpolator(pts, self.m, bounds_error=False, fill_value=None),
-        }
+        shape = (self.s_nodes.size, self.nu_nodes.size, self.t_nodes.size)
+        for nodes in (self.s_nodes, self.nu_nodes, self.t_nodes):
+            if nodes.ndim != 1 or nodes.size < 2 or np.any(np.diff(nodes) <= 0):
+                raise ValueError("lattice nodes must be strictly ascending, at least 2 per axis")
+        if not self.h1.shape == self.h2.shape == self.m.shape == shape:
+            raise ValueError(f"functional tables must have shape {shape}")
+        # (n_s, n_nu, n_t, 3): H1, H2 and M gathered together at each corner
+        self._table = np.stack([self.h1, self.h2, self.m], axis=-1).astype(np.float64)
 
     @classmethod
     def build(
@@ -192,42 +222,55 @@ class FunctionalLattice:
         n_paths: int = 1000, seed: int = 0, dt_target: float = 0.01,
         max_exit_fraction: float = 0.5,
     ) -> "FunctionalLattice":
+        """Estimate every node with ``t < T`` as ``estimate_functionals``
+        would, node ``n`` (1-based, in (s, nu, t) order) seeded ``seed + n``.
+        The nodes sharing a ``t`` are simulated together; each keeps its own
+        streams and its own grid-exit check."""
         # outer lattice nodes sit near the pricing-grid edge on purpose, so a
         # generous exit fraction is the default here; exited paths are clamped
         s_nodes = np.asarray(s_nodes, dtype=np.float64)
         nu_nodes = np.asarray(nu_nodes, dtype=np.float64)
         t_nodes = np.asarray(t_nodes, dtype=np.float64)
         shape = (s_nodes.size, nu_nodes.size, t_nodes.size)
-        h1 = np.zeros(shape)
-        h2 = np.zeros(shape)
-        m = np.zeros(shape)
-        node = 0
-        for i, sv in enumerate(s_nodes):
-            for j, nv in enumerate(nu_nodes):
-                for k, tv in enumerate(t_nodes):
-                    node += 1
-                    if tv >= T:
-                        continue
-                    f = estimate_functionals(
-                        float(sv), float(nv), float(tv), T, heston, risk, grid,
-                        n_paths=n_paths, seed=seed + node, dt_target=dt_target,
-                        max_exit_fraction=max_exit_fraction,
-                    )
-                    h1[i, j, k], h2[i, j, k], m[i, j, k] = f.h1, f.h2, f.m
-        return cls(s_nodes, nu_nodes, t_nodes, h1, h2, m)
-
-    def _eval(self, key, s, nu, t):
-        s = np.clip(np.asarray(s, dtype=np.float64), self.s_nodes[0], self.s_nodes[-1])
-        nu = np.clip(np.asarray(nu, dtype=np.float64), self.nu_nodes[0], self.nu_nodes[-1])
-        t = np.clip(np.asarray(t, dtype=np.float64), self.t_nodes[0], self.t_nodes[-1])
-        pts = np.stack(np.broadcast_arrays(s, nu, t), axis=-1)
-        out = self._interp[key](pts)
-        if np.ndim(s) == 0 and np.ndim(nu) == 0 and np.ndim(t) == 0:
-            return float(out.reshape(-1)[0])
-        return out
+        table = np.zeros(shape + (3,))
+        live = [k for k, tv in enumerate(t_nodes) if tv < T]
+        if live and risk.gamma != 0.0:
+            if n_paths < 1000:
+                raise ValueError("n_paths must be at least 1000")
+            cells = [(i, j) for i in range(shape[0]) for j in range(shape[1])]
+            for k in live:
+                starts = [(float(s_nodes[i]), float(nu_nodes[j]),
+                           seed + 1 + (i * shape[1] + j) * shape[2] + k) for i, j in cells]
+                i1, i2, i3, exited = _integrals(starts, float(t_nodes[k]), T, heston, grid,
+                                                n_paths, dt_target)
+                for n, (i, j) in enumerate(cells):
+                    rows = slice(n * n_paths, (n + 1) * n_paths)
+                    _check_exits(int(exited[rows].sum()), n_paths, max_exit_fraction)
+                    f = _functionals(i1[rows], i2[rows], i3[rows], risk.gamma, heston.xi)
+                    table[i, j, k] = f.h1, f.h2, f.m
+        return cls(s_nodes, nu_nodes, t_nodes, table[..., 0], table[..., 1], table[..., 2])
 
     def functionals(self, s, nu, t):
-        return self._eval("h1", s, nu, t), self._eval("h2", s, nu, t), self._eval("m", s, nu, t)
+        """(H1, H2, M) at (s, nu, t), clipped to the node box, by trilinear
+        interpolation: the weighted sum over the eight corners of the cell."""
+        axes = ((self.s_nodes, s), (self.nu_nodes, nu), (self.t_nodes, t))
+        points = [np.clip(np.asarray(x, dtype=np.float64), nodes[0], nodes[-1]) for nodes, x in axes]
+        if any(np.isnan(x).any() for x in points):
+            raise ValueError("lattice points must not be nan")
+        (i, wi), (j, wj), (k, wk) = (cell(nodes, x) for (nodes, _), x in zip(axes, points))
+        n_nu, n_t = self.nu_nodes.size, self.t_nodes.size
+        flat = self._table.reshape(-1, 3)
+        base = (i * n_nu + j) * n_t + k  # flat index of the lower corner
+        out = 0.0
+        for off_s, w_s in ((0, 1.0 - wi), (n_nu * n_t, wi)):
+            for off_nu, w_nu in ((0, 1.0 - wj), (n_t, wj)):
+                w_sn = w_s * w_nu
+                corner = base + (off_s + off_nu)
+                for off_t, w_t in ((0, 1.0 - wk), (1, wk)):
+                    out = out + flat.take(corner + off_t, axis=0) * (w_sn * w_t)[..., None]
+        if out.ndim == 1:
+            return tuple(float(v) for v in out)
+        return out[..., 0], out[..., 1], out[..., 2]
 
 
 def joint_book_quotes(
@@ -293,6 +336,7 @@ class HedgedStats:
     # per-path mean of 0.5 Gamma^2 nu^2 q_o^2 dt (vanishes as dt -> 0)
     qv_rate_disc: np.ndarray
     clipped: int
+    grid_exits: int  # paths clamped to the pricing grid at some step
     # quote trace of path 0: (t, s, nu, q_o, a_o, b_o) columns
     trace: dict | None = None
 
@@ -306,13 +350,17 @@ class JointStats:
     q_o_mean: float
     qv_mean: float
     clipped: int
+    grid_exits: int  # paths clamped to the pricing grid at some step
 
 
-def _mm_draws(seed: int, index: int, n_steps: int, n_uniform: int):
-    rng = path_generator(seed, OPTION_MM_STREAM, index)
-    shocks = rng.standard_normal((n_steps, 2))
-    uniforms = rng.random((n_steps, n_uniform))
-    return shocks, uniforms
+def _mm_draws(seed: int, lo: int, shocks: np.ndarray, uniforms: np.ndarray) -> None:
+    """Fill row ``k`` of ``shocks`` (n, n_steps, 2) and ``uniforms``
+    (n, n_steps, n_uniform) in place with path ``lo + k``'s draws: its
+    Gaussian shocks, then its fill uniforms."""
+    for index, z, u in zip(range(lo, lo + len(shocks)), shocks, uniforms):
+        rng = path_generator(seed, OPTION_MM_STREAM, index)
+        rng.standard_normal(out=z)
+        rng.random(out=u)
 
 
 def run_hedged_paths(
@@ -325,7 +373,9 @@ def run_hedged_paths(
     Per step: quote the option via the hedged policy, sample fills, rebalance
     the stock hedge to ``-q_o Delta``, then move the market.  The realized
     inventory-value increment ``q_s dS + q_o dC`` is accumulated both for the
-    hedged book and for an option-only twin with identical fills.
+    hedged book and for an option-only twin with identical fills.  Prices and
+    greeks of states outside the pricing grid are read at its edge; the paths
+    that visit such a state are counted in ``grid_exits``.
     """
     n_steps = round(T / dt)
     if abs(n_steps * dt - T) > 1e-9:
@@ -343,16 +393,19 @@ def run_hedged_paths(
     z_tot = 0.0
     qo_tot = 0.0
     clipped = 0
+    grid_exits = 0
     trace = {k: np.empty(n_steps) for k in ("t", "s", "nu", "q_o", "a_o", "b_o")}
+    shock_buf = np.empty((min(DEFAULT_BLOCK, n_paths), n_steps, 2))
+    uniform_buf = np.empty((min(DEFAULT_BLOCK, n_paths), n_steps, 2))
 
     for lo, hi in block_ranges(n_paths):
         n = hi - lo
-        stacked = [_mm_draws(seed, i, n_steps, 2) for i in range(lo, hi)]
-        shocks = np.stack([d[0] for d in stacked])
-        uniforms = np.stack([d[1] for d in stacked])
+        shocks, uniforms = shock_buf[:n], uniform_buf[:n]
+        _mm_draws(seed, lo, shocks, uniforms)
 
         s = np.full(n, heston.s0)
         nu = np.full(n, heston.nu0)
+        off = _off_grid(grid, s, nu)
         q_o = np.full(n, q_o0, dtype=np.int64)
         z = np.zeros(n)
         acc_h = np.zeros(n)
@@ -364,12 +417,8 @@ def run_hedged_paths(
             t = step * dt
             sc = np.clip(s, s_lo, s_hi)
             vc = np.clip(nu, v_lo, v_hi)
-            dplane, gplane, cplane = grid.greek_planes(t)
-            plane = grid._time_slice(t)
-            delta = grid._bilinear(dplane, sc, vc)
-            gamma = grid._bilinear(gplane, sc, vc)
-            c_nu = grid._bilinear(cplane, sc, vc)
-            c_now = grid._bilinear(plane, sc, vc)
+            g = grid._bilinear(grid._time_slice(t), sc, vc)
+            c_now, delta, gamma, c_nu = g[:, C], g[:, DELTA], g[:, GAMMA], g[:, C_NU]
 
             _, _, m = lattice.functionals(sc, vc, t)
             qf = q_o.astype(np.float64)
@@ -402,10 +451,10 @@ def run_hedged_paths(
             ds = root * z_s * sqrt_dt
             s = s + ds
             nu = np.maximum(nu + heston.theta * (heston.alpha - nu) * dt + xi * root * z_v * sqrt_dt, 0.0)
+            off |= _off_grid(grid, s, nu)
 
-            sc2 = np.clip(s, s_lo, s_hi)
-            vc2 = np.clip(nu, v_lo, v_hi)
-            c_next = grid._bilinear(grid._time_slice(t + dt), sc2, vc2)
+            c_next = grid._bilinear(grid._time_slice(t + dt),
+                                    np.clip(s, s_lo, s_hi), np.clip(nu, v_lo, v_hi))[:, C]
             dc = c_next - c_now
             di_h = q_s * ds + qf * dc
             di_u = qf * dc
@@ -419,6 +468,7 @@ def run_hedged_paths(
         rate_disc[lo:hi] = acc_disc / (n_steps * dt)
         z_tot += float(z.sum())
         qo_tot += float(q_o.sum())
+        grid_exits += int(off.sum())
 
     return HedgedStats(
         n=n_paths,
@@ -430,6 +480,7 @@ def run_hedged_paths(
         qv_rate_pred=rate_pred,
         qv_rate_disc=rate_disc,
         clipped=clipped,
+        grid_exits=grid_exits,
         trace=trace,
     )
 
@@ -440,7 +491,11 @@ def run_joint_paths(
     T: float, dt: float, n_paths: int, seed: int,
     q_s0: int = 0, q_o0: int = 0,
 ) -> JointStats:
-    """Simulate the joint stock+option dealer with the four-quote policy."""
+    """Simulate the joint stock+option dealer with the four-quote policy.
+
+    Option prices of states outside the pricing grid are read at its edge;
+    the paths that visit such a state are counted in ``grid_exits``.
+    """
     n_steps = round(T / dt)
     if abs(n_steps * dt - T) > 1e-9:
         raise ValueError("dt must divide T")
@@ -455,15 +510,18 @@ def run_joint_paths(
     qo_all = np.empty(n_paths, dtype=np.int64)
     qv_all = np.empty(n_paths)
     clipped = 0
+    grid_exits = 0
+    shock_buf = np.empty((min(DEFAULT_BLOCK, n_paths), n_steps, 2))
+    uniform_buf = np.empty((min(DEFAULT_BLOCK, n_paths), n_steps, 4))
 
     for lo, hi in block_ranges(n_paths):
         n = hi - lo
-        stacked = [_mm_draws(seed, i, n_steps, 4) for i in range(lo, hi)]
-        shocks = np.stack([d[0] for d in stacked])
-        uniforms = np.stack([d[1] for d in stacked])
+        shocks, uniforms = shock_buf[:n], uniform_buf[:n]
+        _mm_draws(seed, lo, shocks, uniforms)
 
         s = np.full(n, heston.s0)
         nu = np.full(n, heston.nu0)
+        off = _off_grid(grid, s, nu)
         q_s = np.full(n, q_s0, dtype=np.int64)
         q_o = np.full(n, q_o0, dtype=np.int64)
         z = np.zeros(n)
@@ -473,8 +531,7 @@ def run_joint_paths(
             t = step * dt
             sc = np.clip(s, s_lo, s_hi)
             vc = np.clip(nu, v_lo, v_hi)
-            plane = grid._time_slice(t)
-            c_now = grid._bilinear(plane, sc, vc)
+            c_now = grid._bilinear(grid._time_slice(t), sc, vc)[:, C]
             h1, h2, _ = lattice.functionals(sc, vc, t)
             f = inventory_coefficient(nu, t, T, heston, risk)
 
@@ -506,8 +563,9 @@ def run_joint_paths(
             ds = root * z_sh * sqrt_dt
             s = s + ds
             nu = np.maximum(nu + heston.theta * (heston.alpha - nu) * dt + xi * root * z_v * sqrt_dt, 0.0)
+            off |= _off_grid(grid, s, nu)
             c_next = grid._bilinear(grid._time_slice(t + dt),
-                                    np.clip(s, s_lo, s_hi), np.clip(nu, v_lo, v_hi))
+                                    np.clip(s, s_lo, s_hi), np.clip(nu, v_lo, v_hi))[:, C]
             di = q_s.astype(np.float64) * ds + q_o.astype(np.float64) * (c_next - c_now)
             qv += di**2
 
@@ -515,6 +573,7 @@ def run_joint_paths(
         qs_all[lo:hi] = q_s
         qo_all[lo:hi] = q_o
         qv_all[lo:hi] = qv
+        grid_exits += int(off.sum())
 
     ddof = 1 if n_paths > 1 else 0
     return JointStats(
@@ -525,6 +584,7 @@ def run_joint_paths(
         q_o_mean=float(qo_all.mean()),
         qv_mean=float(qv_all.mean()),
         clipped=clipped,
+        grid_exits=grid_exits,
     )
 
 

@@ -28,13 +28,13 @@ __all__ = [
     "PricingConfig",
     "PricingGrid",
     "StabilityError",
+    "cell",
     "default_s_grid",
     "default_nu_grid",
     "bachelier_call",
     "solve_call_grid",
     "mc_terminal",
     "mc_price",
-    "greeks",
     "write_slice_csv",
 ]
 
@@ -103,9 +103,38 @@ def bachelier_call(s: float, strike: float, nu: float, tau: float) -> float:
     return (s - strike) * norm.cdf(d) + sd * norm.pdf(d)
 
 
+# columns of the stacked greek slices
+C, DELTA, GAMMA, C_NU = range(4)
+
+
+def cell(grid: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell index and weight of points ``x`` in ``[grid[0], grid[-1]]``.
+
+    The index is the last ``i <= grid.size - 2`` with ``grid[i] <= x`` (what
+    ``searchsorted`` gives) and the weight ``(x - grid[i]) / (grid[i + 1] -
+    grid[i])``.  Each index is guessed from a uniform spacing and stepped to
+    its cell, so any increasing grid gives the exact cell and a uniform one
+    takes a single pass.
+    """
+    last = grid.size - 2
+    scale = (last + 1) / (grid[-1] - grid[0])
+    i = np.minimum(((x - grid[0]) * scale).astype(np.intp), last)
+    while True:
+        down = x < grid[i]
+        up = (x >= grid[i + 1]) & (i < last)
+        if not (down.any() or up.any()):
+            return i, (x - grid[i]) / (grid[i + 1] - grid[i])
+        i = i - down + up
+
+
 @dataclass
 class PricingGrid:
-    """Solved call surface over (s, nu, t) with interpolation and greeks."""
+    """Solved call surface over (s, nu, t) with interpolation and greeks.
+
+    Each time slice of ``values`` is stacked with its greek planes into a
+    ``(n_s, n_nu, 4)`` array of (C, delta, gamma, c_nu), filled the first
+    time the slice is used; a point lookup then gathers all four at once.
+    """
 
     config: PricingConfig
     s_grid: np.ndarray
@@ -113,30 +142,58 @@ class PricingGrid:
     times: np.ndarray  # ascending, times[-1] == T
     values: np.ndarray  # (n_s, n_nu, n_t)
 
+    def __post_init__(self):
+        n_s, n_nu, n_t = self.values.shape
+        # pages of slices never used are never touched and cost no memory
+        self._stack = np.empty((n_t, n_s, n_nu, 4))
+        self._filled = np.zeros(n_t, dtype=bool)
+
     def _locate(self, grid: np.ndarray, x: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(x, dtype=np.float64)
-        if np.any(x < grid[0]) or np.any(x > grid[-1]):
+        if not np.all((x >= grid[0]) & (x <= grid[-1])):  # also rejects nan
             raise ValueError(f"{name} outside the grid [{grid[0]:.6g}, {grid[-1]:.6g}]")
-        i = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
-        w = (x - grid[i]) / (grid[i + 1] - grid[i])
-        return i, w
+        return cell(grid, x)
+
+    def _slice(self, it: int) -> np.ndarray:
+        """Read-only stacked slice ``it``: (C, delta, gamma, c_nu) planes.
+        Central differences inside, one-sided at the edges."""
+        out = self._stack[it]
+        if not self._filled[it]:
+            c = self.values[:, :, it]
+            out[:, :, C] = c
+            out[:, :, DELTA] = np.gradient(c, self.s_grid, axis=0)
+            out[:, :, GAMMA] = np.gradient(out[:, :, DELTA], self.s_grid, axis=0)
+            out[:, :, C_NU] = np.gradient(c, self.nu_grid, axis=1)
+            self._filled[it] = True
+        out.flags.writeable = False
+        return out
 
     def _time_slice(self, t: float) -> np.ndarray:
+        """Stacked (n_s, n_nu, 4) slice at time ``t``, blended linearly
+        between the two neighbouring stored slices."""
         it, wt = self._locate(self.times, np.asarray(t), "t")
         it, wt = int(it), float(wt)
         if wt == 0.0:
-            return self.values[:, :, it]
-        return (1.0 - wt) * self.values[:, :, it] + wt * self.values[:, :, it + 1]
+            return self._slice(it)
+        return (1.0 - wt) * self._slice(it) + wt * self._slice(it + 1)
 
     def _bilinear(self, plane: np.ndarray, s, nu):
+        """Bilinear interpolation at (s, nu) of all four columns of a
+        stacked slice, with one s- and one nu-lookup."""
         i, wi = self._locate(self.s_grid, s, "s")
         j, wj = self._locate(self.nu_grid, nu, "nu")
-        return ((1 - wi) * (1 - wj) * plane[i, j] + wi * (1 - wj) * plane[i + 1, j]
-                + (1 - wi) * wj * plane[i, j + 1] + wi * wj * plane[i + 1, j + 1])
+        n_nu = self.nu_grid.size
+        k = i * n_nu + j  # flat index of the lower corner
+        flat = plane.reshape(-1, plane.shape[-1])
+        wi, wj = wi[..., None], wj[..., None]
+        return ((1 - wi) * (1 - wj) * flat.take(k, axis=0)
+                + wi * (1 - wj) * flat.take(k + n_nu, axis=0)
+                + (1 - wi) * wj * flat.take(k + 1, axis=0)
+                + wi * wj * flat.take(k + n_nu + 1, axis=0))
 
     def price(self, s, nu, t: float):
         """Call price by bilinear interpolation on the time-interpolated slice."""
-        out = self._bilinear(self._time_slice(t), s, nu)
+        out = self._bilinear(self._time_slice(t), s, nu)[..., C]
         return float(out) if np.ndim(out) == 0 else out
 
     def put(self, s, nu, t: float):
@@ -146,22 +203,18 @@ class PricingGrid:
         return float(out) if np.ndim(out) == 0 else out
 
     def greek_planes(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Node values of (delta, gamma, c_nu) on the slice at time ``t``.
-        Central differences inside, one-sided at the edges."""
-        c = self._time_slice(t)
-        delta = np.gradient(c, self.s_grid, axis=0)
-        gamma = np.gradient(delta, self.s_grid, axis=0)
-        c_nu = np.gradient(c, self.nu_grid, axis=1)
-        return delta, gamma, c_nu
+        """Node values of (delta, gamma, c_nu) on the slice at time ``t``;
+        between stored slices, the blend of their planes."""
+        plane = self._time_slice(t)
+        return plane[:, :, DELTA], plane[:, :, GAMMA], plane[:, :, C_NU]
 
     def greeks(self, s, nu, t: float):
         """(delta, gamma, c_nu) interpolated at (s, nu, t); rejects points
-        outside the grid."""
-        dp, gp, vp = self.greek_planes(t)
-        out = tuple(self._bilinear(p, s, nu) for p in (dp, gp, vp))
-        if np.ndim(out[0]) == 0:
-            return tuple(float(v) for v in out)
-        return out
+        outside the grid and non-finite points."""
+        out = self._bilinear(self._time_slice(t), s, nu)
+        if out.ndim == 1:
+            return tuple(float(v) for v in out[DELTA:])
+        return out[..., DELTA], out[..., GAMMA], out[..., C_NU]
 
 
 def _nu_operator(config: PricingConfig):
@@ -266,11 +319,6 @@ def solve_call_grid(config: PricingConfig) -> PricingGrid:
     return PricingGrid(config=config, s_grid=s, nu_grid=v, times=times, values=values)
 
 
-def greeks(grid: PricingGrid, s, nu, t: float):
-    """Module-level convenience wrapper around ``PricingGrid.greeks``."""
-    return grid.greeks(s, nu, t)
-
-
 def mc_terminal(
     config: PricingConfig,
     s: float,
@@ -299,11 +347,11 @@ def mc_terminal(
     risk_adj = heston.xi * rho_c * config.eta_nu
 
     out = np.empty(n_paths)
+    draws = np.empty((min(block, n_paths), n_steps, 2))
     for lo, hi in block_ranges(n_paths, block):
-        shocks = np.stack([
-            path_generator(seed, PRICING_STREAM, i).standard_normal((n_steps, 2))
-            for i in range(lo, hi)
-        ])
+        shocks = draws[:hi - lo]
+        for row, i in zip(shocks, range(lo, hi)):
+            path_generator(seed, PRICING_STREAM, i).standard_normal(out=row)
         s_arr = np.full(hi - lo, float(s))
         v_arr = np.full(hi - lo, float(nu))
         for step in range(n_steps):
@@ -348,7 +396,7 @@ def write_slice_csv(grid: PricingGrid, path, t_values=None) -> None:
         w.writerow(["s", "nu", "t", "C", "P", "delta", "gamma", "c_nu"])
         for t in t_values:
             dp, gp, vp = grid.greek_planes(t)
-            plane = grid._time_slice(t)
+            plane = grid._time_slice(t)[:, :, C]
             for i, sv in enumerate(grid.s_grid):
                 for j, nuv in enumerate(grid.nu_grid):
                     c = plane[i, j]

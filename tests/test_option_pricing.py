@@ -135,6 +135,16 @@ def test_extrapolation_rejected(pricing_grid):
         pricing_grid.price(100.0, 4.0, 2.0)
 
 
+@pytest.mark.parametrize("point", [(math.nan, 4.0, 0.0), (100.0, math.nan, 0.0),
+                                   (100.0, 4.0, math.nan), (math.inf, 4.0, 0.0)])
+def test_non_finite_points_rejected(pricing_grid, point):
+    for lookup in (pricing_grid.price, pricing_grid.greeks):
+        with pytest.raises(ValueError, match="outside the grid"):
+            lookup(*point)
+    with pytest.raises(ValueError, match="outside the grid"):
+        pricing_grid.price(np.array([100.0, point[0]]), point[1], point[2])
+
+
 def test_stability_guard(heston):
     with pytest.raises(StabilityError):
         solve_call_grid(PricingConfig(heston=heston, strike=100.0, T=1.0, n_time=2))
