@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import DEFAULT_BLOCK, HESTON_STREAM, block_ranges, path_generator
+from .seeding import DEFAULT_BLOCK, HESTON_STREAM, SCHEMES, block_ranges, lane_draws
 
 __all__ = [
     "HestonParams",
@@ -23,11 +23,7 @@ __all__ = [
     "step_state",
     "conditional_moments",
     "sample_terminal",
-    "draw_shocks",
 ]
-
-_SCHEMES = ("binomial", "gaussian")
-
 
 @dataclass(frozen=True)
 class HestonParams:
@@ -76,16 +72,6 @@ class MidState:
             raise ValueError("variance must be nonnegative")
 
 
-def draw_shocks(rng: np.random.Generator, n_steps: int, scheme: str) -> np.ndarray:
-    """Two independent shocks per step: signs for ``binomial``, standard
-    normals for ``gaussian``.  Shape ``(n_steps, 2)``."""
-    if scheme == "binomial":
-        return 2.0 * rng.integers(0, 2, size=(n_steps, 2)).astype(np.float64) - 1.0
-    if scheme == "gaussian":
-        return rng.standard_normal((n_steps, 2))
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 def step_state(
     state: MidState,
     params: HestonParams,
@@ -101,7 +87,7 @@ def step_state(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if scheme not in _SCHEMES:
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     z_s, z_perp = float(draws[0]), float(draws[1])
     if not (math.isfinite(z_s) and math.isfinite(z_perp)):
@@ -170,20 +156,20 @@ def sample_terminal(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Terminal ``(S_T, nu_T)`` over ``n_paths`` independent paths.
 
-    Each path draws from its own seeded stream so results do not depend on
-    ``n_paths`` or on how paths are grouped into blocks.
+    Path ``i``'s draws depend only on ``(seed, stream, i)``, so results do
+    not depend on ``n_paths`` or on how paths are grouped into blocks.
     """
     if T <= 0 or n_steps < 1 or n_paths < 1:
         raise ValueError("T, n_steps and n_paths must be positive")
-    if scheme not in _SCHEMES:
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     dt = T / n_steps
     s_out = np.empty(n_paths)
     nu_out = np.empty(n_paths)
+    draws = np.empty((min(block, n_paths), n_steps, 2))
     for lo, hi in block_ranges(n_paths, block):
-        shocks = np.stack(
-            [draw_shocks(path_generator(seed, stream, i), n_steps, scheme) for i in range(lo, hi)]
-        )
+        shocks = draws[:hi - lo]
+        lane_draws(seed, (stream,), lo, hi, shocks, scheme=scheme)
         s = np.full(hi - lo, params.s0)
         nu = np.full(hi - lo, params.nu0)
         for step in range(n_steps):

@@ -26,9 +26,9 @@ import numpy as np
 
 from .heston import HestonParams, MidState
 from .intensity import ArrivalParams
-from .option_pricing import C, C_NU, DELTA, GAMMA, PricingGrid, cell
+from .option_pricing import C, C_NU, DELTA, GAMMA, PRICE, PricingGrid, cell
 from .quotes import RiskParams, inventory_coefficient
-from .seeding import DEFAULT_BLOCK, FUNCTIONAL_STREAM, OPTION_MM_STREAM, block_ranges, path_generator
+from .seeding import DEFAULT_BLOCK, FUNCTIONAL_STREAM, OPTION_MM_STREAM, block_ranges, lane_draws
 
 __all__ = [
     "OptionMMState",
@@ -86,14 +86,15 @@ def _off_grid(grid: PricingGrid, s: np.ndarray, nu: np.ndarray) -> np.ndarray:
 
 def _integrals(
     starts: list[tuple[float, float, int]], t: float, T: float,
-    heston: HestonParams, grid: PricingGrid, n_paths: int, dt_target: float,
+    heston: HestonParams, grid: PricingGrid, n_paths: int, seed: int, dt_target: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-path left-endpoint quadratures of the three integrands along
     real-world paths started at time ``t``, ``n_paths`` from each
-    ``(s0, nu0, seed)`` in ``starts``, simulated together in blocks of at
-    most ``DEFAULT_BLOCK`` paths.  Node ``n`` owns rows ``n * n_paths``
-    onward of the returned (i1, i2, i3, exited) arrays; ``exited`` flags the
-    paths that left the grid before the last step."""
+    ``(s0, nu0, node)`` in ``starts``, simulated together in blocks of at
+    most ``DEFAULT_BLOCK`` paths.  A node's paths draw from the key
+    ``(FUNCTIONAL_STREAM, node)`` under ``seed``.  Start ``n`` owns rows
+    ``n * n_paths`` onward of the returned (i1, i2, i3, exited) arrays;
+    ``exited`` flags the paths that left the grid before the last step."""
     tau = T - t
     n_steps = max(1, round(tau / dt_target))
     dt = tau / n_steps
@@ -112,9 +113,11 @@ def _integrals(
     draws = np.empty((min(DEFAULT_BLOCK, total), n_steps, 2))
     for lo, hi in block_ranges(total):
         shocks = draws[:hi - lo]
-        for row, r in zip(shocks, range(lo, hi)):
-            node, i = divmod(r, n_paths)
-            path_generator(starts[node][2], FUNCTIONAL_STREAM, i).standard_normal(out=row)
+        for start in range(lo // n_paths, (hi - 1) // n_paths + 1):
+            first = start * n_paths
+            a, b = max(lo, first), min(hi, first + n_paths)
+            lane_draws(seed, (FUNCTIONAL_STREAM, starts[start][2]), a - first, b - first,
+                       shocks[a - lo:b - lo])
         n = hi - lo
         node_of_row = np.arange(lo, hi) // n_paths
         s = s_start[node_of_row]
@@ -156,8 +159,9 @@ def _simulate_integrals(
     max_exit_fraction: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-path quadratures of the three integrands from one state: a
-    one-node call of the batched kernel ``_integrals``."""
-    i1, i2, i3, exited = _integrals([(s0, nu0, seed)], t, T, heston, grid, n_paths, dt_target)
+    one-node call of the batched kernel ``_integrals`` with node key 0,
+    which no lattice node uses."""
+    i1, i2, i3, exited = _integrals([(s0, nu0, 0)], t, T, heston, grid, n_paths, seed, dt_target)
     _check_exits(int(exited.sum()), n_paths, max_exit_fraction)
     return i1, i2, i3
 
@@ -223,9 +227,11 @@ class FunctionalLattice:
         max_exit_fraction: float = 0.5,
     ) -> "FunctionalLattice":
         """Estimate every node with ``t < T`` as ``estimate_functionals``
-        would, node ``n`` (1-based, in (s, nu, t) order) seeded ``seed + n``.
-        The nodes sharing a ``t`` are simulated together; each keeps its own
-        streams and its own grid-exit check."""
+        would, node ``n`` (1-based, in (s, nu, t) order) drawing from the key
+        ``(FUNCTIONAL_STREAM, n)`` under ``seed``, so lattices built with
+        different seeds share no streams.  The nodes sharing a ``t`` are
+        simulated together; each keeps its own streams and its own grid-exit
+        check."""
         # outer lattice nodes sit near the pricing-grid edge on purpose, so a
         # generous exit fraction is the default here; exited paths are clamped
         s_nodes = np.asarray(s_nodes, dtype=np.float64)
@@ -240,9 +246,9 @@ class FunctionalLattice:
             cells = [(i, j) for i in range(shape[0]) for j in range(shape[1])]
             for k in live:
                 starts = [(float(s_nodes[i]), float(nu_nodes[j]),
-                           seed + 1 + (i * shape[1] + j) * shape[2] + k) for i, j in cells]
+                           1 + (i * shape[1] + j) * shape[2] + k) for i, j in cells]
                 i1, i2, i3, exited = _integrals(starts, float(t_nodes[k]), T, heston, grid,
-                                                n_paths, dt_target)
+                                                n_paths, seed, dt_target)
                 for n, (i, j) in enumerate(cells):
                     rows = slice(n * n_paths, (n + 1) * n_paths)
                     _check_exits(int(exited[rows].sum()), n_paths, max_exit_fraction)
@@ -353,16 +359,6 @@ class JointStats:
     grid_exits: int  # paths clamped to the pricing grid at some step
 
 
-def _mm_draws(seed: int, lo: int, shocks: np.ndarray, uniforms: np.ndarray) -> None:
-    """Fill row ``k`` of ``shocks`` (n, n_steps, 2) and ``uniforms``
-    (n, n_steps, n_uniform) in place with path ``lo + k``'s draws: its
-    Gaussian shocks, then its fill uniforms."""
-    for index, z, u in zip(range(lo, lo + len(shocks)), shocks, uniforms):
-        rng = path_generator(seed, OPTION_MM_STREAM, index)
-        rng.standard_normal(out=z)
-        rng.random(out=u)
-
-
 def run_hedged_paths(
     heston: HestonParams, arrival: ArrivalParams, risk: RiskParams,
     grid: PricingGrid, lattice: FunctionalLattice,
@@ -401,7 +397,7 @@ def run_hedged_paths(
     for lo, hi in block_ranges(n_paths):
         n = hi - lo
         shocks, uniforms = shock_buf[:n], uniform_buf[:n]
-        _mm_draws(seed, lo, shocks, uniforms)
+        lane_draws(seed, (OPTION_MM_STREAM,), lo, hi, shocks, uniforms)
 
         s = np.full(n, heston.s0)
         nu = np.full(n, heston.nu0)
@@ -453,8 +449,8 @@ def run_hedged_paths(
             nu = np.maximum(nu + heston.theta * (heston.alpha - nu) * dt + xi * root * z_v * sqrt_dt, 0.0)
             off |= _off_grid(grid, s, nu)
 
-            c_next = grid._bilinear(grid._time_slice(t + dt),
-                                    np.clip(s, s_lo, s_hi), np.clip(nu, v_lo, v_hi))[:, C]
+            c_next = grid._bilinear(grid._time_slice(t + dt, PRICE),
+                                    np.clip(s, s_lo, s_hi), np.clip(nu, v_lo, v_hi))[:, 0]
             dc = c_next - c_now
             di_h = q_s * ds + qf * dc
             di_u = qf * dc
@@ -517,7 +513,7 @@ def run_joint_paths(
     for lo, hi in block_ranges(n_paths):
         n = hi - lo
         shocks, uniforms = shock_buf[:n], uniform_buf[:n]
-        _mm_draws(seed, lo, shocks, uniforms)
+        lane_draws(seed, (OPTION_MM_STREAM,), lo, hi, shocks, uniforms)
 
         s = np.full(n, heston.s0)
         nu = np.full(n, heston.nu0)
@@ -564,8 +560,8 @@ def run_joint_paths(
             s = s + ds
             nu = np.maximum(nu + heston.theta * (heston.alpha - nu) * dt + xi * root * z_v * sqrt_dt, 0.0)
             off |= _off_grid(grid, s, nu)
-            c_next = grid._bilinear(grid._time_slice(t + dt),
-                                    np.clip(s, s_lo, s_hi), np.clip(nu, v_lo, v_hi))[:, C]
+            c_next = grid._bilinear(grid._time_slice(t + dt, PRICE),
+                                    np.clip(s, s_lo, s_hi), np.clip(nu, v_lo, v_hi))[:, 0]
             di = q_s.astype(np.float64) * ds + q_o.astype(np.float64) * (c_next - c_now)
             qv += di**2
 

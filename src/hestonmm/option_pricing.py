@@ -22,7 +22,7 @@ from scipy.stats import norm
 
 from . import fd
 from .heston import HestonParams
-from .seeding import DEFAULT_BLOCK, PRICING_STREAM, block_ranges, path_generator
+from .seeding import DEFAULT_BLOCK, PRICING_STREAM, block_ranges, lane_draws
 
 __all__ = [
     "PricingConfig",
@@ -105,6 +105,7 @@ def bachelier_call(s: float, strike: float, nu: float, tau: float) -> float:
 
 # columns of the stacked greek slices
 C, DELTA, GAMMA, C_NU = range(4)
+PRICE = slice(C, C + 1)  # the C column alone, as a one-column stack
 
 
 def cell(grid: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,18 +169,19 @@ class PricingGrid:
         out.flags.writeable = False
         return out
 
-    def _time_slice(self, t: float) -> np.ndarray:
+    def _time_slice(self, t: float, cols: slice = slice(None)) -> np.ndarray:
         """Stacked (n_s, n_nu, 4) slice at time ``t``, blended linearly
-        between the two neighbouring stored slices."""
+        between the two neighbouring stored slices; ``cols`` blends only
+        those columns (``PRICE`` for C alone)."""
         it, wt = self._locate(self.times, np.asarray(t), "t")
         it, wt = int(it), float(wt)
         if wt == 0.0:
-            return self._slice(it)
-        return (1.0 - wt) * self._slice(it) + wt * self._slice(it + 1)
+            return self._slice(it)[:, :, cols]
+        return (1.0 - wt) * self._slice(it)[:, :, cols] + wt * self._slice(it + 1)[:, :, cols]
 
     def _bilinear(self, plane: np.ndarray, s, nu):
-        """Bilinear interpolation at (s, nu) of all four columns of a
-        stacked slice, with one s- and one nu-lookup."""
+        """Bilinear interpolation at (s, nu) of every column of a stacked
+        slice, with one s- and one nu-lookup."""
         i, wi = self._locate(self.s_grid, s, "s")
         j, wj = self._locate(self.nu_grid, nu, "nu")
         n_nu = self.nu_grid.size
@@ -350,8 +352,7 @@ def mc_terminal(
     draws = np.empty((min(block, n_paths), n_steps, 2))
     for lo, hi in block_ranges(n_paths, block):
         shocks = draws[:hi - lo]
-        for row, i in zip(shocks, range(lo, hi)):
-            path_generator(seed, PRICING_STREAM, i).standard_normal(out=row)
+        lane_draws(seed, (PRICING_STREAM,), lo, hi, shocks)
         s_arr = np.full(hi - lo, float(s))
         v_arr = np.full(hi - lo, float(nu))
         for step in range(n_steps):

@@ -3,9 +3,10 @@
 Each path runs the per-step event loop: quote, sample fills, book the cash
 and revenue, move the mid (plus permanent impact when enabled), step the
 variance with the correlated shock, and accumulate the quadratic variation of
-the inventory value.  Paths are embarrassingly parallel; every path owns a
-seeded stream and blocks of paths are merged in fixed order, so ensembles are
-bit-reproducible regardless of the worker count.
+the inventory value.  Paths are embarrassingly parallel; every path's draws
+are keyed by ``(seed, index)`` (see ``seeding``) and blocks of paths are
+merged in fixed order, so ensembles are bit-reproducible regardless of the
+worker count.
 
 The same pre-generated draw arrays are consumed by every policy, which makes
 runs with different policies under one master seed common-random-number
@@ -23,7 +24,7 @@ import numpy as np
 from .heston import HestonParams
 from .intensity import ArrivalParams
 from .quotes import InventorySV, RiskParams
-from .seeding import SIM_STREAM, block_ranges, path_generator
+from .seeding import SCHEMES, SIM_STREAM, block_ranges, lane_draws
 
 __all__ = [
     "SimConfig",
@@ -59,7 +60,7 @@ class SimConfig:
         n = round(self.T / self.dt)
         if n < 1 or abs(n * self.dt - self.T) > 1e-9 * max(self.T, 1.0):
             raise ValueError("dt must divide T within rounding")
-        if self.scheme not in ("binomial", "gaussian"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
@@ -145,18 +146,6 @@ class FrontierPoint:
     profit_mean: float
 
 
-def _path_draws(config: SimConfig, master_seed: int, index: int):
-    """Fixed draw layout per path: shocks first, fill uniforms second."""
-    rng = path_generator(master_seed, SIM_STREAM, index)
-    n = config.n_steps
-    if config.scheme == "binomial":
-        shocks = 2.0 * rng.integers(0, 2, size=(n, 2)).astype(np.float64) - 1.0
-    else:
-        shocks = rng.standard_normal((n, 2))
-    uniforms = rng.random((n, 2))
-    return shocks, uniforms
-
-
 def _run_block(policy, config: SimConfig, master_seed: int, lo: int, hi: int,
                want_series: bool = False) -> dict:
     """Simulate paths ``lo..hi-1``; returns per-path terminals plus snapshot
@@ -168,9 +157,9 @@ def _run_block(policy, config: SimConfig, master_seed: int, lo: int, hi: int,
     heston, arrival, risk = config.heston, config.arrival, config.risk
     rho, rho_c = heston.rho, math.sqrt(1.0 - heston.rho**2)
 
-    stacked = [_path_draws(config, master_seed, i) for i in range(lo, hi)]
-    shocks = np.stack([d[0] for d in stacked])  # (n, n_steps, 2)
-    uniforms = np.stack([d[1] for d in stacked])
+    shocks = np.empty((n, n_steps, 2))  # shocks first, fill uniforms second
+    uniforms = np.empty((n, n_steps, 2))
+    lane_draws(master_seed, (SIM_STREAM,), lo, hi, shocks, uniforms, config.scheme)
 
     s = np.full(n, heston.s0)
     nu = np.full(n, heston.nu0)
@@ -292,7 +281,7 @@ def run_ensemble(policy, config: SimConfig, n: int, seed: int,
     """Run ``n`` independent paths and aggregate.
 
     Deterministic for fixed ``(seed, n, config)`` regardless of ``threads``:
-    path ``i`` always draws from stream ``(seed, i)`` and block results are
+    path ``i``'s draws depend only on ``(seed, i)`` and block results are
     merged in index order.
     """
     if n < 1:

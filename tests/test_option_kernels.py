@@ -1,7 +1,8 @@
 """The option layer's vectorized kernels against the computations they replace.
 
-Each reference is the straightforward form kept here: per-path draws stacked
-with ``np.stack``, greek planes taken with ``np.gradient`` of a value slice,
+Each reference is the straightforward form kept here: draws taken straight
+from the lane generators (``path_generator(seed, *key, lane)``, 64 paths per
+lane) and sliced per path, greek planes taken with ``np.gradient`` of a value slice,
 ``searchsorted`` cell lookups and scipy's ``RegularGridInterpolator``.  Where
 the arithmetic is unchanged the results must be equal; where only its order
 changed, the tolerance is fixed from float64 rounding, not from a run.
@@ -13,20 +14,43 @@ import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
 
+from hestonmm import option_mm
 from hestonmm.option_mm import (
     FunctionalLattice,
     GridExitError,
-    _mm_draws,
+    _functionals,
+    _integrals,
     _simulate_integrals,
-    estimate_functionals,
     run_hedged_paths,
     run_joint_paths,
 )
-from hestonmm.option_pricing import PricingConfig, cell, mc_terminal, solve_call_grid
-from hestonmm.seeding import FUNCTIONAL_STREAM, OPTION_MM_STREAM, PRICING_STREAM, path_generator
+from hestonmm.option_pricing import C, PRICE, PricingConfig, cell, mc_terminal, solve_call_grid
+from hestonmm.seeding import (
+    FUNCTIONAL_STREAM,
+    LANE,
+    OPTION_MM_STREAM,
+    PRICING_STREAM,
+    lane_draws,
+    path_generator,
+)
 
 # relative to the largest magnitude involved: a few float64 roundings
 REL = 1e-12
+
+
+def _lane_reference(seed, key, n_paths, n_steps, n_uniform=0):
+    """Paths ``0..n_paths-1``'s shocks (and uniforms) drawn lane by lane:
+    each lane generator draws 64 paths' shocks, then 64 paths' uniforms."""
+    n_lanes = -(-n_paths // LANE)
+    shocks = np.empty((n_lanes * LANE, n_steps, 2))
+    uniforms = np.empty((n_lanes * LANE, n_steps, n_uniform))
+    for lane in range(n_lanes):
+        rng = path_generator(seed, *key, lane)
+        rows = slice(lane * LANE, (lane + 1) * LANE)
+        shocks[rows] = rng.standard_normal((LANE, n_steps, 2))
+        if n_uniform:
+            uniforms[rows] = rng.random((LANE, n_steps, n_uniform))
+    return shocks[:n_paths], uniforms[:n_paths]
 
 
 def _searchsorted_cell(grid, x):
@@ -82,6 +106,20 @@ def test_greek_planes_between_slices_match_gradient_of_blend(pricing_grid):
                                       _bilinear_ref(pricing_grid, blend, pricing_grid.s_grid[3:-3], 2.5))
 
 
+def test_price_column_blend_equals_full_blend(pricing_grid):
+    # the books read C at t + dt from a one-column blend of the stacked slices
+    s = np.array([90.0, 99.9, 100.0, 107.3])
+    nu = np.array([0.0, 1.7, 4.0, 9.2])
+    times = pricing_grid.times
+    for t in [times[7], times[7] + 0.3 * (times[8] - times[7]), 0.4321]:
+        full = pricing_grid._time_slice(t)
+        price = pricing_grid._time_slice(t, PRICE)
+        assert price.shape == full.shape[:2] + (1,)
+        np.testing.assert_array_equal(price[:, :, 0], full[:, :, C])
+        np.testing.assert_array_equal(pricing_grid._bilinear(price, s, nu)[:, 0],
+                                      pricing_grid._bilinear(full, s, nu)[:, C])
+
+
 def test_cached_planes_are_read_only(pricing_grid):
     t = pricing_grid.times[4]
     for plane in pricing_grid.greek_planes(t) + (pricing_grid._time_slice(t),):
@@ -104,16 +142,15 @@ def test_greeks_match_per_plane_interpolation(pricing_grid):
 
 
 def test_mm_draws_fill_equals_stacked_draws():
-    n_steps, n_uniform, lo, n = 37, 4, 5, 6
-    stacked = []
-    for i in range(lo, lo + n):
-        rng = path_generator(9, OPTION_MM_STREAM, i)
-        stacked.append((rng.standard_normal((n_steps, 2)), rng.random((n_steps, n_uniform))))
-    shocks = np.empty((n, n_steps, 2))
-    uniforms = np.empty((n, n_steps, n_uniform))
-    _mm_draws(9, lo, shocks, uniforms)
-    np.testing.assert_array_equal(shocks, np.stack([d[0] for d in stacked]))
-    np.testing.assert_array_equal(uniforms, np.stack([d[1] for d in stacked]))
+    # the books' draws: a block inside one lane, and one spanning three lanes
+    n_steps, n_uniform = 37, 4
+    ref_z, ref_u = _lane_reference(9, (OPTION_MM_STREAM,), 200, n_steps, n_uniform)
+    for lo, hi in [(5, 11), (60, 190)]:
+        shocks = np.empty((hi - lo, n_steps, 2))
+        uniforms = np.empty((hi - lo, n_steps, n_uniform))
+        lane_draws(9, (OPTION_MM_STREAM,), lo, hi, shocks, uniforms)
+        np.testing.assert_array_equal(shocks, ref_z[lo:hi])
+        np.testing.assert_array_equal(uniforms, ref_u[lo:hi])
 
 
 def test_mc_terminal_equals_stacked_reference(pricing_grid):
@@ -124,10 +161,10 @@ def test_mc_terminal_equals_stacked_reference(pricing_grid):
     rho_c = math.sqrt(1.0 - h.rho**2)
     risk_adj = h.xi * rho_c * cfg.eta_nu
     ref = np.empty(n_paths)
+    draws, _ = _lane_reference(4, (PRICING_STREAM,), n_paths, n_steps)
     for lo in range(0, n_paths, block):
         hi = min(lo + block, n_paths)
-        shocks = np.stack([path_generator(4, PRICING_STREAM, i).standard_normal((n_steps, 2))
-                           for i in range(lo, hi)])
+        shocks = draws[lo:hi]
         s, v = np.full(hi - lo, 100.0), np.full(hi - lo, 4.0)
         for step in range(n_steps):
             v_pos = np.maximum(v, 0.0)
@@ -150,8 +187,8 @@ def test_integrals_equal_stacked_reference(heston, pricing_grid):
     rho, xi = heston.rho, heston.xi
     rho_c = math.sqrt(1.0 - rho**2)
     g = pricing_grid
-    shocks = np.stack([path_generator(seed, FUNCTIONAL_STREAM, i).standard_normal((n_steps, 2))
-                       for i in range(n_paths)])
+    # estimate_functionals draws from node key 0
+    shocks, _ = _lane_reference(seed, (FUNCTIONAL_STREAM, 0), n_paths, n_steps)
     s, nu = np.full(n_paths, 103.0), np.full(n_paths, 2.0)
     a1, a2, a3 = np.zeros(n_paths), np.zeros(n_paths), np.zeros(n_paths)
     for step in range(n_steps):
@@ -221,7 +258,8 @@ def test_lattice_rejects_degenerate_axes():
 
 
 def test_batched_build_equals_per_node_estimates(heston, risk_nofee, pricing_grid):
-    # 9 nodes x 1000 paths per time: the 4096-path batches straddle nodes
+    # 9 nodes x 1000 paths per time: the 4096-path batches straddle nodes,
+    # and lanes straddle the batches
     s_nodes, nu_nodes, t_nodes = np.linspace(95, 105, 3), np.linspace(1, 7, 3), np.linspace(0, 1, 3)
     seed = 40
     lat = FunctionalLattice.build(s_nodes, nu_nodes, t_nodes, 1.0, heston, risk_nofee,
@@ -231,11 +269,41 @@ def test_batched_build_equals_per_node_estimates(heston, risk_nofee, pricing_gri
         for j, nv in enumerate(nu_nodes):
             for k, tv in enumerate(t_nodes):
                 node += 1
-                f = estimate_functionals(sv, nv, tv, 1.0, heston, risk_nofee, pricing_grid,
-                                         n_paths=1000, seed=seed + node, dt_target=0.05,
-                                         max_exit_fraction=0.5)
-                assert (lat.h1[i, j, k], lat.h2[i, j, k], lat.m[i, j, k]) == (f.h1, f.h2, f.m)
+                got = (lat.h1[i, j, k], lat.h2[i, j, k], lat.m[i, j, k])
+                if tv == 1.0:
+                    assert got == (0.0, 0.0, 0.0)
+                    continue
+                i1, i2, i3, _ = _integrals([(sv, nv, node)], tv, 1.0, heston, pricing_grid,
+                                           1000, seed, 0.05)
+                f = _functionals(i1, i2, i3, risk_nofee.gamma, heston.xi)
+                assert got == (f.h1, f.h2, f.m)
     assert lat.h1[:, :, -1].max() == 0.0 and lat.h1[:, :, 0].min() < 0.0
+
+
+def test_lattice_seeds_do_not_alias(heston, risk_nofee, pricing_grid, monkeypatch):
+    # node n draws from (FUNCTIONAL_STREAM, n) under the master seed; seeding
+    # node n with seed + n would give node 2 at seed s the shocks of node 1
+    # at seed s + 1
+    calls = []
+
+    def recording(master, key, lo, hi, shocks, *args, **kwargs):
+        lane_draws(master, key, lo, hi, shocks, *args, **kwargs)
+        calls.append((master, key, lo, hi, shocks.copy()))
+
+    monkeypatch.setattr(option_mm, "lane_draws", recording)
+    s = 7
+    for seed in (s, s + 1):
+        FunctionalLattice.build([99.0, 101.0], [3.0, 5.0], [0.0, 0.5, 1.0], 1.0, heston,
+                                risk_nofee, pricing_grid, n_paths=1000, seed=seed, dt_target=0.05)
+
+    def node_shocks(master, node):
+        key = (FUNCTIONAL_STREAM, node)
+        rows = sorted((c for c in calls if c[:2] == (master, key)), key=lambda c: c[2])
+        return np.concatenate([c[4] for c in rows])
+
+    node2, node1 = node_shocks(s, 2), node_shocks(s + 1, 1)  # t = 0.5 and t = 0
+    assert node2.shape == (1000, 10, 2) and node1.shape == (1000, 20, 2)
+    assert not np.any(node2 == node1[:, :10])
 
 
 def test_batched_build_edge_node_raises(heston, risk_nofee, pricing_grid):
@@ -252,9 +320,8 @@ def _recount_exits(heston, grid, T, dt, n_paths, seed):
     n_steps = round(T / dt)
     rho_c = math.sqrt(1.0 - heston.rho**2)
     exits = 0
-    for i in range(n_paths):
-        rng = path_generator(seed, OPTION_MM_STREAM, i)
-        z = rng.standard_normal((n_steps, 2))
+    draws, _ = _lane_reference(seed, (OPTION_MM_STREAM,), n_paths, n_steps)
+    for z in draws:
         s, nu = heston.s0, heston.nu0
         off = False
         for step in range(n_steps + 1):
