@@ -4,8 +4,8 @@ Closed-form quote policies, exact value functions via numerical HJB solves,
 an incomplete-market option pricer, and a Monte Carlo experiment engine.
 """
 
-from .heston import HestonParams, MidState, conditional_moments, step_state
-from .intensity import ArrivalParams, fill_probability, intensity, sample_fills
+from .heston import HestonParams, conditional_moments, euler_step
+from .intensity import ArrivalParams, fill_probability, fills, intensity
 from .quotes import (
     Frozen,
     InventorySV,
@@ -24,13 +24,12 @@ from .quotes import (
 
 __all__ = [
     "HestonParams",
-    "MidState",
-    "step_state",
+    "euler_step",
     "conditional_moments",
     "ArrivalParams",
     "intensity",
     "fill_probability",
-    "sample_fills",
+    "fills",
     "RiskParams",
     "QuotePair",
     "InventorySV",

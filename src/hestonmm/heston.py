@@ -3,9 +3,9 @@
 The mid-price follows an arithmetic diffusion ``dS = sqrt(nu) dW`` while the
 instantaneous variance follows the square-root process
 ``dnu = theta (alpha - nu) dt + xi sqrt(nu) dB`` with ``corr(W, B) = rho``.
-This module provides the single-step Euler schemes used by the simulation
-engine and the closed-form conditional moments of the variance used by the
-quote formulas and by the moment-validation tests.
+This module provides the one Euler step every simulator runs and the
+closed-form conditional moments of the variance used by the quote formulas
+and by the moment-validation tests.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from .seeding import DEFAULT_BLOCK, HESTON_STREAM, SCHEMES, block_ranges, lane_d
 
 __all__ = [
     "HestonParams",
-    "MidState",
-    "step_state",
+    "euler_step",
     "conditional_moments",
     "sample_terminal",
 ]
@@ -52,53 +51,9 @@ class HestonParams:
 
     @property
     def feller_satisfied(self) -> bool:
-        """Whether 2*theta*alpha >= xi**2.  Informational only: the schemes
-        truncate at zero, so a violated condition is still handled."""
+        """Whether 2*theta*alpha >= xi**2.  Informational only: the Euler
+        step truncates at zero, so a violated condition is still handled."""
         return 2.0 * self.theta * self.alpha >= self.xi**2
-
-
-@dataclass(frozen=True)
-class MidState:
-    """Mid-price state ``(t, s, nu)`` with nonnegative variance."""
-
-    t: float
-    s: float
-    nu: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t) and math.isfinite(self.s) and math.isfinite(self.nu)):
-            raise ValueError("MidState fields must be finite")
-        if self.nu < 0:
-            raise ValueError("variance must be nonnegative")
-
-
-def step_state(
-    state: MidState,
-    params: HestonParams,
-    dt: float,
-    scheme: str = "binomial",
-    draws: tuple[float, float] = (1.0, 1.0),
-) -> MidState:
-    """Advance the mid-price state by one full-truncation Euler step.
-
-    ``draws`` are two independent variates ``(z_s, z_perp)``; the variance
-    shock is ``rho*z_s + sqrt(1-rho^2)*z_perp``.  The diffusion coefficient is
-    evaluated at ``max(nu, 0)`` and the resulting variance is clamped at zero.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    z_s, z_perp = float(draws[0]), float(draws[1])
-    if not (math.isfinite(z_s) and math.isfinite(z_perp)):
-        raise ValueError("draws must be finite")
-
-    root_nu = math.sqrt(max(state.nu, 0.0))
-    sqrt_dt = math.sqrt(dt)
-    s_new = state.s + root_nu * z_s * sqrt_dt
-    z_nu = params.rho * z_s + math.sqrt(1.0 - params.rho**2) * z_perp
-    nu_new = state.nu + params.theta * (params.alpha - state.nu) * dt + params.xi * root_nu * z_nu * sqrt_dt
-    return MidState(t=state.t + dt, s=s_new, nu=max(nu_new, 0.0))
 
 
 def conditional_moments(nu: float, params: HestonParams, tau: float) -> tuple[float, float, float]:
@@ -127,21 +82,23 @@ def conditional_moments(nu: float, params: HestonParams, tau: float) -> tuple[fl
     return mean, var, second
 
 
-def _step_block(
-    s: np.ndarray,
-    nu: np.ndarray,
-    shocks: np.ndarray,
-    params: HestonParams,
-    dt: float,
-) -> None:
-    """Vectorized full-truncation Euler update of ``(s, nu)`` in place."""
+def euler_step(s, nu, z_s, z_perp, params: HestonParams, dt: float, risk_adj: float = 0.0):
+    """One full-truncation Euler step (Lord, Koekkoek & van Dijk, Quant.
+    Finance 2010), vectorized over paths: returns ``(ds, nu_next)``.
+
+    The variance shock is ``rho*z_s + sqrt(1-rho^2)*z_perp``; drift and
+    diffusion are evaluated at ``max(nu, 0)`` and ``nu_next`` is clamped at
+    zero.  ``risk_adj*sqrt(max(nu, 0))`` is taken off the variance drift: 0
+    under the real-world measure, ``xi*sqrt(1-rho^2)*eta_nu`` under the
+    pricing measure.
+    """
     sqrt_dt = math.sqrt(dt)
-    rho_c = math.sqrt(1.0 - params.rho**2)
-    root_nu = np.sqrt(np.maximum(nu, 0.0))
-    s += root_nu * shocks[:, 0] * sqrt_dt
-    z_nu = params.rho * shocks[:, 0] + rho_c * shocks[:, 1]
-    nu += params.theta * (params.alpha - nu) * dt + params.xi * root_nu * z_nu * sqrt_dt
-    np.maximum(nu, 0.0, out=nu)
+    nu_pos = np.maximum(nu, 0.0)
+    root = np.sqrt(nu_pos)
+    z_nu = params.rho * z_s + math.sqrt(1.0 - params.rho**2) * z_perp
+    drift = params.theta * (params.alpha - nu_pos) - risk_adj * root
+    nu_next = np.maximum(nu + drift * dt + params.xi * root * z_nu * sqrt_dt, 0.0)
+    return root * z_s * sqrt_dt, nu_next
 
 
 def sample_terminal(
@@ -173,7 +130,8 @@ def sample_terminal(
         s = np.full(hi - lo, params.s0)
         nu = np.full(hi - lo, params.nu0)
         for step in range(n_steps):
-            _step_block(s, nu, shocks[:, step, :], params, dt)
+            ds, nu = euler_step(s, nu, shocks[:, step, 0], shocks[:, step, 1], params, dt)
+            s += ds
         s_out[lo:hi] = s
         nu_out[lo:hi] = nu
     return s_out, nu_out

@@ -8,15 +8,11 @@ independent Bernoulli events with probability ``min(rate * dt, 1)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .quotes import QuotePair
-
-__all__ = ["ArrivalParams", "FillCounter", "intensity", "fill_probability", "sample_fills"]
+__all__ = ["ArrivalParams", "intensity", "fill_probability", "fills"]
 
 
 @dataclass(frozen=True)
@@ -33,11 +29,8 @@ class ArrivalParams:
             raise ValueError("A and k must be positive")
 
 
-@dataclass
-class FillCounter:
-    """Diagnostic counter for probabilities clipped at 1."""
-
-    clipped: int = field(default=0)
+def _rate(delta, params: ArrivalParams):
+    return params.A * np.exp(-params.k * delta)
 
 
 def intensity(delta, params: ArrivalParams):
@@ -46,7 +39,7 @@ def intensity(delta, params: ArrivalParams):
     delta = np.asarray(delta, dtype=np.float64)
     if not np.all(np.isfinite(delta)):
         raise ValueError("delta must be finite")
-    out = params.A * np.exp(-params.k * delta)
+    out = _rate(delta, params)
     return float(out) if out.ndim == 0 else out
 
 
@@ -62,21 +55,11 @@ def fill_probability(delta, params: ArrivalParams, dt: float):
     return (float(prob) if prob.ndim == 0 else prob), n_clipped
 
 
-def sample_fills(
-    quotes: "QuotePair",
-    params: ArrivalParams,
-    dt: float,
-    draws: tuple[float, float],
-    counter: FillCounter | None = None,
-) -> tuple[bool, bool]:
-    """Sample one step of ask/bid fills from two uniform draws.
-
-    At most one fill per side per step; the two sides are independent.  When a
-    probability exceeds 1 it is clipped and ``counter`` (if given) records it.
-    """
-    p_ask, clip_a = fill_probability(quotes.delta_a, params, dt)
-    p_bid, clip_b = fill_probability(quotes.delta_b, params, dt)
-    if counter is not None:
-        counter.clipped += clip_a + clip_b
-    u_ask, u_bid = draws
-    return bool(u_ask < p_ask), bool(u_bid < p_bid)
+def fills(deltas, u, arrival: ArrivalParams, dt: float):
+    """One step of fills, ``u < min(rate * dt, 1)`` elementwise, and the
+    number of probabilities clipped at 1.  The simulators' kernel: premiums
+    are not checked (a simulator reports a non-finite state itself), and a
+    deep-crossed quote's rate overflows and clips to 1 without a warning."""
+    with np.errstate(over="ignore"):
+        raw = _rate(deltas, arrival) * dt
+    return u < np.minimum(raw, 1.0), int(np.count_nonzero(raw > 1.0))

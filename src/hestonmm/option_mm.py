@@ -24,14 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heston import HestonParams, MidState
-from .intensity import ArrivalParams
+from .heston import HestonParams, euler_step
+from .intensity import ArrivalParams, fills
 from .option_pricing import C, C_NU, DELTA, GAMMA, PRICE, PricingGrid, cell
 from .quotes import RiskParams, inventory_coefficient
 from .seeding import DEFAULT_BLOCK, FUNCTIONAL_STREAM, OPTION_MM_STREAM, block_ranges, lane_draws
 
 __all__ = [
-    "OptionMMState",
     "Functionals",
     "FunctionalLattice",
     "GridExitError",
@@ -51,17 +50,6 @@ __all__ = [
 
 class GridExitError(RuntimeError):
     """Too many simulated paths left the pricing grid."""
-
-
-@dataclass(frozen=True)
-class OptionMMState:
-    """Dealer book: stock inventory (fractional when hedged), option
-    inventory, mid state, hedging flag."""
-
-    q_s: float
-    q_o: int
-    mid: MidState
-    hedged: bool = False
 
 
 @dataclass(frozen=True)
@@ -98,8 +86,7 @@ def _integrals(
     tau = T - t
     n_steps = max(1, round(tau / dt_target))
     dt = tau / n_steps
-    sqrt_dt = math.sqrt(dt)
-    rho, rho_c, xi = heston.rho, math.sqrt(1.0 - heston.rho**2), heston.xi
+    rho, xi = heston.rho, heston.xi
     s_lo, s_hi = grid.s_grid[0], grid.s_grid[-1]
     v_lo, v_hi = grid.nu_grid[0], grid.nu_grid[-1]
     s_start = np.array([st[0] for st in starts], dtype=np.float64)
@@ -134,12 +121,8 @@ def _integrals(
             a1 += nu * (delta + rho * xi * c_nu) * dt
             a2 += nu * (delta**2 + 2.0 * rho * xi * delta * c_nu + xi**2 * c_nu**2) * dt
             a3 += nu * c_nu**2 * dt
-            nu_pos = np.maximum(nu, 0.0)
-            root = np.sqrt(nu_pos)
-            z_s = shocks[:, step, 0]
-            z_v = rho * z_s + rho_c * shocks[:, step, 1]
-            s = s + root * z_s * sqrt_dt
-            nu = np.maximum(nu + heston.theta * (heston.alpha - nu) * dt + xi * root * z_v * sqrt_dt, 0.0)
+            ds, nu = euler_step(s, nu, shocks[:, step, 0], shocks[:, step, 1], heston, dt)
+            s = s + ds
         i1[lo:hi], i2[lo:hi], i3[lo:hi], exited[lo:hi] = a1, a2, a3, out
     return i1, i2, i3, exited
 
@@ -279,34 +262,30 @@ class FunctionalLattice:
         return out[..., 0], out[..., 1], out[..., 2]
 
 
-def joint_book_quotes(
-    state: OptionMMState, F: Functionals,
-    arrival: ArrivalParams, heston: HestonParams, risk: RiskParams,
-    t: float, T: float,
-) -> tuple[float, float, float, float]:
-    """Four premiums (ask/bid stock, ask/bid option) of the joint book.
+def joint_book_quotes(q_s, q_o, nu, t, T: float, h1, h2,
+                      arrival: ArrivalParams, heston: HestonParams, risk: RiskParams):
+    """Premiums of the joint book, vectorized over paths: the last axis
+    holds (ask stock, bid stock, ask option, bid option).
 
     Clearing fees are zero in the option setting, so the stock tilt uses the
     inventory coefficient with ``beta`` absent.
     """
-    if state.hedged:
-        raise ValueError("joint-book quotes require an unhedged state")
-    f = float(inventory_coefficient(state.mid.nu, t, T, heston, risk))
+    f = inventory_coefficient(nu, t, T, heston, risk)
     base = 1.0 / arrival.k
-    q_s, q_o = state.q_s, state.q_o
-    a_s = base - f * (2.0 * q_s - 1.0) + F.h1 * q_o
-    b_s = base + f * (2.0 * q_s + 1.0) - F.h1 * q_o
-    a_o = base + F.h2 * (2.0 * q_o - 1.0) + F.h1 * q_s
-    b_o = base - F.h2 * (2.0 * q_o + 1.0) - F.h1 * q_s
-    return a_s, b_s, a_o, b_o
+    q_s = np.asarray(q_s, dtype=np.float64)
+    q_o = np.asarray(q_o, dtype=np.float64)
+    return np.stack((base - f * (2.0 * q_s - 1.0) + h1 * q_o,
+                     base + f * (2.0 * q_s + 1.0) - h1 * q_o,
+                     base + h2 * (2.0 * q_o - 1.0) + h1 * q_s,
+                     base - h2 * (2.0 * q_o + 1.0) - h1 * q_s), axis=-1)
 
 
-def hedged_book_quotes(state: OptionMMState, F: Functionals, arrival: ArrivalParams) -> tuple[float, float]:
-    """Option premiums of the delta-hedged book: ``1/k + M (2 q_o -+ 1)``."""
+def hedged_book_quotes(q_o, m, arrival: ArrivalParams):
+    """Option premiums of the delta-hedged book, ``1/k + M (2 q_o -+ 1)``,
+    vectorized over paths: the last axis holds (ask, bid)."""
     base = 1.0 / arrival.k
-    a_o = base + F.m * (2.0 * state.q_o - 1.0)
-    b_o = base - F.m * (2.0 * state.q_o + 1.0)
-    return a_o, b_o
+    q_o = np.asarray(q_o, dtype=np.float64)
+    return np.stack((base + m * (2.0 * q_o - 1.0), base - m * (2.0 * q_o + 1.0)), axis=-1)
 
 
 def hedge_position(q_o, delta):
@@ -376,8 +355,7 @@ def run_hedged_paths(
     n_steps = round(T / dt)
     if abs(n_steps * dt - T) > 1e-9:
         raise ValueError("dt must divide T")
-    sqrt_dt = math.sqrt(dt)
-    rho, rho_c, xi = heston.rho, math.sqrt(1.0 - heston.rho**2), heston.xi
+    xi = heston.xi
     s_lo, s_hi = grid.s_grid[0], grid.s_grid[-1]
     v_lo, v_hi = grid.nu_grid[0], grid.nu_grid[-1]
 
@@ -417,36 +395,26 @@ def run_hedged_paths(
             c_now, delta, gamma, c_nu = g[:, C], g[:, DELTA], g[:, GAMMA], g[:, C_NU]
 
             _, _, m = lattice.functionals(sc, vc, t)
-            qf = q_o.astype(np.float64)
-            a_o = 1.0 / arrival.k + m * (2.0 * qf - 1.0)
-            b_o = 1.0 / arrival.k - m * (2.0 * qf + 1.0)
+            quotes = hedged_book_quotes(q_o, m, arrival)
             if lo == 0:
                 trace["t"][step] = t
                 trace["s"][step] = s[0]
                 trace["nu"][step] = nu[0]
                 trace["q_o"][step] = q_o[0]
-                trace["a_o"][step] = a_o[0]
-                trace["b_o"][step] = b_o[0]
-            raw_a = arrival.A * np.exp(-arrival.k * a_o) * dt
-            raw_b = arrival.A * np.exp(-arrival.k * b_o) * dt
-            clipped += int(np.count_nonzero(raw_a > 1)) + int(np.count_nonzero(raw_b > 1))
-            fa = uniforms[:, step, 0] < np.minimum(raw_a, 1.0)
-            fb = uniforms[:, step, 1] < np.minimum(raw_b, 1.0)
-            z += np.where(fa, a_o, 0.0) + np.where(fb, b_o, 0.0)
-            q_o += fb.astype(np.int64) - fa.astype(np.int64)
+                trace["a_o"][step], trace["b_o"][step] = quotes[0]
+            hit, n_clipped = fills(quotes, uniforms[:, step], arrival, dt)
+            clipped += n_clipped
+            paid = np.where(hit, quotes, 0.0)
+            z += paid[:, 0] + paid[:, 1]
+            q_o += hit[:, 1].astype(np.int64) - hit[:, 0].astype(np.int64)
 
             qf = q_o.astype(np.float64)  # post-fill inventory carries the step
             q_s = -qf * delta
             acc_pred += nu * xi**2 * c_nu**2 * qf**2 * dt
             acc_disc += 0.5 * (gamma * nu * qf) ** 2 * dt**2
 
-            nu_pos = np.maximum(nu, 0.0)
-            root = np.sqrt(nu_pos)
-            z_s = shocks[:, step, 0]
-            z_v = rho * z_s + rho_c * shocks[:, step, 1]
-            ds = root * z_s * sqrt_dt
+            ds, nu = euler_step(s, nu, shocks[:, step, 0], shocks[:, step, 1], heston, dt)
             s = s + ds
-            nu = np.maximum(nu + heston.theta * (heston.alpha - nu) * dt + xi * root * z_v * sqrt_dt, 0.0)
             off |= _off_grid(grid, s, nu)
 
             c_next = grid._bilinear(grid._time_slice(t + dt, PRICE),
@@ -495,11 +463,8 @@ def run_joint_paths(
     n_steps = round(T / dt)
     if abs(n_steps * dt - T) > 1e-9:
         raise ValueError("dt must divide T")
-    sqrt_dt = math.sqrt(dt)
-    rho, rho_c, xi = heston.rho, math.sqrt(1.0 - heston.rho**2), heston.xi
     s_lo, s_hi = grid.s_grid[0], grid.s_grid[-1]
     v_lo, v_hi = grid.nu_grid[0], grid.nu_grid[-1]
-    base = 1.0 / arrival.k
 
     z_all = np.empty(n_paths)
     qs_all = np.empty(n_paths, dtype=np.int64)
@@ -529,36 +494,16 @@ def run_joint_paths(
             vc = np.clip(nu, v_lo, v_hi)
             c_now = grid._bilinear(grid._time_slice(t), sc, vc)[:, C]
             h1, h2, _ = lattice.functionals(sc, vc, t)
-            f = inventory_coefficient(nu, t, T, heston, risk)
+            quotes = joint_book_quotes(q_s, q_o, nu, t, T, h1, h2, arrival, heston, risk)
+            hit, n_clipped = fills(quotes, uniforms[:, step], arrival, dt)
+            clipped += n_clipped
+            paid = np.where(hit, quotes, 0.0)
+            z += paid[:, 0] + paid[:, 1] + paid[:, 2] + paid[:, 3]
+            q_s += hit[:, 1].astype(np.int64) - hit[:, 0].astype(np.int64)
+            q_o += hit[:, 3].astype(np.int64) - hit[:, 2].astype(np.int64)
 
-            qsf = q_s.astype(np.float64)
-            qof = q_o.astype(np.float64)
-            a_s = base - f * (2 * qsf - 1) + h1 * qof
-            b_s = base + f * (2 * qsf + 1) - h1 * qof
-            a_o = base + h2 * (2 * qof - 1) + h1 * qsf
-            b_o = base - h2 * (2 * qof + 1) - h1 * qsf
-
-            probs = []
-            for dlt in (a_s, b_s, a_o, b_o):
-                raw = arrival.A * np.exp(-arrival.k * dlt) * dt
-                clipped += int(np.count_nonzero(raw > 1))
-                probs.append(np.minimum(raw, 1.0))
-            f_as = uniforms[:, step, 0] < probs[0]
-            f_bs = uniforms[:, step, 1] < probs[1]
-            f_ao = uniforms[:, step, 2] < probs[2]
-            f_bo = uniforms[:, step, 3] < probs[3]
-            z += (np.where(f_as, a_s, 0.0) + np.where(f_bs, b_s, 0.0)
-                  + np.where(f_ao, a_o, 0.0) + np.where(f_bo, b_o, 0.0))
-            q_s += f_bs.astype(np.int64) - f_as.astype(np.int64)
-            q_o += f_bo.astype(np.int64) - f_ao.astype(np.int64)
-
-            nu_pos = np.maximum(nu, 0.0)
-            root = np.sqrt(nu_pos)
-            z_sh = shocks[:, step, 0]
-            z_v = rho * z_sh + rho_c * shocks[:, step, 1]
-            ds = root * z_sh * sqrt_dt
+            ds, nu = euler_step(s, nu, shocks[:, step, 0], shocks[:, step, 1], heston, dt)
             s = s + ds
-            nu = np.maximum(nu + heston.theta * (heston.alpha - nu) * dt + xi * root * z_v * sqrt_dt, 0.0)
             off |= _off_grid(grid, s, nu)
             c_next = grid._bilinear(grid._time_slice(t + dt, PRICE),
                                     np.clip(s, s_lo, s_hi), np.clip(nu, v_lo, v_hi))[:, 0]

@@ -21,7 +21,7 @@ from scipy.linalg import solve_banded
 from scipy.stats import norm
 
 from . import fd
-from .heston import HestonParams
+from .heston import HestonParams, euler_step
 from .seeding import DEFAULT_BLOCK, PRICING_STREAM, block_ranges, lane_draws
 
 __all__ = [
@@ -333,9 +333,12 @@ def mc_terminal(
 ) -> np.ndarray:
     """Terminal stock samples under the pricing measure from state (s, nu, t).
 
-    Full-truncation Euler: the stock has zero drift, the variance drift
-    carries the ``eta_nu`` adjustment.
+    Full-truncation Euler (``heston.euler_step``): the stock has zero drift,
+    the variance drift carries the ``eta_nu`` adjustment.  A non-finite
+    ``s`` or ``nu``, or a negative ``nu``, raises ``ValueError``.
     """
+    if not (math.isfinite(s) and math.isfinite(nu)) or nu < 0:
+        raise ValueError(f"start (s, nu) = ({s}, {nu}) must be finite with nu >= 0")
     tau = config.T - t
     if tau < 0:
         raise ValueError("t beyond maturity")
@@ -343,10 +346,8 @@ def mc_terminal(
         return np.full(n_paths, float(s))
     n_steps = max(1, round(tau / dt_target))
     dt = tau / n_steps
-    sqrt_dt = math.sqrt(dt)
     heston = config.heston
-    rho, rho_c = heston.rho, math.sqrt(1.0 - heston.rho**2)
-    risk_adj = heston.xi * rho_c * config.eta_nu
+    risk_adj = heston.xi * math.sqrt(1.0 - heston.rho**2) * config.eta_nu
 
     out = np.empty(n_paths)
     draws = np.empty((min(block, n_paths), n_steps, 2))
@@ -356,16 +357,9 @@ def mc_terminal(
         s_arr = np.full(hi - lo, float(s))
         v_arr = np.full(hi - lo, float(nu))
         for step in range(n_steps):
-            v_pos = np.maximum(v_arr, 0.0)
-            root = np.sqrt(v_pos)
-            z_s = shocks[:, step, 0]
-            z_v = rho * z_s + rho_c * shocks[:, step, 1]
-            s_arr = s_arr + root * z_s * sqrt_dt
-            v_arr = np.maximum(
-                v_arr + (heston.theta * (heston.alpha - v_pos) - risk_adj * root) * dt
-                + heston.xi * root * z_v * sqrt_dt,
-                0.0,
-            )
+            ds, v_arr = euler_step(s_arr, v_arr, shocks[:, step, 0], shocks[:, step, 1],
+                                   heston, dt, risk_adj)
+            s_arr = s_arr + ds
         out[lo:hi] = s_arr
     return out
 

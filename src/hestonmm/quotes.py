@@ -188,7 +188,6 @@ def risk_neutral_rate(arrival: ArrivalParams, risk: RiskParams) -> float:
 
 class ClosedFormValues(NamedTuple):
     frozen_v: float
-    approx_v: float
     risk_neutral_v: float
 
 
@@ -196,13 +195,13 @@ def closed_form_values(
     q: int, nu: float, t: float, T: float,
     heston: HestonParams, arrival: ArrivalParams, risk: RiskParams,
 ) -> ClosedFormValues:
-    """Benchmark value functions: the frozen (inactive) dealer, the quadratic
-    approximation (identical to the frozen value) and the risk-neutral dealer."""
+    """Benchmark value functions: the frozen (inactive) dealer, which is also
+    the quadratic approximation, and the risk-neutral dealer."""
     f = inventory_coefficient(nu, t, T, heston, risk)
     frozen_v = -float(q) ** 2 * float(f)
     _check_horizon(t, T)
     rn = risk_neutral_rate(arrival, risk) * (T - t)
-    return ClosedFormValues(frozen_v=frozen_v, approx_v=frozen_v, risk_neutral_v=rn)
+    return ClosedFormValues(frozen_v=frozen_v, risk_neutral_v=rn)
 
 
 # --- Policies -------------------------------------------------------------

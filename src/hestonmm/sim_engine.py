@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .heston import HestonParams
-from .intensity import ArrivalParams
+from .heston import HestonParams, euler_step
+from .intensity import ArrivalParams, fills
 from .quotes import InventorySV, RiskParams
 from .seeding import SCHEMES, SIM_STREAM, block_ranges, lane_draws
 
@@ -153,9 +153,7 @@ def _run_block(policy, config: SimConfig, master_seed: int, lo: int, hi: int,
     n = hi - lo
     n_steps = config.n_steps
     dt = config.dt
-    sqrt_dt = math.sqrt(dt)
     heston, arrival, risk = config.heston, config.arrival, config.risk
-    rho, rho_c = heston.rho, math.sqrt(1.0 - heston.rho**2)
 
     shocks = np.empty((n, n_steps, 2))  # shocks first, fill uniforms second
     uniforms = np.empty((n, n_steps, 2))
@@ -208,32 +206,26 @@ def _run_block(policy, config: SimConfig, master_seed: int, lo: int, hi: int,
         snapshot(step, prem)
         fa = fb = None
         if prem is not None:
-            da = np.broadcast_to(np.asarray(prem[0], dtype=np.float64), (n,))
-            db = np.broadcast_to(np.asarray(prem[1], dtype=np.float64), (n,))
-            with np.errstate(over="ignore"):  # deep-crossed quotes clip to 1 anyway
-                raw_a = arrival.A * np.exp(-arrival.k * da) * dt
-                raw_b = arrival.A * np.exp(-arrival.k * db) * dt
-            clipped += int(np.count_nonzero(raw_a > 1.0)) + int(np.count_nonzero(raw_b > 1.0))
-            fa = uniforms[:, step, 0] < np.minimum(raw_a, 1.0)
-            fb = uniforms[:, step, 1] < np.minimum(raw_b, 1.0)
+            deltas = np.empty((n, 2))
+            deltas[:, 0], deltas[:, 1] = prem
+            da, db = deltas[:, 0], deltas[:, 1]
+            hit, n_clipped = fills(deltas, uniforms[:, step], arrival, dt)
+            clipped += n_clipped
+            fa, fb = hit[:, 0], hit[:, 1]
             x += np.where(fa, s + da, 0.0) - np.where(fb, s - db, 0.0)
             z += np.where(fa, da, 0.0) + np.where(fb, db, 0.0)
             q += fb.astype(np.int64) - fa.astype(np.int64)
             spread_sum += da + db
 
-        nu_pos = np.maximum(nu, 0.0)
-        ds = np.sqrt(nu_pos) * sqrt_dt * shocks[:, step, 0]
+        qf = q.astype(np.float64)
+        qv += qf**2 * nu * dt  # nu >= 0: the Euler step clamps it
+        ds, nu = euler_step(s, nu, shocks[:, step, 0], shocks[:, step, 1], heston, dt)
         if config.impact and fa is not None:
             ds += risk.eta * (fa.astype(np.float64) - fb.astype(np.float64))
         s = s + ds
-        qf = q.astype(np.float64)
         iv += qf * ds
-        qv += qf**2 * nu_pos * dt
         if config.impact and config.qv_impact_term and fa is not None:
             qv += qf**2 * risk.eta**2 * (fa.astype(np.float64) + fb.astype(np.float64))
-        z_nu = rho * shocks[:, step, 0] + rho_c * shocks[:, step, 1]
-        nu = np.maximum(nu + heston.theta * (heston.alpha - nu) * dt
-                        + heston.xi * np.sqrt(nu_pos) * z_nu * sqrt_dt, 0.0)
         if step % 50 == 0 or step == n_steps - 1:
             if not (np.all(np.isfinite(s)) and np.all(np.isfinite(x))):
                 bad = int(np.argwhere(~(np.isfinite(s) & np.isfinite(x)))[0][0])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hestonmm.heston import HestonParams, MidState, conditional_moments, sample_terminal, step_state
+from hestonmm.heston import HestonParams, conditional_moments, euler_step, sample_terminal
 
 
 def test_params_validation():
@@ -25,36 +25,21 @@ def test_feller_flag_informational(heston):
     assert HestonParams(theta=1.0, alpha=1.0, xi=0.5, rho=0.0).feller_satisfied
 
 
-def test_midstate_rejects_negative_variance():
-    with pytest.raises(ValueError):
-        MidState(t=0.0, s=100.0, nu=-0.5)
-
-
-def test_step_rejects_bad_inputs(heston):
-    state = MidState(t=0.0, s=100.0, nu=4.0)
-    with pytest.raises(ValueError):
-        step_state(state, heston, dt=0.0)
-    with pytest.raises(ValueError):
-        step_state(state, heston, dt=0.005, scheme="quantum")
-    with pytest.raises(ValueError):
-        step_state(state, heston, dt=0.005, draws=(float("inf"), 0.0))
-
-
 def test_step_at_zero_variance_diffusion_vanishes():
-    # drift alone acts when nu = 0: new nu = theta*alpha*dt
+    # drift alone acts when nu = 0: new nu = theta*alpha*dt, the price stays put
     params = HestonParams(theta=0.02, alpha=4.0, xi=123.0, rho=0.3)
-    state = MidState(t=0.0, s=100.0, nu=0.0)
-    for draws in [(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0)]:
-        out = step_state(state, params, dt=0.005, draws=draws)
-        assert out.nu == pytest.approx(0.02 * 4.0 * 0.005, abs=0.0)
-        assert out.s == 100.0
+    z_s, z_perp = np.array([1.0, -1.0, 1.0, 2.5]), np.array([1.0, 1.0, -1.0, -3.0])
+    ds, nu = euler_step(np.full(4, 100.0), np.zeros(4), z_s, z_perp, params, dt=0.005)
+    np.testing.assert_array_equal(nu, np.full(4, 0.02 * 4.0 * 0.005))
+    np.testing.assert_array_equal(ds, np.zeros(4))
 
 
 def test_step_degenerate_constant_variance():
     params = HestonParams(theta=0.0, alpha=4.0, xi=0.0, rho=0.0)
-    state = MidState(t=0.0, s=100.0, nu=3.0)
-    for draws in [(1.0, -1.0), (-1.0, -1.0)]:
-        assert step_state(state, params, 0.01, draws=draws).nu == 3.0
+    z_s = np.array([1.0, -1.0, 0.3])
+    ds, nu = euler_step(np.full(3, 100.0), np.full(3, 3.0), z_s, np.full(3, -1.0), params, 0.01)
+    np.testing.assert_array_equal(nu, np.full(3, 3.0))
+    np.testing.assert_array_equal(ds, math.sqrt(3.0) * z_s * 0.1)
 
 
 @given(
@@ -62,15 +47,24 @@ def test_step_degenerate_constant_variance():
     alpha=st.floats(0.0, 10.0),
     xi=st.floats(0.0, 3.0),
     rho=st.floats(-1.0, 1.0),
-    nu=st.floats(0.0, 10.0),
-    z1=st.floats(-4.0, 4.0),
-    z2=st.floats(-4.0, 4.0),
+    risk_adj=st.floats(0.0, 5.0),
+    rows=st.lists(st.tuples(st.floats(-1.0, 10.0), st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+                  min_size=1, max_size=20),
 )
 @settings(max_examples=200, deadline=None)
-def test_stepped_variance_never_negative(theta, alpha, xi, rho, nu, z1, z2):
+def test_stepped_variance_never_negative(theta, alpha, xi, rho, risk_adj, rows):
     params = HestonParams(theta=theta, alpha=alpha, xi=xi, rho=rho)
-    out = step_state(MidState(0.0, 100.0, nu), params, 0.005, scheme="gaussian", draws=(z1, z2))
-    assert out.nu >= 0.0
+    nu, z1, z2 = (np.array(col) for col in zip(*rows))
+    dt = 0.005
+    ds, out = euler_step(np.full(nu.size, 100.0), nu, z1, z2, params, dt, risk_adj)
+    assert np.all(out >= 0.0)
+    # each row is the scalar full-truncation step, drift and diffusion at max(nu, 0)
+    for k in range(nu.size):
+        root = math.sqrt(max(nu[k], 0.0))
+        z_nu = rho * z1[k] + math.sqrt(1.0 - rho**2) * z2[k]
+        drift = theta * (alpha - max(nu[k], 0.0)) - risk_adj * root
+        assert ds[k] == root * z1[k] * math.sqrt(dt)
+        assert out[k] == max(nu[k] + drift * dt + xi * root * z_nu * math.sqrt(dt), 0.0)
 
 
 def test_conditional_moments_examples(heston):

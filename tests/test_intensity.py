@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hestonmm.intensity import ArrivalParams, FillCounter, fill_probability, intensity, sample_fills
+from hestonmm.intensity import ArrivalParams, fill_probability, fills, intensity
 from hestonmm.quotes import QuotePair
 
 
@@ -56,22 +57,50 @@ def test_fill_probability_clipping(arrival):
     assert prob == 1.0 and clipped == 1
 
 
-def test_sample_fills_counter(arrival):
-    quotes = QuotePair(-5.0, 10.0)
-    counter = FillCounter()
-    ask, bid = sample_fills(quotes, arrival, 0.005, draws=(0.5, 0.5), counter=counter)
-    assert ask is True  # probability clipped to 1
-    assert bid is False
-    assert counter.clipped == 1
+def test_fills_clip_count(arrival):
+    # raw rate*dt: 1260, ~0, 63, 0.19, inf -> exactly three clipped, and a
+    # clipped quote fills whatever its draw
+    deltas = np.array([[-5.0, 10.0], [-3.0, 0.8667], [-1e3, 0.8667]])
+    u = np.array([[0.999, 0.5], [0.5, 0.5], [0.999, 0.1]])
+    hit, clipped = fills(deltas, u, arrival, 0.005)
+    assert clipped == 3
+    np.testing.assert_array_equal(hit, [[True, False], [True, False], [True, True]])
+    hit, clipped = fills(deltas[:, 1], u[:, 1], arrival, 0.005)
+    assert clipped == 0
+
+
+@given(
+    deltas=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=30),
+    u=st.floats(0.0, 1.0, exclude_max=True),
+    dt=st.floats(1e-4, 0.1),
+)
+@settings(max_examples=200, deadline=None)
+def test_fills_match_fill_probability(arrival, deltas, u, dt):
+    deltas = np.array(deltas)
+    prob, n_clipped = fill_probability(deltas, arrival, dt)
+    hit, clipped = fills(deltas, np.full(deltas.size, u), arrival, dt)
+    assert np.all((prob >= 0.0) & (prob <= 1.0))
+    assert clipped == n_clipped == int(np.count_nonzero(intensity(deltas, arrival) * dt > 1.0))
+    np.testing.assert_array_equal(hit, u < prob)
+
+
+def test_fills_deep_crossed_without_warning(arrival):
+    # the rate overflows to inf; the quote is hit and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hit, clipped = fills(np.array([-1e3, -1e3]), np.array([0.0, 0.999999]), arrival, 0.005)
+    np.testing.assert_array_equal(hit, [True, True])
+    assert clipped == 2
 
 
 def test_never_fills_when_rate_vanishes():
     p = ArrivalParams(A=1e-300, k=1.5)
-    quotes = QuotePair(0.1, 0.1)
-    for u in (0.0, 0.5):
-        assert sample_fills(quotes, p, 0.005, draws=(u + 1e-12, u + 1e-12)) == (False, False)
+    u = np.array([[0.0, 0.0], [0.5, 0.5]]) + 1e-12
+    hit, clipped = fills(np.full((2, 2), 0.1), u, p, 0.005)
+    assert not hit.any() and clipped == 0
     # far quotes: probability tends to zero
     assert fill_probability(1e3, ArrivalParams(140.0, 1.5), 0.005)[0] == 0.0
+    assert not fills(np.array([1e3]), np.array([0.0]), ArrivalParams(140.0, 1.5), 0.005)[0].any()
 
 
 def test_bernoulli_frequency_matches_rate(arrival):

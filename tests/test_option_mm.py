@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hestonmm.heston import HestonParams, MidState
+from hestonmm.heston import HestonParams
 from hestonmm.option_mm import (
     Functionals,
     GridExitError,
-    OptionMMState,
     approx_value_hedged,
     approx_value_joint,
     estimate_functionals,
@@ -19,10 +18,6 @@ from hestonmm.option_mm import (
 )
 from hestonmm.quotes import RiskParams, inventory_coefficient, inventory_premiums
 from hestonmm.intensity import ArrivalParams
-
-
-def mid(s=100.0, nu=4.0, t=0.0):
-    return MidState(t=t, s=s, nu=nu)
 
 
 def test_exact_zero_cases(heston, risk_nofee, pricing_grid):
@@ -62,48 +57,72 @@ def test_m_vanishes_without_vol_of_vol(risk_nofee, pricing_grid):
 
 
 def test_joint_quotes_trivial_cases(heston, arrival, risk_nofee):
-    state = OptionMMState(q_s=0.0, q_o=0, mid=mid(t=1.0))
-    F0 = Functionals(0.0, 0.0, 0.0)
-    quotes = joint_book_quotes(state, F0, arrival, heston, risk_nofee, t=1.0, T=1.0)
-    assert all(x == pytest.approx(1 / arrival.k, rel=1e-12) for x in quotes)
-    # H1 = H2 = 0: stock side reduces to the inventory rule with beta = 0
-    state = OptionMMState(q_s=3.0, q_o=7, mid=mid(t=0.2))
-    a_s, b_s, a_o, b_o = joint_book_quotes(state, F0, arrival, heston, risk_nofee, t=0.2, T=1.0)
+    # rows: a flat book at expiry, then q_s = 3, q_o = 7 at t = 0.2; H1 = H2 = 0
+    quotes = joint_book_quotes(np.array([0.0, 3.0]), np.array([0, 7]), np.array([4.0, 4.0]),
+                               np.array([1.0, 0.2]), 1.0, 0.0, 0.0,
+                               arrival, heston, risk_nofee)
+    assert quotes.shape == (2, 4)
+    assert all(x == pytest.approx(1 / arrival.k, rel=1e-12) for x in quotes[0])
+    # the stock side reduces to the inventory rule with beta = 0
+    a_s, b_s, a_o, b_o = quotes[1]
     da, db = inventory_premiums(3, 4.0, 0.2, 1.0, heston, arrival, RiskParams(risk_nofee.gamma, 0.0))
     assert a_s == pytest.approx(float(da), rel=1e-12)
     assert b_s == pytest.approx(float(db), rel=1e-12)
     assert a_o == pytest.approx(1 / arrival.k, rel=1e-12)
-    with pytest.raises(ValueError):
-        joint_book_quotes(OptionMMState(0.0, 0, mid(), hedged=True), F0, arrival,
-                        heston, risk_nofee, t=0.0, T=1.0)
+    assert b_o == pytest.approx(1 / arrival.k, rel=1e-12)
+    # a row is the scalar call at that row's state
+    np.testing.assert_array_equal(
+        quotes[1], joint_book_quotes(3.0, 7, 4.0, 0.2, 1.0, 0.0, 0.0, arrival, heston, risk_nofee))
 
 
 def test_joint_option_spread_widens(heston, arrival, risk_nofee):
     F = Functionals(h1=-0.2, h2=-0.07, m=-0.001)
-    state = OptionMMState(q_s=0.0, q_o=0, mid=mid())
-    a_s, b_s, a_o, b_o = joint_book_quotes(state, F, arrival, heston, risk_nofee, t=0.5, T=1.0)
+    q_s, q_o = np.array([0.0, 2.0, -1.0]), np.array([0, 0, 3])
+    quotes = joint_book_quotes(q_s, q_o, 4.0, 0.5, 1.0, F.h1, F.h2, arrival, heston, risk_nofee)
+    a_s, b_s, a_o, b_o = quotes[0]
     assert a_o == pytest.approx(1 / arrival.k - F.h2, rel=1e-12)
     assert a_o > 1 / arrival.k  # H2 <= 0 widens the option quotes
     assert b_o > 1 / arrival.k
+    # every row follows the four-quote formula
+    base, f = 1 / arrival.k, float(inventory_coefficient(4.0, 0.5, 1.0, heston, risk_nofee))
+    for (qs, qo), row in zip(zip(q_s, q_o), quotes):
+        expected = (base - f * (2 * qs - 1) + F.h1 * qo, base + f * (2 * qs + 1) - F.h1 * qo,
+                    base + F.h2 * (2 * qo - 1) + F.h1 * qs, base - F.h2 * (2 * qo + 1) - F.h1 * qs)
+        assert row == pytest.approx(expected, rel=1e-12)
 
 
 def test_hedged_book_quotes_and_hedge(arrival):
-    F = Functionals(h1=0.0, h2=0.0, m=-0.002)
-    state = OptionMMState(q_s=0.0, q_o=0, mid=mid(), hedged=True)
-    a_o, b_o = hedged_book_quotes(state, F, arrival)
+    m = -0.002
+    # rows: flat book, flat book at expiry (M = 0), long one, long one with xi = 0 (M = 0)
+    quotes = hedged_book_quotes(np.array([0, 0, 1, 1]), np.array([m, 0.0, m, 0.0]), arrival)
+    assert quotes.shape == (4, 2)
+    (a0, b0), (a1, b1), (a2, b2), (a3, b3) = quotes
     # flat book: symmetric quotes, widened by -M on each side
-    assert a_o == b_o == pytest.approx(1 / arrival.k - F.m, rel=1e-12)
+    assert a0 == b0 == pytest.approx(1 / arrival.k - m, rel=1e-12)
     # at expiry M = 0 and the quotes sit at 1/k
-    a0, b0 = hedged_book_quotes(state, Functionals(0.0, 0.0, 0.0), arrival)
-    assert a0 == b0 == pytest.approx(1 / arrival.k, rel=1e-12)
-    state1 = OptionMMState(q_s=0.0, q_o=1, mid=mid(), hedged=True)
-    a_o, b_o = hedged_book_quotes(state1, F, arrival)
-    assert a_o == pytest.approx(1 / arrival.k + F.m, rel=1e-12)  # ask tightens
-    assert b_o == pytest.approx(1 / arrival.k - 3 * F.m, rel=1e-12)  # bid backs off
-    # xi = 0 means M = 0 and constant quotes
-    a_o, b_o = hedged_book_quotes(state1, Functionals(0.0, 0.0, 0.0), arrival)
-    assert a_o == b_o == pytest.approx(1 / arrival.k)
+    assert a1 == b1 == pytest.approx(1 / arrival.k, rel=1e-12)
+    assert a2 == pytest.approx(1 / arrival.k + m, rel=1e-12)  # ask tightens
+    assert b2 == pytest.approx(1 / arrival.k - 3 * m, rel=1e-12)  # bid backs off
+    assert a3 == b3 == pytest.approx(1 / arrival.k)
+    np.testing.assert_array_equal(quotes[2], hedged_book_quotes(1, m, arrival))
     assert hedge_position(2, 0.5) == -1.0
+
+
+def test_hedged_trace_quotes_are_the_quote_function(heston, arrival, risk_nofee,
+                                                    pricing_grid, functional_lattice):
+    # the simulator quotes path 0 exactly as hedged_book_quotes does at the
+    # lattice's M for the grid-clipped traced state
+    stats = run_hedged_paths(heston, arrival, risk_nofee, pricing_grid, functional_lattice,
+                             T=1.0, dt=0.01, n_paths=70, seed=31, q_o0=2)
+    tr = stats.trace
+    g = pricing_grid
+    _, _, m = functional_lattice.functionals(np.clip(tr["s"], g.s_grid[0], g.s_grid[-1]),
+                                             np.clip(tr["nu"], g.nu_grid[0], g.nu_grid[-1]),
+                                             tr["t"])
+    quotes = hedged_book_quotes(tr["q_o"], m, arrival)
+    np.testing.assert_array_equal(quotes[:, 0], tr["a_o"])
+    np.testing.assert_array_equal(quotes[:, 1], tr["b_o"])
+    assert np.unique(tr["q_o"]).size > 1  # the trace saw fills
 
 
 def test_approx_value_assembly(heston, risk_nofee):

@@ -155,6 +155,18 @@ def test_mc_requires_min_paths(pricing_grid):
         mc_price(pricing_grid.config, 100.0, 4.0, 0.0, n_paths=10)
 
 
+@pytest.mark.parametrize("s, nu", [(math.nan, 4.0), (math.inf, 4.0), (100.0, math.nan),
+                                   (100.0, -math.inf), (100.0, -0.1)])
+def test_mc_rejects_bad_start(pricing_grid, s, nu):
+    # a bad start raised nothing and priced at nan (or below zero variance)
+    cfg = pricing_grid.config
+    with pytest.raises(ValueError, match="nu >= 0"):
+        mc_price(cfg, s, nu, 0.0, n_paths=1000)
+    for t in (0.0, cfg.T):
+        with pytest.raises(ValueError, match="nu >= 0"):
+            mc_terminal(cfg, s, nu, t, n_paths=10)
+
+
 def test_default_grids(heston):
     s = default_s_grid(heston, 1.0)
     assert s[0] == pytest.approx(84.0) and s[-1] == pytest.approx(116.0)

@@ -139,10 +139,12 @@ def test_flow_adjusted_variant_extra_term(heston, arrival, risk):
 def test_closed_form_values_examples(heston, arrival, risk):
     v = closed_form_values(6, 4.0, 0.0, 1.0, heston, arrival, risk)
     assert v.frozen_v == pytest.approx(-7.2, rel=1e-9)
-    assert v.approx_v == v.frozen_v
+    # the frozen value is the quadratic approximation -q^2 f(nu, t)
+    assert v.frozen_v == -36.0 * inventory_coefficient(4.0, 0.0, 1.0, heston, risk)
     assert v.risk_neutral_v == pytest.approx(68.7404, abs=5e-5)
     v0 = closed_form_values(0, 6.0, 0.4, 1.0, heston, arrival, risk)
-    assert v0.frozen_v == 0.0 and v0.approx_v == 0.0
+    assert v0.frozen_v == 0.0
+    assert v0.risk_neutral_v == pytest.approx(risk_neutral_rate(arrival, risk) * 0.6, rel=1e-12)
     assert risk_neutral_rate(arrival, risk) == pytest.approx(68.7404, abs=5e-5)
 
 

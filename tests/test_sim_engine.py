@@ -6,6 +6,7 @@ import pytest
 
 from hestonmm.intensity import ArrivalParams
 from hestonmm.quotes import Frozen, InventorySV, MarketImpact, RiskNeutral, RiskParams, Symmetric, risk_neutral_rate
+from hestonmm.seeding import SIM_STREAM, lane_draws
 from hestonmm.sim_engine import SimConfig, efficient_frontier, run_ensemble, run_path, trading_curve
 
 
@@ -156,3 +157,59 @@ def test_clip_counter_increments(heston, arrival):
     cfg = SimConfig(heston=heston, arrival=arrival, risk=risk_hot, q0=10)
     stats = run_ensemble(InventorySV(heston, arrival, risk_hot, 1.0), cfg, 20, seed=2)
     assert stats.clipped > 0
+
+
+def _ensemble_reference(policy, config, n, seed):
+    """Per-path terminals of paths ``0..n-1`` by the event loop written out
+    inline: the draws from ``lane_draws``, the fill rule and the
+    full-truncation Euler step spelled out term by term."""
+    n_steps, dt = config.n_steps, config.dt
+    sqrt_dt = math.sqrt(dt)
+    h, arrival, risk = config.heston, config.arrival, config.risk
+    rho_c = math.sqrt(1.0 - h.rho**2)
+    shocks, uniforms = np.empty((n, n_steps, 2)), np.empty((n, n_steps, 2))
+    lane_draws(seed, (SIM_STREAM,), 0, n, shocks, uniforms, config.scheme)
+    s, nu = np.full(n, h.s0), np.full(n, h.nu0)
+    q = np.full(n, config.q0, dtype=np.int64)
+    x, z, qv, iv, spread = np.full(n, config.x0), np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
+    clipped = 0
+    for step in range(n_steps):
+        da, db = (np.broadcast_to(np.asarray(p, dtype=np.float64), (n,))
+                  for p in policy.premiums(q, nu, step * dt))
+        raw_a = arrival.A * np.exp(-arrival.k * da) * dt
+        raw_b = arrival.A * np.exp(-arrival.k * db) * dt
+        clipped += int(np.count_nonzero(raw_a > 1.0)) + int(np.count_nonzero(raw_b > 1.0))
+        fa = uniforms[:, step, 0] < np.minimum(raw_a, 1.0)
+        fb = uniforms[:, step, 1] < np.minimum(raw_b, 1.0)
+        x += np.where(fa, s + da, 0.0) - np.where(fb, s - db, 0.0)
+        z += np.where(fa, da, 0.0) + np.where(fb, db, 0.0)
+        q += fb.astype(np.int64) - fa.astype(np.int64)
+        spread += da + db
+        nu_pos = np.maximum(nu, 0.0)
+        ds = np.sqrt(nu_pos) * sqrt_dt * shocks[:, step, 0]
+        if config.impact:
+            ds += risk.eta * (fa.astype(np.float64) - fb.astype(np.float64))
+        s = s + ds
+        qf = q.astype(np.float64)
+        iv += qf * ds
+        qv += qf**2 * nu_pos * dt
+        if config.impact and config.qv_impact_term:
+            qv += qf**2 * risk.eta**2 * (fa.astype(np.float64) + fb.astype(np.float64))
+        z_nu = h.rho * shocks[:, step, 0] + rho_c * shocks[:, step, 1]
+        nu = np.maximum(nu + h.theta * (h.alpha - nu) * dt
+                        + h.xi * np.sqrt(nu_pos) * z_nu * sqrt_dt, 0.0)
+    return {"profits": x + q.astype(np.float64) * (s - risk.beta), "q_terminal": q,
+            "z_terminal": z, "qv_terminal": qv, "iv_terminal": iv,
+            "spread_terminal": spread / n_steps, "clipped": clipped}
+
+
+@pytest.mark.parametrize("impact", [False, True])
+def test_binomial_ensemble_equals_inline_reference(heston, arrival, risk, impact):
+    # q0 = 6 crosses the ask early on, so the clip count is exercised too
+    cfg = SimConfig(heston=heston, arrival=arrival, risk=risk, q0=6, impact=impact)
+    policy = (MarketImpact if impact else InventorySV)(heston, arrival, risk, 1.0)
+    stats = run_ensemble(policy, cfg, 150, seed=19, block=64)
+    ref = _ensemble_reference(policy, cfg, 150, seed=19)
+    assert ref["clipped"] > 0
+    for name, want in ref.items():
+        np.testing.assert_array_equal(getattr(stats, name), want, err_msg=name)
