@@ -17,7 +17,6 @@ byte-identical across reruns and worker counts.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 import time
@@ -32,7 +31,8 @@ from .intensity import ArrivalParams
 from .option_mm import FunctionalLattice, GridExitError, run_hedged_paths, run_joint_paths, write_lattice_csv
 from .option_pricing import PricingConfig, StabilityError, default_nu_grid, default_s_grid, solve_call_grid, write_slice_csv
 from .quotes import Frozen, InventorySV, MarketImpact, RiskNeutral, RiskParams, Symmetric
-from .sim_engine import SimConfig, efficient_frontier, run_ensemble, run_path
+from .sim_engine import NonFiniteStateError, SimConfig, efficient_frontier, run_ensemble, run_path
+from .table import write_table
 
 ENV_OUTPUT_DIR = "HESTONMM_OUT"
 
@@ -40,7 +40,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_NUMERICAL_ERRORS = (CflError, BlowupError, StabilityError, GridExitError)
+_NUMERICAL_ERRORS = (CflError, BlowupError, StabilityError, GridExitError, NonFiniteStateError)
 
 
 def _heston(cfg: RunConfig) -> HestonParams:
@@ -128,35 +128,23 @@ class ArtifactWriter:
                 pass
 
 
-def _write_rows(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([x if isinstance(x, (str, int)) else repr(float(x)) for x in row])
-
-
-def _terminal_rows(stats):
-    for i in range(stats.n):
-        yield (i, stats.profits[i], int(stats.q_terminal[i]), stats.z_terminal[i],
-               stats.spread_terminal[i])
+def _write_rows(path: Path, header: list[str], columns) -> None:
+    """The CLI's own tables; a name of their own lets a traced run time them."""
+    write_table(path, header, columns)
 
 
 def _cmd_simulate(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int, threads: int) -> None:
     sim = _sim_config(cfg)
     policy = _configured_policy(cfg, sim, seed, n, threads)
     stats = run_ensemble(policy, sim, n, seed, threads=threads)
-    _write_rows(art.path(), ["seed", "profit", "q_T", "z", "avg_spread"], _terminal_rows(stats))
+    _write_rows(art.path(), ["seed", "profit", "q_T", "z", "avg_spread"],
+                [np.arange(stats.n), stats.profits, stats.q_terminal, stats.z_terminal,
+                 stats.spread_terminal])
     rec = run_path(policy, sim, seed, index=0)
-    rows = []
-    for j, t in enumerate(rec.times):
-        da, db = rec.series_delta_a[j], rec.series_delta_b[j]
-        s = rec.series_s[j]
-        rows.append((t, s,
-                     s + da if np.isfinite(da) else float("nan"),
-                     s - db if np.isfinite(db) else float("nan"),
-                     int(rec.series_q[j]), rec.series_z[j]))
-    _write_rows(art.path("series"), ["t", "s", "p_a", "p_b", "q", "z"], rows)
+    s, da, db = rec.series_s, rec.series_delta_a, rec.series_delta_b
+    _write_rows(art.path("series"), ["t", "s", "p_a", "p_b", "q", "z"],
+                [rec.times, s, np.where(np.isfinite(da), s + da, np.nan),
+                 np.where(np.isfinite(db), s - db, np.nan), rec.series_q, rec.series_z])
 
 
 def _cmd_compare(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int, threads: int) -> None:
@@ -166,17 +154,15 @@ def _cmd_compare(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int, threads
     _write_rows(
         art.path(),
         ["Strategy", "Average Spread", "Profit", "Std (Profit)", "q_T", "Std (q_T)"],
-        [("Inventory", inv.avg_spread, inv.profit_mean, inv.profit_std, inv.q_mean, inv.q_std),
-         ("Symmetric", sym.avg_spread, sym.profit_mean, sym.profit_std, sym.q_mean, sym.q_std)],
+        zip(("Inventory", inv.avg_spread, inv.profit_mean, inv.profit_std, inv.q_mean, inv.q_std),
+            ("Symmetric", sym.avg_spread, sym.profit_mean, sym.profit_std, sym.q_mean, sym.q_std)),
     )
     lo = min(inv.profits.min(), sym.profits.min())
     hi = max(inv.profits.max(), sym.profits.max())
     edges = np.linspace(lo, hi, 31)
-    rows = []
-    for name, stats in (("Inventory", inv), ("Symmetric", sym)):
-        _, counts = stats.histogram(edges=edges)
-        rows.extend((name, edges[i], edges[i + 1], int(counts[i])) for i in range(counts.size))
-    _write_rows(art.path("hist"), ["strategy", "bin_lo", "bin_hi", "count"], rows)
+    _write_rows(art.path("hist"), ["strategy", "bin_lo", "bin_hi", "count"],
+                [np.array([["Inventory"], ["Symmetric"]]), edges[:-1], edges[1:],
+                 np.stack([inv.histogram(edges=edges)[1], sym.histogram(edges=edges)[1]])])
 
 
 def _cmd_frontier(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int | None, threads: int) -> None:
@@ -186,7 +172,8 @@ def _cmd_frontier(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int | None,
     _write_rows(
         art.path(),
         ["gamma", "variance", "expected_objective", "objective_se", "profit_mean"],
-        [(p.gamma, p.variance_proxy, p.objective, p.objective_se, p.profit_mean) for p in points],
+        zip(*[(p.gamma, p.variance_proxy, p.objective, p.objective_se, p.profit_mean)
+              for p in points]),
     )
 
 
@@ -194,11 +181,8 @@ def _cmd_trading_curve(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int, t
     sim = _sim_config(cfg)
     policy = _configured_policy(cfg, sim, seed, n, threads)
     stats = run_ensemble(policy, sim, n, seed, threads=threads)
-    _write_rows(
-        art.path(),
-        ["t", "q_mean", "q_std"],
-        zip(stats.curve_times, stats.curve_mean, stats.curve_std),
-    )
+    _write_rows(art.path(), ["t", "q_mean", "q_std"],
+                [stats.curve_times, stats.curve_mean, stats.curve_std])
 
 
 def _cmd_hjb(cfg: RunConfig, art: ArtifactWriter, seed: int) -> None:
@@ -252,26 +236,19 @@ def _cmd_option_mm(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int, hedge
             art.path(),
             ["mode", "n", "z_mean", "q_o_mean", "qv_hedged_mean", "qv_unhedged_mean",
              "qv_rate_real", "qv_rate_pred", "qv_rate_disc", "clipped"],
-            [("hedged", st.n, st.z_mean, st.q_o_mean,
-              st.qv_hedged.mean(), st.qv_unhedged.mean(),
-              st.qv_rate_real.mean(), st.qv_rate_pred.mean(), st.qv_rate_disc.mean(),
-              st.clipped)],
+            ["hedged", st.n, st.z_mean, st.q_o_mean, st.qv_hedged.mean(), st.qv_unhedged.mean(),
+             st.qv_rate_real.mean(), st.qv_rate_pred.mean(), st.qv_rate_disc.mean(), st.clipped],
         )
         tr = st.trace
-        _write_rows(
-            art.path("trace"),
-            ["t", "s", "nu", "q_o", "a_o", "b_o"],
-            zip(tr["t"], tr["s"], tr["nu"], tr["q_o"].astype(int).tolist(),
-                tr["a_o"], tr["b_o"]),
-        )
+        _write_rows(art.path("trace"), ["t", "s", "nu", "q_o", "a_o", "b_o"],
+                    [tr["t"], tr["s"], tr["nu"], tr["q_o"].astype(int), tr["a_o"], tr["b_o"]])
     else:
         st = run_joint_paths(heston, arrival, risk, grid, lattice, T=T, dt=om["dt"],
                              n_paths=n, seed=seed, q_o0=om["q_o0"])
         _write_rows(
             art.path(),
             ["mode", "n", "z_mean", "z_std", "q_s_mean", "q_o_mean", "qv_mean", "clipped"],
-            [("joint", st.n, st.z_mean, st.z_std, st.q_s_mean, st.q_o_mean, st.qv_mean,
-              st.clipped)],
+            ["joint", st.n, st.z_mean, st.z_std, st.q_s_mean, st.q_o_mean, st.qv_mean, st.clipped],
         )
     write_lattice_csv(lattice, art.path("lattice"))
 
@@ -321,28 +298,20 @@ def main(argv=None) -> int:
     seed = cfg.get("sim", "seed")
     n = cfg.get("sim", "n_paths")
     art = ArtifactWriter(out_dir, args.subcommand, seed)
+    run = {
+        "simulate": lambda: _cmd_simulate(cfg, art, seed, n, args.threads),
+        "compare": lambda: _cmd_compare(cfg, art, seed, n, args.threads),
+        "frontier": lambda: _cmd_frontier(cfg, art, seed, args.paths, args.threads),
+        "trading-curve": lambda: _cmd_trading_curve(cfg, art, seed, n, args.threads),
+        "hjb": lambda: _cmd_hjb(cfg, art, seed),
+        "price-option": lambda: _cmd_price_option(cfg, art, seed),
+        "option-mm": lambda: _cmd_option_mm(cfg, art, seed, cfg.get("option_mm", "n_paths"),
+                                            args.hedged),
+    }[args.subcommand]
     try:
-        if args.subcommand == "simulate":
-            _cmd_simulate(cfg, art, seed, n, args.threads)
-        elif args.subcommand == "compare":
-            _cmd_compare(cfg, art, seed, n, args.threads)
-        elif args.subcommand == "frontier":
-            _cmd_frontier(cfg, art, seed, args.paths, args.threads)
-        elif args.subcommand == "trading-curve":
-            _cmd_trading_curve(cfg, art, seed, n, args.threads)
-        elif args.subcommand == "hjb":
-            _cmd_hjb(cfg, art, seed)
-        elif args.subcommand == "price-option":
-            _cmd_price_option(cfg, art, seed)
-        elif args.subcommand == "option-mm":
-            _cmd_option_mm(cfg, art, seed, cfg.get("option_mm", "n_paths"), args.hedged)
-        manifest = art.path(ext=".manifest")
-        dump_manifest(cfg, manifest)
+        run()
+        dump_manifest(cfg, art.path(ext=".manifest"))
     except _NUMERICAL_ERRORS as exc:
-        art.cleanup()
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except RuntimeError as exc:
         art.cleanup()
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

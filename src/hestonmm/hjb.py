@@ -9,14 +9,14 @@ integer inventory ``q``:
 where the optimal premiums couple neighboring inventory levels:
 ``delta_a* = 1/k - beta [+ impact fee] + V(q) - V(q-1)`` and
 ``delta_b* = 1/k + beta [+ impact fee] + V(q) - V(q+1)``.  The solver steps
-the coupled system backward in time with an explicit scheme (the coupling is
-zeroth order, so no implicit treatment is needed) and extracts the exact
-quotes, which are then compared against the closed-form approximation.
+the coupled system backward in time with an explicit scheme, checking every
+step against the stability bound of the variance operator and the reaction
+term together, and extracts the exact quotes, which are then compared against
+the closed-form approximation.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -27,6 +27,7 @@ from . import fd
 from .heston import HestonParams
 from .intensity import ArrivalParams
 from .quotes import RiskParams, inventory_coefficient, inventory_premiums
+from .table import write_table
 
 __all__ = [
     "HjbConfig",
@@ -149,6 +150,32 @@ def _source(delta_a: np.ndarray, delta_b: np.ndarray, config: HjbConfig) -> np.n
     return (A / k) * (ask + bid)
 
 
+def _source_and_rate(v: np.ndarray, config: HjbConfig, abs_diag: np.ndarray):
+    """Source term g at ``v`` and the decay rate max |L_ii| + k g of an explicit
+    step from it: the nu-operator diagonal plus the reaction term, whose
+    derivative in V(q) is -k g.  A step h is stable and monotone while h * rate <= 1."""
+    g = _source(*_optimal_premiums(v, config), config)
+    return g, float(np.max(abs_diag + config.arrival.k * g))
+
+
+def _stable_n_time(config: HjbConfig, diags, penalty, v: np.ndarray, t: float,
+                   max_steps: int = 100_000) -> int:
+    """The n_time at which every step of the solve meets its stability bound:
+    the sweep goes on from ``v`` at time ``t`` down to 0 in steps of exactly
+    the bound, and the largest rate met sets it.  If the sweep overflows or
+    passes ``max_steps`` steps, the answer is a lower bound."""
+    abs_diag, worst = np.abs(diags[1]), 0.0
+    for _ in range(max_steps):
+        g, rate = _source_and_rate(v, config, abs_diag)
+        if t <= 0 or not math.isfinite(rate):
+            break
+        worst = max(worst, rate)
+        h = min(t, 1.0 / rate)
+        v = v + h * (fd.apply_tridiagonal(diags, v, axis=1) + g - penalty)
+        t -= h
+    return math.ceil(config.T * worst)
+
+
 def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
     """Backward explicit solve of the coupled inventory-indexed PDE family."""
     nu = config.nu_grid
@@ -158,13 +185,7 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
     diags = fd.operator_diagonals(nu, drift, diffusion)
 
     dt = config.T / config.n_time
-    # explicit stability bound for the nu-operator: dt * |diag| <= 1
-    rate = float(np.max(np.abs(diags[1])))
-    if rate > 0 and dt > 1.0 / rate:
-        raise CflError(
-            f"explicit step dt={dt:.3e} exceeds the stability bound {1.0 / rate:.3e}; "
-            f"increase n_time to at least {math.ceil(config.T * rate)}"
-        )
+    abs_diag = np.abs(diags[1])
 
     q = config.q_levels.astype(np.float64)[:, None]
     penalty = 0.5 * config.risk.gamma * q**2 * nu[None, :]
@@ -192,28 +213,27 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
 
     record(0, v)
     for n in range(1, config.n_time + 1):
-        da, db = _optimal_premiums(v, config)
-        g = _source(da, db, config)
-        lv = fd.apply_tridiagonal(diags, v, axis=1)
-        v = v + dt * (lv + g - penalty)
-        if not np.all(np.isfinite(v)):
-            bad = np.argwhere(~np.isfinite(v))[0]
+        g, rate = _source_and_rate(v, config, abs_diag)
+        v_next = v + dt * (fd.apply_tridiagonal(diags, v, axis=1) + g - penalty)
+        if not np.all(np.isfinite(v_next)):
+            bad = np.argwhere(~np.isfinite(v_next))[0]
             raise BlowupError(
                 f"non-finite value at q={config.q_levels[bad[0]]}, "
                 f"nu={nu[bad[1]]:.4g}, t={config.T - n * dt:.4g} (step {n})"
             )
+        if dt * rate > 1.0:
+            t = config.T - (n - 1) * dt
+            raise CflError(
+                f"explicit step dt={dt:.3e} exceeds the stability bound {1.0 / rate:.3e} "
+                f"at t={t:.4g} (step {n}); increase n_time to at least "
+                f"{_stable_n_time(config, diags, penalty, v, t)}"
+            )
+        v = v_next
         record(n, v)
 
     times = np.array([s * dt for s in stored_steps])
-    return ValueGrid(
-        config=config,
-        q_levels=config.q_levels.copy(),
-        nu_grid=nu,
-        times=times,
-        values=values,
-        quotes_a=quotes_a,
-        quotes_b=quotes_b,
-    )
+    return ValueGrid(config=config, q_levels=config.q_levels.copy(), nu_grid=nu, times=times,
+                     values=values, quotes_a=quotes_a, quotes_b=quotes_b)
 
 
 def estimate_tolerance(config: HjbConfig, grid: ValueGrid | None = None) -> float:
@@ -314,33 +334,15 @@ def write_grid_csv(grid: ValueGrid, path: str | Path) -> None:
         grid.times[None, None, :],
         cfg.T, cfg.heston, cfg.arrival, cfg.risk,
     )
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["q", "nu", "t", "V", "delta_a_exact", "delta_b_exact",
-                    "delta_a_approx", "delta_b_approx"])
-        for iq, qv in enumerate(grid.q_levels):
-            for inu, nuv in enumerate(grid.nu_grid):
-                for it, tv in enumerate(grid.times):
-                    w.writerow([
-                        int(qv), repr(float(nuv)), repr(float(tv)),
-                        repr(float(grid.values[iq, inu, it])),
-                        repr(float(grid.quotes_a[iq, inu, it])),
-                        repr(float(grid.quotes_b[iq, inu, it])),
-                        repr(float(approx_a[iq, inu, it])),
-                        repr(float(approx_b[iq, inu, it])),
-                    ])
+    write_table(path, ["q", "nu", "t", "V", "delta_a_exact", "delta_b_exact",
+                       "delta_a_approx", "delta_b_approx"],
+                [grid.q_levels[:, None, None], grid.nu_grid[None, :, None], grid.times[None, None, :],
+                 grid.values, grid.quotes_a, grid.quotes_b, approx_a, approx_b])
 
 
 def write_report_csv(report: ComparisonReport, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([
-            "max_quote_gap_a", "max_quote_gap_b", "sandwich_ok", "c_emp", "tol",
-            "gap_a_q", "gap_a_nu", "gap_a_t", "gap_b_q", "gap_b_nu", "gap_b_t",
-        ])
-        w.writerow([
-            repr(report.max_quote_gap_a), repr(report.max_quote_gap_b),
-            int(report.sandwich_ok), repr(report.c_emp), repr(report.tol),
-            report.gap_a_at[0], repr(report.gap_a_at[1]), repr(report.gap_a_at[2]),
-            report.gap_b_at[0], repr(report.gap_b_at[1]), repr(report.gap_b_at[2]),
-        ])
+    write_table(path, [
+        "max_quote_gap_a", "max_quote_gap_b", "sandwich_ok", "c_emp", "tol",
+        "gap_a_q", "gap_a_nu", "gap_a_t", "gap_b_q", "gap_b_nu", "gap_b_t",
+    ], [report.max_quote_gap_a, report.max_quote_gap_b, int(report.sandwich_ok), report.c_emp,
+        report.tol, *report.gap_a_at, *report.gap_b_at])

@@ -18,7 +18,6 @@ a coarse lattice for use inside simulations.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -29,6 +28,7 @@ from .intensity import ArrivalParams, fills
 from .option_pricing import C, C_NU, DELTA, GAMMA, PRICE, PricingGrid, cell
 from .quotes import RiskParams, inventory_coefficient
 from .seeding import DEFAULT_BLOCK, FUNCTIONAL_STREAM, OPTION_MM_STREAM, block_ranges, lane_draws
+from .table import write_table
 
 __all__ = [
     "Functionals",
@@ -397,11 +397,8 @@ def run_hedged_paths(
             _, _, m = lattice.functionals(sc, vc, t)
             quotes = hedged_book_quotes(q_o, m, arrival)
             if lo == 0:
-                trace["t"][step] = t
-                trace["s"][step] = s[0]
-                trace["nu"][step] = nu[0]
-                trace["q_o"][step] = q_o[0]
-                trace["a_o"][step], trace["b_o"][step] = quotes[0]
+                for column, value in zip(trace.values(), (t, s[0], nu[0], q_o[0], *quotes[0])):
+                    column[step] = value
             hit, n_clipped = fills(quotes, uniforms[:, step], arrival, dt)
             clipped += n_clipped
             paid = np.where(hit, quotes, 0.0)
@@ -530,15 +527,6 @@ def run_joint_paths(
 
 
 def write_lattice_csv(lattice: FunctionalLattice, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["s", "nu", "t", "H1", "H2", "M"])
-        for i, sv in enumerate(lattice.s_nodes):
-            for j, nv in enumerate(lattice.nu_nodes):
-                for k, tv in enumerate(lattice.t_nodes):
-                    w.writerow([
-                        repr(float(sv)), repr(float(nv)), repr(float(tv)),
-                        repr(float(lattice.h1[i, j, k])),
-                        repr(float(lattice.h2[i, j, k])),
-                        repr(float(lattice.m[i, j, k])),
-                    ])
+    write_table(path, ["s", "nu", "t", "H1", "H2", "M"],
+                [lattice.s_nodes[:, None, None], lattice.nu_nodes[None, :, None],
+                 lattice.t_nodes[None, None, :], *np.moveaxis(lattice._table, -1, 0)])

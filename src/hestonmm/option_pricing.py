@@ -12,7 +12,6 @@ the arithmetic (Bachelier) closed form, used as an independent oracle.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -23,6 +22,7 @@ from scipy.stats import norm
 from . import fd
 from .heston import HestonParams, euler_step
 from .seeding import DEFAULT_BLOCK, PRICING_STREAM, block_ranges, lane_draws
+from .table import write_table
 
 __all__ = [
     "PricingConfig",
@@ -382,21 +382,10 @@ def mc_price(
 
 
 def write_slice_csv(grid: PricingGrid, path, t_values=None) -> None:
-    """Price/greek slices, one row per (s, nu, t) node."""
-    if t_values is None:
-        t_values = [float(grid.times[0])]
-    k = grid.config.strike
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["s", "nu", "t", "C", "P", "delta", "gamma", "c_nu"])
-        for t in t_values:
-            dp, gp, vp = grid.greek_planes(t)
-            plane = grid._time_slice(t)[:, :, C]
-            for i, sv in enumerate(grid.s_grid):
-                for j, nuv in enumerate(grid.nu_grid):
-                    c = plane[i, j]
-                    w.writerow([
-                        repr(float(sv)), repr(float(nuv)), repr(float(t)),
-                        repr(float(c)), repr(float(c - (sv - k))),
-                        repr(float(dp[i, j])), repr(float(gp[i, j])), repr(float(vp[i, j])),
-                    ])
+    """Price/greek slices, one row per (t, s, nu) node."""
+    t_values = np.asarray([grid.times[0]] if t_values is None else t_values, dtype=np.float64)
+    greeks = np.stack([grid.greek_planes(t) for t in t_values], axis=1)  # delta, gamma, c_nu
+    c = np.stack([grid._time_slice(t)[:, :, C] for t in t_values])
+    write_table(path, ["s", "nu", "t", "C", "P", "delta", "gamma", "c_nu"],
+                [grid.s_grid[None, :, None], grid.nu_grid[None, None, :], t_values[:, None, None],
+                 c, c - (grid.s_grid[:, None] - grid.config.strike), *greeks])

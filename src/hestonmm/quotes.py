@@ -219,8 +219,6 @@ class InventorySV:
     risk: RiskParams
     T: float
 
-    kind = "inventory"
-
     def premiums(self, q, nu, t):
         return inventory_premiums(q, nu, t, self.T, self.heston, self.arrival, self.risk)
 
@@ -234,8 +232,6 @@ class MarketImpact:
     risk: RiskParams
     T: float
     variant: str = "flow_adjusted"
-
-    kind = "impact"
 
     def __post_init__(self):
         if self.variant not in IMPACT_VARIANTS:
@@ -251,8 +247,6 @@ class Symmetric:
     typically the average spread realized by a prior inventory-policy run."""
 
     avg_spread: float
-
-    kind = "symmetric"
 
     def __post_init__(self):
         if not math.isfinite(self.avg_spread) or self.avg_spread <= 0:
@@ -273,8 +267,6 @@ class RiskNeutral:
     arrival: ArrivalParams
     risk: RiskParams
 
-    kind = "risk_neutral"
-
     def premiums(self, q, nu, t):
         base = 1.0 / self.arrival.k
         da, db = base - self.risk.beta, base + self.risk.beta
@@ -287,8 +279,6 @@ class RiskNeutral:
 @dataclass(frozen=True)
 class Frozen:
     """No quotes: the book is never filled and the inventory stays put."""
-
-    kind = "frozen"
 
     def premiums(self, q, nu, t):
         return None

@@ -35,7 +35,12 @@ __all__ = [
     "run_ensemble",
     "efficient_frontier",
     "trading_curve",
+    "NonFiniteStateError",
 ]
+
+
+class NonFiniteStateError(RuntimeError):
+    """A simulated price or cash position became non-finite."""
 
 
 @dataclass(frozen=True)
@@ -229,7 +234,7 @@ def _run_block(policy, config: SimConfig, master_seed: int, lo: int, hi: int,
         if step % 50 == 0 or step == n_steps - 1:
             if not (np.all(np.isfinite(s)) and np.all(np.isfinite(x))):
                 bad = int(np.argwhere(~(np.isfinite(s) & np.isfinite(x)))[0][0])
-                raise RuntimeError(f"non-finite state on path {lo + bad} at step {step}")
+                raise NonFiniteStateError(f"non-finite state on path {lo + bad} at step {step}")
 
     snapshot(n_steps, None)
 
@@ -297,13 +302,8 @@ def run_ensemble(policy, config: SimConfig, n: int, seed: int,
     clipped = sum(r["clipped"] for r in results)
     quoting = results[0]["quoting"]
 
-    q_snap_sum = np.zeros_like(results[0]["q_snap_sum"])
-    q_snap_sumsq = np.zeros_like(q_snap_sum)
-    for r in results:
-        q_snap_sum += r["q_snap_sum"]
-        q_snap_sumsq += r["q_snap_sumsq"]
-    curve_mean = q_snap_sum / n
-    curve_var = np.maximum(q_snap_sumsq / n - curve_mean**2, 0.0)
+    curve_mean = sum(r["q_snap_sum"] for r in results) / n
+    curve_var = np.maximum(sum(r["q_snap_sumsq"] for r in results) / n - curve_mean**2, 0.0)
     curve_std = np.sqrt(curve_var * n / max(n - 1, 1))
 
     objective = z_term - config.risk.beta * q_term.astype(np.float64)

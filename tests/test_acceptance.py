@@ -210,7 +210,8 @@ def test_criterion_08_trading_curve_ordering(heston, arrival, risk):
     # before t=0.1.  Since beta>0 the closed-form quotes then drift inventory
     # to q* = -beta/(2 f(nu, t)), which moves towards 0 as gamma grows: the
     # opposite of the required order.  At t=0.25 the gamma=0.1 vs 1.0
-    # separation is reversed by about 4 SE.  Recorded here as specified.
+    # separation is reversed by 0.140, about 4.6 SE (2 SE = 0.061).
+    # Recorded here as specified.
     for t_probe in (0.25, 0.5):
         vals = {}
         for gamma, stats in curves.items():

@@ -1,8 +1,10 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hestonmm import cli, sim_engine
 from hestonmm.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _policy, _sim_config, main
 from hestonmm.config import ConfigError, apply_overrides, dump_manifest, load_config
 
@@ -109,6 +111,31 @@ def test_numerical_error_exit_and_cleanup(tmp_path):
     code = run_cli("hjb", "--set", "hjb.n_time=3", "--out", str(tmp_path))
     assert code == EXIT_NUMERICAL
     assert list(tmp_path.glob("hjb-*")) == []  # partial outputs removed
+
+
+def test_programming_error_is_not_a_numerical_failure(tmp_path, monkeypatch):
+    def unfinished(config):
+        raise NotImplementedError("solver stub")
+
+    monkeypatch.setattr(cli, "solve_call_grid", unfinished)
+    with pytest.raises(NotImplementedError):
+        run_cli("price-option", "--out", str(tmp_path))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_simulation_exit_and_cleanup(tmp_path, monkeypatch):
+    # the one-path series run after the ensemble goes non-finite, so the
+    # terminal table is already written and must be removed
+    step = sim_engine.euler_step
+
+    def exploding(s, nu, *args, **kw):
+        ds, nu_next = step(s, nu, *args, **kw)
+        return (np.full_like(ds, np.inf) if s.size == 1 else ds), nu_next
+
+    monkeypatch.setattr(sim_engine, "euler_step", exploding)
+    code = run_cli("simulate", "--paths", "3", "--seed", "1", "--out", str(tmp_path))
+    assert code == EXIT_NUMERICAL
+    assert list(tmp_path.glob("simulate-*")) == []
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch):

@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -41,15 +44,40 @@ def test_cfl_violation_reported(heston, arrival, risk):
         solve_stock_hjb(small_config(heston, arrival, risk, n_time=5))
 
 
-def test_blowup_reported_with_location(arrival):
-    # frozen variance (no diffusion CFL to trip) with a violently stiff
-    # source: the explicit step explodes and must be reported, not returned
+def frozen_config(arrival, gamma, n_time):
+    # frozen variance: the nu-operator vanishes and only the reaction term
+    # limits the step
     heston0 = HestonParams(theta=0.0, alpha=4.0, xi=0.0, rho=0.0, nu0=4.0)
-    hot = RiskParams(gamma=10.0, beta=0.03)
-    cfg = HjbConfig(heston=heston0, arrival=arrival, risk=hot, T=1.0,
-                    q_min=-10, q_max=10, nu_lo=3.0, nu_hi=5.0, n_nu=3, n_time=10)
-    with pytest.raises(BlowupError):
+    return HjbConfig(heston=heston0, arrival=arrival, risk=RiskParams(gamma=gamma, beta=0.03),
+                     T=1.0, q_min=-10, q_max=10, nu_lo=3.0, nu_hi=5.0, n_nu=3, n_time=n_time)
+
+
+def test_blowup_reported_with_location(arrival):
+    # the first step meets the stability bound, but its inventory penalty
+    # spreads V(q) - V(q-1) so far that the next source term overflows: the
+    # explosion must be reported with its location, not returned
+    with pytest.raises(BlowupError, match=r"q=-?\d+, nu=3, t=0.99 \(step 2\)"):
+        solve_stock_hjb(frozen_config(arrival, gamma=1e4, n_time=200))
+
+
+def test_reaction_term_trips_the_stability_check(arrival):
+    # with no nu-operator to bound the step, a stiff source alone must trip it
+    with pytest.raises(CflError, match=r"\(step 1\)"):
+        solve_stock_hjb(frozen_config(arrival, gamma=10.0, n_time=10))
+
+
+def test_stability_check_names_an_n_time_that_runs(heston, arrival, risk):
+    # the nu-operator alone allows n_time >= 74, but the reaction term needs
+    # more: n_time=100 used to pass the check and blow up at step 18
+    cfg = HjbConfig(heston=heston, arrival=arrival, risk=risk, T=1.0, n_time=100)
+    with pytest.raises(CflError, match=r"step 1\)") as exc:
         solve_stock_hjb(cfg)
+    needed = int(re.search(r"at least (\d+)$", str(exc.value)).group(1))
+    assert needed > 100
+    grid = solve_stock_hjb(replace(cfg, n_time=needed))
+    assert np.all(np.isfinite(grid.values))
+    with pytest.raises(CflError):
+        solve_stock_hjb(replace(cfg, n_time=needed - 1))
 
 
 def test_risk_neutral_closed_form(heston, arrival):
