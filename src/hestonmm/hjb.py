@@ -158,20 +158,29 @@ def _source_and_rate(v: np.ndarray, config: HjbConfig, abs_diag: np.ndarray):
     return g, float(np.max(abs_diag + config.arrival.k * g))
 
 
-def _stable_n_time(config: HjbConfig, diags, penalty, v: np.ndarray, t: float,
-                   max_steps: int = 100_000) -> int:
-    """The n_time at which every step of the solve meets its stability bound:
-    the sweep goes on from ``v`` at time ``t`` down to 0 in steps of exactly
-    the bound, and the largest rate met sets it.  If the sweep overflows or
-    passes ``max_steps`` steps, the answer is a lower bound."""
+def _explicit_step(v: np.ndarray, g: np.ndarray, h: float, diags, penalty: np.ndarray) -> np.ndarray:
+    """One explicit backward step of size ``h`` from ``v`` with source ``g``."""
+    return v + h * (fd.apply_tridiagonal(diags, v, axis=1) + g - penalty)
+
+
+_SWEEP_MAX_STEPS = 100_000  # cap on the steps of the n_time estimate's sweep
+
+
+def _stable_n_time(config: HjbConfig, diags, penalty, v: np.ndarray, t: float) -> int:
+    """Estimate of the n_time a solve needs: the sweep goes on from ``v`` at
+    time ``t`` down to 0 in steps of exactly the stability bound, and the
+    largest rate met sets it.  A whole solve at that n_time takes other steps
+    and so meets other states; it is not guaranteed to meet the bound (or to
+    stay finite).  If the sweep overflows or hits the step cap, the estimate
+    is only a lower bound."""
     abs_diag, worst = np.abs(diags[1]), 0.0
-    for _ in range(max_steps):
+    for _ in range(_SWEEP_MAX_STEPS):
         g, rate = _source_and_rate(v, config, abs_diag)
         if t <= 0 or not math.isfinite(rate):
             break
         worst = max(worst, rate)
         h = min(t, 1.0 / rate)
-        v = v + h * (fd.apply_tridiagonal(diags, v, axis=1) + g - penalty)
+        v = _explicit_step(v, g, h, diags, penalty)
         t -= h
     return math.ceil(config.T * worst)
 
@@ -214,7 +223,7 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
     record(0, v)
     for n in range(1, config.n_time + 1):
         g, rate = _source_and_rate(v, config, abs_diag)
-        v_next = v + dt * (fd.apply_tridiagonal(diags, v, axis=1) + g - penalty)
+        v_next = _explicit_step(v, g, dt, diags, penalty)
         if not np.all(np.isfinite(v_next)):
             bad = np.argwhere(~np.isfinite(v_next))[0]
             raise BlowupError(
@@ -232,8 +241,15 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
         record(n, v)
 
     times = np.array([s * dt for s in stored_steps])
-    return ValueGrid(config=config, q_levels=config.q_levels.copy(), nu_grid=nu, times=times,
-                     values=values, quotes_a=quotes_a, quotes_b=quotes_b)
+    return ValueGrid(
+        config=config,
+        q_levels=config.q_levels.copy(),
+        nu_grid=nu,
+        times=times,
+        values=values,
+        quotes_a=quotes_a,
+        quotes_b=quotes_b,
+    )
 
 
 def estimate_tolerance(config: HjbConfig, grid: ValueGrid | None = None) -> float:
@@ -250,6 +266,17 @@ def estimate_tolerance(config: HjbConfig, grid: ValueGrid | None = None) -> floa
     it_fine = np.searchsorted(fine.times, common_t)
     diff = np.abs(grid.values[:, :, it_base] - fine.values[:, ::2, it_fine])
     return max(2.0 * float(diff.max()), 1e-12)
+
+
+def _approx_quotes(grid: ValueGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form approximate premiums on every (q, nu, t) node of ``grid``."""
+    cfg = grid.config
+    return inventory_premiums(
+        grid.q_levels.astype(np.float64)[:, None, None],
+        grid.nu_grid[None, :, None],
+        grid.times[None, None, :],
+        cfg.T, cfg.heston, cfg.arrival, cfg.risk,
+    )
 
 
 def compare_exact_vs_approx(
@@ -278,10 +305,7 @@ def compare_exact_vs_approx(
     nu = grid.nu_grid
     t = grid.times
     qf = grid.q_levels.astype(np.float64)
-    approx_a, approx_b = inventory_premiums(
-        qf[:, None, None], nu[None, :, None], t[None, None, :],
-        config.T, config.heston, config.arrival, config.risk,
-    )
+    approx_a, approx_b = _approx_quotes(grid)
 
     mask = np.ones((grid.q_levels.size, nu.size, t.size), dtype=bool)
     mask[0, :, :] = mask[-1, :, :] = False
@@ -327,13 +351,7 @@ def compare_exact_vs_approx(
 
 def write_grid_csv(grid: ValueGrid, path: str | Path) -> None:
     """Dump values and exact/approximate quotes, one row per (q, nu, t) node."""
-    cfg = grid.config
-    approx_a, approx_b = inventory_premiums(
-        grid.q_levels.astype(np.float64)[:, None, None],
-        grid.nu_grid[None, :, None],
-        grid.times[None, None, :],
-        cfg.T, cfg.heston, cfg.arrival, cfg.risk,
-    )
+    approx_a, approx_b = _approx_quotes(grid)
     write_table(path, ["q", "nu", "t", "V", "delta_a_exact", "delta_b_exact",
                        "delta_a_approx", "delta_b_approx"],
                 [grid.q_levels[:, None, None], grid.nu_grid[None, :, None], grid.times[None, None, :],

@@ -397,8 +397,11 @@ def run_hedged_paths(
             _, _, m = lattice.functionals(sc, vc, t)
             quotes = hedged_book_quotes(q_o, m, arrival)
             if lo == 0:
-                for column, value in zip(trace.values(), (t, s[0], nu[0], q_o[0], *quotes[0])):
-                    column[step] = value
+                trace["t"][step] = t
+                trace["s"][step] = s[0]
+                trace["nu"][step] = nu[0]
+                trace["q_o"][step] = q_o[0]
+                trace["a_o"][step], trace["b_o"][step] = quotes[0]
             hit, n_clipped = fills(quotes, uniforms[:, step], arrival, dt)
             clipped += n_clipped
             paid = np.where(hit, quotes, 0.0)

@@ -302,8 +302,13 @@ def run_ensemble(policy, config: SimConfig, n: int, seed: int,
     clipped = sum(r["clipped"] for r in results)
     quoting = results[0]["quoting"]
 
-    curve_mean = sum(r["q_snap_sum"] for r in results) / n
-    curve_var = np.maximum(sum(r["q_snap_sumsq"] for r in results) / n - curve_mean**2, 0.0)
+    q_snap_sum = np.zeros_like(results[0]["q_snap_sum"])
+    q_snap_sumsq = np.zeros_like(q_snap_sum)
+    for r in results:
+        q_snap_sum += r["q_snap_sum"]
+        q_snap_sumsq += r["q_snap_sumsq"]
+    curve_mean = q_snap_sum / n
+    curve_var = np.maximum(q_snap_sumsq / n - curve_mean**2, 0.0)
     curve_std = np.sqrt(curve_var * n / max(n - 1, 1))
 
     objective = z_term - config.risk.beta * q_term.astype(np.float64)
