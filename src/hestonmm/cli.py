@@ -265,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="config file (key = value with [sections])")
         p.add_argument("--seed", type=int, help="master seed (overrides sim.seed)")
         p.add_argument("--paths", type=int, help="number of Monte Carlo paths")
-        p.add_argument("--threads", type=int, default=1, help="worker cap for path blocks")
+        p.add_argument("--threads", type=int, default=1, help="worker threads for the path "
+                       "blocks of simulate, compare, frontier and trading-curve")
         p.add_argument("--out", help=f"output directory (default ${ENV_OUTPUT_DIR} or cwd)")
         p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                        help="override a config value; repeatable")
@@ -282,6 +283,8 @@ def main(argv=None) -> int:
         apply_overrides(cfg, args.set)
         if args.seed is not None:
             cfg.values["sim"]["seed"] = int(args.seed)
+        if args.threads < 1:
+            raise ConfigError("--threads must be positive")
         if args.paths is not None:
             if args.paths < 1:
                 raise ConfigError("--paths must be positive")

@@ -17,7 +17,6 @@ def operator_diagonals(
     x: np.ndarray,
     drift: np.ndarray,
     diffusion: np.ndarray,
-    one_sided_ends: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonals of ``L v = drift * v_x + diffusion * v_xx``.
 
@@ -25,8 +24,7 @@ def operator_diagonals(
     strong enough relative to the diffusion to break positivity of the
     off-diagonal weights, that node falls back to first-order upwinding.
     End nodes use one-sided first derivatives with the second derivative
-    extrapolated to zero (``one_sided_ends``), which keeps the scheme
-    monotone at the boundaries.
+    extrapolated to zero, which keeps the scheme monotone at the boundaries.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
@@ -77,13 +75,12 @@ def operator_diagonals(
     diag[1:-1] = ce
     upper[1:-1] = up
 
-    if one_sided_ends:
-        h0 = x[1] - x[0]
-        diag[0] = -drift[0] / h0
-        upper[0] = drift[0] / h0
-        hn = x[-1] - x[-2]
-        lower[-1] = -drift[-1] / hn
-        diag[-1] = drift[-1] / hn
+    h0 = x[1] - x[0]
+    diag[0] = -drift[0] / h0
+    upper[0] = drift[0] / h0
+    hn = x[-1] - x[-2]
+    lower[-1] = -drift[-1] / hn
+    diag[-1] = drift[-1] / hn
     return lower, diag, upper
 
 

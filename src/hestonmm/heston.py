@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import DEFAULT_BLOCK, HESTON_STREAM, SCHEMES, block_ranges, lane_draws
+from .seeding import HESTON_STREAM, SCHEMES, lane_draws, map_blocks
 
 __all__ = [
     "HestonParams",
@@ -109,7 +109,6 @@ def sample_terminal(
     seed: int,
     scheme: str = "gaussian",
     stream: int = HESTON_STREAM,
-    block: int = DEFAULT_BLOCK,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Terminal ``(S_T, nu_T)`` over ``n_paths`` independent paths.
 
@@ -121,17 +120,15 @@ def sample_terminal(
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     dt = T / n_steps
-    s_out = np.empty(n_paths)
-    nu_out = np.empty(n_paths)
-    draws = np.empty((min(block, n_paths), n_steps, 2))
-    for lo, hi in block_ranges(n_paths, block):
-        shocks = draws[:hi - lo]
+
+    def paths(lo: int, hi: int):
+        shocks = np.empty((hi - lo, n_steps, 2))
         lane_draws(seed, (stream,), lo, hi, shocks, scheme=scheme)
         s = np.full(hi - lo, params.s0)
         nu = np.full(hi - lo, params.nu0)
         for step in range(n_steps):
             ds, nu = euler_step(s, nu, shocks[:, step, 0], shocks[:, step, 1], params, dt)
             s += ds
-        s_out[lo:hi] = s
-        nu_out[lo:hi] = nu
-    return s_out, nu_out
+        return s, nu
+
+    return tuple(np.concatenate(col) for col in zip(*map_blocks(n_paths, paths)))

@@ -166,13 +166,13 @@ def _explicit_step(v: np.ndarray, g: np.ndarray, h: float, diags, penalty: np.nd
 _SWEEP_MAX_STEPS = 100_000  # cap on the steps of the n_time estimate's sweep
 
 
-def _stable_n_time(config: HjbConfig, diags, penalty, v: np.ndarray, t: float) -> int:
-    """Estimate of the n_time a solve needs: the sweep goes on from ``v`` at
-    time ``t`` down to 0 in steps of exactly the stability bound, and the
+def _n_time_hint(config: HjbConfig, diags, penalty, v: np.ndarray, t: float) -> str:
+    """An estimate of the n_time a solve needs: the sweep goes on from ``v``
+    at time ``t`` down to 0 in steps of exactly the stability bound, and the
     largest rate met sets it.  A whole solve at that n_time takes other steps
     and so meets other states; it is not guaranteed to meet the bound (or to
-    stay finite).  If the sweep overflows or hits the step cap, the estimate
-    is only a lower bound."""
+    stay finite).  If the sweep overflows or hits the step cap, the hint says
+    that its n_time is only a lower bound."""
     abs_diag, worst = np.abs(diags[1]), 0.0
     for _ in range(_SWEEP_MAX_STEPS):
         g, rate = _source_and_rate(v, config, abs_diag)
@@ -182,7 +182,11 @@ def _stable_n_time(config: HjbConfig, diags, penalty, v: np.ndarray, t: float) -
         h = min(t, 1.0 / rate)
         v = _explicit_step(v, g, h, diags, penalty)
         t -= h
-    return math.ceil(config.T * worst)
+    hint = f"increase n_time to at least {math.ceil(config.T * worst)}"
+    if t <= 0:
+        return hint
+    why = "overflowed" if not math.isfinite(rate) else f"hit its cap of {_SWEEP_MAX_STEPS} steps"
+    return f"{hint}; that is only a lower bound, since the sweep estimating it {why} at t={t:.4g}"
 
 
 def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
@@ -234,8 +238,7 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
             t = config.T - (n - 1) * dt
             raise CflError(
                 f"explicit step dt={dt:.3e} exceeds the stability bound {1.0 / rate:.3e} "
-                f"at t={t:.4g} (step {n}); increase n_time to at least "
-                f"{_stable_n_time(config, diags, penalty, v, t)}"
+                f"at t={t:.4g} (step {n}); {_n_time_hint(config, diags, penalty, v, t)}"
             )
         v = v_next
         record(n, v)

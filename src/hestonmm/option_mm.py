@@ -19,7 +19,7 @@ a coarse lattice for use inside simulations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .heston import HestonParams, euler_step
 from .intensity import ArrivalParams, fills
 from .option_pricing import C, C_NU, DELTA, GAMMA, PRICE, PricingGrid, cell
 from .quotes import RiskParams, inventory_coefficient
-from .seeding import DEFAULT_BLOCK, FUNCTIONAL_STREAM, OPTION_MM_STREAM, block_ranges, lane_draws
+from .seeding import FUNCTIONAL_STREAM, OPTION_MM_STREAM, lane_draws, map_blocks
 from .table import write_table
 
 __all__ = [
@@ -78,8 +78,8 @@ def _integrals(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-path left-endpoint quadratures of the three integrands along
     real-world paths started at time ``t``, ``n_paths`` from each
-    ``(s0, nu0, node)`` in ``starts``, simulated together in blocks of at
-    most ``DEFAULT_BLOCK`` paths.  A node's paths draw from the key
+    ``(s0, nu0, node)`` in ``starts``, simulated together in the blocks of
+    ``seeding.map_blocks``.  A node's paths draw from the key
     ``(FUNCTIONAL_STREAM, node)`` under ``seed``.  Start ``n`` owns rows
     ``n * n_paths`` onward of the returned (i1, i2, i3, exited) arrays;
     ``exited`` flags the paths that left the grid before the last step."""
@@ -92,14 +92,8 @@ def _integrals(
     s_start = np.array([st[0] for st in starts], dtype=np.float64)
     nu_start = np.array([st[1] for st in starts], dtype=np.float64)
 
-    total = len(starts) * n_paths
-    i1 = np.empty(total)
-    i2 = np.empty(total)
-    i3 = np.empty(total)
-    exited = np.empty(total, dtype=bool)
-    draws = np.empty((min(DEFAULT_BLOCK, total), n_steps, 2))
-    for lo, hi in block_ranges(total):
-        shocks = draws[:hi - lo]
+    def paths(lo: int, hi: int):
+        shocks = np.empty((hi - lo, n_steps, 2))
         for start in range(lo // n_paths, (hi - 1) // n_paths + 1):
             first = start * n_paths
             a, b = max(lo, first), min(hi, first + n_paths)
@@ -109,9 +103,7 @@ def _integrals(
         node_of_row = np.arange(lo, hi) // n_paths
         s = s_start[node_of_row]
         nu = nu_start[node_of_row]
-        a1 = np.zeros(n)
-        a2 = np.zeros(n)
-        a3 = np.zeros(n)
+        a1, a2, a3 = np.zeros((3, n))
         out = np.zeros(n, dtype=bool)
         for step in range(n_steps):
             out |= _off_grid(grid, s, nu)
@@ -123,8 +115,9 @@ def _integrals(
             a3 += nu * c_nu**2 * dt
             ds, nu = euler_step(s, nu, shocks[:, step, 0], shocks[:, step, 1], heston, dt)
             s = s + ds
-        i1[lo:hi], i2[lo:hi], i3[lo:hi], exited[lo:hi] = a1, a2, a3, out
-    return i1, i2, i3, exited
+        return a1, a2, a3, out
+
+    return tuple(np.concatenate(col) for col in zip(*map_blocks(len(starts) * n_paths, paths)))
 
 
 def _check_exits(exited: int, n_paths: int, max_exit_fraction: float) -> None:
@@ -336,6 +329,8 @@ class JointStats:
     qv_mean: float
     clipped: int
     grid_exits: int  # paths clamped to the pricing grid at some step
+    z_terminal: np.ndarray = field(repr=False, default=None)  # per path
+    qv_terminal: np.ndarray = field(repr=False, default=None)
 
 
 def run_hedged_paths(
@@ -359,33 +354,20 @@ def run_hedged_paths(
     s_lo, s_hi = grid.s_grid[0], grid.s_grid[-1]
     v_lo, v_hi = grid.nu_grid[0], grid.nu_grid[-1]
 
-    qv_h = np.empty(n_paths)
-    qv_u = np.empty(n_paths)
-    rate_real = np.empty(n_paths)
-    rate_pred = np.empty(n_paths)
-    rate_disc = np.empty(n_paths)
-    z_tot = 0.0
-    qo_tot = 0.0
-    clipped = 0
-    grid_exits = 0
     trace = {k: np.empty(n_steps) for k in ("t", "s", "nu", "q_o", "a_o", "b_o")}
-    shock_buf = np.empty((min(DEFAULT_BLOCK, n_paths), n_steps, 2))
-    uniform_buf = np.empty((min(DEFAULT_BLOCK, n_paths), n_steps, 2))
 
-    for lo, hi in block_ranges(n_paths):
+    def paths(lo: int, hi: int):
         n = hi - lo
-        shocks, uniforms = shock_buf[:n], uniform_buf[:n]
+        shocks = np.empty((n, n_steps, 2))
+        uniforms = np.empty((n, n_steps, 2))
         lane_draws(seed, (OPTION_MM_STREAM,), lo, hi, shocks, uniforms)
 
         s = np.full(n, heston.s0)
         nu = np.full(n, heston.nu0)
         off = _off_grid(grid, s, nu)
         q_o = np.full(n, q_o0, dtype=np.int64)
-        z = np.zeros(n)
-        acc_h = np.zeros(n)
-        acc_u = np.zeros(n)
-        acc_pred = np.zeros(n)
-        acc_disc = np.zeros(n)
+        z, acc_h, acc_u, acc_pred, acc_disc = np.zeros((5, n))
+        clipped = 0
 
         for step in range(n_steps):
             t = step * dt
@@ -424,27 +406,21 @@ def run_hedged_paths(
             di_u = qf * dc
             acc_h += di_h**2
             acc_u += di_u**2
+        return z, q_o, acc_h, acc_u, acc_pred, acc_disc, off, clipped
 
-        qv_h[lo:hi] = acc_h
-        qv_u[lo:hi] = acc_u
-        rate_real[lo:hi] = acc_h / (n_steps * dt)
-        rate_pred[lo:hi] = acc_pred / (n_steps * dt)
-        rate_disc[lo:hi] = acc_disc / (n_steps * dt)
-        z_tot += float(z.sum())
-        qo_tot += float(q_o.sum())
-        grid_exits += int(off.sum())
-
+    *cols, clipped = zip(*map_blocks(n_paths, paths))
+    z, q_o, qv_h, qv_u, acc_pred, acc_disc, off = (np.concatenate(col) for col in cols)
     return HedgedStats(
         n=n_paths,
-        z_mean=z_tot / n_paths,
-        q_o_mean=qo_tot / n_paths,
+        z_mean=float(z.mean()),
+        q_o_mean=float(q_o.mean()),
         qv_hedged=qv_h,
         qv_unhedged=qv_u,
-        qv_rate_real=rate_real,
-        qv_rate_pred=rate_pred,
-        qv_rate_disc=rate_disc,
-        clipped=clipped,
-        grid_exits=grid_exits,
+        qv_rate_real=qv_h / (n_steps * dt),
+        qv_rate_pred=acc_pred / (n_steps * dt),
+        qv_rate_disc=acc_disc / (n_steps * dt),
+        clipped=sum(clipped),
+        grid_exits=int(off.sum()),
         trace=trace,
     )
 
@@ -466,18 +442,11 @@ def run_joint_paths(
     s_lo, s_hi = grid.s_grid[0], grid.s_grid[-1]
     v_lo, v_hi = grid.nu_grid[0], grid.nu_grid[-1]
 
-    z_all = np.empty(n_paths)
-    qs_all = np.empty(n_paths, dtype=np.int64)
-    qo_all = np.empty(n_paths, dtype=np.int64)
-    qv_all = np.empty(n_paths)
-    clipped = 0
-    grid_exits = 0
-    shock_buf = np.empty((min(DEFAULT_BLOCK, n_paths), n_steps, 2))
-    uniform_buf = np.empty((min(DEFAULT_BLOCK, n_paths), n_steps, 4))
 
-    for lo, hi in block_ranges(n_paths):
+    def paths(lo: int, hi: int):
         n = hi - lo
-        shocks, uniforms = shock_buf[:n], uniform_buf[:n]
+        shocks = np.empty((n, n_steps, 2))
+        uniforms = np.empty((n, n_steps, 4))
         lane_draws(seed, (OPTION_MM_STREAM,), lo, hi, shocks, uniforms)
 
         s = np.full(n, heston.s0)
@@ -485,8 +454,8 @@ def run_joint_paths(
         off = _off_grid(grid, s, nu)
         q_s = np.full(n, q_s0, dtype=np.int64)
         q_o = np.full(n, q_o0, dtype=np.int64)
-        z = np.zeros(n)
-        qv = np.zeros(n)
+        z, qv = np.zeros((2, n))
+        clipped = 0
 
         for step in range(n_steps):
             t = step * dt
@@ -509,23 +478,22 @@ def run_joint_paths(
                                     np.clip(s, s_lo, s_hi), np.clip(nu, v_lo, v_hi))[:, 0]
             di = q_s.astype(np.float64) * ds + q_o.astype(np.float64) * (c_next - c_now)
             qv += di**2
+        return z, q_s, q_o, qv, off, clipped
 
-        z_all[lo:hi] = z
-        qs_all[lo:hi] = q_s
-        qo_all[lo:hi] = q_o
-        qv_all[lo:hi] = qv
-        grid_exits += int(off.sum())
-
+    *cols, clipped = zip(*map_blocks(n_paths, paths))
+    z, q_s, q_o, qv, off = (np.concatenate(col) for col in cols)
     ddof = 1 if n_paths > 1 else 0
     return JointStats(
         n=n_paths,
-        z_mean=float(z_all.mean()),
-        z_std=float(z_all.std(ddof=ddof)),
-        q_s_mean=float(qs_all.mean()),
-        q_o_mean=float(qo_all.mean()),
-        qv_mean=float(qv_all.mean()),
-        clipped=clipped,
-        grid_exits=grid_exits,
+        z_mean=float(z.mean()),
+        z_std=float(z.std(ddof=ddof)),
+        q_s_mean=float(q_s.mean()),
+        q_o_mean=float(q_o.mean()),
+        qv_mean=float(qv.mean()),
+        clipped=sum(clipped),
+        grid_exits=int(off.sum()),
+        z_terminal=z,
+        qv_terminal=qv,
     )
 
 

@@ -21,7 +21,7 @@ from scipy.stats import norm
 
 from . import fd
 from .heston import HestonParams, euler_step
-from .seeding import DEFAULT_BLOCK, PRICING_STREAM, block_ranges, lane_draws
+from .seeding import PRICING_STREAM, lane_draws, map_blocks
 from .table import write_table
 
 __all__ = [
@@ -329,7 +329,6 @@ def mc_terminal(
     n_paths: int = 100_000,
     seed: int = 0,
     dt_target: float = 0.005,
-    block: int = DEFAULT_BLOCK,
 ) -> np.ndarray:
     """Terminal stock samples under the pricing measure from state (s, nu, t).
 
@@ -349,10 +348,8 @@ def mc_terminal(
     heston = config.heston
     risk_adj = heston.xi * math.sqrt(1.0 - heston.rho**2) * config.eta_nu
 
-    out = np.empty(n_paths)
-    draws = np.empty((min(block, n_paths), n_steps, 2))
-    for lo, hi in block_ranges(n_paths, block):
-        shocks = draws[:hi - lo]
+    def paths(lo: int, hi: int) -> np.ndarray:
+        shocks = np.empty((hi - lo, n_steps, 2))
         lane_draws(seed, (PRICING_STREAM,), lo, hi, shocks)
         s_arr = np.full(hi - lo, float(s))
         v_arr = np.full(hi - lo, float(nu))
@@ -360,8 +357,9 @@ def mc_terminal(
             ds, v_arr = euler_step(s_arr, v_arr, shocks[:, step, 0], shocks[:, step, 1],
                                    heston, dt, risk_adj)
             s_arr = s_arr + ds
-        out[lo:hi] = s_arr
-    return out
+        return s_arr
+
+    return np.concatenate(map_blocks(n_paths, paths))
 
 
 def mc_price(

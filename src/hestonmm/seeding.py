@@ -7,9 +7,14 @@ lane)``, where ``key`` names the source of randomness (a stream, plus a node
 for the functional lattice).  A lane always draws all ``LANE`` rows, so a
 path's draws depend only on ``(master, key, i)``: not on the ensemble size,
 the block layout or the number of workers.
+
+``map_blocks`` is the only code that splits paths into blocks and, on
+request, runs the blocks on worker threads.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -74,8 +79,19 @@ def lane_draws(master: int, key: tuple[int, ...], lo: int, hi: int, shocks: np.n
             uniforms[a - lo:b - lo] = edge_u[a - first:b - first]
 
 
-def block_ranges(n: int, block: int = DEFAULT_BLOCK) -> list[tuple[int, int]]:
-    """Split ``range(n)`` into contiguous blocks processed independently."""
-    if n <= 0:
+def map_blocks(n: int, fn, block: int = DEFAULT_BLOCK, threads: int = 1) -> list:
+    """``[fn(lo, hi) for each block]``: the blocks split ``range(n)`` into
+    contiguous runs of ``block`` paths (the last may be shorter), and the
+    results come back in index order.
+
+    With ``threads > 1`` and more than one block, the blocks run on a pool of
+    that many worker threads.  A block's result depends only on its own
+    paths, so it does not depend on ``threads``.
+    """
+    if n < 1:
         raise ValueError("n must be positive")
-    return [(lo, min(lo + block, n)) for lo in range(0, n, block)]
+    ranges = [(lo, min(lo + block, n)) for lo in range(0, n, block)]
+    if threads > 1 and len(ranges) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            return list(ex.map(lambda r: fn(*r), ranges))
+    return [fn(lo, hi) for lo, hi in ranges]

@@ -85,10 +85,11 @@ def test_manifest_reruns_identically(tmp_path):
 
 
 def test_threads_do_not_change_bytes(tmp_path):
+    # 2,100 paths run as three blocks, so the threads really share them
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run_cli("compare", "--paths", "150", "--seed", "9", "--threads", "1",
+    assert run_cli("compare", "--paths", "2100", "--seed", "9", "--threads", "1",
                    "--out", str(out1)) == EXIT_OK
-    assert run_cli("compare", "--paths", "150", "--seed", "9", "--threads", "8",
+    assert run_cli("compare", "--paths", "2100", "--seed", "9", "--threads", "8",
                    "--out", str(out2)) == EXIT_OK
     assert outputs(out1, "compare", 9)[0].read_bytes() == outputs(out2, "compare", 9)[0].read_bytes()
 
@@ -104,6 +105,14 @@ def test_config_error_exit_code(tmp_path):
     assert run_cli("simulate", "--paths", "2", "--set", "heston.rho=1.5",
                    "--out", str(tmp_path)) == EXIT_CONFIG
     assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_a_config_error(tmp_path, capsys, threads):
+    assert run_cli("compare", "--paths", "150", "--threads", threads,
+                   "--out", str(tmp_path)) == EXIT_CONFIG
+    assert "config error: --threads must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_numerical_error_exit_and_cleanup(tmp_path):

@@ -80,6 +80,17 @@ def test_stability_check_names_an_n_time_that_runs(heston, arrival, risk):
         solve_stock_hjb(replace(cfg, n_time=needed - 1))
 
 
+def test_stability_check_names_a_lower_bound_when_its_sweep_overflows(arrival):
+    # the sweep that estimates n_time overflows one step after the first
+    # failing state, so the n_time it names is only a lower bound: a solve
+    # there blows up
+    with pytest.raises(CflError, match=r"only a lower bound.*overflowed") as exc:
+        solve_stock_hjb(frozen_config(arrival, gamma=1e4, n_time=10))
+    named = int(re.search(r"at least (\d+);", str(exc.value)).group(1))
+    with pytest.raises(BlowupError):
+        solve_stock_hjb(frozen_config(arrival, gamma=1e4, n_time=named))
+
+
 def test_risk_neutral_closed_form(heston, arrival):
     # gamma = 0: V(q, nu, t) = rate * (T - t) uniformly, away from the box edges
     risk0 = RiskParams(gamma=0.0, beta=0.03)

@@ -156,27 +156,22 @@ def test_mm_draws_fill_equals_stacked_draws():
 def test_mc_terminal_equals_stacked_reference(pricing_grid):
     cfg = pricing_grid.config
     h = cfg.heston
-    n_paths, block, n_steps = 150, 64, 40
+    n_paths, n_steps = 150, 40
     dt = 1.0 / n_steps
     rho_c = math.sqrt(1.0 - h.rho**2)
     risk_adj = h.xi * rho_c * cfg.eta_nu
-    ref = np.empty(n_paths)
-    draws, _ = _lane_reference(4, (PRICING_STREAM,), n_paths, n_steps)
-    for lo in range(0, n_paths, block):
-        hi = min(lo + block, n_paths)
-        shocks = draws[lo:hi]
-        s, v = np.full(hi - lo, 100.0), np.full(hi - lo, 4.0)
-        for step in range(n_steps):
-            v_pos = np.maximum(v, 0.0)
-            root = np.sqrt(v_pos)
-            z_s = shocks[:, step, 0]
-            z_v = h.rho * z_s + rho_c * shocks[:, step, 1]
-            s = s + root * z_s * math.sqrt(dt)
-            v = np.maximum(v + (h.theta * (h.alpha - v_pos) - risk_adj * root) * dt
-                           + h.xi * root * z_v * math.sqrt(dt), 0.0)
-        ref[lo:hi] = s
-    got = mc_terminal(cfg, 100.0, 4.0, 0.0, n_paths=n_paths, seed=4, dt_target=dt, block=block)
-    np.testing.assert_array_equal(got, ref)
+    shocks, _ = _lane_reference(4, (PRICING_STREAM,), n_paths, n_steps)
+    s, v = np.full(n_paths, 100.0), np.full(n_paths, 4.0)
+    for step in range(n_steps):
+        v_pos = np.maximum(v, 0.0)
+        root = np.sqrt(v_pos)
+        z_s = shocks[:, step, 0]
+        z_v = h.rho * z_s + rho_c * shocks[:, step, 1]
+        s = s + root * z_s * math.sqrt(dt)
+        v = np.maximum(v + (h.theta * (h.alpha - v_pos) - risk_adj * root) * dt
+                       + h.xi * root * z_v * math.sqrt(dt), 0.0)
+    got = mc_terminal(cfg, 100.0, 4.0, 0.0, n_paths=n_paths, seed=4, dt_target=dt)
+    np.testing.assert_array_equal(got, s)
 
 
 def test_integrals_equal_stacked_reference(heston, pricing_grid):

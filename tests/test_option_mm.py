@@ -17,6 +17,7 @@ from hestonmm.option_mm import (
     hedged_book_quotes,
 )
 from hestonmm.quotes import RiskParams, inventory_coefficient, inventory_premiums
+from hestonmm.seeding import DEFAULT_BLOCK
 from hestonmm.intensity import ArrivalParams
 
 
@@ -180,6 +181,23 @@ def test_joint_run_smoke(heston, arrival, risk_nofee, pricing_grid, functional_l
     assert stats.n == 100
     assert stats.z_mean > 0
     assert math.isfinite(stats.qv_mean)
+
+
+def test_books_past_one_block_extend_a_smaller_run(heston, arrival, risk_nofee,
+                                                   pricing_grid, functional_lattice):
+    # 4,200 paths run as two blocks, 1,000 as one; a path's results do not
+    # depend on how many paths run beside it
+    args = (heston, arrival, risk_nofee, pricing_grid, functional_lattice)
+    kw = dict(T=0.05, dt=0.01, seed=13, q_o0=1)
+    big, small = (run_hedged_paths(*args, n_paths=n, **kw) for n in (DEFAULT_BLOCK + 104, 1000))
+    for name in ("qv_hedged", "qv_unhedged", "qv_rate_real", "qv_rate_pred", "qv_rate_disc"):
+        np.testing.assert_array_equal(getattr(big, name)[:1000], getattr(small, name), err_msg=name)
+    for name in big.trace:
+        np.testing.assert_array_equal(big.trace[name], small.trace[name], err_msg=name)
+    big, small = (run_joint_paths(*args, n_paths=n, **kw) for n in (DEFAULT_BLOCK + 104, 1000))
+    for name in ("z_terminal", "qv_terminal"):
+        np.testing.assert_array_equal(getattr(big, name)[:1000], getattr(small, name), err_msg=name)
+    assert big.z_mean == float(big.z_terminal.mean())
 
 
 def test_lattice_matches_direct_estimate(heston, risk_nofee, pricing_grid, functional_lattice):

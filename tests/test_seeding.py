@@ -1,14 +1,20 @@
 """The keyed-lane contract: path ``i``'s draws depend only on
 ``(seed, key, i)``, whatever range, block layout or worker count asks for them."""
 
+import re
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from hestonmm import seeding
 from hestonmm.heston import sample_terminal
 from hestonmm.option_pricing import PricingConfig, mc_terminal
 from hestonmm.quotes import InventorySV
-from hestonmm.seeding import LANE, SIM_STREAM, lane_draws
-from hestonmm.sim_engine import SimConfig, run_ensemble, run_path
+from hestonmm.seeding import DEFAULT_BLOCK, LANE, SIM_STREAM, lane_draws, map_blocks
+from hestonmm.sim_engine import ENSEMBLE_BLOCK, SimConfig, run_ensemble, run_path
 
 N_STEPS, N_UNIFORM = 7, 3
 
@@ -76,14 +82,50 @@ def sim(heston, arrival, risk):
 
 
 def test_ensemble_independent_of_blocks_and_threads(heston, arrival, risk, sim):
+    # 2,100 paths run as three blocks; the first 1,000 as one
     pol = InventorySV(heston, arrival, risk, sim.T)
-    a = run_ensemble(pol, sim, 300, seed=4, block=100)
-    for other in [run_ensemble(pol, sim, 300, seed=4, block=64),
-                  run_ensemble(pol, sim, 300, seed=4, block=100, threads=2)]:
-        for name in ("profits", "q_terminal", "z_terminal", "qv_terminal", "iv_terminal"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(other, name))
-        np.testing.assert_array_equal(a.curve_mean, other.curve_mean)
-        assert a.clipped == other.clipped
+    n = 2 * ENSEMBLE_BLOCK + 52
+    a = run_ensemble(pol, sim, n, seed=4)
+    b = run_ensemble(pol, sim, n, seed=4, threads=2)
+    for name in ("profits", "q_terminal", "z_terminal", "qv_terminal", "iv_terminal"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    np.testing.assert_array_equal(a.curve_mean, b.curve_mean)
+    np.testing.assert_array_equal(a.curve_std, b.curve_std)
+    assert a.clipped == b.clipped
+    small = run_ensemble(pol, sim, 1000, seed=4)
+    for name in ("profits", "q_terminal", "z_terminal", "qv_terminal", "iv_terminal"):
+        np.testing.assert_array_equal(getattr(a, name)[:1000], getattr(small, name))
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_map_blocks_returns_blocks_in_index_order(threads):
+    caller, ran_on = threading.get_ident(), set()
+
+    def block(lo, hi):
+        ran_on.add(threading.get_ident())
+        time.sleep(0.002 * max(10 - lo, 0))  # on a pool, later blocks finish first
+        return lo, hi
+
+    # the last block is short
+    assert map_blocks(10, block, block=4, threads=threads) == [(0, 4), (4, 8), (8, 10)]
+    assert map_blocks(3, block, block=4, threads=threads) == [(0, 3)]
+    assert map_blocks(DEFAULT_BLOCK + 1, block, threads=threads) == [
+        (0, DEFAULT_BLOCK), (DEFAULT_BLOCK, DEFAULT_BLOCK + 1)]
+    # one thread, or a single block, runs on the calling thread
+    assert (ran_on == {caller}) == (threads == 1)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_map_blocks_rejects_no_paths(n):
+    with pytest.raises(ValueError):
+        map_blocks(n, lambda lo, hi: None)
+
+
+def test_only_the_seeding_module_builds_a_thread_pool():
+    src = Path(seeding.__file__).parent
+    users = sorted(p.name for p in src.glob("*.py")
+                   if re.search(r"^\s*(import concurrent|from concurrent)", p.read_text(), re.M))
+    assert users == ["seeding.py"]
 
 
 def test_run_path_replays_ensemble_member(heston, arrival, risk, sim):
@@ -96,9 +138,9 @@ def test_run_path_replays_ensemble_member(heston, arrival, risk, sim):
 
 
 def test_mc_terminal_prefix_of_larger_run(heston):
+    # 5,000 paths cross a block boundary; 1,000 fit in one block
     cfg = PricingConfig(heston=heston, strike=100.0, T=1.0)
     small = mc_terminal(cfg, 100.0, 4.0, 0.5, n_paths=1000, seed=6, dt_target=0.05)
-    large = mc_terminal(cfg, 100.0, 4.0, 0.5, n_paths=1500, seed=6, dt_target=0.05)
+    large = mc_terminal(cfg, 100.0, 4.0, 0.5, n_paths=5000, seed=6, dt_target=0.05)
+    assert large.size > DEFAULT_BLOCK
     np.testing.assert_array_equal(large[:1000], small)
-    np.testing.assert_array_equal(
-        mc_terminal(cfg, 100.0, 4.0, 0.5, n_paths=1500, seed=6, dt_target=0.05, block=100), large)

@@ -68,13 +68,14 @@ def test_accounting_identity(heston, arrival, risk, sim):
 
 
 def test_determinism_across_threads_and_blocks(heston, arrival, risk, sim):
+    # 2,100 paths run as three blocks, 300 as one
     pol = InventorySV(heston, arrival, risk, 1.0)
-    a = run_ensemble(pol, sim, 300, seed=9, threads=1, block=64)
-    b = run_ensemble(pol, sim, 300, seed=9, threads=8, block=64)
-    c = run_ensemble(pol, sim, 300, seed=9, threads=1, block=128)
+    a = run_ensemble(pol, sim, 2100, seed=9, threads=1)
+    b = run_ensemble(pol, sim, 2100, seed=9, threads=8)
+    c = run_ensemble(pol, sim, 300, seed=9, threads=1)
     np.testing.assert_array_equal(a.profits, b.profits)
-    np.testing.assert_array_equal(a.profits, c.profits)
-    assert a.curve_mean.tolist() == b.curve_mean.tolist() == c.curve_mean.tolist()
+    np.testing.assert_array_equal(a.profits[:300], c.profits)
+    assert a.curve_mean.tolist() == b.curve_mean.tolist()
 
 
 def test_risk_neutral_revenue(heston, arrival, risk, sim):
@@ -92,16 +93,15 @@ def test_martingale_inventory_value(heston, arrival, risk):
 
 
 def test_impact_bookkeeping(heston, arrival, risk):
+    # with eta = 0 both impact terms, the mid's jump and the QV term, vanish:
+    # the impact run books exactly what the plain run books.  The QV term
+    # itself is pinned by test_binomial_ensemble_equals_inline_reference.
     pol = MarketImpact(heston, arrival, risk, 1.0)
-    base = SimConfig(heston=heston, arrival=arrival, risk=risk, impact=True)
-    off = replace(base, qv_impact_term=False)
-    a = run_ensemble(pol, base, 100, seed=51)
-    b = run_ensemble(pol, off, 100, seed=51)
-    np.testing.assert_array_equal(a.profits, b.profits)
-    np.testing.assert_array_equal(a.q_terminal, b.q_terminal)
-    np.testing.assert_array_equal(a.z_terminal, b.z_terminal)
-    assert np.any(a.qv_terminal != b.qv_terminal)
-    assert np.all(a.qv_terminal >= b.qv_terminal)
+    plain = SimConfig(heston=heston, arrival=arrival, risk=replace(risk, eta=0.0))
+    a = run_ensemble(pol, plain, 100, seed=51)
+    b = run_ensemble(pol, replace(plain, impact=True), 100, seed=51)
+    for name in ("profits", "q_terminal", "z_terminal", "qv_terminal", "iv_terminal"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
 
 
 def test_impact_moves_price(heston, arrival):
@@ -193,7 +193,7 @@ def _ensemble_reference(policy, config, n, seed):
         qf = q.astype(np.float64)
         iv += qf * ds
         qv += qf**2 * nu_pos * dt
-        if config.impact and config.qv_impact_term:
+        if config.impact:
             qv += qf**2 * risk.eta**2 * (fa.astype(np.float64) + fb.astype(np.float64))
         z_nu = h.rho * shocks[:, step, 0] + rho_c * shocks[:, step, 1]
         nu = np.maximum(nu + h.theta * (h.alpha - nu) * dt
@@ -208,7 +208,7 @@ def test_binomial_ensemble_equals_inline_reference(heston, arrival, risk, impact
     # q0 = 6 crosses the ask early on, so the clip count is exercised too
     cfg = SimConfig(heston=heston, arrival=arrival, risk=risk, q0=6, impact=impact)
     policy = (MarketImpact if impact else InventorySV)(heston, arrival, risk, 1.0)
-    stats = run_ensemble(policy, cfg, 150, seed=19, block=64)
+    stats = run_ensemble(policy, cfg, 150, seed=19)
     ref = _ensemble_reference(policy, cfg, 150, seed=19)
     assert ref["clipped"] > 0
     for name, want in ref.items():
