@@ -19,7 +19,7 @@ a coarse lattice for use inside simulations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,7 +103,9 @@ def _integrals(
         node_of_row = np.arange(lo, hi) // n_paths
         s = s_start[node_of_row]
         nu = nu_start[node_of_row]
-        a1, a2, a3 = np.zeros((3, n))
+        a1 = np.zeros(n)
+        a2 = np.zeros(n)
+        a3 = np.zeros(n)
         out = np.zeros(n, dtype=bool)
         for step in range(n_steps):
             out |= _off_grid(grid, s, nu)
@@ -329,8 +331,8 @@ class JointStats:
     qv_mean: float
     clipped: int
     grid_exits: int  # paths clamped to the pricing grid at some step
-    z_terminal: np.ndarray = field(repr=False, default=None)  # per path
-    qv_terminal: np.ndarray = field(repr=False, default=None)
+    z_terminal: np.ndarray  # per path
+    qv_terminal: np.ndarray  # per path
 
 
 def run_hedged_paths(
@@ -366,7 +368,11 @@ def run_hedged_paths(
         nu = np.full(n, heston.nu0)
         off = _off_grid(grid, s, nu)
         q_o = np.full(n, q_o0, dtype=np.int64)
-        z, acc_h, acc_u, acc_pred, acc_disc = np.zeros((5, n))
+        z = np.zeros(n)
+        acc_h = np.zeros(n)
+        acc_u = np.zeros(n)
+        acc_pred = np.zeros(n)
+        acc_disc = np.zeros(n)
         clipped = 0
 
         for step in range(n_steps):
@@ -442,7 +448,6 @@ def run_joint_paths(
     s_lo, s_hi = grid.s_grid[0], grid.s_grid[-1]
     v_lo, v_hi = grid.nu_grid[0], grid.nu_grid[-1]
 
-
     def paths(lo: int, hi: int):
         n = hi - lo
         shocks = np.empty((n, n_steps, 2))
@@ -454,7 +459,8 @@ def run_joint_paths(
         off = _off_grid(grid, s, nu)
         q_s = np.full(n, q_s0, dtype=np.int64)
         q_o = np.full(n, q_o0, dtype=np.int64)
-        z, qv = np.zeros((2, n))
+        z = np.zeros(n)
+        qv = np.zeros(n)
         clipped = 0
 
         for step in range(n_steps):

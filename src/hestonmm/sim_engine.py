@@ -172,7 +172,10 @@ def _run_block(policy, config: SimConfig, master_seed: int, lo: int, hi: int,
     nu = np.full(n, heston.nu0)
     q = np.full(n, config.q0, dtype=np.int64)
     x = np.full(n, config.x0)
-    z, qv, iv, spread_sum = np.zeros((4, n))
+    z = np.zeros(n)
+    qv = np.zeros(n)
+    iv = np.zeros(n)
+    spread_sum = np.zeros(n)
     clipped = 0
 
     snap_steps = config.snapshot_steps
@@ -295,9 +298,13 @@ def run_ensemble(policy, config: SimConfig, n: int, seed: int,
     clipped = sum(r["clipped"] for r in results)
     quoting = results[0]["quoting"]
 
-    # the snapshot sums are whole numbers, exact in any order
-    curve_mean = sum(r["q_snap_sum"] for r in results) / n
-    curve_var = np.maximum(sum(r["q_snap_sumsq"] for r in results) / n - curve_mean**2, 0.0)
+    q_snap_sum = np.zeros_like(results[0]["q_snap_sum"])
+    q_snap_sumsq = np.zeros_like(q_snap_sum)
+    for r in results:
+        q_snap_sum += r["q_snap_sum"]
+        q_snap_sumsq += r["q_snap_sumsq"]
+    curve_mean = q_snap_sum / n
+    curve_var = np.maximum(q_snap_sumsq / n - curve_mean**2, 0.0)
     curve_std = np.sqrt(curve_var * n / max(n - 1, 1))
 
     objective = z_term - config.risk.beta * q_term.astype(np.float64)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hestonmm.heston import HestonParams, conditional_moments, euler_step, sample_terminal
+from hestonmm.seeding import DEFAULT_BLOCK, HESTON_STREAM, lane_draws
 
 
 def test_params_validation():
@@ -143,6 +144,16 @@ def test_sample_terminal_binomial_and_block_independence(heston):
     b = sample_terminal(heston, 1.0, 20, 4200, seed=9, scheme="binomial")
     np.testing.assert_array_equal(a[0], b[0][:500])
     np.testing.assert_array_equal(a[1], b[1][:500])
+    # the second block's paths are those drawn for their own indices
+    lo, hi, n_steps = DEFAULT_BLOCK, 4200, 20
+    shocks = np.empty((hi - lo, n_steps, 2))
+    lane_draws(9, (HESTON_STREAM,), lo, hi, shocks, scheme="binomial")
+    s, nu = np.full(hi - lo, heston.s0), np.full(hi - lo, heston.nu0)
+    for step in range(n_steps):
+        ds, nu = euler_step(s, nu, shocks[:, step, 0], shocks[:, step, 1], heston, 1.0 / n_steps)
+        s += ds
+    np.testing.assert_array_equal(b[0][lo:], s)
+    np.testing.assert_array_equal(b[1][lo:], nu)
     # a path's draws do not depend on the ensemble size
     c = sample_terminal(heston, 1.0, 20, 200, seed=9, scheme="binomial")
     np.testing.assert_array_equal(a[0][:200], c[0])

@@ -26,6 +26,7 @@ from hestonmm.option_mm import (
 )
 from hestonmm.option_pricing import C, PRICE, PricingConfig, cell, mc_terminal, solve_call_grid
 from hestonmm.seeding import (
+    DEFAULT_BLOCK,
     FUNCTIONAL_STREAM,
     LANE,
     OPTION_MM_STREAM,
@@ -156,7 +157,8 @@ def test_mm_draws_fill_equals_stacked_draws():
 def test_mc_terminal_equals_stacked_reference(pricing_grid):
     cfg = pricing_grid.config
     h = cfg.heston
-    n_paths, n_steps = 150, 40
+    # the paths past DEFAULT_BLOCK run as a second block
+    n_paths, n_steps = DEFAULT_BLOCK + 150, 40
     dt = 1.0 / n_steps
     rho_c = math.sqrt(1.0 - h.rho**2)
     risk_adj = h.xi * rho_c * cfg.eta_nu

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hestonmm import option_mm
 from hestonmm.heston import HestonParams
 from hestonmm.option_mm import (
     Functionals,
@@ -17,7 +18,7 @@ from hestonmm.option_mm import (
     hedged_book_quotes,
 )
 from hestonmm.quotes import RiskParams, inventory_coefficient, inventory_premiums
-from hestonmm.seeding import DEFAULT_BLOCK
+from hestonmm.seeding import DEFAULT_BLOCK, map_blocks
 from hestonmm.intensity import ArrivalParams
 
 
@@ -198,6 +199,25 @@ def test_books_past_one_block_extend_a_smaller_run(heston, arrival, risk_nofee,
     for name in ("z_terminal", "qv_terminal"):
         np.testing.assert_array_equal(getattr(big, name)[:1000], getattr(small, name), err_msg=name)
     assert big.z_mean == float(big.z_terminal.mean())
+
+
+def test_books_do_not_depend_on_the_block_layout(heston, arrival, risk_nofee, pricing_grid,
+                                                 functional_lattice, monkeypatch):
+    # the same 300 paths in one block and in 64-path blocks, which start past
+    # path 0 and end with a short one: every per-path array and every mean
+    # and count must be the same
+    args = (heston, arrival, risk_nofee, pricing_grid, functional_lattice)
+    kw = dict(T=0.05, dt=0.01, n_paths=300, seed=13, q_o0=1)
+    one = run_hedged_paths(*args, **kw), run_joint_paths(*args, **kw)
+    monkeypatch.setattr(option_mm, "map_blocks", lambda n, fn: map_blocks(n, fn, block=64))
+    many = run_hedged_paths(*args, **kw), run_joint_paths(*args, **kw)
+    for a, b in zip(one, many):
+        for name, want in vars(a).items():
+            if name == "trace":
+                for key in want:
+                    np.testing.assert_array_equal(b.trace[key], want[key], err_msg=key)
+            else:
+                np.testing.assert_array_equal(getattr(b, name), want, err_msg=name)
 
 
 def test_lattice_matches_direct_estimate(heston, risk_nofee, pricing_grid, functional_lattice):

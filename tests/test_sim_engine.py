@@ -7,7 +7,7 @@ import pytest
 from hestonmm.intensity import ArrivalParams
 from hestonmm.quotes import Frozen, InventorySV, MarketImpact, RiskNeutral, RiskParams, Symmetric, risk_neutral_rate
 from hestonmm.seeding import SIM_STREAM, lane_draws
-from hestonmm.sim_engine import SimConfig, efficient_frontier, run_ensemble, run_path, trading_curve
+from hestonmm.sim_engine import ENSEMBLE_BLOCK, SimConfig, efficient_frontier, run_ensemble, run_path, trading_curve
 
 
 @pytest.fixture()
@@ -160,8 +160,9 @@ def test_clip_counter_increments(heston, arrival):
 
 
 def _ensemble_reference(policy, config, n, seed):
-    """Per-path terminals of paths ``0..n-1`` by the event loop written out
-    inline: the draws from ``lane_draws``, the fill rule and the
+    """Per-path terminals of paths ``0..n-1``, the clip count and the
+    inventory curve, by the event loop written out inline over all ``n``
+    paths at once: the draws from ``lane_draws``, the fill rule and the
     full-truncation Euler step spelled out term by term."""
     n_steps, dt = config.n_steps, config.dt
     sqrt_dt = math.sqrt(dt)
@@ -173,7 +174,9 @@ def _ensemble_reference(policy, config, n, seed):
     q = np.full(n, config.q0, dtype=np.int64)
     x, z, qv, iv, spread = np.full(n, config.x0), np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
     clipped = 0
+    q_steps = []  # q at the start of each step, then at T
     for step in range(n_steps):
+        q_steps.append(q.copy())
         da, db = (np.broadcast_to(np.asarray(p, dtype=np.float64), (n,))
                   for p in policy.premiums(q, nu, step * dt))
         raw_a = arrival.A * np.exp(-arrival.k * da) * dt
@@ -198,18 +201,24 @@ def _ensemble_reference(policy, config, n, seed):
         z_nu = h.rho * shocks[:, step, 0] + rho_c * shocks[:, step, 1]
         nu = np.maximum(nu + h.theta * (h.alpha - nu) * dt
                         + h.xi * np.sqrt(nu_pos) * z_nu * sqrt_dt, 0.0)
+    q_steps = np.array(q_steps + [q], dtype=np.float64)
+    curve_mean = q_steps.sum(axis=1) / n
+    curve_var = np.maximum((q_steps**2).sum(axis=1) / n - curve_mean**2, 0.0)
     return {"profits": x + q.astype(np.float64) * (s - risk.beta), "q_terminal": q,
             "z_terminal": z, "qv_terminal": qv, "iv_terminal": iv,
-            "spread_terminal": spread / n_steps, "clipped": clipped}
+            "spread_terminal": spread / n_steps, "clipped": clipped,
+            "curve_mean": curve_mean, "curve_std": np.sqrt(curve_var * n / (n - 1))}
 
 
 @pytest.mark.parametrize("impact", [False, True])
 def test_binomial_ensemble_equals_inline_reference(heston, arrival, risk, impact):
-    # q0 = 6 crosses the ask early on, so the clip count is exercised too
+    # q0 = 6 crosses the ask early on, so the clip count is exercised too;
+    # the paths past ENSEMBLE_BLOCK run as a second block
     cfg = SimConfig(heston=heston, arrival=arrival, risk=risk, q0=6, impact=impact)
     policy = (MarketImpact if impact else InventorySV)(heston, arrival, risk, 1.0)
-    stats = run_ensemble(policy, cfg, 150, seed=19)
-    ref = _ensemble_reference(policy, cfg, 150, seed=19)
+    n = ENSEMBLE_BLOCK + 150
+    stats = run_ensemble(policy, cfg, n, seed=19)
+    ref = _ensemble_reference(policy, cfg, n, seed=19)
     assert ref["clipped"] > 0
     for name, want in ref.items():
         np.testing.assert_array_equal(getattr(stats, name), want, err_msg=name)
