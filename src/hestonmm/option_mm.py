@@ -25,7 +25,7 @@ import numpy as np
 
 from .heston import HestonParams, euler_step
 from .intensity import ArrivalParams, fills
-from .option_pricing import C, C_NU, DELTA, GAMMA, PRICE, PricingGrid, cell
+from .option_pricing import C, C_NU, DELTA, GAMMA, PRICE, PricingGrid, bilinear, cell
 from .quotes import RiskParams, inventory_coefficient
 from .seeding import FUNCTIONAL_STREAM, OPTION_MM_STREAM, lane_draws, map_blocks
 from .table import write_table
@@ -72,6 +72,15 @@ def _off_grid(grid: PricingGrid, s: np.ndarray, nu: np.ndarray) -> np.ndarray:
             | (nu < grid.nu_grid[0]) | (nu > grid.nu_grid[-1]))
 
 
+def _clamp(grid: PricingGrid, s: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The state clamped to the pricing grid, where it is read."""
+    return (np.clip(s, grid.s_grid[0], grid.s_grid[-1]),
+            np.clip(nu, grid.nu_grid[0], grid.nu_grid[-1]))
+
+
+_DELTA_C_NU = slice(DELTA, C_NU + 1, C_NU - DELTA)  # the two greek columns the integrands read
+
+
 def _integrals(
     starts: list[tuple[float, float, int]], t: float, T: float,
     heston: HestonParams, grid: PricingGrid, n_paths: int, seed: int, dt_target: float,
@@ -87,8 +96,6 @@ def _integrals(
     n_steps = max(1, round(tau / dt_target))
     dt = tau / n_steps
     rho, xi = heston.rho, heston.xi
-    s_lo, s_hi = grid.s_grid[0], grid.s_grid[-1]
-    v_lo, v_hi = grid.nu_grid[0], grid.nu_grid[-1]
     s_start = np.array([st[0] for st in starts], dtype=np.float64)
     nu_start = np.array([st[1] for st in starts], dtype=np.float64)
 
@@ -109,9 +116,8 @@ def _integrals(
         out = np.zeros(n, dtype=bool)
         for step in range(n_steps):
             out |= _off_grid(grid, s, nu)
-            g = grid._bilinear(grid._time_slice(t + step * dt),
-                               np.clip(s, s_lo, s_hi), np.clip(nu, v_lo, v_hi))
-            delta, c_nu = g[:, DELTA], g[:, C_NU]
+            delta, c_nu = grid._bilinear(grid._time_slice(t + step * dt, _DELTA_C_NU),
+                                         *_clamp(grid, s, nu)).T
             a1 += nu * (delta + rho * xi * c_nu) * dt
             a2 += nu * (delta**2 + 2.0 * rho * xi * delta * c_nu + xi**2 * c_nu**2) * dt
             a3 += nu * c_nu**2 * dt
@@ -179,7 +185,8 @@ def estimate_functionals(
 
 class FunctionalLattice:
     """(H1, H2, M) precomputed on a coarse (s, nu, t) lattice and
-    interpolated trilinearly during simulations."""
+    interpolated linearly in t, then bilinearly in (s, nu), during
+    simulations."""
 
     def __init__(self, s_nodes, nu_nodes, t_nodes, h1, h2, m):
         self.s_nodes = np.asarray(s_nodes, dtype=np.float64)
@@ -234,24 +241,18 @@ class FunctionalLattice:
                     table[i, j, k] = f.h1, f.h2, f.m
         return cls(s_nodes, nu_nodes, t_nodes, table[..., 0], table[..., 1], table[..., 2])
 
-    def functionals(self, s, nu, t):
-        """(H1, H2, M) at (s, nu, t), clipped to the node box, by trilinear
-        interpolation: the weighted sum over the eight corners of the cell."""
-        axes = ((self.s_nodes, s), (self.nu_nodes, nu), (self.t_nodes, t))
-        points = [np.clip(np.asarray(x, dtype=np.float64), nodes[0], nodes[-1]) for nodes, x in axes]
+    def functionals(self, s, nu, t: float):
+        """(H1, H2, M) at (s, nu) and the one time ``t``, clipped to the node
+        box: the table is blended linearly at ``t``, then read bilinearly
+        through the pricer's kernel ``option_pricing.bilinear``."""
+        t = float(t)
+        points = [np.clip(np.asarray(x, dtype=np.float64), nodes[0], nodes[-1])
+                  for nodes, x in ((self.s_nodes, s), (self.nu_nodes, nu), (self.t_nodes, t))]
         if any(np.isnan(x).any() for x in points):
             raise ValueError("lattice points must not be nan")
-        (i, wi), (j, wj), (k, wk) = (cell(nodes, x) for (nodes, _), x in zip(axes, points))
-        n_nu, n_t = self.nu_nodes.size, self.t_nodes.size
-        flat = self._table.reshape(-1, 3)
-        base = (i * n_nu + j) * n_t + k  # flat index of the lower corner
-        out = 0.0
-        for off_s, w_s in ((0, 1.0 - wi), (n_nu * n_t, wi)):
-            for off_nu, w_nu in ((0, 1.0 - wj), (n_t, wj)):
-                w_sn = w_s * w_nu
-                corner = base + (off_s + off_nu)
-                for off_t, w_t in ((0, 1.0 - wk), (1, wk)):
-                    out = out + flat.take(corner + off_t, axis=0) * (w_sn * w_t)[..., None]
+        k, wk = cell(self.t_nodes, points[2])
+        plane = (1.0 - wk) * self._table[:, :, k] + wk * self._table[:, :, k + 1]
+        out = bilinear(plane, *cell(self.s_nodes, points[0]), *cell(self.nu_nodes, points[1]))
         if out.ndim == 1:
             return tuple(float(v) for v in out)
         return out[..., 0], out[..., 1], out[..., 2]
@@ -317,8 +318,7 @@ class HedgedStats:
     qv_rate_disc: np.ndarray
     clipped: int
     grid_exits: int  # paths clamped to the pricing grid at some step
-    # quote trace of path 0: (t, s, nu, q_o, a_o, b_o) columns
-    trace: dict | None = None
+    trace: dict  # quote trace of path 0: (t, s, nu, q_o, a_o, b_o) columns
 
 
 @dataclass
@@ -353,9 +353,6 @@ def run_hedged_paths(
     if abs(n_steps * dt - T) > 1e-9:
         raise ValueError("dt must divide T")
     xi = heston.xi
-    s_lo, s_hi = grid.s_grid[0], grid.s_grid[-1]
-    v_lo, v_hi = grid.nu_grid[0], grid.nu_grid[-1]
-
     trace = {k: np.empty(n_steps) for k in ("t", "s", "nu", "q_o", "a_o", "b_o")}
 
     def paths(lo: int, hi: int):
@@ -367,6 +364,8 @@ def run_hedged_paths(
         s = np.full(n, heston.s0)
         nu = np.full(n, heston.nu0)
         off = _off_grid(grid, s, nu)
+        sc, vc = _clamp(grid, s, nu)
+        g = grid._bilinear(grid._time_slice(0.0), sc, vc)
         q_o = np.full(n, q_o0, dtype=np.int64)
         z = np.zeros(n)
         acc_h = np.zeros(n)
@@ -377,11 +376,7 @@ def run_hedged_paths(
 
         for step in range(n_steps):
             t = step * dt
-            sc = np.clip(s, s_lo, s_hi)
-            vc = np.clip(nu, v_lo, v_hi)
-            g = grid._bilinear(grid._time_slice(t), sc, vc)
             c_now, delta, gamma, c_nu = g[:, C], g[:, DELTA], g[:, GAMMA], g[:, C_NU]
-
             _, _, m = lattice.functionals(sc, vc, t)
             quotes = hedged_book_quotes(q_o, m, arrival)
             if lo == 0:
@@ -404,10 +399,10 @@ def run_hedged_paths(
             ds, nu = euler_step(s, nu, shocks[:, step, 0], shocks[:, step, 1], heston, dt)
             s = s + ds
             off |= _off_grid(grid, s, nu)
-
-            c_next = grid._bilinear(grid._time_slice(t + dt, PRICE),
-                                    np.clip(s, s_lo, s_hi), np.clip(nu, v_lo, v_hi))[:, 0]
-            dc = c_next - c_now
+            # one lookup at the new state: this step's C and the next step's greeks
+            sc, vc = _clamp(grid, s, nu)
+            g = grid._bilinear(grid._time_slice((step + 1) * dt), sc, vc)
+            dc = g[:, C] - c_now
             di_h = q_s * ds + qf * dc
             di_u = qf * dc
             acc_h += di_h**2
@@ -445,8 +440,6 @@ def run_joint_paths(
     n_steps = round(T / dt)
     if abs(n_steps * dt - T) > 1e-9:
         raise ValueError("dt must divide T")
-    s_lo, s_hi = grid.s_grid[0], grid.s_grid[-1]
-    v_lo, v_hi = grid.nu_grid[0], grid.nu_grid[-1]
 
     def paths(lo: int, hi: int):
         n = hi - lo
@@ -457,6 +450,8 @@ def run_joint_paths(
         s = np.full(n, heston.s0)
         nu = np.full(n, heston.nu0)
         off = _off_grid(grid, s, nu)
+        sc, vc = _clamp(grid, s, nu)
+        c_now = grid._bilinear(grid._time_slice(0.0, PRICE), sc, vc)[:, 0]
         q_s = np.full(n, q_s0, dtype=np.int64)
         q_o = np.full(n, q_o0, dtype=np.int64)
         z = np.zeros(n)
@@ -465,9 +460,6 @@ def run_joint_paths(
 
         for step in range(n_steps):
             t = step * dt
-            sc = np.clip(s, s_lo, s_hi)
-            vc = np.clip(nu, v_lo, v_hi)
-            c_now = grid._bilinear(grid._time_slice(t), sc, vc)[:, C]
             h1, h2, _ = lattice.functionals(sc, vc, t)
             quotes = joint_book_quotes(q_s, q_o, nu, t, T, h1, h2, arrival, heston, risk)
             hit, n_clipped = fills(quotes, uniforms[:, step], arrival, dt)
@@ -480,10 +472,11 @@ def run_joint_paths(
             ds, nu = euler_step(s, nu, shocks[:, step, 0], shocks[:, step, 1], heston, dt)
             s = s + ds
             off |= _off_grid(grid, s, nu)
-            c_next = grid._bilinear(grid._time_slice(t + dt, PRICE),
-                                    np.clip(s, s_lo, s_hi), np.clip(nu, v_lo, v_hi))[:, 0]
+            sc, vc = _clamp(grid, s, nu)  # one lookup: this step's C and the next step's
+            c_next = grid._bilinear(grid._time_slice((step + 1) * dt, PRICE), sc, vc)[:, 0]
             di = q_s.astype(np.float64) * ds + q_o.astype(np.float64) * (c_next - c_now)
             qv += di**2
+            c_now = c_next
         return z, q_s, q_o, qv, off, clipped
 
     *cols, clipped = zip(*map_blocks(n_paths, paths))

@@ -28,6 +28,7 @@ __all__ = [
     "PricingConfig",
     "PricingGrid",
     "StabilityError",
+    "bilinear",
     "cell",
     "default_s_grid",
     "default_nu_grid",
@@ -128,6 +129,19 @@ def cell(grid: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         i = i - down + up
 
 
+def bilinear(plane: np.ndarray, i, wi, j, wj) -> np.ndarray:
+    """Every column of a stacked ``(n_x, n_y, m)`` plane blended bilinearly
+    in the cells ``(i, j)`` with weights ``(wi, wj)``, as ``cell`` gives them."""
+    n_y = plane.shape[1]
+    k = i * n_y + j  # flat index of the lower corner
+    flat = plane.reshape(-1, plane.shape[-1])
+    wi, wj = wi[..., None], wj[..., None]
+    return ((1 - wi) * (1 - wj) * flat.take(k, axis=0)
+            + wi * (1 - wj) * flat.take(k + n_y, axis=0)
+            + (1 - wi) * wj * flat.take(k + 1, axis=0)
+            + wi * wj * flat.take(k + n_y + 1, axis=0))
+
+
 @dataclass
 class PricingGrid:
     """Solved call surface over (s, nu, t) with interpolation and greeks.
@@ -182,16 +196,8 @@ class PricingGrid:
     def _bilinear(self, plane: np.ndarray, s, nu):
         """Bilinear interpolation at (s, nu) of every column of a stacked
         slice, with one s- and one nu-lookup."""
-        i, wi = self._locate(self.s_grid, s, "s")
-        j, wj = self._locate(self.nu_grid, nu, "nu")
-        n_nu = self.nu_grid.size
-        k = i * n_nu + j  # flat index of the lower corner
-        flat = plane.reshape(-1, plane.shape[-1])
-        wi, wj = wi[..., None], wj[..., None]
-        return ((1 - wi) * (1 - wj) * flat.take(k, axis=0)
-                + wi * (1 - wj) * flat.take(k + n_nu, axis=0)
-                + (1 - wi) * wj * flat.take(k + 1, axis=0)
-                + wi * wj * flat.take(k + n_nu + 1, axis=0))
+        return bilinear(plane, *self._locate(self.s_grid, s, "s"),
+                        *self._locate(self.nu_grid, nu, "nu"))
 
     def price(self, s, nu, t: float):
         """Call price by bilinear interpolation on the time-interpolated slice."""
@@ -252,26 +258,19 @@ def solve_call_grid(config: PricingConfig) -> PricingGrid:
             f"increase n_time to at least {math.ceil(config.T * mixed_rate)}"
         )
 
-    # s-operator: 0.5 * nu * C_ss, one tridiagonal per variance level
-    d2 = fd.operator_diagonals(s, 0.0, 1.0)  # unit-diffusion second derivative
-    s_lower = np.zeros((nv, ns))
-    s_diag = np.zeros((nv, ns))
-    s_upper = np.zeros((nv, ns))
-    for j in range(nv):
-        coef = 0.5 * v[j]
-        s_lower[j], s_diag[j], s_upper[j] = coef * d2[0], coef * d2[1], coef * d2[2]
-        s_lower[j][[0, -1]] = s_diag[j][[0, -1]] = s_upper[j][[0, -1]] = 0.0  # Dirichlet rows
+    # s-operator: 0.5 * nu * C_ss at each variance level, (nv, ns) diagonals
+    d2 = np.stack(fd.operator_diagonals(s, 0.0, 1.0))  # unit-diffusion second derivative
+    d2[:, [0, -1]] = 0.0  # Dirichlet rows
+    s_lower, s_diag, s_upper = (0.5 * v)[None, :, None] * d2[:, None, :]
 
     nu_l, nu_d, nu_u = _nu_operator(config)
 
-    # implicit factors (banded form), one per direction
+    # implicit factors (banded form), one per direction; the nv s-systems are
+    # one block-diagonal system, uncoupled by their identity Dirichlet rows
     half = 0.5 * dt
-    ab_s = []
-    for j in range(nv):
-        ab = fd.to_banded(-half * s_lower[j], 1.0 - half * s_diag[j], -half * s_upper[j])
-        ab[1, 0] = ab[1, -1] = 1.0
-        ab[0, 1] = ab[2, -2] = 0.0
-        ab_s.append(ab)
+    ab_s = fd.to_banded(-half * s_lower.ravel(), 1.0 - half * s_diag.ravel(),
+                        -half * s_upper.ravel())
+    ab_s[1, ::ns] = ab_s[1, ns - 1::ns] = 1.0
     ab_v = fd.to_banded(-half * nu_l, 1.0 - half * nu_d, -half * nu_u)
 
     bc_lo = 0.0
@@ -300,13 +299,11 @@ def solve_call_grid(config: PricingConfig) -> PricingGrid:
 
     for step in range(config.n_time):
         rhs_full = c + dt * (apply_s(c) + apply_v(c) + apply_mixed(c))
-        # s-direction correction and solve (per variance level)
+        # s-direction correction and solve (every variance level at once)
         y = rhs_full - half * apply_s(c)
         y[0, :] = bc_lo
         y[-1, :] = bc_hi
-        y1 = np.empty_like(y)
-        for j in range(nv):
-            y1[:, j] = solve_banded((1, 1), ab_s[j], y[:, j])
+        y1 = solve_banded((1, 1), ab_s, y.T.ravel()).reshape(nv, ns).T
         # nu-direction correction and solve (all s rows at once)
         y2 = y1 - half * apply_v(c)
         y2 = solve_banded((1, 1), ab_v, y2.T).T

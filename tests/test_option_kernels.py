@@ -3,24 +3,32 @@
 Each reference is the straightforward form kept here: draws taken straight
 from the lane generators (``path_generator(seed, *key, lane)``, 64 paths per
 lane) and sliced per path, greek planes taken with ``np.gradient`` of a value slice,
-``searchsorted`` cell lookups and scipy's ``RegularGridInterpolator``.  Where
-the arithmetic is unchanged the results must be equal; where only its order
-changed, the tolerance is fixed from float64 rounding, not from a run.
+``searchsorted`` cell lookups, scipy's ``RegularGridInterpolator``, one
+``solve_banded`` call per variance level, and the books' step loops written
+out from the market kernels.  Where the arithmetic is unchanged the results
+must be equal; where only its order changed, the tolerance is fixed from
+float64 rounding, not from a run.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
+from scipy.linalg import solve_banded
 
-from hestonmm import option_mm
+from hestonmm import fd, option_mm, option_pricing
+from hestonmm.heston import euler_step
+from hestonmm.intensity import fills
 from hestonmm.option_mm import (
     FunctionalLattice,
     GridExitError,
     _functionals,
     _integrals,
     _simulate_integrals,
+    hedged_book_quotes,
+    joint_book_quotes,
     run_hedged_paths,
     run_joint_paths,
 )
@@ -108,7 +116,7 @@ def test_greek_planes_between_slices_match_gradient_of_blend(pricing_grid):
 
 
 def test_price_column_blend_equals_full_blend(pricing_grid):
-    # the books read C at t + dt from a one-column blend of the stacked slices
+    # the joint book reads C from a one-column blend of the stacked slices
     s = np.array([90.0, 99.9, 100.0, 107.3])
     nu = np.array([0.0, 1.7, 4.0, 9.2])
     times = pricing_grid.times
@@ -225,7 +233,8 @@ def test_lattice_kernel_matches_regular_grid_interpolator(functional_lattice):
     s = rng.uniform(80.0, 120.0, n)  # nodes span 88..112: part of each draw is outside
     nu = rng.uniform(-1.0, 10.0, n)  # nodes span 0.5..9
     t = rng.uniform(-0.1, 1.1, n)
-    probes = [(s, nu, t), (s, nu, 0.37), (s[:, None], nu[None, :20], 0.6),
+    # functionals reads one t per call: the points drawn at n times are read one by one
+    probes = [*zip(s, nu, t), (s, nu, 0.37), (s[:, None], nu[None, :20], 0.6),
               (lat.s_nodes[2], lat.nu_nodes[1], lat.t_nodes[2]), (100.3, 4.1, 0.41),
               (130.0, -2.0, 2.0), (70.0, 20.0, -1.0)]
     for probe in probes:
@@ -238,11 +247,42 @@ def test_lattice_kernel_matches_regular_grid_interpolator(functional_lattice):
             np.testing.assert_allclose(g, r, rtol=REL, atol=REL * np.abs(table).max())
 
 
+def test_lattice_blends_in_t_then_reads_bilinearly(functional_lattice):
+    lat = functional_lattice
+    table = np.stack([lat.h1, lat.h2, lat.m], axis=-1)
+    rng = np.random.default_rng(5)
+    s, nu = rng.uniform(80.0, 120.0, 300), rng.uniform(-1.0, 10.0, 300)
+    for t in [0.0, 0.13, 0.25, 0.5 + 1e-9, 0.999, 1.0, -0.3, 1.7]:
+        k, wk = _searchsorted_cell(lat.t_nodes, np.clip(t, lat.t_nodes[0], lat.t_nodes[-1]))
+        plane = (1.0 - wk) * table[:, :, k] + wk * table[:, :, k + 1]
+        i, wi = _searchsorted_cell(lat.s_nodes, np.clip(s, lat.s_nodes[0], lat.s_nodes[-1]))
+        j, wj = _searchsorted_cell(lat.nu_nodes, np.clip(nu, lat.nu_nodes[0], lat.nu_nodes[-1]))
+        wi, wj = wi[:, None], wj[:, None]
+        ref = ((1 - wi) * (1 - wj) * plane[i, j] + wi * (1 - wj) * plane[i + 1, j]
+               + (1 - wi) * wj * plane[i, j + 1] + wi * wj * plane[i + 1, j + 1])
+        for got, col in zip(lat.functionals(s, nu, t), ref.T):
+            np.testing.assert_array_equal(got, col)
+
+
+def test_lattice_returns_the_stored_values_at_the_nodes(functional_lattice):
+    lat = functional_lattice
+    s, nu = np.meshgrid(lat.s_nodes, lat.nu_nodes, indexing="ij")
+    for k, t in enumerate(lat.t_nodes):
+        for got, table in zip(lat.functionals(s, nu, t), (lat.h1, lat.h2, lat.m)):
+            np.testing.assert_array_equal(got, table[:, :, k])
+        assert lat.functionals(s[4, 3], nu[4, 3], t) == (lat.h1[4, 3, k], lat.h2[4, 3, k],
+                                                          lat.m[4, 3, k])
+
+
 def test_lattice_rejects_nan_points(functional_lattice):
     with pytest.raises(ValueError):
         functional_lattice.functionals(np.array([100.0, math.nan]), 4.0, 0.5)
     with pytest.raises(ValueError):
+        functional_lattice.functionals(100.0, np.array([4.0, math.nan]), 0.5)
+    with pytest.raises(ValueError):
         functional_lattice.functionals(100.0, 4.0, math.nan)
+    with pytest.raises(TypeError):  # one t per call
+        functional_lattice.functionals(100.0, 4.0, np.array([0.1, 0.2]))
 
 
 def test_lattice_rejects_degenerate_axes():
@@ -347,3 +387,126 @@ def test_books_count_grid_exits(heston, arrival, risk_nofee):
     assert expected > 0
     assert run_hedged_paths(**args).grid_exits == expected
     assert run_joint_paths(**args).grid_exits == expected
+
+
+def _per_level_solves(cfg, calls):
+    """``solve_banded`` as the pricer calls it, except that the s-direction
+    system (the one with a flat right-hand side) is solved one variance level
+    at a time, against that level's implicit factor built on its own."""
+    half = 0.5 * cfg.T / cfg.n_time
+    ns = cfg.s.size
+    d2 = fd.operator_diagonals(cfg.s, 0.0, 1.0)
+    factors = []
+    for v in cfg.nu:
+        lower, diag, upper = (0.5 * v * d for d in d2)
+        lower[[0, -1]] = diag[[0, -1]] = upper[[0, -1]] = 0.0  # Dirichlet rows
+        ab = fd.to_banded(-half * lower, 1.0 - half * diag, -half * upper)
+        ab[1, 0] = ab[1, -1] = 1.0
+        ab[0, 1] = ab[2, -2] = 0.0
+        factors.append(ab)
+
+    def solve(l_and_u, ab, b):
+        if b.ndim == 2:  # the nu-direction: every s row at once
+            return solve_banded(l_and_u, ab, b)
+        calls.append(b.size)
+        np.testing.assert_array_equal(ab, np.concatenate(factors, axis=1))
+        return np.concatenate([solve_banded(l_and_u, f, b[j * ns:(j + 1) * ns])
+                               for j, f in enumerate(factors)])
+
+    return solve
+
+
+@pytest.mark.parametrize("variant", ["default", "nonuniform_s", "eta_nu"])
+def test_batched_s_solve_equals_per_level_solves(heston, monkeypatch, variant):
+    s = np.concatenate([np.linspace(60.0, 94.0, 25), np.linspace(94.5, 106.0, 70),
+                        np.linspace(107.0, 140.0, 20)])
+    kw = {"default": {}, "nonuniform_s": {"s_grid": tuple(s)}, "eta_nu": {"eta_nu": 0.8}}[variant]
+    cfg = PricingConfig(heston=heston, strike=100.0, T=1.0, **kw)
+    batched = solve_call_grid(cfg).values
+    calls = []
+    monkeypatch.setattr(option_pricing, "solve_banded", _per_level_solves(cfg, calls))
+    reference = solve_call_grid(cfg).values
+    assert calls == [cfg.s.size * cfg.nu.size] * cfg.n_time
+    np.testing.assert_array_equal(batched, reference)
+
+
+def _clamped(grid, s, nu):
+    return (np.clip(s, grid.s_grid[0], grid.s_grid[-1]),
+            np.clip(nu, grid.nu_grid[0], grid.nu_grid[-1]))
+
+
+def _book_draws(seed, n, n_steps, n_uniform):
+    shocks, uniforms = np.empty((n, n_steps, 2)), np.empty((n, n_steps, n_uniform))
+    lane_draws(seed, (OPTION_MM_STREAM,), 0, n, shocks, uniforms)
+    return shocks, uniforms
+
+
+def test_joint_book_equals_a_step_loop(heston, arrival, risk_nofee, pricing_grid,
+                                       functional_lattice):
+    # each step reads the price at its start and at its end, both at the
+    # clamped state, and H1/H2 at its start
+    g, lat = pricing_grid, functional_lattice
+    n, T, dt, seed = 40, 0.2, 0.01, 19
+    n_steps = round(T / dt)
+    shocks, uniforms = _book_draws(seed, n, n_steps, 4)
+    s, nu = np.full(n, heston.s0), np.full(n, heston.nu0)
+    q_s, q_o = np.full(n, 1), np.full(n, -2)
+    z, qv = np.zeros(n), np.zeros(n)
+    for step in range(n_steps):
+        t = step * dt
+        c_now = g.price(*_clamped(g, s, nu), t)
+        h1, h2, _ = lat.functionals(*_clamped(g, s, nu), t)
+        quotes = joint_book_quotes(q_s, q_o, nu, t, T, h1, h2, arrival, heston, risk_nofee)
+        hit, _ = fills(quotes, uniforms[:, step], arrival, dt)
+        paid = np.where(hit, quotes, 0.0)
+        z += paid[:, 0] + paid[:, 1] + paid[:, 2] + paid[:, 3]
+        q_s += hit[:, 1].astype(int) - hit[:, 0]
+        q_o += hit[:, 3].astype(int) - hit[:, 2]
+        ds, nu = euler_step(s, nu, shocks[:, step, 0], shocks[:, step, 1], heston, dt)
+        s = s + ds
+        c_next = g.price(*_clamped(g, s, nu), (step + 1) * dt)
+        qv += (q_s * ds + q_o * (c_next - c_now)) ** 2
+    st = run_joint_paths(heston, arrival, risk_nofee, g, lat, T=T, dt=dt, n_paths=n, seed=seed,
+                         q_s0=1, q_o0=-2)
+    np.testing.assert_array_equal(st.z_terminal, z)
+    np.testing.assert_array_equal(st.qv_terminal, qv)
+    assert (st.q_s_mean, st.q_o_mean) == (float(q_s.mean()), float(q_o.mean()))
+    assert np.unique(q_o).size > 1 and qv.min() > 0.0  # fills and price moves were seen
+
+
+def test_hedged_book_equals_a_step_loop(heston, arrival, risk_nofee, pricing_grid,
+                                        functional_lattice):
+    g, lat = pricing_grid, functional_lattice
+    n, T, dt, seed = 40, 0.2, 0.01, 23
+    n_steps = round(T / dt)
+    shocks, uniforms = _book_draws(seed, n, n_steps, 2)
+    s, nu = np.full(n, heston.s0), np.full(n, heston.nu0)
+    q_o = np.full(n, 1)
+    z, acc_h, acc_u, acc_pred = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
+    for step in range(n_steps):
+        t = step * dt
+        c_now = g.price(*_clamped(g, s, nu), t)
+        delta, _, c_nu = g.greeks(*_clamped(g, s, nu), t)
+        quotes = hedged_book_quotes(q_o, lat.functionals(*_clamped(g, s, nu), t)[2], arrival)
+        hit, _ = fills(quotes, uniforms[:, step], arrival, dt)
+        paid = np.where(hit, quotes, 0.0)
+        z += paid[:, 0] + paid[:, 1]
+        q_o += hit[:, 1].astype(int) - hit[:, 0]
+        acc_pred += nu * heston.xi**2 * c_nu**2 * q_o**2 * dt
+        ds, nu = euler_step(s, nu, shocks[:, step, 0], shocks[:, step, 1], heston, dt)
+        s = s + ds
+        dc = g.price(*_clamped(g, s, nu), (step + 1) * dt) - c_now
+        acc_h += (-q_o * delta * ds + q_o * dc) ** 2
+        acc_u += (q_o * dc) ** 2
+    st = run_hedged_paths(heston, arrival, risk_nofee, g, lat, T=T, dt=dt, n_paths=n, seed=seed,
+                          q_o0=1)
+    np.testing.assert_array_equal(st.qv_hedged, acc_h)
+    np.testing.assert_array_equal(st.qv_unhedged, acc_u)
+    np.testing.assert_array_equal(st.qv_rate_pred, acc_pred / (n_steps * dt))
+    assert (st.z_mean, st.q_o_mean) == (float(z.mean()), float(q_o.mean()))
+    assert np.unique(q_o).size > 1
+
+
+def test_option_mm_has_no_interpolation_kernel_of_its_own():
+    # the books, the integrands and the lattice read through option_pricing's kernel
+    assert ".take(" not in Path(option_mm.__file__).read_text()

@@ -118,9 +118,10 @@ def test_hedged_trace_quotes_are_the_quote_function(heston, arrival, risk_nofee,
                              T=1.0, dt=0.01, n_paths=70, seed=31, q_o0=2)
     tr = stats.trace
     g = pricing_grid
-    _, _, m = functional_lattice.functionals(np.clip(tr["s"], g.s_grid[0], g.s_grid[-1]),
-                                             np.clip(tr["nu"], g.nu_grid[0], g.nu_grid[-1]),
-                                             tr["t"])
+    # functionals reads one t per call
+    m = np.array([functional_lattice.functionals(s, nu, t)[2] for s, nu, t in zip(
+        np.clip(tr["s"], g.s_grid[0], g.s_grid[-1]), np.clip(tr["nu"], g.nu_grid[0], g.nu_grid[-1]),
+        tr["t"])])
     quotes = hedged_book_quotes(tr["q_o"], m, arrival)
     np.testing.assert_array_equal(quotes[:, 0], tr["a_o"])
     np.testing.assert_array_equal(quotes[:, 1], tr["b_o"])
