@@ -335,6 +335,15 @@ class JointStats:
     qv_terminal: np.ndarray  # per path
 
 
+def _step_times(T: float, dt: float) -> list[float]:
+    """A book's step times ``k * dt``, ending at ``T`` exactly: the last
+    step's ``n_steps * dt`` can miss ``T`` by an ulp and leave the grid."""
+    n_steps = round(T / dt)
+    if abs(n_steps * dt - T) > 1e-9:
+        raise ValueError("dt must divide T")
+    return [k * dt for k in range(n_steps)] + [T]
+
+
 def run_hedged_paths(
     heston: HestonParams, arrival: ArrivalParams, risk: RiskParams,
     grid: PricingGrid, lattice: FunctionalLattice,
@@ -349,9 +358,8 @@ def run_hedged_paths(
     greeks of states outside the pricing grid are read at its edge; the paths
     that visit such a state are counted in ``grid_exits``.
     """
-    n_steps = round(T / dt)
-    if abs(n_steps * dt - T) > 1e-9:
-        raise ValueError("dt must divide T")
+    times = _step_times(T, dt)
+    n_steps = len(times) - 1
     xi = heston.xi
     trace = {k: np.empty(n_steps) for k in ("t", "s", "nu", "q_o", "a_o", "b_o")}
 
@@ -375,7 +383,7 @@ def run_hedged_paths(
         clipped = 0
 
         for step in range(n_steps):
-            t = step * dt
+            t = times[step]
             c_now, delta, gamma, c_nu = g[:, C], g[:, DELTA], g[:, GAMMA], g[:, C_NU]
             _, _, m = lattice.functionals(sc, vc, t)
             quotes = hedged_book_quotes(q_o, m, arrival)
@@ -401,7 +409,7 @@ def run_hedged_paths(
             off |= _off_grid(grid, s, nu)
             # one lookup at the new state: this step's C and the next step's greeks
             sc, vc = _clamp(grid, s, nu)
-            g = grid._bilinear(grid._time_slice((step + 1) * dt), sc, vc)
+            g = grid._bilinear(grid._time_slice(times[step + 1]), sc, vc)
             dc = g[:, C] - c_now
             di_h = q_s * ds + qf * dc
             di_u = qf * dc
@@ -437,9 +445,8 @@ def run_joint_paths(
     Option prices of states outside the pricing grid are read at its edge;
     the paths that visit such a state are counted in ``grid_exits``.
     """
-    n_steps = round(T / dt)
-    if abs(n_steps * dt - T) > 1e-9:
-        raise ValueError("dt must divide T")
+    times = _step_times(T, dt)
+    n_steps = len(times) - 1
 
     def paths(lo: int, hi: int):
         n = hi - lo
@@ -459,7 +466,7 @@ def run_joint_paths(
         clipped = 0
 
         for step in range(n_steps):
-            t = step * dt
+            t = times[step]
             h1, h2, _ = lattice.functionals(sc, vc, t)
             quotes = joint_book_quotes(q_s, q_o, nu, t, T, h1, h2, arrival, heston, risk)
             hit, n_clipped = fills(quotes, uniforms[:, step], arrival, dt)
@@ -473,7 +480,7 @@ def run_joint_paths(
             s = s + ds
             off |= _off_grid(grid, s, nu)
             sc, vc = _clamp(grid, s, nu)  # one lookup: this step's C and the next step's
-            c_next = grid._bilinear(grid._time_slice((step + 1) * dt, PRICE), sc, vc)[:, 0]
+            c_next = grid._bilinear(grid._time_slice(times[step + 1], PRICE), sc, vc)[:, 0]
             di = q_s.astype(np.float64) * ds + q_o.astype(np.float64) * (c_next - c_now)
             qv += di**2
             c_now = c_next

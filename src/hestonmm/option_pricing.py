@@ -5,7 +5,8 @@ price of volatility risk ``eta_nu`` (constant, default 0), which enters the
 risk-neutral variance drift as ``theta (alpha - nu) - xi sqrt(nu)
 sqrt(1 - rho^2) eta_nu``.  Prices come from a two-factor backward PDE solve
 (Douglas dimensional splitting, mixed derivative explicit) with a
-risk-neutral Monte Carlo oracle for validation.  Puts follow from parity
+risk-neutral Monte Carlo oracle for validation (conditional on each path's
+variance shocks, with a martingale control).  Puts follow from parity
 ``P = C - (s - K)`` (zero rates).  The degenerate constant-variance case has
 the arithmetic (Bachelier) closed form, used as an independent oracle.
 """
@@ -13,15 +14,15 @@ the arithmetic (Bachelier) closed form, used as an independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from . import fd
 from .heston import HestonParams, euler_step
-from .seeding import PRICING_STREAM, lane_draws, map_blocks
+from .seeding import DEFAULT_BLOCK, PRICING_PILOT_STREAM, PRICING_STREAM, lane_draws, map_blocks
 from .table import write_table
 
 __all__ = [
@@ -95,13 +96,23 @@ class PricingConfig:
         return np.asarray(self.nu_grid)
 
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _bachelier(x, var):
+    """``E[max(X, 0)]`` for ``X ~ N(x, var)``, elementwise: ``x N(d) +
+    sd n(d)`` with ``sd = sqrt(var)`` and ``d = x / sd``, and the intrinsic
+    value ``max(x, 0)`` where ``var`` is 0."""
+    sd = np.sqrt(var)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = x / sd
+        value = x * ndtr(d) + sd * (np.exp(-d**2 / 2.0) / _SQRT_2PI)
+    return np.where(sd > 0, value, np.maximum(x, 0.0))
+
+
 def bachelier_call(s: float, strike: float, nu: float, tau: float) -> float:
     """Closed-form arithmetic call with constant variance ``nu``."""
-    if tau <= 0 or nu <= 0:
-        return max(s - strike, 0.0)
-    sd = math.sqrt(nu * tau)
-    d = (s - strike) / sd
-    return (s - strike) * norm.cdf(d) + sd * norm.pdf(d)
+    return float(_bachelier(s - strike, max(nu, 0.0) * max(tau, 0.0)))
 
 
 # columns of the stacked greek slices
@@ -318,6 +329,27 @@ def solve_call_grid(config: PricingConfig) -> PricingGrid:
     return PricingGrid(config=config, s_grid=s, nu_grid=v, times=times, values=values)
 
 
+def _euler_steps(config: PricingConfig, s: float, nu: float, t: float,
+                 dt_target: float) -> tuple[int, float]:
+    """Number and length of the Euler steps from ``t`` to maturity, ``(0,
+    0.0)`` at maturity.  A non-finite ``s`` or ``nu``, a negative ``nu`` or
+    a ``t`` beyond maturity raises ``ValueError``."""
+    if not (math.isfinite(s) and math.isfinite(nu)) or nu < 0:
+        raise ValueError(f"start (s, nu) = ({s}, {nu}) must be finite with nu >= 0")
+    tau = config.T - t
+    if tau < 0:
+        raise ValueError("t beyond maturity")
+    if tau == 0:
+        return 0, 0.0
+    n_steps = max(1, round(tau / dt_target))
+    return n_steps, tau / n_steps
+
+
+def _risk_adj(config: PricingConfig) -> float:
+    """``euler_step``'s variance-drift adjustment under the pricing measure."""
+    return config.heston.xi * math.sqrt(1.0 - config.heston.rho**2) * config.eta_nu
+
+
 def mc_terminal(
     config: PricingConfig,
     s: float,
@@ -333,17 +365,11 @@ def mc_terminal(
     the variance drift carries the ``eta_nu`` adjustment.  A non-finite
     ``s`` or ``nu``, or a negative ``nu``, raises ``ValueError``.
     """
-    if not (math.isfinite(s) and math.isfinite(nu)) or nu < 0:
-        raise ValueError(f"start (s, nu) = ({s}, {nu}) must be finite with nu >= 0")
-    tau = config.T - t
-    if tau < 0:
-        raise ValueError("t beyond maturity")
-    if tau == 0:
+    n_steps, dt = _euler_steps(config, s, nu, t, dt_target)
+    if n_steps == 0:
         return np.full(n_paths, float(s))
-    n_steps = max(1, round(tau / dt_target))
-    dt = tau / n_steps
     heston = config.heston
-    risk_adj = heston.xi * math.sqrt(1.0 - heston.rho**2) * config.eta_nu
+    risk_adj = _risk_adj(config)
 
     def paths(lo: int, hi: int) -> np.ndarray:
         shocks = np.empty((hi - lo, n_steps, 2))
@@ -359,6 +385,34 @@ def mc_terminal(
     return np.concatenate(map_blocks(n_paths, paths))
 
 
+def _conditional_paths(config: PricingConfig, s: float, nu: float, n_steps: int, dt: float,
+                       seed: int, stream: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional call values and controls of paths ``lo..hi-1`` of ``stream``.
+
+    Each path draws only its variance shocks ``z`` and steps the variance
+    with ``euler_step``; passing ``z`` as the stock shock with ``rho = 1``
+    makes the step's ``ds`` equal ``sqrt(nu) z sqrt(dt)``.  With ``m`` the
+    sum of those and ``I`` the sum of ``nu dt`` (``nu >= 0`` throughout),
+    ``S_T`` is normal given the path, with mean ``s + rho m`` and variance
+    ``(1 - rho^2) I``.  Returns the Bachelier call value under that law and
+    the mean-zero control ``m``.
+    """
+    rho = config.heston.rho
+    variance_only = replace(config.heston, rho=1.0)
+    risk_adj = _risk_adj(config)
+    z = np.empty((hi - lo, n_steps, 1))
+    lane_draws(seed, (stream,), lo, hi, z)
+    v = np.full(hi - lo, float(nu))
+    m = np.zeros(hi - lo)
+    nu_sum = np.zeros(hi - lo)
+    for step in range(n_steps):
+        nu_sum += v
+        dm, v = euler_step(m, v, z[:, step, 0], 0.0, variance_only, dt, risk_adj)
+        m += dm
+    value = _bachelier(s + rho * m - config.strike, (1.0 - rho**2) * dt * nu_sum)
+    return value, m
+
+
 def mc_price(
     config: PricingConfig,
     s: float,
@@ -368,12 +422,31 @@ def mc_price(
     seed: int = 0,
     dt_target: float = 0.005,
 ) -> tuple[float, float]:
-    """Risk-neutral Monte Carlo call price: sample mean and standard error."""
+    """Risk-neutral Monte Carlo call price: sample mean and standard error.
+
+    A conditional estimator (Willard, J. Derivatives 1997; Glasserman 2003,
+    ch. 4) of the same discretised model as ``mc_terminal``: each path's
+    value is its Bachelier price given its variance shocks
+    (``_conditional_paths``) minus ``b m``.  The coefficient ``b`` is the
+    regression slope of the value on ``m``, fitted on a pilot of
+    ``min(n_paths, DEFAULT_BLOCK)`` paths drawn from ``PRICING_PILOT_STREAM``,
+    so it adds no in-sample bias.
+    """
     if n_paths < 1000:
         raise ValueError("n_paths must be at least 1000")
-    s_term = mc_terminal(config, s, nu, t, n_paths, seed, dt_target)
-    payoff = np.maximum(s_term - config.strike, 0.0)
-    return float(payoff.mean()), float(payoff.std(ddof=1) / math.sqrt(n_paths))
+    n_steps, dt = _euler_steps(config, s, nu, t, dt_target)
+    if n_steps == 0:
+        return float(max(s - config.strike, 0.0)), 0.0
+
+    def paths(lo: int, hi: int, stream: int = PRICING_STREAM):
+        return _conditional_paths(config, s, nu, n_steps, dt, seed, stream, lo, hi)
+
+    pilot, m = paths(0, min(n_paths, DEFAULT_BLOCK), PRICING_PILOT_STREAM)
+    m = m - m.mean()
+    var_m = float(m @ m)
+    b = float(m @ (pilot - pilot.mean())) / var_m if var_m > 0 else 0.0
+    y = np.concatenate([value - b * m for value, m in map_blocks(n_paths, paths)])
+    return float(y.mean()), float(y.std(ddof=1) / math.sqrt(n_paths))
 
 
 def write_slice_csv(grid: PricingGrid, path, t_values=None) -> None:

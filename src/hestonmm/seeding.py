@@ -24,6 +24,7 @@ HESTON_STREAM = 1
 PRICING_STREAM = 2
 FUNCTIONAL_STREAM = 3
 OPTION_MM_STREAM = 4
+PRICING_PILOT_STREAM = 5  # the pilot that fits mc_price's control coefficient
 
 DEFAULT_BLOCK = 4096
 LANE = 64  # paths per generator
@@ -46,8 +47,10 @@ def _shocks(rng: np.random.Generator, out: np.ndarray, scheme: str) -> None:
 
 def lane_draws(master: int, key: tuple[int, ...], lo: int, hi: int, shocks: np.ndarray,
                uniforms: np.ndarray | None = None, scheme: str = "gaussian") -> None:
-    """Fill row ``k`` of ``shocks`` (n, n_steps, 2) and of ``uniforms``
-    (n, n_steps, m) in place with path ``lo + k``'s draws, ``n = hi - lo``.
+    """Fill row ``k`` of ``shocks`` (n, n_steps, m) and of ``uniforms``
+    (n, n_steps, m') in place with path ``lo + k``'s draws, ``n = hi - lo``;
+    ``m`` is 2 for a stock and a variance shock per step, 1 for the variance
+    shock alone (``mc_price``).
 
     Each lane draws all its rows' shocks (standard normals, or signs for
     ``binomial``) in one call, then all its rows' uniforms in [0, 1) in one

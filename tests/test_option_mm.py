@@ -20,6 +20,7 @@ from hestonmm.option_mm import (
 from hestonmm.quotes import RiskParams, inventory_coefficient, inventory_premiums
 from hestonmm.seeding import DEFAULT_BLOCK, map_blocks
 from hestonmm.intensity import ArrivalParams
+from hestonmm.option_pricing import PricingConfig, solve_call_grid
 
 
 def test_exact_zero_cases(heston, risk_nofee, pricing_grid):
@@ -219,6 +220,17 @@ def test_books_do_not_depend_on_the_block_layout(heston, arrival, risk_nofee, pr
                     np.testing.assert_array_equal(b.trace[key], want[key], err_msg=key)
             else:
                 np.testing.assert_array_equal(getattr(b, name), want, err_msg=name)
+
+
+def test_books_end_at_maturity_when_steps_overshoot_it(heston, arrival, risk_nofee):
+    # 3 * 0.1 == 0.30000000000000004: the last step must look up t = T itself,
+    # not a time just past the grid
+    grid = solve_call_grid(PricingConfig(heston=heston, strike=100.0, T=0.3))
+    args = (heston, arrival, risk_nofee, grid, _constant_zero_lattice())
+    hedged = run_hedged_paths(*args, T=0.3, dt=0.1, n_paths=100, seed=3, q_o0=1)
+    joint = run_joint_paths(*args, T=0.3, dt=0.1, n_paths=100, seed=3, q_o0=1)
+    np.testing.assert_array_equal(hedged.trace["t"], [0.0, 0.1, 0.2])
+    assert np.all(np.isfinite(hedged.qv_hedged)) and np.all(np.isfinite(joint.qv_terminal))
 
 
 def test_lattice_matches_direct_estimate(heston, risk_nofee, pricing_grid, functional_lattice):

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from hestonmm import option_pricing
 from hestonmm.heston import HestonParams
 from hestonmm.option_pricing import (
     PricingConfig,
     StabilityError,
+    _bachelier,
+    _conditional_paths,
     bachelier_call,
     default_nu_grid,
     default_s_grid,
@@ -14,6 +17,7 @@ from hestonmm.option_pricing import (
     mc_terminal,
     solve_call_grid,
 )
+from hestonmm.seeding import PRICING_PILOT_STREAM, PRICING_STREAM
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +88,88 @@ def test_deep_itm_value(pricing_grid):
     cfg = pricing_grid.config
     price, se = mc_price(cfg, 114.0, 1.0, 0.0, n_paths=20_000, seed=9)
     assert abs(price - 14.0) <= 3 * se + 0.02
+
+
+def test_bachelier_kernel_matches_the_normal_law():
+    from scipy.stats import norm
+
+    sd = 2.0
+    x = np.linspace(-16.0, 16.0, 321)  # d = x / sd over [-8, 8]
+    d = x / sd
+    want = x * norm.cdf(d) + sd * norm.pdf(d)
+    got = _bachelier(x, sd**2)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    np.testing.assert_array_equal(_bachelier(x, 0.0), np.maximum(x, 0.0))
+
+
+@pytest.mark.parametrize("s, nu", [(96.0, 2.0), (100.0, 4.0), (105.0, 7.0)])
+@pytest.mark.parametrize("seed", [21, 22])
+def test_conditional_estimator_agrees_with_the_payoff_mean(pricing_grid, s, nu, seed):
+    # the conditional estimator and the plain payoff mean estimate the same
+    # discretised expectation; they draw on independent seeds
+    cfg = pricing_grid.config
+    price, se = mc_price(cfg, s, nu, 0.0, n_paths=20_000, seed=seed, dt_target=0.02)
+    payoff = np.maximum(mc_terminal(cfg, s, nu, 0.0, n_paths=20_000, seed=seed + 100,
+                                    dt_target=0.02) - cfg.strike, 0.0)
+    plain_se = payoff.std(ddof=1) / math.sqrt(payoff.size)
+    assert abs(price - payoff.mean()) <= 3 * math.hypot(se, plain_se)
+    assert se < plain_se
+
+
+def test_conditional_estimator_is_exact_without_vol_of_vol():
+    # xi = theta = rho = 0: every path's conditional value is the closed form
+    h = HestonParams(theta=0.0, alpha=4.0, xi=0.0, rho=0.0, s0=100.0, nu0=4.0)
+    cfg = PricingConfig(heston=h, strike=100.0, T=1.0)
+    for s in (94.0, 100.0, 108.0):
+        price, se = mc_price(cfg, s, 4.0, 0.0, n_paths=5000, seed=3)
+        assert price == pytest.approx(bachelier_call(s, 100.0, 4.0, 1.0), rel=1e-12)
+        assert se < 1e-12
+
+
+def test_conditional_estimator_at_maturity(pricing_grid):
+    cfg = pricing_grid.config
+    assert mc_price(cfg, 103.5, 4.0, cfg.T, n_paths=1000) == (3.5, 0.0)
+    assert mc_price(cfg, 97.0, 4.0, cfg.T, n_paths=1000) == (0.0, 0.0)
+
+
+def test_conditional_control_has_mean_zero(pricing_grid):
+    n, n_steps = 20_000, 50
+    _, m = _conditional_paths(pricing_grid.config, 100.0, 4.0, n_steps, 1.0 / n_steps,
+                              seed=5, stream=PRICING_STREAM, lo=0, hi=n)
+    assert abs(m.mean()) <= 3 * m.std(ddof=1) / math.sqrt(n)
+
+
+def test_pilot_rows_are_not_main_rows(pricing_grid, monkeypatch):
+    # the control coefficient is fitted on draws of their own, so it adds
+    # no in-sample bias, including against the next seed's main sample
+    drawn = {}
+    lane_draws = option_pricing.lane_draws
+
+    def record(master, key, lo, hi, shocks, *args):
+        lane_draws(master, key, lo, hi, shocks, *args)
+        drawn.setdefault((master, key), []).append(shocks[:, :, 0].copy())
+
+    monkeypatch.setattr(option_pricing, "lane_draws", record)
+    for seed in (8, 9):
+        mc_price(pricing_grid.config, 100.0, 4.0, 0.0, n_paths=5000, seed=seed, dt_target=0.1)
+    assert set(drawn) == {(seed, (stream,)) for seed in (8, 9)
+                          for stream in (PRICING_STREAM, PRICING_PILOT_STREAM)}
+    rows = {k: {r.tobytes() for r in np.concatenate(v)} for k, v in drawn.items()}
+    pilot = rows[(8, (PRICING_PILOT_STREAM,))]
+    assert len(pilot) == 4096
+    assert not pilot & rows[(8, (PRICING_STREAM,))]
+    assert not pilot & rows[(9, (PRICING_STREAM,))]
+    assert not rows[(9, (PRICING_PILOT_STREAM,))] & rows[(8, (PRICING_STREAM,))]
+
+
+def test_reported_standard_error_is_honest(pricing_grid):
+    # the spread of 40 independent estimates against their mean reported SE;
+    # [0.67, 1.33] is the 3-sigma band of an SD estimated with 39 degrees of
+    # freedom (relative SE 1/sqrt(78))
+    runs = np.array([mc_price(pricing_grid.config, 100.0, 4.0, 0.0, n_paths=2000, seed=seed)
+                     for seed in range(40)])
+    ratio = runs[:, 0].std(ddof=1) / runs[:, 1].mean()
+    assert 0.67 <= ratio <= 1.33, ratio
 
 
 def test_monotonicity_on_grid(pricing_grid):
