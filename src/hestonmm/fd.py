@@ -84,16 +84,13 @@ def operator_diagonals(
     return lower, diag, upper
 
 
-def apply_tridiagonal(
-    diags: tuple[np.ndarray, np.ndarray, np.ndarray], v: np.ndarray, axis: int = -1
-) -> np.ndarray:
-    """Apply the operator along ``axis`` of ``v``."""
+def apply_tridiagonal(diags: tuple[np.ndarray, np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
+    """Apply the operator along the last axis of ``v``."""
     lower, diag, upper = diags
-    v = np.moveaxis(v, axis, -1)
     out = v * diag
     out[..., 1:] += v[..., :-1] * lower[1:]
     out[..., :-1] += v[..., 1:] * upper[:-1]
-    return np.moveaxis(out, -1, axis)
+    return out
 
 
 def to_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> np.ndarray:

@@ -69,6 +69,9 @@ class HjbConfig:
     max_stored_slices: int = 201
 
     def __post_init__(self):
+        for name in ("T", "nu_lo", "nu_hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (self.q_min < 0 < self.q_max):
             raise ValueError("inventory box must satisfy q_min < 0 < q_max")
         if self.nu_lo < 0 or self.nu_hi <= self.nu_lo:
@@ -118,49 +121,45 @@ class ComparisonReport:
     gap_b_at: tuple[int, float, float]
 
 
-def _optimal_premiums(v: np.ndarray, config: HjbConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Exact premiums from a value slice ``v`` of shape (n_q, n_nu).
-
-    Ask at inventory q needs V(q-1), bid needs V(q+1); the rows at the box
-    edges where a side would leave the box are NaN.
-    """
-    base = 1.0 / config.arrival.k
-    beta = config.risk.beta
-    q = config.q_levels[:, None].astype(np.float64)
+def _premiums(v: np.ndarray, config: HjbConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Exact premiums at the values ``v`` (inventory on axis 0): the ask of
+    rows 1.. (it needs V(q-1)) and the bid of rows ..-2 (it needs V(q+1)); the
+    side that would leave the box has none."""
+    base, beta = 1.0 / config.arrival.k, config.risk.beta
     fee_a = fee_b = 0.0
     if config.include_impact:
+        q = config.q_levels.astype(np.float64).reshape((-1,) + (1,) * (v.ndim - 1))
         fee = 0.5 * config.risk.gamma * config.risk.eta**2
-        fee_a = fee * (q - 1.0) ** 2
-        fee_b = fee * (q + 1.0) ** 2
-    delta_a = np.full_like(v, np.nan)
-    delta_b = np.full_like(v, np.nan)
-    delta_a[1:, :] = base - beta + (fee_a + v)[1:, :] - v[:-1, :]
-    delta_b[:-1, :] = base + beta + (fee_b + v)[:-1, :] - v[1:, :]
-    return delta_a, delta_b
+        fee_a, fee_b = fee * (q - 1.0) ** 2, fee * (q + 1.0) ** 2
+    return base - beta + (fee_a + v)[1:] - v[:-1], base + beta + (fee_b + v)[:-1] - v[1:]
 
 
-def _source(delta_a: np.ndarray, delta_b: np.ndarray, config: HjbConfig) -> np.ndarray:
-    """Transaction source (A/k)(e^{-k delta_a} + e^{-k delta_b}); dropped
-    sides (NaN premiums) contribute zero.  Overflow to inf is tolerated here
-    and caught by the blow-up detector with a grid location."""
+def _source(v: np.ndarray, config: HjbConfig) -> np.ndarray:
+    """Transaction source (A/k)(e^{-k delta_a*} + e^{-k delta_b*}) at the values
+    ``v``; a side that would leave the box contributes nothing.  Overflow to
+    inf is tolerated here and caught by the blow-up detector with a grid
+    location."""
     k, A = config.arrival.k, config.arrival.A
     with np.errstate(over="ignore"):
-        ask = np.where(np.isnan(delta_a), 0.0, np.exp(-k * np.nan_to_num(delta_a)))
-        bid = np.where(np.isnan(delta_b), 0.0, np.exp(-k * np.nan_to_num(delta_b)))
-    return (A / k) * (ask + bid)
+        ask, bid = _premiums(v, config)
+        ask = np.exp(-k * ask)  # one side at a time: each premium array is freed early
+        bid = np.exp(-k * bid)
+        g = np.concatenate((bid[:1], ask[:-1] + bid[1:], ask[-1:]))
+        g *= A / k
+    return g
 
 
 def _source_and_rate(v: np.ndarray, config: HjbConfig, abs_diag: np.ndarray):
     """Source term g at ``v`` and the decay rate max |L_ii| + k g of an explicit
     step from it: the nu-operator diagonal plus the reaction term, whose
     derivative in V(q) is -k g.  A step h is stable and monotone while h * rate <= 1."""
-    g = _source(*_optimal_premiums(v, config), config)
-    return g, float(np.max(abs_diag + config.arrival.k * g))
+    g = _source(v, config)
+    return g, float((abs_diag + config.arrival.k * g).max())
 
 
 def _explicit_step(v: np.ndarray, g: np.ndarray, h: float, diags, penalty: np.ndarray) -> np.ndarray:
     """One explicit backward step of size ``h`` from ``v`` with source ``g``."""
-    return v + h * (fd.apply_tridiagonal(diags, v, axis=1) + g - penalty)
+    return v + h * (fd.apply_tridiagonal(diags, v) + g - penalty)
 
 
 _SWEEP_MAX_STEPS = 100_000  # cap on the steps of the n_time estimate's sweep
@@ -210,8 +209,8 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
 
     shape = (q.size, nu.size, len(stored_steps))
     values = np.empty(shape)
-    quotes_a = np.empty(shape)
-    quotes_b = np.empty(shape)
+    quotes_a = np.full(shape, np.nan)  # no ask at q_min, no bid at q_max
+    quotes_b = np.full(shape, np.nan)
 
     v = np.zeros((q.size, nu.size))
 
@@ -220,15 +219,13 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
         if step in store_at:
             i = store_at[step]
             values[:, :, i] = v_slice
-            da, db = _optimal_premiums(v_slice, config)
-            quotes_a[:, :, i] = da
-            quotes_b[:, :, i] = db
+            quotes_a[1:, :, i], quotes_b[:-1, :, i] = _premiums(v_slice, config)
 
     record(0, v)
     for n in range(1, config.n_time + 1):
         g, rate = _source_and_rate(v, config, abs_diag)
         v_next = _explicit_step(v, g, dt, diags, penalty)
-        if not np.all(np.isfinite(v_next)):
+        if not np.isfinite(v_next).all():
             bad = np.argwhere(~np.isfinite(v_next))[0]
             raise BlowupError(
                 f"non-finite value at q={config.q_levels[bad[0]]}, "
@@ -304,6 +301,7 @@ def compare_exact_vs_approx(
         raise ValueError("comparison against the impact-free closed form requires include_impact=False")
     if tol is None:
         tol = estimate_tolerance(config, grid)
+    c_emp = float(_source(grid.values, config).max())  # before the gap arrays: lower peak memory
 
     nu = grid.nu_grid
     t = grid.times
@@ -330,9 +328,6 @@ def compare_exact_vs_approx(
 
     max_a, at_a = located_max(gap_a)
     max_b, at_b = located_max(gap_b)
-
-    g = _source(grid.quotes_a, grid.quotes_b, config)
-    c_emp = float(g.max())
 
     v_tilde = -qf[:, None, None] ** 2 * inventory_coefficient(
         nu[None, :, None], t[None, None, :], config.T, config.heston, config.risk

@@ -70,12 +70,13 @@ class PricingConfig:
     n_time: int = 200
 
     def __post_init__(self):
+        for name in ("T", "eta_nu"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.strike <= 0:
             raise ValueError("strike must be positive")
         if self.T <= 0 or self.n_time < 1:
             raise ValueError("T and n_time must be positive")
-        if not math.isfinite(self.eta_nu):
-            raise ValueError("eta_nu must be finite")
         s = np.asarray(self.s_grid if len(self.s_grid) else default_s_grid(self.heston, self.T))
         v = np.asarray(self.nu_grid if len(self.nu_grid) else default_nu_grid(self.heston, self.T))
         if s.size < 5 or np.any(np.diff(s) <= 0):
@@ -294,7 +295,7 @@ def solve_call_grid(config: PricingConfig) -> PricingGrid:
         return out
 
     def apply_v(c):
-        return fd.apply_tridiagonal((nu_l, nu_d, nu_u), c, axis=1)
+        return fd.apply_tridiagonal((nu_l, nu_d, nu_u), c)
 
     def apply_mixed(c):
         out = np.zeros_like(c)

@@ -58,6 +58,9 @@ class SimConfig:
     snapshot_stride: int = 1
 
     def __post_init__(self):
+        for name in ("T", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.T <= 0 or self.dt <= 0:
             raise ValueError("T and dt must be positive")
         n = round(self.T / self.dt)

@@ -107,6 +107,19 @@ def test_config_error_exit_code(tmp_path):
     assert list(tmp_path.glob("*.csv")) == []
 
 
+@pytest.mark.parametrize("sub, override, field", [
+    ("hjb", "sim.t_horizon=nan", "T"),
+    ("hjb", "hjb.nu_hi=inf", "nu_hi"),
+    ("hjb", "hjb.nu_lo=nan", "nu_lo"),
+    ("simulate", "sim.t_horizon=nan", "T"),
+    ("price-option", "sim.t_horizon=nan", "T"),
+])
+def test_non_finite_horizon_or_variance_box_is_a_config_error(tmp_path, capsys, sub, override, field):
+    assert run_cli(sub, "--paths", "2", "--set", override, "--out", str(tmp_path)) == EXIT_CONFIG
+    assert f"config error: {field} must be finite" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 @pytest.mark.parametrize("threads", ["0", "-2"])
 def test_threads_below_one_is_a_config_error(tmp_path, capsys, threads):
     assert run_cli("compare", "--paths", "150", "--threads", threads,

@@ -72,6 +72,9 @@ def test_stability_check_names_an_n_time_that_runs(heston, arrival, risk):
     cfg = HjbConfig(heston=heston, arrival=arrival, risk=risk, T=1.0, n_time=100)
     with pytest.raises(CflError, match=r"step 1\)") as exc:
         solve_stock_hjb(cfg)
+    # the README's N = 259
+    assert str(exc.value) == ("explicit step dt=1.000e-02 exceeds the stability bound 5.654e-03 "
+                              "at t=1 (step 1); increase n_time to at least 259")
     needed = int(re.search(r"at least (\d+)$", str(exc.value)).group(1))
     assert needed > 100
     grid = solve_stock_hjb(replace(cfg, n_time=needed))
@@ -86,6 +89,9 @@ def test_stability_check_names_a_lower_bound_when_its_sweep_overflows(arrival):
     # there blows up
     with pytest.raises(CflError, match=r"only a lower bound.*overflowed") as exc:
         solve_stock_hjb(frozen_config(arrival, gamma=1e4, n_time=10))
+    assert str(exc.value) == ("explicit step dt=1.000e-01 exceeds the stability bound 9.698e-03 "
+                              "at t=1 (step 1); increase n_time to at least 104; that is only a "
+                              "lower bound, since the sweep estimating it overflowed at t=0.9903")
     named = int(re.search(r"at least (\d+);", str(exc.value)).group(1))
     with pytest.raises(BlowupError):
         solve_stock_hjb(frozen_config(arrival, gamma=1e4, n_time=named))
