@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, apply_overrides, dump_manifest, load_config
 from .heston import HestonParams
-from .hjb import BlowupError, CflError, HjbConfig, compare_exact_vs_approx, solve_stock_hjb, write_grid_csv, write_report_csv
+from .hjb import BlowupError, HjbConfig, compare_exact_vs_approx, solve_stock_hjb, write_grid_csv, write_report_csv
 from .intensity import ArrivalParams
 from .option_mm import FunctionalLattice, GridExitError, run_hedged_paths, run_joint_paths, write_lattice_csv
 from .option_pricing import PricingConfig, StabilityError, default_nu_grid, default_s_grid, solve_call_grid, write_slice_csv
@@ -40,7 +40,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_NUMERICAL_ERRORS = (CflError, BlowupError, StabilityError, GridExitError, NonFiniteStateError)
+_NUMERICAL_ERRORS = (BlowupError, StabilityError, GridExitError, NonFiniteStateError)
 
 
 def _heston(cfg: RunConfig) -> HestonParams:

@@ -1,11 +1,12 @@
-"""The explicit HJB step and ``fd.apply_tridiagonal`` against the formulations
-they replace.
+"""The HJB step and ``fd.apply_tridiagonal`` against independent formulations.
 
-The references are kept here as they were written before the step became one
-kernel: NaN premiums at the box edges, a NaN-masked source, and an operator
-applied through ``np.moveaxis``.  The arithmetic is the same, so the results
-must be bitwise equal.  ``apply_tridiagonal`` is also checked against the
-dense matrix product, within float64 rounding.
+The HJB reference is the same frozen-control Douglas step written from NaN
+premiums at the box edges, a NaN-masked source and rates, and dense
+correction matrices solved with ``np.linalg.solve``; LAPACK's banded and dense
+solves round differently, so it agrees to 1e-12 relative.  The source and
+``c_emp`` equal the masked form bitwise, and ``apply_tridiagonal`` equals the
+``np.moveaxis`` form it replaced bitwise and the dense matrix product within
+float64 rounding.
 """
 
 from pathlib import Path
@@ -53,18 +54,37 @@ def _moveaxis_apply(diags, v, axis=-1):
     return np.moveaxis(out, -1, axis)
 
 
+def _masked_rates(delta_a, delta_b, config):
+    k, A = config.arrival.k, config.arrival.A
+    with np.errstate(over="ignore"):
+        return [np.where(np.isnan(d), 0.0, A * np.exp(-k * np.nan_to_num(d))) for d in (delta_a, delta_b)]
+
+
 def _reference_solve(config):
-    """Every time slice of the explicit solve, ascending in time, with its quotes."""
+    """Every time slice of the Douglas solve, ascending in time, with its quotes."""
     nu, heston = config.nu_grid, config.heston
-    diags = fd.operator_diagonals(nu, heston.theta * (heston.alpha - nu), 0.5 * heston.xi**2 * nu)
+    nu_op = _dense(fd.operator_diagonals(nu, heston.theta * (heston.alpha - nu), 0.5 * heston.xi**2 * nu))
     dt = config.T / config.n_time
     q = config.q_levels.astype(np.float64)[:, None]
+    n_q, n_nu = q.size, nu.size
     penalty = 0.5 * config.risk.gamma * q**2 * nu[None, :]
-    slices = [np.zeros((q.size, nu.size))]
+    iq = np.arange(n_q)
+    slices = [np.zeros((n_q, n_nu))]
     for _ in range(config.n_time):
         v = slices[-1]
-        g = _masked_source(*_masked_premiums(v, config), config)
-        slices.append(v + dt * (_moveaxis_apply(diags, v, axis=1) + g - penalty))
+        premiums = _masked_premiums(v, config)
+        rate_a, rate_b = _masked_rates(*premiums, config)
+        lv = v @ nu_op.T
+        y = v + dt * (lv + _masked_source(*premiums, config) - penalty)
+        y = np.linalg.solve(np.eye(n_nu) - 0.5 * dt * nu_op, (y - 0.5 * dt * lv).T).T
+        # the jump generator in q, one dense matrix per nu column
+        jump = np.zeros((n_nu, n_q, n_q))
+        jump[:, iq, iq] = -(rate_a + rate_b).T
+        jump[:, iq[1:], iq[:-1]] = rate_a[1:].T
+        jump[:, iq[:-1], iq[1:]] = rate_b[:-1].T
+        rhs = y - 0.5 * dt * np.einsum("jpq,qj->pj", jump, v)
+        y = np.linalg.solve(np.eye(n_q) - 0.5 * dt * jump, rhs.T[:, :, None])[:, :, 0].T
+        slices.append(y)
     slices.reverse()
     quotes = [_masked_premiums(v, config) for v in slices]
     return (np.stack(slices, axis=-1), np.stack([a for a, _ in quotes], axis=-1),
@@ -94,9 +114,11 @@ def test_step_equals_the_masked_formulation(heston, arrival, risk, variant):
     values, quotes_a, quotes_b = _reference_solve(cfg)
     stored = np.rint(grid.times * cfg.n_time / cfg.T).astype(int)
     assert stored.size == 201 and stored[1] == 2
-    np.testing.assert_array_equal(grid.values, values[:, :, stored])
-    np.testing.assert_array_equal(grid.quotes_a, quotes_a[:, :, stored])
-    np.testing.assert_array_equal(grid.quotes_b, quotes_b[:, :, stored])
+    np.testing.assert_allclose(grid.values, values[:, :, stored], rtol=1e-12)
+    # a quote is a difference of values: its rounding scales with |V|, not with itself
+    scale = 1e-12 * np.abs(values).max()
+    np.testing.assert_allclose(grid.quotes_a, quotes_a[:, :, stored], rtol=0, atol=scale)
+    np.testing.assert_allclose(grid.quotes_b, quotes_b[:, :, stored], rtol=0, atol=scale)
 
 
 def test_c_emp_equals_the_quote_based_value(heston, arrival, risk):
@@ -108,7 +130,7 @@ def test_c_emp_equals_the_quote_based_value(heston, arrival, risk):
 def test_source_counts_each_side_inside_the_box_only(heston, arrival, risk):
     cfg = _config(heston, arrival, risk, "impact")
     v = np.random.default_rng(3).normal(size=(cfg.q_levels.size, cfg.n_nu))
-    np.testing.assert_array_equal(hjb._source(v, cfg), _masked_source(*_masked_premiums(v, cfg), cfg))
+    np.testing.assert_array_equal(hjb._source(*hjb._arrival_factors(v, cfg), cfg), _masked_source(*_masked_premiums(v, cfg), cfg))
 
 
 def test_step_has_no_nan_masking_and_no_axis_moves():
