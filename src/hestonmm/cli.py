@@ -28,7 +28,7 @@ from .config import ConfigError, RunConfig, apply_overrides, dump_manifest, load
 from .heston import HestonParams
 from .hjb import BlowupError, HjbConfig, compare_exact_vs_approx, solve_stock_hjb, write_grid_csv, write_report_csv
 from .intensity import ArrivalParams
-from .option_mm import FunctionalLattice, GridExitError, run_hedged_paths, run_joint_paths, write_lattice_csv
+from .option_mm import FunctionalLattice, run_hedged_paths, run_joint_paths, write_lattice_csv
 from .option_pricing import PricingConfig, StabilityError, default_nu_grid, default_s_grid, solve_call_grid, write_slice_csv
 from .quotes import Frozen, InventorySV, MarketImpact, RiskNeutral, RiskParams, Symmetric
 from .sim_engine import NonFiniteStateError, SimConfig, efficient_frontier, run_ensemble, run_path
@@ -40,7 +40,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_NUMERICAL_ERRORS = (BlowupError, StabilityError, GridExitError, NonFiniteStateError)
+_NUMERICAL_ERRORS = (BlowupError, StabilityError, NonFiniteStateError)
 
 
 def _heston(cfg: RunConfig) -> HestonParams:
@@ -226,8 +226,7 @@ def _cmd_option_mm(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int, hedge
     s_nodes = np.linspace(heston.s0 - half_s, heston.s0 + half_s, om["lattice_n_s"])
     nu_nodes = np.linspace(0.04 * grid.nu_grid[-1], 0.75 * grid.nu_grid[-1], om["lattice_n_nu"])
     t_nodes = np.linspace(0.0, T, om["lattice_n_t"])
-    lattice = FunctionalLattice.build(s_nodes, nu_nodes, t_nodes, T, heston, risk, grid,
-                                      n_paths=om["lattice_paths"], seed=seed)
+    lattice = FunctionalLattice.build(s_nodes, nu_nodes, t_nodes, T, heston, risk, grid)
     hedged = om["hedged"] if hedged is None else hedged
     if hedged:
         st = run_hedged_paths(heston, arrival, risk, grid, lattice, T=T, dt=om["dt"],

@@ -89,7 +89,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "n_s": (int, 161),
         "n_nu": (int, 31),
         "n_time": (int, 200),
-        "mc_paths": (int, 100000),
     },
     "option_mm": {
         "hedged": (_bool, True),
@@ -99,7 +98,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "lattice_n_s": (int, 5),
         "lattice_n_nu": (int, 4),
         "lattice_n_t": (int, 5),
-        "lattice_paths": (int, 1000),
+        "lattice_paths": (int, 1000),  # unused: the lattice is solved, not sampled
     },
     "output": {
         "dir": (str, ""),

@@ -11,23 +11,23 @@ in stock continuously; its single functional is
 
     M = -(gamma / 2) xi^2 E[ integral of nu C_nu^2 ].
 
-All three are path integrals under the real-world dynamics, estimated by
-Monte Carlo with greeks interpolated from a solved pricing grid, and cached on
-a coarse lattice for use inside simulations.
+All three are path integrals of greeks under the real-world dynamics, solved
+on the pricing grid by Feynman-Kac and cached on a coarse lattice for use
+inside simulations; ``estimate_functionals`` is their Monte Carlo oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .heston import HestonParams, euler_step
 from .intensity import ArrivalParams, fills
-from .option_pricing import C, C_NU, DELTA, GAMMA, PRICE, PricingGrid, bilinear, cell
+from .option_pricing import C, C_NU, DELTA, GAMMA, PRICE, PricingGrid, bilinear, cell, douglas_steps
 from .quotes import RiskParams, inventory_coefficient
-from .seeding import FUNCTIONAL_STREAM, OPTION_MM_STREAM, lane_draws, map_blocks
+from .seeding import FUNCTIONAL_STREAM, OPTION_MM_STREAM, lane_draws, map_blocks, os_array
 from .table import write_table
 
 __all__ = [
@@ -81,35 +81,26 @@ def _clamp(grid: PricingGrid, s: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray
 _DELTA_C_NU = slice(DELTA, C_NU + 1, C_NU - DELTA)  # the two greek columns the integrands read
 
 
-def _integrals(
-    starts: list[tuple[float, float, int]], t: float, T: float,
-    heston: HestonParams, grid: PricingGrid, n_paths: int, seed: int, dt_target: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _simulate_integrals(
+    s0: float, nu0: float, t: float, T: float, heston: HestonParams, grid: PricingGrid,
+    n_paths: int, seed: int, dt_target: float, max_exit_fraction: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-path left-endpoint quadratures of the three integrands along
-    real-world paths started at time ``t``, ``n_paths`` from each
-    ``(s0, nu0, node)`` in ``starts``, simulated together in the blocks of
-    ``seeding.map_blocks``.  A node's paths draw from the key
-    ``(FUNCTIONAL_STREAM, node)`` under ``seed``.  Start ``n`` owns rows
-    ``n * n_paths`` onward of the returned (i1, i2, i3, exited) arrays;
-    ``exited`` flags the paths that left the grid before the last step."""
+    real-world paths from ``(s0, nu0)`` at time ``t``, drawn from the key
+    ``(FUNCTIONAL_STREAM, 0)`` under ``seed`` in the blocks of
+    ``seeding.map_blocks``.  Raises ``GridExitError`` when more than
+    ``max_exit_fraction`` of the paths leave the grid before the last step."""
     tau = T - t
     n_steps = max(1, round(tau / dt_target))
     dt = tau / n_steps
     rho, xi = heston.rho, heston.xi
-    s_start = np.array([st[0] for st in starts], dtype=np.float64)
-    nu_start = np.array([st[1] for st in starts], dtype=np.float64)
 
     def paths(lo: int, hi: int):
-        shocks = np.empty((hi - lo, n_steps, 2))
-        for start in range(lo // n_paths, (hi - 1) // n_paths + 1):
-            first = start * n_paths
-            a, b = max(lo, first), min(hi, first + n_paths)
-            lane_draws(seed, (FUNCTIONAL_STREAM, starts[start][2]), a - first, b - first,
-                       shocks[a - lo:b - lo])
         n = hi - lo
-        node_of_row = np.arange(lo, hi) // n_paths
-        s = s_start[node_of_row]
-        nu = nu_start[node_of_row]
+        shocks = os_array((n, n_steps, 2))
+        lane_draws(seed, (FUNCTIONAL_STREAM, 0), lo, hi, shocks)
+        s = np.full(n, float(s0))
+        nu = np.full(n, float(nu0))
         a1 = np.zeros(n)
         a2 = np.zeros(n)
         a3 = np.zeros(n)
@@ -125,41 +116,14 @@ def _integrals(
             s = s + ds
         return a1, a2, a3, out
 
-    return tuple(np.concatenate(col) for col in zip(*map_blocks(len(starts) * n_paths, paths)))
-
-
-def _check_exits(exited: int, n_paths: int, max_exit_fraction: float) -> None:
-    if exited > max_exit_fraction * n_paths:
+    i1, i2, i3, exited = (np.concatenate(col) for col in zip(*map_blocks(n_paths, paths)))
+    n_exited = int(exited.sum())
+    if n_exited > max_exit_fraction * n_paths:
         raise GridExitError(
-            f"{exited}/{n_paths} paths left the pricing grid "
+            f"{n_exited}/{n_paths} paths left the pricing grid "
             f"(allowed fraction {max_exit_fraction}); widen the grid"
         )
-
-
-def _simulate_integrals(
-    s0: float, nu0: float, t: float, T: float,
-    heston: HestonParams, grid: PricingGrid,
-    n_paths: int, seed: int, dt_target: float,
-    max_exit_fraction: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-path quadratures of the three integrands from one state: a
-    one-node call of the batched kernel ``_integrals`` with node key 0,
-    which no lattice node uses."""
-    i1, i2, i3, exited = _integrals([(s0, nu0, 0)], t, T, heston, grid, n_paths, seed, dt_target)
-    _check_exits(int(exited.sum()), n_paths, max_exit_fraction)
     return i1, i2, i3
-
-
-def _functionals(i1, i2, i3, gamma: float, xi: float) -> Functionals:
-    root_n = math.sqrt(i1.size)
-    return Functionals(
-        h1=-gamma * float(i1.mean()),
-        h2=-0.5 * gamma * float(i2.mean()),
-        m=-0.5 * gamma * xi**2 * float(i3.mean()),
-        se_h1=gamma * float(i1.std(ddof=1)) / root_n,
-        se_h2=0.5 * gamma * float(i2.std(ddof=1)) / root_n,
-        se_m=0.5 * gamma * xi**2 * float(i3.std(ddof=1)) / root_n,
-    )
 
 
 def estimate_functionals(
@@ -168,7 +132,8 @@ def estimate_functionals(
     n_paths: int = 2000, seed: int = 0, dt_target: float = 0.005,
     max_exit_fraction: float = 0.01,
 ) -> Functionals:
-    """Estimate (H1, H2, M) at state (s, nu, t) by Monte Carlo.
+    """Estimate (H1, H2, M) at state (s, nu, t) by Monte Carlo, the oracle
+    of ``FunctionalLattice.build``.
 
     Exact zeros at ``t == T`` (empty integral) and for ``gamma == 0``.
     """
@@ -180,13 +145,20 @@ def estimate_functionals(
         raise ValueError("n_paths must be at least 1000")
     i1, i2, i3 = _simulate_integrals(s, nu, t, T, heston, grid, n_paths, seed,
                                      dt_target, max_exit_fraction)
-    return _functionals(i1, i2, i3, risk.gamma, heston.xi)
+    gamma, xi, root_n = risk.gamma, heston.xi, math.sqrt(n_paths)
+    return Functionals(
+        h1=-gamma * float(i1.mean()),
+        h2=-0.5 * gamma * float(i2.mean()),
+        m=-0.5 * gamma * xi**2 * float(i3.mean()),
+        se_h1=gamma * float(i1.std(ddof=1)) / root_n,
+        se_h2=0.5 * gamma * float(i2.std(ddof=1)) / root_n,
+        se_m=0.5 * gamma * xi**2 * float(i3.std(ddof=1)) / root_n,
+    )
 
 
 class FunctionalLattice:
-    """(H1, H2, M) precomputed on a coarse (s, nu, t) lattice and
-    interpolated linearly in t, then bilinearly in (s, nu), during
-    simulations."""
+    """(H1, H2, M) on a coarse (s, nu, t) lattice, interpolated linearly
+    in t, then bilinearly in (s, nu), during simulations."""
 
     def __init__(self, s_nodes, nu_nodes, t_nodes, h1, h2, m):
         self.s_nodes = np.asarray(s_nodes, dtype=np.float64)
@@ -208,38 +180,49 @@ class FunctionalLattice:
     def build(
         cls, s_nodes, nu_nodes, t_nodes, T: float,
         heston: HestonParams, risk: RiskParams, grid: PricingGrid,
-        n_paths: int = 1000, seed: int = 0, dt_target: float = 0.01,
-        max_exit_fraction: float = 0.5,
+        n_paths: int = 1000, seed: int = 0,
     ) -> "FunctionalLattice":
-        """Estimate every node with ``t < T`` as ``estimate_functionals``
-        would, node ``n`` (1-based, in (s, nu, t) order) drawing from the key
-        ``(FUNCTIONAL_STREAM, n)`` under ``seed``, so lattices built with
-        different seeds share no streams.  The nodes sharing a ``t`` are
-        simulated together; each keeps its own streams and its own grid-exit
-        check."""
-        # outer lattice nodes sit near the pricing-grid edge on purpose, so a
-        # generous exit fraction is the default here; exited paths are clamped
-        s_nodes = np.asarray(s_nodes, dtype=np.float64)
-        nu_nodes = np.asarray(nu_nodes, dtype=np.float64)
-        t_nodes = np.asarray(t_nodes, dtype=np.float64)
-        shape = (s_nodes.size, nu_nodes.size, t_nodes.size)
-        table = np.zeros(shape + (3,))
-        live = [k for k, tv in enumerate(t_nodes) if tv < T]
-        if live and risk.gamma != 0.0:
-            if n_paths < 1000:
-                raise ValueError("n_paths must be at least 1000")
-            cells = [(i, j) for i in range(shape[0]) for j in range(shape[1])]
-            for k in live:
-                starts = [(float(s_nodes[i]), float(nu_nodes[j]),
-                           1 + (i * shape[1] + j) * shape[2] + k) for i, j in cells]
-                i1, i2, i3, exited = _integrals(starts, float(t_nodes[k]), T, heston, grid,
-                                                n_paths, seed, dt_target)
-                for n, (i, j) in enumerate(cells):
-                    rows = slice(n * n_paths, (n + 1) * n_paths)
-                    _check_exits(int(exited[rows].sum()), n_paths, max_exit_fraction)
-                    f = _functionals(i1[rows], i2[rows], i3[rows], risk.gamma, heston.xi)
-                    table[i, j, k] = f.h1, f.h2, f.m
-        return cls(s_nodes, nu_nodes, t_nodes, table[..., 0], table[..., 1], table[..., 2])
+        """Every node from one backward solve on the pricing grid (Feynman-Kac):
+        ``u_j = E[integral from t to T of f_j]`` solves ``u_t + L u + f_j = 0``
+        with ``u(T) = 0``, ``L`` the real-world generator (the pricer's
+        operator under ``heston`` with ``eta_nu = 0``) and the sources taken
+        from the greek slices, ``f1 = nu (Delta + rho xi C_nu)``, ``f2 = nu
+        (Delta^2 + 2 rho xi Delta C_nu + xi^2 C_nu^2)`` and ``f3 = nu C_nu^2``.
+        ``u`` is kept at the nodes' (s, nu) points and blended in t; then
+        ``H1 = -gamma u1``, ``H2 = -(gamma / 2) u2``, ``M = -(gamma xi^2 / 2)
+        u3``, and every zero (at ``t = T``, for ``gamma = 0``) is +0.0.  The
+        scheme is not monotone: at the CLI defaults M comes out positive at
+        10 nodes, by at most 4.3e-13 (2e-9 of max |M|), and is not clipped.
+        ``T`` must be the grid's maturity and the nodes must lie on the grid.
+        ``n_paths`` and ``seed`` do nothing; they stay for callers that pass them.
+        """
+        s_nodes, nu_nodes, t_nodes = (np.asarray(x, dtype=np.float64)
+                                      for x in (s_nodes, nu_nodes, t_nodes))
+        if T != grid.config.T:
+            raise ValueError(f"T={T} is not the pricing grid's maturity {grid.config.T}")
+        i, wi = grid._locate(grid.s_grid, s_nodes[:, None], "s")
+        j, wj = grid._locate(grid.nu_grid, nu_nodes[None, :], "nu")
+        k, wk = grid._locate(grid.times, t_nodes, "t")
+        rho, xi = heston.rho, heston.xi
+
+        def source(it: int) -> np.ndarray:
+            g = grid._slice(it)
+            delta, c_nu = g[:, :, DELTA], g[:, :, C_NU]
+            return grid.nu_grid * np.stack((
+                delta + rho * xi * c_nu,
+                delta**2 + 2.0 * rho * xi * delta * c_nu + xi**2 * c_nu**2,
+                c_nu**2))
+
+        at_nodes = np.zeros((grid.times.size, s_nodes.size, nu_nodes.size, 3))  # u(T) = 0
+        u = np.zeros((3,) + grid.values.shape[:2])
+        real_world = replace(grid.config, heston=heston, eta_nu=0.0)
+        for back, u in enumerate(douglas_steps(real_world, u, source), 2):
+            at_nodes[-back] = bilinear(np.moveaxis(u, 0, -1), i, wi, j, wj)
+        wk = wk[:, None, None, None]
+        u_t = np.moveaxis((1.0 - wk) * at_nodes[k] + wk * at_nodes[k + 1], 0, 2)
+        # 0.0 - x turns -0.0 into +0.0 and leaves every other value as -x
+        table = 0.0 - np.array([1.0, 0.5, 0.5 * xi**2]) * risk.gamma * u_t
+        return cls(s_nodes, nu_nodes, t_nodes, *np.moveaxis(table, -1, 0))
 
     def functionals(self, s, nu, t: float):
         """(H1, H2, M) at (s, nu) and the one time ``t``, clipped to the node
@@ -365,8 +348,8 @@ def run_hedged_paths(
 
     def paths(lo: int, hi: int):
         n = hi - lo
-        shocks = np.empty((n, n_steps, 2))
-        uniforms = np.empty((n, n_steps, 2))
+        shocks = os_array((n, n_steps, 2))
+        uniforms = os_array((n, n_steps, 2))
         lane_draws(seed, (OPTION_MM_STREAM,), lo, hi, shocks, uniforms)
 
         s = np.full(n, heston.s0)
@@ -450,8 +433,8 @@ def run_joint_paths(
 
     def paths(lo: int, hi: int):
         n = hi - lo
-        shocks = np.empty((n, n_steps, 2))
-        uniforms = np.empty((n, n_steps, 4))
+        shocks = os_array((n, n_steps, 2))
+        uniforms = os_array((n, n_steps, 4))
         lane_draws(seed, (OPTION_MM_STREAM,), lo, hi, shocks, uniforms)
 
         s = np.full(n, heston.s0)

@@ -22,7 +22,7 @@ from scipy.special import ndtr
 
 from . import fd
 from .heston import HestonParams, euler_step
-from .seeding import DEFAULT_BLOCK, PRICING_PILOT_STREAM, PRICING_STREAM, lane_draws, map_blocks
+from .seeding import DEFAULT_BLOCK, PRICING_PILOT_STREAM, PRICING_STREAM, lane_draws, map_blocks, os_array
 from .table import write_table
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "default_s_grid",
     "default_nu_grid",
     "bachelier_call",
+    "douglas_steps",
     "solve_call_grid",
     "mc_terminal",
     "mc_price",
@@ -42,7 +43,8 @@ __all__ = [
 
 
 class StabilityError(RuntimeError):
-    """Time step too large for the explicitly treated mixed derivative."""
+    """Time step too large for the explicitly treated mixed derivative, or
+    non-finite values in a backward solve."""
 
 
 def default_s_grid(heston: HestonParams, T: float, n: int = 161) -> np.ndarray:
@@ -172,7 +174,7 @@ class PricingGrid:
     def __post_init__(self):
         n_s, n_nu, n_t = self.values.shape
         # pages of slices never used are never touched and cost no memory
-        self._stack = np.empty((n_t, n_s, n_nu, 4))
+        self._stack = os_array((n_t, n_s, n_nu, 4), lazy=True)
         self._filled = np.zeros(n_t, dtype=bool)
 
     def _locate(self, grid: np.ndarray, x: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -246,15 +248,19 @@ def _nu_operator(config: PricingConfig):
     return fd.operator_diagonals(v, drift, diffusion)
 
 
-def solve_call_grid(config: PricingConfig) -> PricingGrid:
-    """Backward Douglas splitting solve from the terminal payoff.
+def douglas_steps(config: PricingConfig, u: np.ndarray, source=None, edges=None):
+    """Backward Douglas splitting steps of ``u_t + L u + f = 0`` from ``u``,
+    a stack shaped ``(..., n_s, n_nu)`` at maturity, with ``L`` the pricer's
+    operator under ``config``; yields ``u`` at each earlier stored time, down
+    to ``t = 0``.
 
-    The one-dimensional s- and nu-operators are treated implicitly; the mixed
-    derivative term is explicit, with a conservative step bound checked up
-    front.  Far-field Dirichlet boundaries in s (0 deep out of the money,
-    ``s - K`` deep in); the nu boundaries use one-sided first derivatives and
-    zero second derivative, which at ``nu = 0`` reduces the equation to
-    ``C_t + theta alpha C_nu = 0``.
+    The s- and nu-operators are implicit; the mixed derivative term is
+    explicit, with a conservative step bound checked up front.  The nu
+    boundaries use one-sided first derivatives and zero second derivative.
+    ``source(it)`` is ``f`` at stored time ``it``, applied as a trapezoid in
+    t.  ``edges`` are Dirichlet values ``(lo, hi)`` of the s-edge rows;
+    without them those rows evolve by the nu-operator and the source alone,
+    since the s- and mixed operators vanish there.
     """
     s, v = config.s, config.nu
     heston = config.heston
@@ -272,60 +278,72 @@ def solve_call_grid(config: PricingConfig) -> PricingGrid:
 
     # s-operator: 0.5 * nu * C_ss at each variance level, (nv, ns) diagonals
     d2 = np.stack(fd.operator_diagonals(s, 0.0, 1.0))  # unit-diffusion second derivative
-    d2[:, [0, -1]] = 0.0  # Dirichlet rows
+    d2[:, [0, -1]] = 0.0  # the s-edge rows
     s_lower, s_diag, s_upper = (0.5 * v)[None, :, None] * d2[:, None, :]
 
     nu_l, nu_d, nu_u = _nu_operator(config)
+    mixed = heston.rho * heston.xi * v
 
-    # implicit factors (banded form), one per direction; the nv s-systems are
-    # one block-diagonal system, uncoupled by their identity Dirichlet rows
+    # implicit factors (banded form), one per direction; the s-systems of
+    # every variance level and right-hand side are one block-diagonal
+    # system, uncoupled by their identity edge rows
     half = 0.5 * dt
     ab_s = fd.to_banded(-half * s_lower.ravel(), 1.0 - half * s_diag.ravel(),
                         -half * s_upper.ravel())
     ab_s[1, ::ns] = ab_s[1, ns - 1::ns] = 1.0
+    ab_s = np.tile(ab_s, math.prod(u.shape[:-2]))
     ab_v = fd.to_banded(-half * nu_l, 1.0 - half * nu_d, -half * nu_u)
-
-    bc_lo = 0.0
-    bc_hi = s[-1] - config.strike
 
     def apply_s(c):
         out = s_diag.T * c
-        out[1:, :] += s_lower.T[1:, :] * c[:-1, :]
-        out[:-1, :] += s_upper.T[:-1, :] * c[1:, :]
+        out[..., 1:, :] += s_lower.T[1:, :] * c[..., :-1, :]
+        out[..., :-1, :] += s_upper.T[:-1, :] * c[..., 1:, :]
         return out
-
-    def apply_v(c):
-        return fd.apply_tridiagonal((nu_l, nu_d, nu_u), c)
 
     def apply_mixed(c):
-        out = np.zeros_like(c)
-        dcds = np.gradient(c, s, axis=0)
-        d2 = np.gradient(dcds, v, axis=1)
-        out[1:-1, :] = (heston.rho * heston.xi * v[None, :] * d2)[1:-1, :]
+        out = mixed * np.gradient(np.gradient(c, s, axis=-2), v, axis=-1)
+        out[..., [0, -1], :] = 0.0
         return out
 
-    c = np.maximum(s[:, None] - config.strike, 0.0) * np.ones((1, nv))
-    n_t = config.n_time + 1
-    values = np.empty((ns, nv, n_t))
-    values[:, :, -1] = c
-
+    c = u
+    f_next = None if source is None else source(config.n_time)
     for step in range(config.n_time):
-        rhs_full = c + dt * (apply_s(c) + apply_v(c) + apply_mixed(c))
+        a_s = apply_s(c)
+        a_v = fd.apply_tridiagonal((nu_l, nu_d, nu_u), c)
+        y = c + dt * (a_s + a_v + apply_mixed(c))
+        if source is not None:
+            f_now = source(config.n_time - 1 - step)
+            y += half * (f_now + f_next)
+            f_next = f_now
         # s-direction correction and solve (every variance level at once)
-        y = rhs_full - half * apply_s(c)
-        y[0, :] = bc_lo
-        y[-1, :] = bc_hi
-        y1 = solve_banded((1, 1), ab_s, y.T.ravel()).reshape(nv, ns).T
+        y -= half * a_s
+        if edges is not None:
+            y[..., 0, :], y[..., -1, :] = edges
+        y = solve_banded((1, 1), ab_s, np.swapaxes(y, -1, -2).ravel())
+        y = np.swapaxes(y.reshape(c.shape[:-2] + (nv, ns)), -1, -2)
         # nu-direction correction and solve (all s rows at once)
-        y2 = y1 - half * apply_v(c)
-        y2 = solve_banded((1, 1), ab_v, y2.T).T
-        y2[0, :] = bc_lo
-        y2[-1, :] = bc_hi
-        c = y2
+        y = y - half * a_v
+        c = solve_banded((1, 1), ab_v, y.reshape(-1, nv).T).T.reshape(y.shape)
+        if edges is not None:
+            c[..., 0, :], c[..., -1, :] = edges
         if not np.all(np.isfinite(c)):
             raise StabilityError(f"non-finite values at backward step {step + 1}")
-        values[:, :, n_t - 2 - step] = c
+        yield c
 
+
+def solve_call_grid(config: PricingConfig) -> PricingGrid:
+    """The call surface: ``douglas_steps`` from the terminal payoff, with
+    far-field Dirichlet boundaries in s (0 deep out of the money, ``s - K``
+    deep in).  At ``nu = 0`` the equation reduces to ``C_t + theta alpha
+    C_nu = 0``.
+    """
+    s, v = config.s, config.nu
+    c = np.maximum(s[:, None] - config.strike, 0.0) * np.ones((1, v.size))
+    n_t = config.n_time + 1
+    values = os_array((s.size, v.size, n_t))
+    values[:, :, -1] = c
+    for back, c in enumerate(douglas_steps(config, c, edges=(0.0, s[-1] - config.strike)), 2):
+        values[:, :, -back] = c
     times = np.linspace(0.0, config.T, n_t)
     return PricingGrid(config=config, s_grid=s, nu_grid=v, times=times, values=values)
 
@@ -373,7 +391,7 @@ def mc_terminal(
     risk_adj = _risk_adj(config)
 
     def paths(lo: int, hi: int) -> np.ndarray:
-        shocks = np.empty((hi - lo, n_steps, 2))
+        shocks = os_array((hi - lo, n_steps, 2))
         lane_draws(seed, (PRICING_STREAM,), lo, hi, shocks)
         s_arr = np.full(hi - lo, float(s))
         v_arr = np.full(hi - lo, float(nu))
@@ -401,7 +419,7 @@ def _conditional_paths(config: PricingConfig, s: float, nu: float, n_steps: int,
     rho = config.heston.rho
     variance_only = replace(config.heston, rho=1.0)
     risk_adj = _risk_adj(config)
-    z = np.empty((hi - lo, n_steps, 1))
+    z = os_array((hi - lo, n_steps, 1))
     lane_draws(seed, (stream,), lo, hi, z)
     v = np.full(hi - lo, float(nu))
     m = np.zeros(hi - lo)

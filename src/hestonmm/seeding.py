@@ -3,8 +3,8 @@
 All randomness in the library flows from a single master seed.  Paths are
 grouped into fixed-width lanes: path ``i`` is row ``i % LANE`` of lane
 ``i // LANE``, and each lane owns one generator derived from ``(master, *key,
-lane)``, where ``key`` names the source of randomness (a stream, plus a node
-for the functional lattice).  A lane always draws all ``LANE`` rows, so a
+lane)``, where ``key`` names the source of randomness (a stream, plus a fixed
+node 0 for the functional oracle).  A lane always draws all ``LANE`` rows, so a
 path's draws depend only on ``(master, key, i)``: not on the ensemble size,
 the block layout or the number of workers.
 
@@ -14,6 +14,8 @@ request, runs the blocks on worker threads.
 
 from __future__ import annotations
 
+import math
+import mmap
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -35,6 +37,16 @@ SCHEMES = ("binomial", "gaussian")
 def path_generator(master: int, *key: int) -> np.random.Generator:
     """The generator of one lane: ``path_generator(master, *key, lane)``."""
     return np.random.default_rng(np.random.SeedSequence(entropy=master, spawn_key=key))
+
+
+def os_array(shape, lazy: bool = False) -> np.ndarray:
+    """Uninitialised float64 array on pages mapped from the OS, all up front or,
+    if ``lazy``, each as first written; unmapped when freed.  Large freed
+    ``malloc`` buffers raise glibc's mmap threshold, later ones then land on
+    the heap, and peak memory varies with its fragmentation from run to run."""
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | (0 if lazy else getattr(mmap, "MAP_POPULATE", 0))
+    n = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * max(n, 1), flags=flags), count=n).reshape(shape)
 
 
 def _shocks(rng: np.random.Generator, out: np.ndarray, scheme: str) -> None:
@@ -73,8 +85,8 @@ def lane_draws(master: int, key: tuple[int, ...], lo: int, hi: int, shocks: np.n
                 rng.random(out=uniforms[a - lo:b - lo])
             continue
         if edge_z is None:
-            edge_z = np.empty((LANE,) + shocks.shape[1:])
-            edge_u = None if uniforms is None else np.empty((LANE,) + uniforms.shape[1:])
+            edge_z = os_array((LANE,) + shocks.shape[1:])
+            edge_u = None if uniforms is None else os_array((LANE,) + uniforms.shape[1:])
         _shocks(rng, edge_z, scheme)
         shocks[a - lo:b - lo] = edge_z[a - first:b - first]
         if uniforms is not None:

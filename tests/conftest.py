@@ -41,5 +41,5 @@ def functional_lattice(heston, risk_nofee, pricing_grid):
         np.linspace(0.5, 9.0, 4),
         np.linspace(0.0, 1.0, 5),
         1.0, heston, risk_nofee, pricing_grid,
-        n_paths=1000, seed=2, dt_target=0.01,
+        n_paths=1000, seed=2,
     )

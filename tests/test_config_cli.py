@@ -107,6 +107,12 @@ def test_config_error_exit_code(tmp_path):
     assert list(tmp_path.glob("*.csv")) == []
 
 
+def test_removed_pricing_mc_paths_is_an_unknown_key(tmp_path, capsys):
+    assert run_cli("price-option", "--set", "pricing.mc_paths=5", "--out", str(tmp_path)) == EXIT_CONFIG
+    assert "mc_paths" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("sub, override, field", [
     ("hjb", "sim.t_horizon=nan", "T"),
     ("hjb", "hjb.nu_hi=inf", "nu_hi"),
@@ -261,3 +267,14 @@ def test_option_mm_output(tmp_path):
     assert rows[0].startswith("mode,n,z_mean,q_o_mean")
     lattice = sorted(tmp_path.glob("option-mm-*-lattice.csv"))[0].read_text().splitlines()
     assert lattice[0] == "s,nu,t,H1,H2,M"
+
+
+def test_option_mm_lattice_does_not_depend_on_the_seed(tmp_path):
+    small = ["--set", "option_mm.n_paths=40", "--set", "option_mm.dt=0.01",
+             "--set", "pricing.n_s=81", "--set", "pricing.n_nu=16", "--set", "pricing.n_time=100"]
+    tables = []
+    for seed in ("1", "2"):
+        assert run_cli("option-mm", "--seed", seed, *small, "--out", str(tmp_path)) == EXIT_OK
+        tables.append(sorted(tmp_path.glob(f"option-mm-*-{seed}-lattice.csv"))[0].read_text())
+    assert tables[0] == tables[1]
+    assert "-0.0" not in {cell for row in tables[0].splitlines() for cell in row.split(",")}

@@ -4,7 +4,8 @@ Each reference is the straightforward form kept here: draws taken straight
 from the lane generators (``path_generator(seed, *key, lane)``, 64 paths per
 lane) and sliced per path, greek planes taken with ``np.gradient`` of a value slice,
 ``searchsorted`` cell lookups, scipy's ``RegularGridInterpolator``, one
-``solve_banded`` call per variance level, and the books' step loops written
+``solve_banded`` call per variance level, each right-hand side of a stacked
+backward solve solved alone, and the books' step loops written
 out from the market kernels.  Where the arithmetic is unchanged the results
 must be equal; where only its order changed, the tolerance is fixed from
 float64 rounding, not from a run.
@@ -23,16 +24,14 @@ from hestonmm.heston import euler_step
 from hestonmm.intensity import fills
 from hestonmm.option_mm import (
     FunctionalLattice,
-    GridExitError,
-    _functionals,
-    _integrals,
     _simulate_integrals,
     hedged_book_quotes,
     joint_book_quotes,
     run_hedged_paths,
     run_joint_paths,
 )
-from hestonmm.option_pricing import C, PRICE, PricingConfig, cell, mc_terminal, solve_call_grid
+from hestonmm.option_pricing import (C, PRICE, PricingConfig, cell, douglas_steps, mc_terminal,
+                                     solve_call_grid)
 from hestonmm.seeding import (
     DEFAULT_BLOCK,
     FUNCTIONAL_STREAM,
@@ -294,63 +293,6 @@ def test_lattice_rejects_degenerate_axes():
                           z.repeat(2, 0))
 
 
-def test_batched_build_equals_per_node_estimates(heston, risk_nofee, pricing_grid):
-    # 9 nodes x 1000 paths per time: the 4096-path batches straddle nodes,
-    # and lanes straddle the batches
-    s_nodes, nu_nodes, t_nodes = np.linspace(95, 105, 3), np.linspace(1, 7, 3), np.linspace(0, 1, 3)
-    seed = 40
-    lat = FunctionalLattice.build(s_nodes, nu_nodes, t_nodes, 1.0, heston, risk_nofee,
-                                  pricing_grid, n_paths=1000, seed=seed, dt_target=0.05)
-    node = 0
-    for i, sv in enumerate(s_nodes):
-        for j, nv in enumerate(nu_nodes):
-            for k, tv in enumerate(t_nodes):
-                node += 1
-                got = (lat.h1[i, j, k], lat.h2[i, j, k], lat.m[i, j, k])
-                if tv == 1.0:
-                    assert got == (0.0, 0.0, 0.0)
-                    continue
-                i1, i2, i3, _ = _integrals([(sv, nv, node)], tv, 1.0, heston, pricing_grid,
-                                           1000, seed, 0.05)
-                f = _functionals(i1, i2, i3, risk_nofee.gamma, heston.xi)
-                assert got == (f.h1, f.h2, f.m)
-    assert lat.h1[:, :, -1].max() == 0.0 and lat.h1[:, :, 0].min() < 0.0
-
-
-def test_lattice_seeds_do_not_alias(heston, risk_nofee, pricing_grid, monkeypatch):
-    # node n draws from (FUNCTIONAL_STREAM, n) under the master seed; seeding
-    # node n with seed + n would give node 2 at seed s the shocks of node 1
-    # at seed s + 1
-    calls = []
-
-    def recording(master, key, lo, hi, shocks, *args, **kwargs):
-        lane_draws(master, key, lo, hi, shocks, *args, **kwargs)
-        calls.append((master, key, lo, hi, shocks.copy()))
-
-    monkeypatch.setattr(option_mm, "lane_draws", recording)
-    s = 7
-    for seed in (s, s + 1):
-        FunctionalLattice.build([99.0, 101.0], [3.0, 5.0], [0.0, 0.5, 1.0], 1.0, heston,
-                                risk_nofee, pricing_grid, n_paths=1000, seed=seed, dt_target=0.05)
-
-    def node_shocks(master, node):
-        key = (FUNCTIONAL_STREAM, node)
-        rows = sorted((c for c in calls if c[:2] == (master, key)), key=lambda c: c[2])
-        return np.concatenate([c[4] for c in rows])
-
-    node2, node1 = node_shocks(s, 2), node_shocks(s + 1, 1)  # t = 0.5 and t = 0
-    assert node2.shape == (1000, 10, 2) and node1.shape == (1000, 20, 2)
-    assert not np.any(node2 == node1[:, :10])
-
-
-def test_batched_build_edge_node_raises(heston, risk_nofee, pricing_grid):
-    s_edge = pricing_grid.s_grid[-1] - 0.1
-    with pytest.raises(GridExitError):
-        FunctionalLattice.build([100.0, s_edge], [3.0, 5.0], [0.0, 1.0], 1.0, heston,
-                                risk_nofee, pricing_grid, n_paths=1000, seed=5,
-                                dt_target=0.05, max_exit_fraction=0.01)
-
-
 def _recount_exits(heston, grid, T, dt, n_paths, seed):
     """Paths whose Euler path visits a state outside the grid, redrawn from
     the book's streams."""
@@ -428,6 +370,31 @@ def test_batched_s_solve_equals_per_level_solves(heston, monkeypatch, variant):
     reference = solve_call_grid(cfg).values
     assert calls == [cfg.s.size * cfg.nu.size] * cfg.n_time
     np.testing.assert_array_equal(batched, reference)
+
+
+def test_stacked_douglas_steps_equal_separate_solves(heston):
+    # the s-systems of a stack are one tiled block-diagonal solve: each
+    # right-hand side must come out as it does alone
+    cfg = PricingConfig(heston=heston, strike=100.0, T=1.0)
+    rng = np.random.default_rng(1)
+    u0 = rng.standard_normal((3, cfg.s.size, cfg.nu.size))
+    f = rng.standard_normal((cfg.n_time + 1,) + u0.shape)
+    stacked = list(douglas_steps(cfg, u0, lambda it: f[it]))
+    assert len(stacked) == cfg.n_time
+    for m in range(3):
+        for alone, both in zip(douglas_steps(cfg, u0[m], lambda it: f[it, m]), stacked):
+            np.testing.assert_array_equal(alone, both[m])
+
+
+def test_douglas_steps_integrate_a_constant_source(heston):
+    # u = (T - t) f solves u_t + L u + f = 0 for constant f, since L has no
+    # reaction term; without s-edge values the edge rows follow it too
+    cfg = PricingConfig(heston=heston, strike=100.0, T=1.0)
+    level = np.array([1.0, 3.0])[:, None, None]
+    f = level * np.ones((cfg.s.size, cfg.nu.size))
+    for back, u in enumerate(douglas_steps(cfg, np.zeros_like(f), lambda it: f), 1):
+        np.testing.assert_allclose(u, back * cfg.T / cfg.n_time * f, rtol=0.0,
+                                   atol=REL * cfg.T * level.max())
 
 
 def _clamped(grid, s, nu):

@@ -6,6 +6,7 @@ import pytest
 from hestonmm import option_mm
 from hestonmm.heston import HestonParams
 from hestonmm.option_mm import (
+    FunctionalLattice,
     Functionals,
     GridExitError,
     approx_value_hedged,
@@ -245,3 +246,57 @@ def test_lattice_matches_direct_estimate(heston, risk_nofee, pricing_grid, funct
     assert m == pytest.approx(functional_lattice.m[i, j, k], rel=1e-12)
     # and the terminal layer is exactly zero
     assert functional_lattice.h1[:, :, -1].max() == 0.0
+
+
+@pytest.fixture(scope="module")
+def cli_lattice(heston, risk_nofee, pricing_grid):
+    """The option-mm subcommand's default 5x4x5 lattice on the default grid."""
+    return FunctionalLattice.build(np.linspace(88.0, 112.0, 5), np.linspace(0.48, 9.0, 4),
+                                   np.linspace(0.0, 1.0, 5), 1.0, heston, risk_nofee,
+                                   pricing_grid)
+
+
+# (s, nu, t) node indices: ATM, off-centre at high variance, between them, and ATM at t = 0.5
+@pytest.mark.parametrize("node", [(2, 1, 0), (0, 3, 0), (1, 2, 0), (2, 1, 2)])
+def test_lattice_agrees_with_the_monte_carlo_oracle(heston, risk_nofee, pricing_grid,
+                                                    cli_lattice, node):
+    # dt_target 0.0025, not the default 0.005: there the ATM M reads 2.7 SE
+    # off, which is the oracle's own Euler and quadrature bias.  From
+    # (88, 9.0) a fifth of the paths leave the grid and read its edge.
+    lat, (i, j, k) = cli_lattice, node
+    f = estimate_functionals(lat.s_nodes[i], lat.nu_nodes[j], lat.t_nodes[k], 1.0, heston,
+                             risk_nofee, pricing_grid, n_paths=20_000, seed=11,
+                             dt_target=0.0025, max_exit_fraction=0.5)
+    for table, est, se in ((lat.h1, f.h1, f.se_h1), (lat.h2, f.h2, f.se_h2), (lat.m, f.m, f.se_m)):
+        # the floor covers M at rounding level near the grid edges
+        assert abs(table[i, j, k] - est) <= 3.0 * se + 1e-8 * np.abs(table).max()
+
+
+def test_lattice_ignores_seed_and_paths(heston, risk_nofee, pricing_grid, cli_lattice):
+    args = (cli_lattice.s_nodes, cli_lattice.nu_nodes, cli_lattice.t_nodes, 1.0, heston,
+            risk_nofee, pricing_grid)
+    for kw in ({"seed": 1, "n_paths": 2000}, {"seed": 2, "n_paths": 5000}):
+        np.testing.assert_array_equal(FunctionalLattice.build(*args, **kw)._table,
+                                      cli_lattice._table)
+
+
+def test_lattice_zeros_are_positive(heston, pricing_grid, cli_lattice, tmp_path):
+    # at t = T, and everywhere for gamma = 0, every entry is +0.0, never -0.0
+    at_maturity = cli_lattice._table[:, :, -1]
+    assert np.all(at_maturity == 0.0) and not np.signbit(at_maturity).any()
+    lat = FunctionalLattice.build(cli_lattice.s_nodes, cli_lattice.nu_nodes, cli_lattice.t_nodes,
+                                  1.0, heston, RiskParams(0.0), pricing_grid)
+    assert np.all(lat._table == 0.0) and not np.signbit(lat._table).any()
+    option_mm.write_lattice_csv(lat, tmp_path / "lattice.csv")
+    rows = (tmp_path / "lattice.csv").read_text().splitlines()[1:]
+    assert rows and all(row.split(",")[3:] == ["0.0", "0.0", "0.0"] for row in rows)
+
+
+def test_lattice_rejects_another_maturity_or_nodes_off_the_grid(heston, risk_nofee, pricing_grid):
+    nodes = ([95.0, 105.0], [2.0, 6.0], [0.0, 0.5])
+    with pytest.raises(ValueError, match="maturity"):
+        FunctionalLattice.build(*nodes, 0.5, heston, risk_nofee, pricing_grid)
+    with pytest.raises(ValueError, match="s outside"):
+        FunctionalLattice.build([95.0, 200.0], *nodes[1:], 1.0, heston, risk_nofee, pricing_grid)
+    with pytest.raises(ValueError, match="t outside"):
+        FunctionalLattice.build(*nodes[:2], [0.0, 1.5], 1.0, heston, risk_nofee, pricing_grid)

@@ -1,9 +1,11 @@
 """The keyed-lane contract: path ``i``'s draws depend only on
 ``(seed, key, i)``, whatever range, block layout or worker count asks for them."""
 
+import mmap
 import re
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +121,34 @@ def test_map_blocks_returns_blocks_in_index_order(threads):
 def test_map_blocks_rejects_no_paths(n):
     with pytest.raises(ValueError):
         map_blocks(n, lambda lo, hi: None)
+
+
+def _mapping(a):
+    """The object owning an array's memory."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_os_array_is_a_mapping_released_with_the_array(lazy):
+    a = seeding.os_array((3, 5, 2), lazy=lazy)
+    assert a.shape == (3, 5, 2) and a.dtype == np.float64
+    assert a.flags.writeable and a.flags.c_contiguous
+    a[:] = 1.5
+    assert a.sum() == 45.0
+    mapping = weakref.ref(_mapping(a))
+    assert isinstance(mapping(), mmap.mmap)
+    del a
+    assert mapping() is None  # unmapped at once, not kept by an allocator
+    assert seeding.os_array((0, 4)).shape == (0, 4)
+
+
+def test_pricing_surfaces_are_os_mappings(pricing_grid):
+    """The grid's values and stacked slices, the largest arrays of an
+    option-mm run, never pass through malloc."""
+    assert isinstance(_mapping(pricing_grid.values), mmap.mmap)
+    assert isinstance(_mapping(pricing_grid._stack), mmap.mmap)
 
 
 def test_only_the_seeding_module_builds_a_thread_pool():
