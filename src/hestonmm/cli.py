@@ -31,7 +31,7 @@ from .intensity import ArrivalParams
 from .option_mm import FunctionalLattice, run_hedged_paths, run_joint_paths, write_lattice_csv
 from .option_pricing import PricingConfig, StabilityError, default_nu_grid, default_s_grid, solve_call_grid, write_slice_csv
 from .quotes import Frozen, InventorySV, MarketImpact, RiskNeutral, RiskParams, Symmetric
-from .sim_engine import NonFiniteStateError, SimConfig, efficient_frontier, run_ensemble, run_path
+from .sim_engine import NonFiniteStateError, SimConfig, efficient_frontier, run_ensemble, run_path, trading_curve
 from .table import write_table
 
 ENV_OUTPUT_DIR = "HESTONMM_OUT"
@@ -180,9 +180,8 @@ def _cmd_frontier(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int | None,
 def _cmd_trading_curve(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int, threads: int) -> None:
     sim = _sim_config(cfg)
     policy = _configured_policy(cfg, sim, seed, n, threads)
-    stats = run_ensemble(policy, sim, n, seed, threads=threads)
     _write_rows(art.path(), ["t", "q_mean", "q_std"],
-                [stats.curve_times, stats.curve_mean, stats.curve_std])
+                trading_curve(policy, sim, n, seed, threads=threads))
 
 
 def _cmd_hjb(cfg: RunConfig, art: ArtifactWriter, seed: int) -> None:

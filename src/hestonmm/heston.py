@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import HESTON_STREAM, SCHEMES, lane_draws, map_blocks
+from .seeding import HESTON_STREAM, lane_draws, map_blocks
 
 __all__ = [
     "HestonParams",
@@ -108,22 +108,18 @@ def sample_terminal(
     n_paths: int,
     seed: int,
     scheme: str = "gaussian",
-    stream: int = HESTON_STREAM,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Terminal ``(S_T, nu_T)`` over ``n_paths`` independent paths.
 
-    Path ``i``'s draws depend only on ``(seed, stream, i)``, so results do
+    Path ``i``'s draws depend only on ``(seed, i)``, so results do
     not depend on ``n_paths`` or on how paths are grouped into blocks.
     """
     if T <= 0 or n_steps < 1 or n_paths < 1:
         raise ValueError("T, n_steps and n_paths must be positive")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
     dt = T / n_steps
 
     def paths(lo: int, hi: int):
-        shocks = np.empty((hi - lo, n_steps, 2))
-        lane_draws(seed, (stream,), lo, hi, shocks, scheme=scheme)
+        shocks, _ = lane_draws(seed, (HESTON_STREAM,), lo, hi, n_steps, 2, scheme=scheme)
         s = np.full(hi - lo, params.s0)
         nu = np.full(hi - lo, params.nu0)
         for step in range(n_steps):

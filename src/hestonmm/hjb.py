@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 
+# time slices a solve keeps: every stride-th step, both ends included
+MAX_STORED_SLICES = 201
+
+
 class BlowupError(RuntimeError):
     """Non-finite values or fill rates appeared during the backward sweep."""
 
@@ -61,7 +65,6 @@ class HjbConfig:
     n_nu: int = 61
     n_time: int = 400
     include_impact: bool = False
-    max_stored_slices: int = 201
 
     def __post_init__(self):
         for name in ("T", "nu_lo", "nu_hi"):
@@ -172,8 +175,7 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
     q = config.q_levels.astype(np.float64)[:, None]
     penalty = 0.5 * config.risk.gamma * q**2 * nu[None, :]
 
-    n_t = config.n_time + 1
-    stride = max(1, math.ceil((n_t - 1) / max(1, config.max_stored_slices - 1)))
+    stride = math.ceil(config.n_time / (MAX_STORED_SLICES - 1))
     stored_steps = sorted({0, *range(stride, config.n_time, stride), config.n_time})
     store_at = {s: i for i, s in enumerate(stored_steps)}
 
@@ -274,29 +276,35 @@ def compare_exact_vs_approx(
 
     Gaps are taken over interior inventory levels (both quote sides defined)
     restricted to the optional ``q_window``/``nu_window``; the sandwich bound
-    and ``c_emp`` use every node of the grid.
+    and ``c_emp`` use every node of the grid.  A window that holds no such
+    node raises ``ValueError`` before the refinement solve of the tolerance.
     """
     config = grid.config
     if config.include_impact:
         raise ValueError("comparison against the impact-free closed form requires include_impact=False")
+    nu = grid.nu_grid
+    t = grid.times
+    levels = grid.q_levels
+    keep_q = (levels > levels[0]) & (levels < levels[-1])  # both quote sides defined
+    if q_window is not None:
+        keep_q &= (levels >= q_window[0]) & (levels <= q_window[1])
+        if not keep_q.any():
+            raise ValueError(f"q_window {tuple(q_window)} holds no interior inventory level "
+                             f"of [{levels[1]}, {levels[-2]}]")
+    keep_nu = np.ones(nu.size, dtype=bool)
+    if nu_window is not None:
+        keep_nu = (nu >= nu_window[0]) & (nu <= nu_window[1])
+        if not keep_nu.any():
+            raise ValueError(f"nu_window {tuple(nu_window)} holds no variance node "
+                             f"of [{nu[0]:g}, {nu[-1]:g}]")
     if tol is None:
         tol = estimate_tolerance(config, grid)
     # before the gap arrays: lower peak memory
     c_emp = float(_source(*_arrival_factors(grid.values, config), config).max())
 
-    nu = grid.nu_grid
-    t = grid.times
-    qf = grid.q_levels.astype(np.float64)
+    qf = levels.astype(np.float64)
     approx_a, approx_b = _approx_quotes(grid)
-
-    mask = np.ones((grid.q_levels.size, nu.size, t.size), dtype=bool)
-    mask[0, :, :] = mask[-1, :, :] = False
-    if q_window is not None:
-        keep = (grid.q_levels >= q_window[0]) & (grid.q_levels <= q_window[1])
-        mask &= keep[:, None, None]
-    if nu_window is not None:
-        keep = (nu >= nu_window[0]) & (nu <= nu_window[1])
-        mask &= keep[None, :, None]
+    mask = keep_q[:, None, None] & keep_nu[None, :, None]
 
     gap_a = np.abs(grid.quotes_a - approx_a)
     gap_b = np.abs(grid.quotes_b - approx_b)
@@ -305,7 +313,7 @@ def compare_exact_vs_approx(
 
     def located_max(gap):
         idx = np.unravel_index(np.nanargmax(gap), gap.shape)
-        return float(gap[idx]), (int(grid.q_levels[idx[0]]), float(nu[idx[1]]), float(t[idx[2]]))
+        return float(gap[idx]), (int(levels[idx[0]]), float(nu[idx[1]]), float(t[idx[2]]))
 
     max_a, at_a = located_max(gap_a)
     max_b, at_b = located_max(gap_b)

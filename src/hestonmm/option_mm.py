@@ -27,7 +27,7 @@ from .heston import HestonParams, euler_step
 from .intensity import ArrivalParams, fills
 from .option_pricing import C, C_NU, DELTA, GAMMA, PRICE, PricingGrid, bilinear, cell, douglas_steps
 from .quotes import RiskParams, inventory_coefficient
-from .seeding import FUNCTIONAL_STREAM, OPTION_MM_STREAM, lane_draws, map_blocks, os_array
+from .seeding import FUNCTIONAL_STREAM, OPTION_MM_STREAM, lane_draws, map_blocks
 from .table import write_table
 
 __all__ = [
@@ -97,8 +97,7 @@ def _simulate_integrals(
 
     def paths(lo: int, hi: int):
         n = hi - lo
-        shocks = os_array((n, n_steps, 2))
-        lane_draws(seed, (FUNCTIONAL_STREAM, 0), lo, hi, shocks)
+        shocks, _ = lane_draws(seed, (FUNCTIONAL_STREAM, 0), lo, hi, n_steps, 2)
         s = np.full(n, float(s0))
         nu = np.full(n, float(nu0))
         a1 = np.zeros(n)
@@ -348,9 +347,7 @@ def run_hedged_paths(
 
     def paths(lo: int, hi: int):
         n = hi - lo
-        shocks = os_array((n, n_steps, 2))
-        uniforms = os_array((n, n_steps, 2))
-        lane_draws(seed, (OPTION_MM_STREAM,), lo, hi, shocks, uniforms)
+        shocks, uniforms = lane_draws(seed, (OPTION_MM_STREAM,), lo, hi, n_steps, 2, 2)
 
         s = np.full(n, heston.s0)
         nu = np.full(n, heston.nu0)
@@ -383,7 +380,7 @@ def run_hedged_paths(
             q_o += hit[:, 1].astype(np.int64) - hit[:, 0].astype(np.int64)
 
             qf = q_o.astype(np.float64)  # post-fill inventory carries the step
-            q_s = -qf * delta
+            q_s = hedge_position(qf, delta)
             acc_pred += nu * xi**2 * c_nu**2 * qf**2 * dt
             acc_disc += 0.5 * (gamma * nu * qf) ** 2 * dt**2
 
@@ -433,9 +430,7 @@ def run_joint_paths(
 
     def paths(lo: int, hi: int):
         n = hi - lo
-        shocks = os_array((n, n_steps, 2))
-        uniforms = os_array((n, n_steps, 4))
-        lane_draws(seed, (OPTION_MM_STREAM,), lo, hi, shocks, uniforms)
+        shocks, uniforms = lane_draws(seed, (OPTION_MM_STREAM,), lo, hi, n_steps, 2, 4)
 
         s = np.full(n, heston.s0)
         nu = np.full(n, heston.nu0)

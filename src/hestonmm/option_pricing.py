@@ -124,23 +124,12 @@ PRICE = slice(C, C + 1)  # the C column alone, as a one-column stack
 
 
 def cell(grid: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cell index and weight of points ``x`` in ``[grid[0], grid[-1]]``.
-
-    The index is the last ``i <= grid.size - 2`` with ``grid[i] <= x`` (what
-    ``searchsorted`` gives) and the weight ``(x - grid[i]) / (grid[i + 1] -
-    grid[i])``.  Each index is guessed from a uniform spacing and stepped to
-    its cell, so any increasing grid gives the exact cell and a uniform one
-    takes a single pass.
+    """Cell index and weight of points ``x`` in ``[grid[0], grid[-1]]``: the
+    index is the last ``i <= grid.size - 2`` with ``grid[i] <= x``, found by
+    ``searchsorted``, and the weight ``(x - grid[i]) / (grid[i + 1] - grid[i])``.
     """
-    last = grid.size - 2
-    scale = (last + 1) / (grid[-1] - grid[0])
-    i = np.minimum(((x - grid[0]) * scale).astype(np.intp), last)
-    while True:
-        down = x < grid[i]
-        up = (x >= grid[i + 1]) & (i < last)
-        if not (down.any() or up.any()):
-            return i, (x - grid[i]) / (grid[i + 1] - grid[i])
-        i = i - down + up
+    i = np.minimum(np.searchsorted(grid, x, "right") - 1, grid.size - 2)
+    return i, (x - grid[i]) / (grid[i + 1] - grid[i])
 
 
 def bilinear(plane: np.ndarray, i, wi, j, wj) -> np.ndarray:
@@ -391,8 +380,7 @@ def mc_terminal(
     risk_adj = _risk_adj(config)
 
     def paths(lo: int, hi: int) -> np.ndarray:
-        shocks = os_array((hi - lo, n_steps, 2))
-        lane_draws(seed, (PRICING_STREAM,), lo, hi, shocks)
+        shocks, _ = lane_draws(seed, (PRICING_STREAM,), lo, hi, n_steps, 2)
         s_arr = np.full(hi - lo, float(s))
         v_arr = np.full(hi - lo, float(nu))
         for step in range(n_steps):
@@ -419,8 +407,7 @@ def _conditional_paths(config: PricingConfig, s: float, nu: float, n_steps: int,
     rho = config.heston.rho
     variance_only = replace(config.heston, rho=1.0)
     risk_adj = _risk_adj(config)
-    z = os_array((hi - lo, n_steps, 1))
-    lane_draws(seed, (stream,), lo, hi, z)
+    z, _ = lane_draws(seed, (stream,), lo, hi, n_steps, 1)
     v = np.full(hi - lo, float(nu))
     m = np.zeros(hi - lo)
     nu_sum = np.zeros(hi - lo)

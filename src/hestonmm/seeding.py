@@ -57,41 +57,32 @@ def _shocks(rng: np.random.Generator, out: np.ndarray, scheme: str) -> None:
         out -= 1.0
 
 
-def lane_draws(master: int, key: tuple[int, ...], lo: int, hi: int, shocks: np.ndarray,
-               uniforms: np.ndarray | None = None, scheme: str = "gaussian") -> None:
-    """Fill row ``k`` of ``shocks`` (n, n_steps, m) and of ``uniforms``
-    (n, n_steps, m') in place with path ``lo + k``'s draws, ``n = hi - lo``;
-    ``m`` is 2 for a stock and a variance shock per step, 1 for the variance
-    shock alone (``mc_price``).
+def lane_draws(master: int, key: tuple[int, ...], lo: int, hi: int, n_steps: int,
+               n_shocks: int, n_uniforms: int = 0,
+               scheme: str = "gaussian") -> tuple[np.ndarray, np.ndarray]:
+    """Paths ``lo..hi-1``'s draws: row ``k`` of ``shocks`` (n, n_steps,
+    n_shocks) and of ``uniforms`` (n, n_steps, n_uniforms) is path ``lo + k``,
+    ``n = hi - lo``; ``n_shocks`` is 2 for a stock and a variance shock per
+    step, 1 for the variance shock alone (``mc_price``).
 
-    Each lane draws all its rows' shocks (standard normals, or signs for
-    ``binomial``) in one call, then all its rows' uniforms in [0, 1) in one
-    call.  Lanes lying wholly in ``lo..hi-1`` draw straight into the buffers;
-    a partial lane at either edge draws into a temporary and copies its rows.
+    The buffers span the whole lanes that hold ``lo..hi-1`` and come from
+    ``os_array``.  Each lane draws all its rows' shocks (standard normals, or
+    signs for ``binomial``) in one call, then all its rows' uniforms in [0, 1)
+    in one call (none when ``n_uniforms`` is 0), straight into its rows; the
+    arrays returned are views of rows ``lo..hi-1``.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    n = hi - lo
-    if n < 1 or len(shocks) != n or (uniforms is not None and len(uniforms) != n):
-        raise ValueError("buffers must hold one row per path in lo..hi-1")
-    edge_z = edge_u = None
-    for lane in range(lo // LANE, (hi - 1) // LANE + 1):
-        first, last = lane * LANE, (lane + 1) * LANE
-        a, b = max(first, lo), min(last, hi)
-        rng = path_generator(master, *key, lane)
-        if a == first and b == last:
-            _shocks(rng, shocks[a - lo:b - lo], scheme)
-            if uniforms is not None:
-                rng.random(out=uniforms[a - lo:b - lo])
-            continue
-        if edge_z is None:
-            edge_z = os_array((LANE,) + shocks.shape[1:])
-            edge_u = None if uniforms is None else os_array((LANE,) + uniforms.shape[1:])
-        _shocks(rng, edge_z, scheme)
-        shocks[a - lo:b - lo] = edge_z[a - first:b - first]
-        if uniforms is not None:
-            rng.random(out=edge_u)
-            uniforms[a - lo:b - lo] = edge_u[a - first:b - first]
+    first = lo // LANE
+    rows = (-(-hi // LANE) - first) * LANE
+    shocks = os_array((rows, n_steps, n_shocks))
+    uniforms = os_array((rows, n_steps, n_uniforms))
+    for row in range(0, rows, LANE):
+        rng = path_generator(master, *key, first + row // LANE)
+        _shocks(rng, shocks[row:row + LANE], scheme)
+        rng.random(out=uniforms[row:row + LANE])
+    paths = slice(lo - first * LANE, hi - first * LANE)
+    return shocks[paths], uniforms[paths]
 
 
 def map_blocks(n: int, fn, block: int = DEFAULT_BLOCK, threads: int = 1) -> list:

@@ -52,7 +52,6 @@ class SimConfig:
     T: float = 1.0
     dt: float = 0.005
     q0: int = 0
-    x0: float = 0.0
     impact: bool = False
     scheme: str = "binomial"
     snapshot_stride: int = 1
@@ -167,14 +166,12 @@ def _run_block(policy, config: SimConfig, master_seed: int, lo: int, hi: int,
     dt = config.dt
     heston, arrival, risk = config.heston, config.arrival, config.risk
 
-    shocks = np.empty((n, n_steps, 2))  # shocks first, fill uniforms second
-    uniforms = np.empty((n, n_steps, 2))
-    lane_draws(master_seed, (SIM_STREAM,), lo, hi, shocks, uniforms, config.scheme)
+    shocks, uniforms = lane_draws(master_seed, (SIM_STREAM,), lo, hi, n_steps, 2, 2, config.scheme)
 
     s = np.full(n, heston.s0)
     nu = np.full(n, heston.nu0)
     q = np.full(n, config.q0, dtype=np.int64)
-    x = np.full(n, config.x0)
+    x = np.zeros(n)
     z = np.zeros(n)
     qv = np.zeros(n)
     iv = np.zeros(n)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hestonmm import cli, sim_engine
+from hestonmm import cli, hjb, sim_engine
 from hestonmm.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _policy, _sim_config, main
 from hestonmm.config import ConfigError, apply_overrides, dump_manifest, load_config
 
@@ -132,6 +132,17 @@ def test_threads_below_one_is_a_config_error(tmp_path, capsys, threads):
                    "--out", str(tmp_path)) == EXIT_CONFIG
     assert "config error: --threads must be positive" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("lo, hi", [("20", "30"), ("5", "2")])
+def test_empty_gap_window_is_a_config_error(tmp_path, capsys, monkeypatch, lo, hi):
+    # the window is checked before the refinement solve of the tolerance
+    monkeypatch.setattr(hjb, "estimate_tolerance", lambda *args: pytest.fail("tolerance solved"))
+    assert run_cli("hjb", "--set", "hjb.n_time=20", "--set", f"hjb.gap_nu_lo={lo}",
+                   "--set", f"hjb.gap_nu_hi={hi}", "--out", str(tmp_path)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: nu_window ({lo}.0, {hi}.0) holds no variance node of [0, 12]" in err
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 def test_numerical_error_exit_and_cleanup(tmp_path):

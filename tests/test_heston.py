@@ -146,8 +146,7 @@ def test_sample_terminal_binomial_and_block_independence(heston):
     np.testing.assert_array_equal(a[1], b[1][:500])
     # the second block's paths are those drawn for their own indices
     lo, hi, n_steps = DEFAULT_BLOCK, 4200, 20
-    shocks = np.empty((hi - lo, n_steps, 2))
-    lane_draws(9, (HESTON_STREAM,), lo, hi, shocks, scheme="binomial")
+    shocks, _ = lane_draws(9, (HESTON_STREAM,), lo, hi, n_steps, 2, scheme="binomial")
     s, nu = np.full(hi - lo, heston.s0), np.full(hi - lo, heston.nu0)
     for step in range(n_steps):
         ds, nu = euler_step(s, nu, shocks[:, step, 0], shocks[:, step, 1], heston, 1.0 / n_steps)

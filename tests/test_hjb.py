@@ -141,6 +141,19 @@ def test_compare_rejects_mismatched_config(heston, arrival, risk):
         compare_exact_vs_approx(grid, tol=0.01)
 
 
+@pytest.mark.parametrize("window, message", [
+    ({"q_window": (20, 30)}, "q_window (20, 30) holds no interior inventory level of [-5, 5]"),
+    ({"q_window": (6, 9)}, "q_window (6, 9) holds no interior inventory level of [-5, 5]"),
+    ({"nu_window": (20.0, 30.0)}, "nu_window (20.0, 30.0) holds no variance node of [0, 12]"),
+    ({"nu_window": (5.0, 2.0)}, "nu_window (5.0, 2.0) holds no variance node of [0, 12]"),
+])
+def test_compare_rejects_empty_windows(heston, arrival, risk, window, message):
+    grid = solve_stock_hjb(small_config(heston, arrival, risk, n_nu=5, n_time=20))
+    with pytest.raises(ValueError) as err:
+        compare_exact_vs_approx(grid, **window)
+    assert str(err.value) == message
+
+
 def test_grid_convergence(heston, arrival, risk):
     cfg = small_config(heston, arrival, risk, q_min=-4, q_max=4, n_nu=15, n_time=600)
     grid = solve_stock_hjb(cfg)

@@ -154,9 +154,7 @@ def test_mm_draws_fill_equals_stacked_draws():
     n_steps, n_uniform = 37, 4
     ref_z, ref_u = _lane_reference(9, (OPTION_MM_STREAM,), 200, n_steps, n_uniform)
     for lo, hi in [(5, 11), (60, 190)]:
-        shocks = np.empty((hi - lo, n_steps, 2))
-        uniforms = np.empty((hi - lo, n_steps, n_uniform))
-        lane_draws(9, (OPTION_MM_STREAM,), lo, hi, shocks, uniforms)
+        shocks, uniforms = lane_draws(9, (OPTION_MM_STREAM,), lo, hi, n_steps, 2, n_uniform)
         np.testing.assert_array_equal(shocks, ref_z[lo:hi])
         np.testing.assert_array_equal(uniforms, ref_u[lo:hi])
 
@@ -403,9 +401,7 @@ def _clamped(grid, s, nu):
 
 
 def _book_draws(seed, n, n_steps, n_uniform):
-    shocks, uniforms = np.empty((n, n_steps, 2)), np.empty((n, n_steps, n_uniform))
-    lane_draws(seed, (OPTION_MM_STREAM,), 0, n, shocks, uniforms)
-    return shocks, uniforms
+    return lane_draws(seed, (OPTION_MM_STREAM,), 0, n, n_steps, 2, n_uniform)
 
 
 def test_joint_book_equals_a_step_loop(heston, arrival, risk_nofee, pricing_grid,

@@ -145,9 +145,10 @@ def test_pilot_rows_are_not_main_rows(pricing_grid, monkeypatch):
     drawn = {}
     lane_draws = option_pricing.lane_draws
 
-    def record(master, key, lo, hi, shocks, *args):
-        lane_draws(master, key, lo, hi, shocks, *args)
+    def record(master, key, lo, hi, *args):
+        shocks, uniforms = lane_draws(master, key, lo, hi, *args)
         drawn.setdefault((master, key), []).append(shocks[:, :, 0].copy())
+        return shocks, uniforms
 
     monkeypatch.setattr(option_pricing, "lane_draws", record)
     for seed in (8, 9):

@@ -1,6 +1,7 @@
 """The keyed-lane contract: path ``i``'s draws depend only on
 ``(seed, key, i)``, whatever range, block layout or worker count asks for them."""
 
+import functools
 import mmap
 import re
 import threading
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hestonmm import seeding
 from hestonmm.heston import sample_terminal
@@ -22,25 +25,45 @@ N_STEPS, N_UNIFORM = 7, 3
 
 
 def _draws(lo, hi, scheme="gaussian", key=(SIM_STREAM,), seed=11):
-    shocks = np.empty((hi - lo, N_STEPS, 2))
-    uniforms = np.empty((hi - lo, N_STEPS, N_UNIFORM))
-    lane_draws(seed, key, lo, hi, shocks, uniforms, scheme)
-    return shocks, uniforms
+    return lane_draws(seed, key, lo, hi, N_STEPS, 2, N_UNIFORM, scheme)
+
+
+ALL_PATHS = 700
+
+
+@functools.cache
+def _all_draws(n_steps, n_shocks, n_uniforms, scheme):
+    return lane_draws(11, (SIM_STREAM,), 0, ALL_PATHS, n_steps, n_shocks, n_uniforms, scheme)
 
 
 @pytest.mark.parametrize("scheme", ["gaussian", "binomial"])
-def test_draws_independent_of_range(scheme):
-    z_all, u_all = _draws(0, 1000, scheme)
-    for lo, hi in [(0, 1), (63, 65), (100, 1000), (64, 128), (5, 6), (0, 1000), (999, 1000)]:
-        z, u = _draws(lo, hi, scheme)
-        np.testing.assert_array_equal(z, z_all[lo:hi])
-        np.testing.assert_array_equal(u, u_all[lo:hi])
+@given(
+    bounds=st.lists(st.integers(0, ALL_PATHS), min_size=2, max_size=2, unique=True).map(sorted),
+    n_steps=st.integers(1, 5),
+    n_shocks=st.sampled_from([1, 2]),
+    n_uniforms=st.sampled_from([0, 2, 4]),
+)
+@settings(max_examples=100, deadline=None)
+def test_draws_independent_of_range(scheme, bounds, n_steps, n_shocks, n_uniforms):
+    lo, hi = bounds
+    z, u = lane_draws(11, (SIM_STREAM,), lo, hi, n_steps, n_shocks, n_uniforms, scheme)
+    assert z.shape == (hi - lo, n_steps, n_shocks) and u.shape == (hi - lo, n_steps, n_uniforms)
+    z_all, u_all = _all_draws(n_steps, n_shocks, n_uniforms, scheme)
+    np.testing.assert_array_equal(z, z_all[lo:hi])
+    np.testing.assert_array_equal(u, u_all[lo:hi])
+
+
+def test_draws_are_rows_of_whole_lane_mappings():
+    z, u = _draws(70, 75)
+    assert z.shape == (5, N_STEPS, 2) and u.shape == (5, N_STEPS, N_UNIFORM)
+    assert len(_mapping(z)) == 8 * LANE * N_STEPS * 2  # lane 1, all 64 rows
+    assert len(_mapping(u)) == 8 * LANE * N_STEPS * N_UNIFORM
 
 
 def test_shocks_do_not_depend_on_uniforms():
     z, _ = _draws(30, 200)
-    alone = np.empty_like(z)
-    lane_draws(11, (SIM_STREAM,), 30, 200, alone)
+    alone, no_uniforms = lane_draws(11, (SIM_STREAM,), 30, 200, N_STEPS, 2)
+    assert no_uniforms.shape == (170, N_STEPS, 0)
     np.testing.assert_array_equal(alone, z)
 
 
@@ -64,10 +87,6 @@ def test_binomial_signs_and_unit_uniforms():
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         _draws(0, 10, "uniform")
-    with pytest.raises(ValueError):
-        lane_draws(1, (SIM_STREAM,), 0, 10, np.empty((9, N_STEPS, 2)))
-    with pytest.raises(ValueError):
-        lane_draws(1, (SIM_STREAM,), 0, 10, np.empty((10, N_STEPS, 2)), np.empty((11, N_STEPS, 1)))
 
 
 @pytest.mark.parametrize("scheme", ["gaussian", "binomial"])

@@ -168,11 +168,10 @@ def _ensemble_reference(policy, config, n, seed):
     sqrt_dt = math.sqrt(dt)
     h, arrival, risk = config.heston, config.arrival, config.risk
     rho_c = math.sqrt(1.0 - h.rho**2)
-    shocks, uniforms = np.empty((n, n_steps, 2)), np.empty((n, n_steps, 2))
-    lane_draws(seed, (SIM_STREAM,), 0, n, shocks, uniforms, config.scheme)
+    shocks, uniforms = lane_draws(seed, (SIM_STREAM,), 0, n, n_steps, 2, 2, config.scheme)
     s, nu = np.full(n, h.s0), np.full(n, h.nu0)
     q = np.full(n, config.q0, dtype=np.int64)
-    x, z, qv, iv, spread = np.full(n, config.x0), np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
+    x, z, qv, iv, spread = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
     clipped = 0
     q_steps = []  # q at the start of each step, then at T
     for step in range(n_steps):

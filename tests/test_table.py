@@ -112,7 +112,7 @@ def value_grid(heston, arrival, risk):
     # 5 x 7 x 51 = 1785 rows: the table spans two write chunks
     return solve_stock_hjb(HjbConfig(heston=heston, arrival=arrival, risk=risk, T=1.0,
                                      q_min=-2, q_max=2, nu_lo=0.0, nu_hi=12.0, n_nu=7,
-                                     n_time=400, max_stored_slices=51))
+                                     n_time=50))
 
 
 @pytest.fixture(scope="module")
