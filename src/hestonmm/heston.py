@@ -114,8 +114,10 @@ def sample_terminal(
     Path ``i``'s draws depend only on ``(seed, i)``, so results do
     not depend on ``n_paths`` or on how paths are grouped into blocks.
     """
-    if T <= 0 or n_steps < 1 or n_paths < 1:
-        raise ValueError("T, n_steps and n_paths must be positive")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T must be finite and positive, got {T}")
+    if n_steps < 1 or n_paths < 1:
+        raise ValueError("n_steps and n_paths must be positive")
     dt = T / n_steps
 
     def paths(lo: int, hi: int):
@@ -123,7 +125,7 @@ def sample_terminal(
         s = np.full(hi - lo, params.s0)
         nu = np.full(hi - lo, params.nu0)
         for step in range(n_steps):
-            ds, nu = euler_step(s, nu, shocks[:, step, 0], shocks[:, step, 1], params, dt)
+            ds, nu = euler_step(s, nu, shocks[step, 0], shocks[step, 1], params, dt)
             s += ds
         return s, nu
 

@@ -111,7 +111,7 @@ def _simulate_integrals(
             a1 += nu * (delta + rho * xi * c_nu) * dt
             a2 += nu * (delta**2 + 2.0 * rho * xi * delta * c_nu + xi**2 * c_nu**2) * dt
             a3 += nu * c_nu**2 * dt
-            ds, nu = euler_step(s, nu, shocks[:, step, 0], shocks[:, step, 1], heston, dt)
+            ds, nu = euler_step(s, nu, shocks[step, 0], shocks[step, 1], heston, dt)
             s = s + ds
         return a1, a2, a3, out
 
@@ -373,7 +373,7 @@ def run_hedged_paths(
                 trace["nu"][step] = nu[0]
                 trace["q_o"][step] = q_o[0]
                 trace["a_o"][step], trace["b_o"][step] = quotes[0]
-            hit, n_clipped = fills(quotes, uniforms[:, step], arrival, dt)
+            hit, n_clipped = fills(quotes, uniforms[step].T, arrival, dt)
             clipped += n_clipped
             paid = np.where(hit, quotes, 0.0)
             z += paid[:, 0] + paid[:, 1]
@@ -384,7 +384,7 @@ def run_hedged_paths(
             acc_pred += nu * xi**2 * c_nu**2 * qf**2 * dt
             acc_disc += 0.5 * (gamma * nu * qf) ** 2 * dt**2
 
-            ds, nu = euler_step(s, nu, shocks[:, step, 0], shocks[:, step, 1], heston, dt)
+            ds, nu = euler_step(s, nu, shocks[step, 0], shocks[step, 1], heston, dt)
             s = s + ds
             off |= _off_grid(grid, s, nu)
             # one lookup at the new state: this step's C and the next step's greeks
@@ -447,14 +447,14 @@ def run_joint_paths(
             t = times[step]
             h1, h2, _ = lattice.functionals(sc, vc, t)
             quotes = joint_book_quotes(q_s, q_o, nu, t, T, h1, h2, arrival, heston, risk)
-            hit, n_clipped = fills(quotes, uniforms[:, step], arrival, dt)
+            hit, n_clipped = fills(quotes, uniforms[step].T, arrival, dt)
             clipped += n_clipped
             paid = np.where(hit, quotes, 0.0)
             z += paid[:, 0] + paid[:, 1] + paid[:, 2] + paid[:, 3]
             q_s += hit[:, 1].astype(np.int64) - hit[:, 0].astype(np.int64)
             q_o += hit[:, 3].astype(np.int64) - hit[:, 2].astype(np.int64)
 
-            ds, nu = euler_step(s, nu, shocks[:, step, 0], shocks[:, step, 1], heston, dt)
+            ds, nu = euler_step(s, nu, shocks[step, 0], shocks[step, 1], heston, dt)
             s = s + ds
             off |= _off_grid(grid, s, nu)
             sc, vc = _clamp(grid, s, nu)  # one lookup: this step's C and the next step's

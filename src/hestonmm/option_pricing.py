@@ -384,7 +384,7 @@ def mc_terminal(
         s_arr = np.full(hi - lo, float(s))
         v_arr = np.full(hi - lo, float(nu))
         for step in range(n_steps):
-            ds, v_arr = euler_step(s_arr, v_arr, shocks[:, step, 0], shocks[:, step, 1],
+            ds, v_arr = euler_step(s_arr, v_arr, shocks[step, 0], shocks[step, 1],
                                    heston, dt, risk_adj)
             s_arr = s_arr + ds
         return s_arr
@@ -413,7 +413,7 @@ def _conditional_paths(config: PricingConfig, s: float, nu: float, n_steps: int,
     nu_sum = np.zeros(hi - lo)
     for step in range(n_steps):
         nu_sum += v
-        dm, v = euler_step(m, v, z[:, step, 0], 0.0, variance_only, dt, risk_adj)
+        dm, v = euler_step(m, v, z[step, 0], 0.0, variance_only, dt, risk_adj)
         m += dm
     value = _bachelier(s + rho * m - config.strike, (1.0 - rho**2) * dt * nu_sum)
     return value, m

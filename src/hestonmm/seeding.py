@@ -39,50 +39,56 @@ def path_generator(master: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=master, spawn_key=key))
 
 
-def os_array(shape, lazy: bool = False) -> np.ndarray:
-    """Uninitialised float64 array on pages mapped from the OS, all up front or,
-    if ``lazy``, each as first written; unmapped when freed.  Large freed
+def os_array(shape, lazy: bool = False, dtype=np.float64) -> np.ndarray:
+    """Uninitialised array on pages mapped from the OS, all up front or, if
+    ``lazy``, each as first written; unmapped when freed.  Large freed
     ``malloc`` buffers raise glibc's mmap threshold, later ones then land on
     the heap, and peak memory varies with its fragmentation from run to run."""
     flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | (0 if lazy else getattr(mmap, "MAP_POPULATE", 0))
+    dtype = np.dtype(dtype)
     n = math.prod(shape)
-    return np.frombuffer(mmap.mmap(-1, 8 * max(n, 1), flags=flags), count=n).reshape(shape)
-
-
-def _shocks(rng: np.random.Generator, out: np.ndarray, scheme: str) -> None:
-    if scheme == "gaussian":
-        rng.standard_normal(out=out)
-    else:  # binomial: independent signs
-        np.multiply(rng.integers(0, 2, size=out.shape, dtype=np.int8), 2.0, out=out)
-        out -= 1.0
+    buf = mmap.mmap(-1, dtype.itemsize * max(n, 1), flags=flags)
+    return np.frombuffer(buf, dtype=dtype, count=n).reshape(shape)
 
 
 def lane_draws(master: int, key: tuple[int, ...], lo: int, hi: int, n_steps: int,
                n_shocks: int, n_uniforms: int = 0,
                scheme: str = "gaussian") -> tuple[np.ndarray, np.ndarray]:
-    """Paths ``lo..hi-1``'s draws: row ``k`` of ``shocks`` (n, n_steps,
-    n_shocks) and of ``uniforms`` (n, n_steps, n_uniforms) is path ``lo + k``,
-    ``n = hi - lo``; ``n_shocks`` is 2 for a stock and a variance shock per
-    step, 1 for the variance shock alone (``mc_price``).
+    """Paths ``lo..hi-1``'s draws, step-major so that one step's draws are
+    contiguous: ``shocks[step, j]`` and ``uniforms[step, j]`` hold shock or
+    uniform ``j`` of ``step`` for the ``n = hi - lo`` paths in order, in
+    arrays of shape (n_steps, n_shocks, n) and (n_steps, n_uniforms, n).
+    ``n_shocks`` is 2 for a stock and a variance shock per step, 1 for the
+    variance shock alone (``mc_price``).  Shocks are float64 standard
+    normals, or int8 signs of +-1 for ``binomial``; uniforms lie in [0, 1).
 
     The buffers span the whole lanes that hold ``lo..hi-1`` and come from
-    ``os_array``.  Each lane draws all its rows' shocks (standard normals, or
-    signs for ``binomial``) in one call, then all its rows' uniforms in [0, 1)
-    in one call (none when ``n_uniforms`` is 0), straight into its rows; the
-    arrays returned are views of rows ``lo..hi-1``.
+    ``os_array``.  Each lane draws all its paths' shocks in one call, path
+    by path and step by step, then all its paths' uniforms in one call
+    (none when ``n_uniforms`` is 0), each into a one-lane scratch that is
+    copied transposed into the lane's columns; the arrays returned are
+    views of columns ``lo..hi-1``.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     first = lo // LANE
     rows = (-(-hi // LANE) - first) * LANE
-    shocks = os_array((rows, n_steps, n_shocks))
-    uniforms = os_array((rows, n_steps, n_uniforms))
+    shocks = os_array((n_steps, n_shocks, rows), dtype=np.float64 if scheme == "gaussian" else np.int8)
+    uniforms = os_array((n_steps, n_uniforms, rows))
+    scratch = os_array((LANE * n_steps * max(n_shocks, n_uniforms),))
     for row in range(0, rows, LANE):
         rng = path_generator(master, *key, first + row // LANE)
-        _shocks(rng, shocks[row:row + LANE], scheme)
-        rng.random(out=uniforms[row:row + LANE])
+        if scheme == "gaussian":
+            z = rng.standard_normal(out=scratch[:LANE * n_steps * n_shocks].reshape(LANE, -1))
+        else:  # binomial: signs
+            z = rng.integers(0, 2, size=(LANE, n_steps * n_shocks), dtype=np.int8)
+            z *= 2
+            z -= 1
+        shocks.reshape(-1, rows)[:, row:row + LANE] = z.T
+        u = rng.random(out=scratch[:LANE * n_steps * n_uniforms].reshape(LANE, -1))
+        uniforms.reshape(-1, rows)[:, row:row + LANE] = u.T
     paths = slice(lo - first * LANE, hi - first * LANE)
-    return shocks[paths], uniforms[paths]
+    return shocks[..., paths], uniforms[..., paths]
 
 
 def map_blocks(n: int, fn, block: int = DEFAULT_BLOCK, threads: int = 1) -> list:

@@ -152,9 +152,10 @@ class FrontierPoint:
 
 
 # Paths per block of the event loop, below seeding.DEFAULT_BLOCK: a block holds
-# its paths' draws for every step (two (n, n_steps, 2) buffers), and 4,096-path
-# blocks raise the peak RSS of one 10,000-path ensemble by about 19 MB.
-ENSEMBLE_BLOCK = 1024
+# its paths' draws for every step, 18 bytes per path-step for the binomial
+# scheme (two int8 signs, two float64 uniforms; 3.6 KB per path at the default
+# 200 steps, 7.4 MB per block) and 32 for the gaussian one (6.4 KB per path).
+ENSEMBLE_BLOCK = 2048
 
 
 def _run_block(policy, config: SimConfig, master_seed: int, lo: int, hi: int,
@@ -218,7 +219,7 @@ def _run_block(policy, config: SimConfig, master_seed: int, lo: int, hi: int,
             deltas = np.empty((n, 2))
             deltas[:, 0], deltas[:, 1] = prem
             da, db = deltas[:, 0], deltas[:, 1]
-            hit, n_clipped = fills(deltas, uniforms[:, step], arrival, dt)
+            hit, n_clipped = fills(deltas, uniforms[step].T, arrival, dt)
             clipped += n_clipped
             fa, fb = hit[:, 0], hit[:, 1]
             x += np.where(fa, s + da, 0.0) - np.where(fb, s - db, 0.0)
@@ -228,7 +229,7 @@ def _run_block(policy, config: SimConfig, master_seed: int, lo: int, hi: int,
 
         qf = q.astype(np.float64)
         qv += qf**2 * nu * dt  # nu >= 0: the Euler step clamps it
-        ds, nu = euler_step(s, nu, shocks[:, step, 0], shocks[:, step, 1], heston, dt)
+        ds, nu = euler_step(s, nu, shocks[step, 0], shocks[step, 1], heston, dt)
         if config.impact and fa is not None:
             ds += risk.eta * (fa.astype(np.float64) - fb.astype(np.float64))
         s = s + ds

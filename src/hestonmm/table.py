@@ -29,6 +29,12 @@ def _quote(s: str) -> str:
     return buf.getvalue()[:-3]  # drop ",\r\n"
 
 
+def _row(cells) -> str:
+    """One line of formatted cells; a lone empty field is written as ``""``
+    so that the row is not a blank line."""
+    return ",".join(cells) or '""'
+
+
 def _cells(a: np.ndarray) -> list[str]:
     if a.dtype.kind == "f":
         return list(map(repr, a.tolist()))
@@ -51,8 +57,8 @@ def write_table(path, header, columns) -> None:
     columns = [np.broadcast_to(c if f else np.array(_cells(c.ravel()), dtype=object).reshape(c.shape),
                                shape) for c, f in zip(columns, full)]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(map(_quote, header)) + "\r\n")
+        fh.write(_row(map(_quote, header)) + "\r\n")
         for lo in range(0, n, _CHUNK_ROWS):
             at = np.unravel_index(np.arange(lo, min(n, lo + _CHUNK_ROWS)), shape)
             cells = [_cells(c[at]) if f else c[at].tolist() for c, f in zip(columns, full)]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            fh.write("\r\n".join(map(_row, zip(*cells))) + "\r\n")

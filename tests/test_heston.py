@@ -132,6 +132,27 @@ def test_moment_matching_monte_carlo(nu0, theta, alpha, xi):
     assert abs(sample_var - var) <= 4 * se_var
 
 
+def test_euler_step_takes_int8_signs_as_floats(heston):
+    # the binomial shocks are stored as int8 signs; the step is bitwise the
+    # one taken with the same signs as float64
+    z_s = np.array([1, -1, 1, -1, 1, -1], dtype=np.int8)
+    z_perp = np.array([1, 1, -1, -1, 1, -1], dtype=np.int8)
+    s = np.linspace(95.0, 105.0, 6)
+    nu = np.array([4.0, 0.0, -0.3, 1e-9, 9.5, 2.0])
+    for risk_adj in (0.0, 0.4):
+        got = euler_step(s, nu, z_s, z_perp, heston, 0.005, risk_adj)
+        want = euler_step(s, nu, z_s.astype(np.float64), z_perp.astype(np.float64), heston,
+                          0.005, risk_adj)
+        for g, w in zip(got, want):
+            assert g.dtype == np.float64 and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_sample_terminal_rejects_bad_horizon(heston, T):
+    with pytest.raises(ValueError, match="T must be finite and positive"):
+        sample_terminal(heston, T, 10, 5, seed=1)
+
+
 def test_mid_price_martingale(heston):
     s_t, _ = sample_terminal(heston, 1.0, 50, 100_000, seed=5, scheme="gaussian")
     se = s_t.std(ddof=1) / math.sqrt(s_t.size)
@@ -149,7 +170,7 @@ def test_sample_terminal_binomial_and_block_independence(heston):
     shocks, _ = lane_draws(9, (HESTON_STREAM,), lo, hi, n_steps, 2, scheme="binomial")
     s, nu = np.full(hi - lo, heston.s0), np.full(hi - lo, heston.nu0)
     for step in range(n_steps):
-        ds, nu = euler_step(s, nu, shocks[:, step, 0], shocks[:, step, 1], heston, 1.0 / n_steps)
+        ds, nu = euler_step(s, nu, shocks[step, 0], shocks[step, 1], heston, 1.0 / n_steps)
         s += ds
     np.testing.assert_array_equal(b[0][lo:], s)
     np.testing.assert_array_equal(b[1][lo:], nu)

@@ -155,8 +155,8 @@ def test_mm_draws_fill_equals_stacked_draws():
     ref_z, ref_u = _lane_reference(9, (OPTION_MM_STREAM,), 200, n_steps, n_uniform)
     for lo, hi in [(5, 11), (60, 190)]:
         shocks, uniforms = lane_draws(9, (OPTION_MM_STREAM,), lo, hi, n_steps, 2, n_uniform)
-        np.testing.assert_array_equal(shocks, ref_z[lo:hi])
-        np.testing.assert_array_equal(uniforms, ref_u[lo:hi])
+        np.testing.assert_array_equal(shocks, ref_z[lo:hi].transpose(1, 2, 0))
+        np.testing.assert_array_equal(uniforms, ref_u[lo:hi].transpose(1, 2, 0))
 
 
 def test_mc_terminal_equals_stacked_reference(pricing_grid):
@@ -420,12 +420,12 @@ def test_joint_book_equals_a_step_loop(heston, arrival, risk_nofee, pricing_grid
         c_now = g.price(*_clamped(g, s, nu), t)
         h1, h2, _ = lat.functionals(*_clamped(g, s, nu), t)
         quotes = joint_book_quotes(q_s, q_o, nu, t, T, h1, h2, arrival, heston, risk_nofee)
-        hit, _ = fills(quotes, uniforms[:, step], arrival, dt)
+        hit, _ = fills(quotes, uniforms[step].T, arrival, dt)
         paid = np.where(hit, quotes, 0.0)
         z += paid[:, 0] + paid[:, 1] + paid[:, 2] + paid[:, 3]
         q_s += hit[:, 1].astype(int) - hit[:, 0]
         q_o += hit[:, 3].astype(int) - hit[:, 2]
-        ds, nu = euler_step(s, nu, shocks[:, step, 0], shocks[:, step, 1], heston, dt)
+        ds, nu = euler_step(s, nu, shocks[step, 0], shocks[step, 1], heston, dt)
         s = s + ds
         c_next = g.price(*_clamped(g, s, nu), (step + 1) * dt)
         qv += (q_s * ds + q_o * (c_next - c_now)) ** 2
@@ -451,12 +451,12 @@ def test_hedged_book_equals_a_step_loop(heston, arrival, risk_nofee, pricing_gri
         c_now = g.price(*_clamped(g, s, nu), t)
         delta, _, c_nu = g.greeks(*_clamped(g, s, nu), t)
         quotes = hedged_book_quotes(q_o, lat.functionals(*_clamped(g, s, nu), t)[2], arrival)
-        hit, _ = fills(quotes, uniforms[:, step], arrival, dt)
+        hit, _ = fills(quotes, uniforms[step].T, arrival, dt)
         paid = np.where(hit, quotes, 0.0)
         z += paid[:, 0] + paid[:, 1]
         q_o += hit[:, 1].astype(int) - hit[:, 0]
         acc_pred += nu * heston.xi**2 * c_nu**2 * q_o**2 * dt
-        ds, nu = euler_step(s, nu, shocks[:, step, 0], shocks[:, step, 1], heston, dt)
+        ds, nu = euler_step(s, nu, shocks[step, 0], shocks[step, 1], heston, dt)
         s = s + ds
         dc = g.price(*_clamped(g, s, nu), (step + 1) * dt) - c_now
         acc_h += (-q_o * delta * ds + q_o * dc) ** 2

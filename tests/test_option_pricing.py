@@ -147,7 +147,7 @@ def test_pilot_rows_are_not_main_rows(pricing_grid, monkeypatch):
 
     def record(master, key, lo, hi, *args):
         shocks, uniforms = lane_draws(master, key, lo, hi, *args)
-        drawn.setdefault((master, key), []).append(shocks[:, :, 0].copy())
+        drawn.setdefault((master, key), []).append(shocks[:, 0].T.copy())
         return shocks, uniforms
 
     monkeypatch.setattr(option_pricing, "lane_draws", record)

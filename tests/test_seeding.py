@@ -18,7 +18,7 @@ from hestonmm import seeding
 from hestonmm.heston import sample_terminal
 from hestonmm.option_pricing import PricingConfig, mc_terminal
 from hestonmm.quotes import InventorySV
-from hestonmm.seeding import DEFAULT_BLOCK, LANE, SIM_STREAM, lane_draws, map_blocks
+from hestonmm.seeding import DEFAULT_BLOCK, LANE, SIM_STREAM, lane_draws, map_blocks, path_generator
 from hestonmm.sim_engine import ENSEMBLE_BLOCK, SimConfig, run_ensemble, run_path
 
 N_STEPS, N_UNIFORM = 7, 3
@@ -47,15 +47,45 @@ def _all_draws(n_steps, n_shocks, n_uniforms, scheme):
 def test_draws_independent_of_range(scheme, bounds, n_steps, n_shocks, n_uniforms):
     lo, hi = bounds
     z, u = lane_draws(11, (SIM_STREAM,), lo, hi, n_steps, n_shocks, n_uniforms, scheme)
-    assert z.shape == (hi - lo, n_steps, n_shocks) and u.shape == (hi - lo, n_steps, n_uniforms)
+    assert z.shape == (n_steps, n_shocks, hi - lo) and u.shape == (n_steps, n_uniforms, hi - lo)
     z_all, u_all = _all_draws(n_steps, n_shocks, n_uniforms, scheme)
-    np.testing.assert_array_equal(z, z_all[lo:hi])
-    np.testing.assert_array_equal(u, u_all[lo:hi])
+    np.testing.assert_array_equal(z, z_all[..., lo:hi])
+    np.testing.assert_array_equal(u, u_all[..., lo:hi])
+
+
+def _path_major(lo, hi, n_steps, n_shocks, n_uniforms, scheme, key=(SIM_STREAM, 2), seed=11):
+    """Paths ``lo..hi-1``'s draws as each lane generator makes them: all 64
+    paths' shocks, path by path and step by step, then all their uniforms."""
+    lanes = range(lo // LANE, -(-hi // LANE))
+    z, u = [], []
+    for lane in lanes:
+        rng = path_generator(seed, *key, lane)
+        if scheme == "gaussian":
+            z.append(rng.standard_normal((LANE, n_steps, n_shocks)))
+        else:
+            z.append(rng.integers(0, 2, size=(LANE, n_steps, n_shocks), dtype=np.int8) * 2 - 1)
+        u.append(rng.random((LANE, n_steps, n_uniforms)))
+    rows = slice(lo - lanes[0] * LANE, hi - lanes[0] * LANE)
+    return np.concatenate(z)[rows], np.concatenate(u)[rows]
+
+
+@pytest.mark.parametrize("scheme", ["gaussian", "binomial"])
+@pytest.mark.parametrize("lo, hi", [(5, 11), (37, 200), (64, 128)])
+def test_draws_are_the_lane_streams_transposed(scheme, lo, hi):
+    # pins the stream: column k of step j is path lo + k's draws at step j
+    n_steps, n_shocks, n_uniforms = 5, 2, 3
+    z, u = lane_draws(11, (SIM_STREAM, 2), lo, hi, n_steps, n_shocks, n_uniforms, scheme)
+    ref_z, ref_u = _path_major(lo, hi, n_steps, n_shocks, n_uniforms, scheme)
+    assert z.dtype == ref_z.dtype and u.dtype == ref_u.dtype == np.float64
+    np.testing.assert_array_equal(z.transpose(2, 0, 1), ref_z)
+    np.testing.assert_array_equal(u.transpose(2, 0, 1), ref_u)
+    for step in range(n_steps):  # the kernels read one step's draws as contiguous rows
+        assert z[step, 0].flags.c_contiguous and u[step, 1].flags.c_contiguous
 
 
 def test_draws_are_rows_of_whole_lane_mappings():
     z, u = _draws(70, 75)
-    assert z.shape == (5, N_STEPS, 2) and u.shape == (5, N_STEPS, N_UNIFORM)
+    assert z.shape == (N_STEPS, 2, 5) and u.shape == (N_STEPS, N_UNIFORM, 5)
     assert len(_mapping(z)) == 8 * LANE * N_STEPS * 2  # lane 1, all 64 rows
     assert len(_mapping(u)) == 8 * LANE * N_STEPS * N_UNIFORM
 
@@ -63,23 +93,25 @@ def test_draws_are_rows_of_whole_lane_mappings():
 def test_shocks_do_not_depend_on_uniforms():
     z, _ = _draws(30, 200)
     alone, no_uniforms = lane_draws(11, (SIM_STREAM,), 30, 200, N_STEPS, 2)
-    assert no_uniforms.shape == (170, N_STEPS, 0)
+    assert no_uniforms.shape == (N_STEPS, 0, 170)
     np.testing.assert_array_equal(alone, z)
 
 
 def test_keys_and_seeds_give_distinct_draws():
     z, _ = _draws(0, 2 * LANE)
-    assert not np.any(z[:LANE] == z[LANE:])  # lanes differ
+    assert not np.any(z[..., :LANE] == z[..., LANE:])  # lanes differ
     for other in [_draws(0, 2 * LANE, key=(SIM_STREAM, 1))[0], _draws(0, 2 * LANE, seed=12)[0]]:
         assert not np.any(other == z)
 
 
 def test_binomial_signs_and_unit_uniforms():
     z, u = _draws(0, 300, "binomial")
-    assert set(np.unique(z)) == {-1.0, 1.0}
+    assert z.dtype == np.int8
+    assert set(np.unique(z)) == {-1, 1}
     assert abs(z.mean()) < 0.05
     assert u.min() >= 0.0 and u.max() < 1.0
     zg, ug = _draws(0, 300, "gaussian")
+    assert zg.dtype == np.float64
     assert abs(zg.mean()) < 0.05 and abs(zg.std() - 1.0) < 0.05
     assert ug.min() >= 0.0 and ug.max() < 1.0
 
@@ -103,7 +135,7 @@ def sim(heston, arrival, risk):
 
 
 def test_ensemble_independent_of_blocks_and_threads(heston, arrival, risk, sim):
-    # 2,100 paths run as three blocks; the first 1,000 as one
+    # 2 * ENSEMBLE_BLOCK + 52 paths run as three blocks; the first 1,000 as one
     pol = InventorySV(heston, arrival, risk, sim.T)
     n = 2 * ENSEMBLE_BLOCK + 52
     a = run_ensemble(pol, sim, n, seed=4)
@@ -161,6 +193,13 @@ def test_os_array_is_a_mapping_released_with_the_array(lazy):
     del a
     assert mapping() is None  # unmapped at once, not kept by an allocator
     assert seeding.os_array((0, 4)).shape == (0, 4)
+    signs = seeding.os_array((4, 3), lazy=lazy, dtype=np.int8)  # the binomial shocks
+    assert signs.dtype == np.int8 and signs.flags.writeable and signs.flags.c_contiguous
+    signs[:] = -1
+    assert signs.sum() == -12 and len(_mapping(signs)) == 12
+    mapping = weakref.ref(_mapping(signs))
+    del signs
+    assert mapping() is None
 
 
 def test_pricing_surfaces_are_os_mappings(pricing_grid):

@@ -181,14 +181,14 @@ def _ensemble_reference(policy, config, n, seed):
         raw_a = arrival.A * np.exp(-arrival.k * da) * dt
         raw_b = arrival.A * np.exp(-arrival.k * db) * dt
         clipped += int(np.count_nonzero(raw_a > 1.0)) + int(np.count_nonzero(raw_b > 1.0))
-        fa = uniforms[:, step, 0] < np.minimum(raw_a, 1.0)
-        fb = uniforms[:, step, 1] < np.minimum(raw_b, 1.0)
+        fa = uniforms[step, 0] < np.minimum(raw_a, 1.0)
+        fb = uniforms[step, 1] < np.minimum(raw_b, 1.0)
         x += np.where(fa, s + da, 0.0) - np.where(fb, s - db, 0.0)
         z += np.where(fa, da, 0.0) + np.where(fb, db, 0.0)
         q += fb.astype(np.int64) - fa.astype(np.int64)
         spread += da + db
         nu_pos = np.maximum(nu, 0.0)
-        ds = np.sqrt(nu_pos) * sqrt_dt * shocks[:, step, 0]
+        ds = np.sqrt(nu_pos) * sqrt_dt * shocks[step, 0]
         if config.impact:
             ds += risk.eta * (fa.astype(np.float64) - fb.astype(np.float64))
         s = s + ds
@@ -197,7 +197,7 @@ def _ensemble_reference(policy, config, n, seed):
         qv += qf**2 * nu_pos * dt
         if config.impact:
             qv += qf**2 * risk.eta**2 * (fa.astype(np.float64) + fb.astype(np.float64))
-        z_nu = h.rho * shocks[:, step, 0] + rho_c * shocks[:, step, 1]
+        z_nu = h.rho * shocks[step, 0] + rho_c * shocks[step, 1]
         nu = np.maximum(nu + h.theta * (h.alpha - nu) * dt
                         + h.xi * np.sqrt(nu_pos) * z_nu * sqrt_dt, 0.0)
     q_steps = np.array(q_steps + [q], dtype=np.float64)

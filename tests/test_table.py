@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hestonmm import cli, table
 from hestonmm.hjb import HjbConfig, compare_exact_vs_approx, solve_stock_hjb, write_grid_csv, write_report_csv
@@ -178,6 +180,50 @@ def test_write_table_edge_values_match_csv_writer(tmp_path):
         w.writerow(["f", "i,j", 's "q"'])
         w.writerows(zip(floats, ints, strings))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                max_size=6) | st.sampled_from(["", "a,b", 'say "hi"', "two\nlines", "cr\r", " "])
+_VALUES = {
+    "float": st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]),
+    "int": st.integers(-(2**63), 2**63 - 1),
+    "bool": st.booleans(),
+    "str": _TEXT,
+}
+
+
+@st.composite
+def _tables(draw):
+    """A table shape and columns of one kind each whose shapes broadcast to
+    it: an axis of the column is the table's or 1, and leading axes may be
+    missing, down to a scalar."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(sorted(_VALUES)))
+        ndim = draw(st.integers(0, len(shape)))
+        col_shape = tuple(n if draw(st.booleans()) else 1 for n in shape[len(shape) - ndim:])
+        values = draw(st.lists(_VALUES[kind], min_size=math.prod(col_shape),
+                               max_size=math.prod(col_shape)))
+        dtype = {"float": np.float64, "int": np.int64, "bool": bool, "str": str}[kind]
+        columns.append(np.array(values, dtype=dtype).reshape(col_shape))
+    header = draw(st.lists(_TEXT, min_size=len(columns), max_size=len(columns)))
+    return header, columns
+
+
+@given(table=_tables())
+@settings(max_examples=200, deadline=None)
+def test_write_table_equals_a_csv_writer_row_loop(tmp_path_factory, table):
+    header, columns = table
+    path = tmp_path_factory.mktemp("t")
+    write_table(path / "new.csv", header, columns)
+    shape = np.broadcast_shapes(*(c.shape for c in columns))
+    with open(path / "ref.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in zip(*(np.broadcast_to(c, shape).ravel().tolist() for c in columns)):
+            w.writerow(row)
+    assert (path / "new.csv").read_bytes() == (path / "ref.csv").read_bytes()
 
 
 def test_columns_broadcast_in_c_order(tmp_path):
