@@ -1,4 +1,4 @@
-"""Finite-difference weights on a (possibly nonuniform) 1-D grid.
+"""Finite-difference weights on a (possibly nonuniform) 1-D grid, and the tridiagonal solve.
 
 Shared by the backward value-function solver and the option pricer.  Weights
 are returned as three diagonals ``(lower, diag, upper)`` so that
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["operator_diagonals", "apply_tridiagonal", "to_banded"]
+__all__ = ["operator_diagonals", "apply_tridiagonal", "to_banded", "solve_banded"]
 
 
 def operator_diagonals(
@@ -94,10 +94,23 @@ def apply_tridiagonal(diags: tuple[np.ndarray, np.ndarray, np.ndarray], v: np.nd
 
 
 def to_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Pack diagonals into the ``(3, n)`` layout of scipy's ``solve_banded``."""
+    """Pack diagonals into the ``(3, n)`` layout that ``solve_banded`` takes."""
     n = diag.size
     ab = np.zeros((3, n))
     ab[0, 1:] = upper[:-1]
     ab[1, :] = diag
     ab[2, :-1] = lower[1:]
     return ab
+
+
+def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """scipy's ``solve_banded`` for float64 systems with ``l_and_u == (1, 1)`` and n >= 2,
+    bitwise: its LAPACK ``gtsv`` call without its checks.  ``scipy.linalg`` is imported
+    on the first call."""
+    if tuple(l_and_u) != (1, 1):
+        raise NotImplementedError(f"only tridiagonal systems are solved, got l_and_u={l_and_u}")
+    from scipy.linalg.lapack import dgtsv
+    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x

@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.special import ndtr
 
 from . import fd
+from .fd import solve_banded
 from .heston import HestonParams, euler_step
 from .seeding import DEFAULT_BLOCK, PRICING_PILOT_STREAM, PRICING_STREAM, lane_draws, map_blocks, os_array
 from .table import write_table
@@ -106,6 +105,7 @@ def _bachelier(x, var):
     """``E[max(X, 0)]`` for ``X ~ N(x, var)``, elementwise: ``x N(d) +
     sd n(d)`` with ``sd = sqrt(var)`` and ``d = x / sd``, and the intrinsic
     value ``max(x, 0)`` where ``var`` is 0."""
+    from scipy.special import ndtr
     sd = np.sqrt(var)
     with np.errstate(divide="ignore", invalid="ignore"):
         d = x / sd

@@ -19,12 +19,25 @@ def test_all_lists_only_real_names(name):
     assert not missing, f"{name}.__all__ lists undefined names {missing}"
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats costs about a third of a second of every cold start
+def test_cold_start_leaves_scipy_subpackages_out(tmp_path):
+    # `python -X importtime -c "import hestonmm.cli"` on a 2-vCPU host:
+    # scipy.linalg costs about 0.3 s (through scipy._lib's array API layer,
+    # which imports numpy.testing, numpy.ma and numpy.f2py), scipy.special
+    # about 0.06 s and scipy.stats about a third of a second.  Only the PDE
+    # subcommands need them, loaded on their first solve; the Monte Carlo
+    # subcommands never do.
     import subprocess
     import sys
     from pathlib import Path
 
-    code = "import sys, hestonmm.cli; sys.exit('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, hestonmm.cli as cli\n"
+        "heavy = [m for m in ('scipy.stats', 'scipy.linalg', 'scipy.special') if m in sys.modules]\n"
+        "if heavy: sys.exit(f'import hestonmm.cli loaded {heavy}')\n"
+        "code = cli.main(['compare', '--paths', '64', '--out', sys.argv[1]])\n"
+        "if code or 'scipy.linalg' in sys.modules: sys.exit(f'compare exited {code}; linalg loaded')\n"
+    )
     env = {"PYTHONPATH": str(Path(hestonmm.__file__).resolve().parents[1])}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -147,6 +147,34 @@ def test_euler_step_takes_int8_signs_as_floats(heston):
             assert g.dtype == np.float64 and g.tobytes() == w.tobytes()
 
 
+@given(
+    theta=st.floats(0.0, 5.0),
+    alpha=st.floats(0.0, 10.0),
+    xi=st.floats(0.0, 3.0),
+    rho=st.floats(-1.0, 1.0),
+    dt=st.floats(1e-6, 1.0),
+    risk_adj=st.sampled_from([0.0, 0.4, 3.0]),
+    nu=st.lists(st.floats(-1.0, 10.0), min_size=1, max_size=20),
+    signs=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_negated_shocks_negate_the_price_step(theta, alpha, xi, rho, dt, risk_adj, nu, signs, data):
+    # the shocks are symmetric, so E[ds | state] = 0: the mid-price is a martingale
+    params = HestonParams(theta=theta, alpha=alpha, xi=xi, rho=rho)
+    n = len(nu)
+    if signs:
+        draw = st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)
+        z_s, z_perp = (np.array(data.draw(draw), dtype=np.int8) for _ in range(2))
+    else:
+        draw = st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)
+        z_s, z_perp = (np.array(data.draw(draw)) for _ in range(2))
+    s, nu = np.full(n, 100.0), np.array(nu)
+    ds, _ = euler_step(s, nu, z_s, z_perp, params, dt, risk_adj)
+    ds_neg, _ = euler_step(s, nu, -z_s, -z_perp, params, dt, risk_adj)
+    assert ds_neg.tobytes() == (-ds).tobytes()
+
+
 @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_sample_terminal_rejects_bad_horizon(heston, T):
     with pytest.raises(ValueError, match="T must be finite and positive"):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hestonmm import option_pricing
+from hestonmm import cli, option_pricing
 from hestonmm.heston import HestonParams
 from hestonmm.option_pricing import (
     PricingConfig,
@@ -13,6 +13,7 @@ from hestonmm.option_pricing import (
     bachelier_call,
     default_nu_grid,
     default_s_grid,
+    douglas_steps,
     mc_price,
     mc_terminal,
     solve_call_grid,
@@ -235,6 +236,16 @@ def test_non_finite_points_rejected(pricing_grid, point):
 def test_stability_guard(heston):
     with pytest.raises(StabilityError):
         solve_call_grid(PricingConfig(heston=heston, strike=100.0, T=1.0, n_time=2))
+
+
+def test_non_finite_source_is_a_numerical_failure(heston):
+    # a blow-up reaches the banded solves unchecked and is caught after the step
+    # (exit 3), not reported as an invalid input (exit 2)
+    cfg = PricingConfig(heston=heston, strike=100.0, T=1.0)
+    u = np.zeros((cfg.s.size, cfg.nu.size))
+    with pytest.raises(StabilityError, match="backward step 1$") as info:
+        next(douglas_steps(cfg, u, lambda it: np.full(u.shape, np.inf)))
+    assert isinstance(info.value, cli._NUMERICAL_ERRORS)
 
 
 def test_mc_requires_min_paths(pricing_grid):

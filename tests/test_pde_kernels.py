@@ -1,20 +1,25 @@
-"""The HJB step and ``fd.apply_tridiagonal`` against independent formulations.
+"""The HJB step, ``fd.apply_tridiagonal`` and ``fd.solve_banded`` against
+independent formulations.
 
-The HJB reference is the same frozen-control Douglas step written from NaN
-premiums at the box edges, a NaN-masked source and rates, and dense
-correction matrices solved with ``np.linalg.solve``; LAPACK's banded and dense
-solves round differently, so it agrees to 1e-12 relative.  The source and
-``c_emp`` equal the masked form bitwise, and ``apply_tridiagonal`` equals the
-``np.moveaxis`` form it replaced bitwise and the dense matrix product within
-float64 rounding.
+``fd.solve_banded`` equals scipy's ``solve_banded((1, 1), ...)`` bitwise, since
+both make the same LAPACK ``gtsv`` call.  The HJB reference is the same
+frozen-control Douglas step written from NaN premiums at the box edges, a
+NaN-masked source and rates, and dense correction matrices solved with
+``np.linalg.solve``; LAPACK's banded and dense solves round differently, so it
+agrees to 1e-12 relative.  The source and ``c_emp`` equal the masked form
+bitwise, and ``apply_tridiagonal`` equals the ``np.moveaxis`` form it replaced
+bitwise and the dense matrix product within float64 rounding.
 """
 
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hestonmm import fd, hjb
+from hestonmm import cli, fd, hjb
 from hestonmm.heston import HestonParams
 from hestonmm.hjb import HjbConfig, compare_exact_vs_approx, solve_stock_hjb
 from hestonmm.option_pricing import PricingConfig, solve_call_grid
@@ -180,3 +185,38 @@ def test_default_pricing_grid_is_unchanged(heston, monkeypatch):
     values = solve_call_grid(cfg).values
     monkeypatch.setattr(fd, "apply_tridiagonal", lambda diags, v: _moveaxis_apply(diags, v, axis=1))
     np.testing.assert_array_equal(values, solve_call_grid(cfg).values)
+
+
+@given(n=st.integers(2, 300), n_rhs=st.sampled_from([None, 1, 3]), order=st.sampled_from("CF"),
+       pivoting=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_solve_banded_is_scipys_bitwise(n, n_rhs, order, pivoting, seed):
+    rng = np.random.default_rng(seed)
+    ab = rng.uniform(-1.0, 1.0, (3, n))
+    ab[0, 0] = ab[2, -1] = 0.0
+    if pivoting:  # |lower| > |diag|: gtsv swaps rows
+        ab[2, :-1] *= 1.0 + np.abs(ab[1, :-1]) / np.abs(ab[2, :-1])
+    else:  # diagonally dominant
+        ab[1] += np.sign(ab[1]) * 2.0
+    b = np.asarray(rng.normal(size=n if n_rhs is None else (n, n_rhs)), order=order)
+    ab_in, b_in = ab.copy(), b.copy()
+    x = fd.solve_banded((1, 1), ab, b)
+    want = scipy.linalg.solve_banded((1, 1), ab, b)
+    assert x.shape == want.shape and x.dtype == want.dtype
+    assert x.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(ab, ab_in)  # the inputs are not overwritten
+    np.testing.assert_array_equal(b, b_in)
+
+
+def test_solve_banded_rejects_singular_and_non_tridiagonal_systems():
+    ab = np.ones((3, 4))
+    ab[:, 0] = 0.0  # a zero first column
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        fd.solve_banded((1, 1), ab, np.ones(4))
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        scipy.linalg.solve_banded((1, 1), ab, np.ones(4))
+    # the CLI reports a ValueError as a config error and these as numerical failures
+    for l_and_u in [(2, 1), (1, 2), (0, 0)]:
+        with pytest.raises(Exception) as info:
+            fd.solve_banded(l_and_u, np.ones((sum(l_and_u) + 1, 4)), np.ones(4))
+        assert not isinstance(info.value, (ValueError, *cli._NUMERICAL_ERRORS))
