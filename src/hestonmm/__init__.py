@@ -5,21 +5,17 @@ an incomplete-market option pricer, and a Monte Carlo experiment engine.
 """
 
 from .heston import HestonParams, conditional_moments, euler_step
-from .intensity import ArrivalParams, fill_probability, fills, intensity
+from .intensity import ArrivalParams, fills, intensity
 from .quotes import (
     Frozen,
     InventorySV,
     MarketImpact,
-    QuotePair,
     RiskNeutral,
     RiskParams,
     Symmetric,
-    benchmark_quotes,
     closed_form_values,
     inventory_coefficient,
     spread_and_adjustment,
-    inventory_quotes,
-    impact_quotes,
 )
 
 __all__ = [
@@ -28,20 +24,15 @@ __all__ = [
     "conditional_moments",
     "ArrivalParams",
     "intensity",
-    "fill_probability",
     "fills",
     "RiskParams",
-    "QuotePair",
     "InventorySV",
     "MarketImpact",
     "Symmetric",
     "Frozen",
     "RiskNeutral",
     "inventory_coefficient",
-    "inventory_quotes",
-    "impact_quotes",
     "spread_and_adjustment",
-    "benchmark_quotes",
     "closed_form_values",
 ]
 

@@ -13,6 +13,9 @@ import configparser
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .quotes import IMPACT_VARIANTS
+from .seeding import SCHEMES
+
 __all__ = ["ConfigError", "RunConfig", "load_config", "apply_overrides", "dump_manifest"]
 
 
@@ -143,10 +146,9 @@ def _set_value(values: dict, section: str, key: str, raw: str) -> None:
 def _validate(cfg: RunConfig) -> None:
     if cfg.get("sim", "policy") not in _POLICIES:
         raise ConfigError(f"unknown policy {cfg.get('sim', 'policy')!r}; choose from {_POLICIES}")
-    if cfg.get("sim", "scheme") not in ("binomial", "gaussian"):
-        raise ConfigError("sim.scheme must be binomial or gaussian")
-    if cfg.get("sim", "impact_variant") not in ("plain", "flow_adjusted"):
-        raise ConfigError("sim.impact_variant must be plain or flow_adjusted")
+    for key, choices in (("scheme", SCHEMES), ("impact_variant", IMPACT_VARIANTS)):
+        if cfg.get("sim", key) not in choices:
+            raise ConfigError(f"sim.{key} must be {' or '.join(choices)}")
     for sec, key in (("sim", "n_paths"), ("frontier", "n_paths"), ("option_mm", "n_paths")):
         if cfg.get(sec, key) < 1:
             raise ConfigError(f"{sec}.{key} must be positive")

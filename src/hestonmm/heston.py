@@ -20,6 +20,7 @@ from .seeding import HESTON_STREAM, lane_draws, map_blocks
 __all__ = [
     "HestonParams",
     "euler_step",
+    "step_count",
     "conditional_moments",
     "sample_terminal",
 ]
@@ -48,12 +49,6 @@ class HestonParams:
             raise ValueError("theta, alpha, xi and nu0 must be nonnegative")
         if abs(self.rho) > 1:
             raise ValueError("rho must lie in [-1, 1]")
-
-    @property
-    def feller_satisfied(self) -> bool:
-        """Whether 2*theta*alpha >= xi**2.  Informational only: the Euler
-        step truncates at zero, so a violated condition is still handled."""
-        return 2.0 * self.theta * self.alpha >= self.xi**2
 
 
 def conditional_moments(nu: float, params: HestonParams, tau: float) -> tuple[float, float, float]:
@@ -99,6 +94,17 @@ def euler_step(s, nu, z_s, z_perp, params: HestonParams, dt: float, risk_adj: fl
     drift = params.theta * (params.alpha - nu_pos) - risk_adj * root
     nu_next = np.maximum(nu + drift * dt + params.xi * root * z_nu * sqrt_dt, 0.0)
     return root * z_s * sqrt_dt, nu_next
+
+
+def step_count(T: float, dt: float) -> int:
+    """Number of steps of size ``dt`` in a horizon ``T``: ``dt`` must be finite
+    and positive and divide ``T`` within ``1e-9 * max(T, 1)``."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    n = round(T / dt)
+    if n < 1 or abs(n * dt - T) > 1e-9 * max(T, 1.0):
+        raise ValueError("dt must divide T within rounding")
+    return n
 
 
 def sample_terminal(

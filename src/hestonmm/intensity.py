@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ArrivalParams", "intensity", "fill_probability", "fills"]
+__all__ = ["ArrivalParams", "intensity", "fills"]
 
 
 @dataclass(frozen=True)
@@ -29,30 +29,10 @@ class ArrivalParams:
             raise ValueError("A and k must be positive")
 
 
-def _rate(delta, params: ArrivalParams):
-    return params.A * np.exp(-params.k * delta)
-
-
-def intensity(delta, params: ArrivalParams):
-    """Execution rate ``A * exp(-k * delta)``.  Negative premiums are allowed
-    (a quote may cross the mid); non-finite premiums are rejected."""
-    delta = np.asarray(delta, dtype=np.float64)
-    if not np.all(np.isfinite(delta)):
-        raise ValueError("delta must be finite")
-    out = _rate(delta, params)
-    return float(out) if out.ndim == 0 else out
-
-
-def fill_probability(delta, params: ArrivalParams, dt: float):
-    """Per-step fill probability ``min(intensity * dt, 1)`` and the number of
-    entries that needed clipping."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    raw = intensity(delta, params) * dt
-    raw = np.asarray(raw)
-    n_clipped = int(np.count_nonzero(raw > 1.0))
-    prob = np.minimum(raw, 1.0)
-    return (float(prob) if prob.ndim == 0 else prob), n_clipped
+def intensity(delta, arrival: ArrivalParams):
+    """Execution rate ``A * exp(-k * delta)``, elementwise and unchecked: a
+    premium may cross the mid, and the rate just grows."""
+    return arrival.A * np.exp(-arrival.k * delta)
 
 
 def fills(deltas, u, arrival: ArrivalParams, dt: float):
@@ -61,5 +41,5 @@ def fills(deltas, u, arrival: ArrivalParams, dt: float):
     are not checked (a simulator reports a non-finite state itself), and a
     deep-crossed quote's rate overflows and clips to 1 without a warning."""
     with np.errstate(over="ignore"):
-        raw = _rate(deltas, arrival) * dt
+        raw = intensity(deltas, arrival) * dt
     return u < np.minimum(raw, 1.0), int(np.count_nonzero(raw > 1.0))

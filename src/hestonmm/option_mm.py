@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .heston import HestonParams, euler_step
+from .heston import HestonParams, euler_step, step_count
 from .intensity import ArrivalParams, fills
 from .option_pricing import C, C_NU, DELTA, GAMMA, PRICE, PricingGrid, bilinear, cell, douglas_steps
 from .quotes import RiskParams, inventory_coefficient
@@ -320,10 +320,7 @@ class JointStats:
 def _step_times(T: float, dt: float) -> list[float]:
     """A book's step times ``k * dt``, ending at ``T`` exactly: the last
     step's ``n_steps * dt`` can miss ``T`` by an ulp and leave the grid."""
-    n_steps = round(T / dt)
-    if abs(n_steps * dt - T) > 1e-9:
-        raise ValueError("dt must divide T")
-    return [k * dt for k in range(n_steps)] + [T]
+    return [k * dt for k in range(step_count(T, dt))] + [T]
 
 
 def run_hedged_paths(

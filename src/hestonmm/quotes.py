@@ -25,7 +25,6 @@ from .intensity import ArrivalParams
 
 __all__ = [
     "RiskParams",
-    "QuotePair",
     "InventorySV",
     "MarketImpact",
     "Symmetric",
@@ -34,11 +33,7 @@ __all__ = [
     "ClosedFormValues",
     "inventory_coefficient",
     "inventory_premiums",
-    "inventory_quotes",
-    "impact_premiums",
-    "impact_quotes",
     "spread_and_adjustment",
-    "benchmark_quotes",
     "closed_form_values",
     "risk_neutral_rate",
 ]
@@ -60,23 +55,6 @@ class RiskParams:
             raise ValueError("RiskParams fields must be finite")
         if self.gamma < 0 or self.beta < 0 or self.eta < 0:
             raise ValueError("gamma, beta and eta must be nonnegative")
-
-
-@dataclass(frozen=True)
-class QuotePair:
-    """Ask/bid premiums relative to the mid: ask price = s + delta_a, bid
-    price = s - delta_b."""
-
-    delta_a: float
-    delta_b: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.delta_a) and math.isfinite(self.delta_b)):
-            raise ValueError("premiums must be finite")
-
-    @property
-    def spread(self) -> float:
-        return self.delta_a + self.delta_b
 
 
 def _check_horizon(t, T):
@@ -112,15 +90,6 @@ def inventory_premiums(q, nu, t, T, heston: HestonParams, arrival: ArrivalParams
     return delta_a, delta_b
 
 
-def inventory_quotes(
-    q: int, nu: float, t: float, T: float,
-    heston: HestonParams, arrival: ArrivalParams, risk: RiskParams,
-) -> QuotePair:
-    """Scalar wrapper for the stock-only approximate optimal quotes."""
-    da, db = inventory_premiums(q, nu, t, T, heston, arrival, risk)
-    return QuotePair(float(da), float(db))
-
-
 def spread_and_adjustment(
     q, nu, t, T, heston: HestonParams, arrival: ArrivalParams, risk: RiskParams,
 ):
@@ -137,46 +106,6 @@ def spread_and_adjustment(
     if np.ndim(spread) == 0 and np.ndim(m) == 0:
         return float(spread), float(m)
     return spread, m
-
-
-def _impact_coefficient(nu, t, T, heston, arrival, risk, variant: str):
-    if variant not in IMPACT_VARIANTS:
-        raise ValueError(f"unknown impact variant {variant!r}")
-    f = inventory_coefficient(nu, t, T, heston, risk)
-    if variant == "flow_adjusted":
-        tau = T - np.asarray(t, dtype=np.float64)
-        f = f + risk.gamma * arrival.A * risk.eta**2 * tau
-    return f
-
-
-def impact_premiums(
-    q, nu, t, T,
-    heston: HestonParams, arrival: ArrivalParams, risk: RiskParams,
-    variant: str = "flow_adjusted",
-):
-    """Approximate optimal premiums with constant permanent impact ``eta``.
-
-    ``variant="flow_adjusted"`` (default) widens the inventory bracket by
-    ``gamma * A * eta^2 * (T - t)``, the expected penalty drag of impact fees
-    on future order flow; ``variant="plain"`` omits that term.  Both reduce
-    to the impact-free premiums when ``eta == 0``.
-    """
-    F = _impact_coefficient(nu, t, T, heston, arrival, risk, variant)
-    q = np.asarray(q, dtype=np.float64)
-    base = 1.0 / arrival.k
-    fee = 0.5 * risk.gamma * risk.eta**2
-    delta_a = base - risk.beta + fee * (q - 1.0) ** 2 - F * (2.0 * q - 1.0)
-    delta_b = base + risk.beta + fee * (q + 1.0) ** 2 + F * (2.0 * q + 1.0)
-    return delta_a, delta_b
-
-
-def impact_quotes(
-    q: int, nu: float, t: float, T: float,
-    heston: HestonParams, arrival: ArrivalParams, risk: RiskParams,
-    variant: str = "flow_adjusted",
-) -> QuotePair:
-    da, db = impact_premiums(q, nu, t, T, heston, arrival, risk, variant)
-    return QuotePair(float(da), float(db))
 
 
 def risk_neutral_rate(arrival: ArrivalParams, risk: RiskParams) -> float:
@@ -206,8 +135,9 @@ def closed_form_values(
 
 # --- Policies -------------------------------------------------------------
 #
-# A policy exposes ``premiums(q, nu, t) -> (delta_a, delta_b) | None``
-# vectorized over paths; ``None`` means no quotes are posted (frozen book).
+# A policy exposes ``premiums(q, nu, t) -> (delta_a, delta_b) | None``:
+# arrays shaped like ``q`` (broadcast with ``nu``), one entry per path, at the
+# step time ``t``; ``None`` means no quotes are posted (frozen book).
 
 
 @dataclass(frozen=True)
@@ -225,7 +155,13 @@ class InventorySV:
 
 @dataclass(frozen=True)
 class MarketImpact:
-    """Inventory policy adjusted for constant permanent impact."""
+    """Inventory policy adjusted for constant permanent impact ``eta``.
+
+    ``variant="flow_adjusted"`` (default) widens the inventory bracket by
+    ``gamma * A * eta^2 * (T - t)``, the expected penalty drag of impact fees
+    on future order flow; ``variant="plain"`` omits that term.  Both reduce
+    to the ``InventorySV`` premiums when ``eta == 0``.
+    """
 
     heston: HestonParams
     arrival: ArrivalParams
@@ -238,7 +174,17 @@ class MarketImpact:
             raise ValueError(f"unknown impact variant {self.variant!r}")
 
     def premiums(self, q, nu, t):
-        return impact_premiums(q, nu, t, self.T, self.heston, self.arrival, self.risk, self.variant)
+        risk = self.risk
+        F = inventory_coefficient(nu, t, self.T, self.heston, risk)
+        if self.variant == "flow_adjusted":
+            tau = self.T - np.asarray(t, dtype=np.float64)
+            F = F + risk.gamma * self.arrival.A * risk.eta**2 * tau
+        q = np.asarray(q, dtype=np.float64)
+        base = 1.0 / self.arrival.k
+        fee = 0.5 * risk.gamma * risk.eta**2
+        delta_a = base - risk.beta + fee * (q - 1.0) ** 2 - F * (2.0 * q - 1.0)
+        delta_b = base + risk.beta + fee * (q + 1.0) ** 2 + F * (2.0 * q + 1.0)
+        return delta_a, delta_b
 
 
 @dataclass(frozen=True)
@@ -254,9 +200,7 @@ class Symmetric:
 
     def premiums(self, q, nu, t):
         half = 0.5 * self.avg_spread
-        shape = np.broadcast(np.asarray(q), np.asarray(nu)).shape
-        if shape == ():
-            return half, half
+        shape = np.broadcast(q, nu).shape
         return np.full(shape, half), np.full(shape, half)
 
 
@@ -269,11 +213,8 @@ class RiskNeutral:
 
     def premiums(self, q, nu, t):
         base = 1.0 / self.arrival.k
-        da, db = base - self.risk.beta, base + self.risk.beta
-        shape = np.broadcast(np.asarray(q), np.asarray(nu)).shape
-        if shape == ():
-            return da, db
-        return np.full(shape, da), np.full(shape, db)
+        shape = np.broadcast(q, nu).shape
+        return np.full(shape, base - self.risk.beta), np.full(shape, base + self.risk.beta)
 
 
 @dataclass(frozen=True)
@@ -282,12 +223,3 @@ class Frozen:
 
     def premiums(self, q, nu, t):
         return None
-
-
-def benchmark_quotes(policy, q=0, nu=None, t=0.0) -> QuotePair | None:
-    """Quotes of a benchmark policy; ``None`` for the frozen book."""
-    out = policy.premiums(q, nu, t)
-    if out is None:
-        return None
-    da, db = out
-    return QuotePair(float(np.asarray(da).reshape(())), float(np.asarray(db).reshape(())))

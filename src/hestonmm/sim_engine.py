@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .heston import HestonParams, euler_step
+from .heston import HestonParams, euler_step, step_count
 from .intensity import ArrivalParams, fills
 from .quotes import InventorySV, RiskParams
 from .seeding import SCHEMES, SIM_STREAM, lane_draws, map_blocks
@@ -57,14 +57,9 @@ class SimConfig:
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        for name in ("T", "dt"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.T <= 0 or self.dt <= 0:
-            raise ValueError("T and dt must be positive")
-        n = round(self.T / self.dt)
-        if n < 1 or abs(n * self.dt - self.T) > 1e-9 * max(self.T, 1.0):
-            raise ValueError("dt must divide T within rounding")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"T must be finite and positive, got {self.T}")
+        step_count(self.T, self.dt)
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.snapshot_stride < 1:

@@ -119,6 +119,9 @@ def test_removed_pricing_mc_paths_is_an_unknown_key(tmp_path, capsys):
     ("hjb", "hjb.nu_lo=nan", "nu_lo"),
     ("simulate", "sim.t_horizon=nan", "T"),
     ("price-option", "sim.t_horizon=nan", "T"),
+    ("option-mm", "option_mm.dt=0", "dt"),
+    ("option-mm", "option_mm.dt=-0.001", "dt"),
+    ("option-mm", "option_mm.dt=nan", "dt"),
 ])
 def test_non_finite_horizon_or_variance_box_is_a_config_error(tmp_path, capsys, sub, override, field):
     assert run_cli(sub, "--paths", "2", "--set", override, "--out", str(tmp_path)) == EXIT_CONFIG

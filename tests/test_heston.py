@@ -20,12 +20,6 @@ def test_params_validation():
         HestonParams(theta=float("nan"), alpha=4.0, xi=0.5, rho=0.0)
 
 
-def test_feller_flag_informational(heston):
-    # the baseline parameters violate the condition: 2*0.02*4 = 0.16 < 0.25
-    assert not heston.feller_satisfied
-    assert HestonParams(theta=1.0, alpha=1.0, xi=0.5, rho=0.0).feller_satisfied
-
-
 def test_step_at_zero_variance_diffusion_vanishes():
     # drift alone acts when nu = 0: new nu = theta*alpha*dt, the price stays put
     params = HestonParams(theta=0.02, alpha=4.0, xi=123.0, rho=0.3)

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hestonmm.intensity import ArrivalParams, fill_probability, fills, intensity
-from hestonmm.quotes import QuotePair
+from hestonmm.intensity import ArrivalParams, fills, intensity
 
 
 def test_params_validation():
@@ -22,13 +21,6 @@ def test_intensity_examples(arrival):
     assert intensity(1.0 / arrival.k, arrival) == pytest.approx(140.0 / math.e, rel=1e-12)
     assert intensity(0.8667, arrival) == pytest.approx(140.0 * math.exp(-1.5 * 0.8667), rel=1e-12)
     assert intensity(0.8667, arrival) == pytest.approx(38.154, rel=1e-4)
-
-
-def test_intensity_rejects_nonfinite(arrival):
-    with pytest.raises(ValueError):
-        intensity(float("nan"), arrival)
-    with pytest.raises(ValueError):
-        intensity(np.array([0.1, float("inf")]), arrival)
 
 
 def test_negative_premium_allowed(arrival):
@@ -49,12 +41,14 @@ def test_log_linearity(d1, d2, k, a):
     assert lhs == pytest.approx(-k * (d1 - d2), rel=1e-9, abs=1e-9)
 
 
-def test_fill_probability_clipping(arrival):
-    prob, clipped = fill_probability(0.8667, arrival, 0.005)
-    assert prob == pytest.approx(0.19077, rel=1e-3)
+def test_fill_clipping_examples(arrival):
+    # rate*dt 0.19077 is kept, 1260 clips to 1 and fills whatever its draw
+    assert intensity(0.8667, arrival) * 0.005 == pytest.approx(0.19077, rel=1e-3)
+    hit, clipped = fills(np.array([0.8667, 0.8667]), np.array([0.18, 0.2]), arrival, 0.005)
+    np.testing.assert_array_equal(hit, [True, False])
     assert clipped == 0
-    prob, clipped = fill_probability(-5.0, arrival, 0.005)
-    assert prob == 1.0 and clipped == 1
+    hit, clipped = fills(np.array([-5.0]), np.array([0.999999]), arrival, 0.005)
+    assert hit.all() and clipped == 1
 
 
 def test_fills_clip_count(arrival):
@@ -75,12 +69,14 @@ def test_fills_clip_count(arrival):
     dt=st.floats(1e-4, 0.1),
 )
 @settings(max_examples=200, deadline=None)
-def test_fills_match_fill_probability(arrival, deltas, u, dt):
+def test_fills_match_clip_rule(arrival, deltas, u, dt):
+    # reference: u < min(A e^{-k delta} dt, 1), written out here
     deltas = np.array(deltas)
-    prob, n_clipped = fill_probability(deltas, arrival, dt)
+    raw = arrival.A * np.exp(-arrival.k * deltas) * dt
+    prob = np.minimum(raw, 1.0)
     hit, clipped = fills(deltas, np.full(deltas.size, u), arrival, dt)
     assert np.all((prob >= 0.0) & (prob <= 1.0))
-    assert clipped == n_clipped == int(np.count_nonzero(intensity(deltas, arrival) * dt > 1.0))
+    assert clipped == int(np.count_nonzero(raw > 1.0))
     np.testing.assert_array_equal(hit, u < prob)
 
 
@@ -99,17 +95,17 @@ def test_never_fills_when_rate_vanishes():
     hit, clipped = fills(np.full((2, 2), 0.1), u, p, 0.005)
     assert not hit.any() and clipped == 0
     # far quotes: probability tends to zero
-    assert fill_probability(1e3, ArrivalParams(140.0, 1.5), 0.005)[0] == 0.0
+    assert min(intensity(1e3, ArrivalParams(140.0, 1.5)) * 0.005, 1.0) == 0.0
     assert not fills(np.array([1e3]), np.array([0.0]), ArrivalParams(140.0, 1.5), 0.005)[0].any()
 
 
 def test_bernoulli_frequency_matches_rate(arrival):
     # empirical fill frequency over 1e5 steps within 3 SE of lambda*dt
     dt = 0.005
-    p_target, _ = fill_probability(0.8667, arrival, dt)
+    p_target = min(arrival.A * math.exp(-arrival.k * 0.8667) * dt, 1.0)
     rng = np.random.default_rng(7)
     n = 100_000
-    hits = rng.random(n) < p_target
+    hits, _ = fills(np.full(n, 0.8667), rng.random(n), arrival, dt)
     se = math.sqrt(p_target * (1 - p_target) / n)
     assert abs(hits.mean() - p_target) <= 3 * se
 
@@ -131,11 +127,7 @@ def test_side_independence(arrival):
     dt = 0.005
     rng = np.random.default_rng(13)
     n = 100_000
-    quotes = QuotePair(0.6, 0.7)
-    pa, _ = fill_probability(quotes.delta_a, arrival, dt)
-    pb, _ = fill_probability(quotes.delta_b, arrival, dt)
-    u = rng.random((n, 2))
-    ask = (u[:, 0] < pa).astype(float)
-    bid = (u[:, 1] < pb).astype(float)
-    corr = np.corrcoef(ask, bid)[0, 1]
+    # one step of n paths quoting (ask, bid) premiums (0.6, 0.7)
+    hit, _ = fills(np.tile([0.6, 0.7], (n, 1)), rng.random((n, 2)), arrival, dt)
+    corr = np.corrcoef(hit[:, 0].astype(float), hit[:, 1].astype(float))[0, 1]
     assert abs(corr) <= 3.0 / math.sqrt(n)

@@ -7,18 +7,22 @@ from hypothesis import strategies as st
 from hestonmm.quotes import (
     Frozen,
     InventorySV,
-    QuotePair,
+    MarketImpact,
     RiskNeutral,
     RiskParams,
     Symmetric,
-    benchmark_quotes,
     closed_form_values,
     inventory_coefficient,
     risk_neutral_rate,
     spread_and_adjustment,
-    inventory_quotes,
-    impact_quotes,
 )
+
+
+def _one(policy, q, nu, t):
+    """The policy's premiums for one path, called on arrays as the simulators call it."""
+    da, db = policy.premiums(np.array([q]), np.array([nu]), t)
+    assert da.shape == db.shape == (1,)
+    return da[0], db[0]
 
 
 def test_risk_params_validation():
@@ -26,24 +30,22 @@ def test_risk_params_validation():
         RiskParams(gamma=-0.1)
     with pytest.raises(ValueError):
         RiskParams(gamma=0.1, beta=-1.0)
-    with pytest.raises(ValueError):
-        QuotePair(float("nan"), 0.0)
 
 
 def test_inventory_quote_examples(heston, arrival, risk):
-    q = inventory_quotes(0, 4.0, 1.0, 1.0, heston, arrival, risk)
-    assert q.delta_a == pytest.approx(0.636667, abs=1e-6)
-    assert q.delta_b == pytest.approx(0.696667, abs=1e-6)
-    q = inventory_quotes(0, 4.0, 0.0, 1.0, heston, arrival, risk)
-    assert q.delta_a == pytest.approx(0.836667, abs=1e-6)
-    assert q.delta_b == pytest.approx(0.896667, abs=1e-6)
-    q = inventory_quotes(6, 4.0, 0.0, 1.0, heston, arrival, risk)
-    assert q.delta_a == pytest.approx(-1.563333, abs=1e-6)  # ask crosses the mid
+    pol = InventorySV(heston, arrival, risk, 1.0)
+    da, db = pol.premiums(np.array([0]), np.array([4.0]), 1.0)
+    assert da[0] == pytest.approx(0.636667, abs=1e-6)
+    assert db[0] == pytest.approx(0.696667, abs=1e-6)
+    da, db = pol.premiums(np.array([0, 6]), np.array([4.0, 4.0]), 0.0)
+    assert da[0] == pytest.approx(0.836667, abs=1e-6)
+    assert db[0] == pytest.approx(0.896667, abs=1e-6)
+    assert da[1] == pytest.approx(-1.563333, abs=1e-6)  # ask crosses the mid
 
 
 def test_rejects_time_beyond_horizon(heston, arrival, risk):
     with pytest.raises(ValueError):
-        inventory_quotes(0, 4.0, 1.5, 1.0, heston, arrival, risk)
+        InventorySV(heston, arrival, risk, 1.0).premiums(np.zeros(1), np.full(1, 4.0), 1.5)
 
 
 def test_spread_examples(heston, arrival, risk):
@@ -62,17 +64,16 @@ def test_spread_examples(heston, arrival, risk):
 )
 @settings(max_examples=200, deadline=None)
 def test_spread_and_m_identities(q, nu, t, heston, arrival, risk):
-    quotes = inventory_quotes(q, nu, t, 1.0, heston, arrival, risk)
+    da, db = _one(InventorySV(heston, arrival, risk, 1.0), q, nu, t)
     spread, m = spread_and_adjustment(q, nu, t, 1.0, heston, arrival, risk)
-    assert spread == pytest.approx(quotes.delta_a + quotes.delta_b, rel=1e-12, abs=1e-12)
-    assert m == pytest.approx(quotes.delta_a - quotes.delta_b, rel=1e-12, abs=1e-12)
+    assert spread == pytest.approx(da + db, rel=1e-12, abs=1e-12)
+    assert m == pytest.approx(da - db, rel=1e-12, abs=1e-12)
 
 
 def test_monotone_in_inventory(heston, arrival, risk):
     # f > 0 here, so the ask falls and the bid rises with inventory
     qs = np.arange(-10, 11)
-    das = [inventory_quotes(int(q), 4.0, 0.2, 1.0, heston, arrival, risk).delta_a for q in qs]
-    dbs = [inventory_quotes(int(q), 4.0, 0.2, 1.0, heston, arrival, risk).delta_b for q in qs]
+    das, dbs = InventorySV(heston, arrival, risk, 1.0).premiums(qs, np.full(qs.shape, 4.0), 0.2)
     assert np.all(np.diff(das) < 0)
     assert np.all(np.diff(dbs) > 0)
 
@@ -80,14 +81,14 @@ def test_monotone_in_inventory(heston, arrival, risk):
 def test_variance_sensitivity_signs(heston, arrival, risk):
     # finite differences in nu: long books lower both quotes, short books raise them
     h = 1e-5
+    pol = InventorySV(heston, arrival, risk, 1.0)
     for q, sign in [(3, -1.0), (-3, +1.0)]:
-        up = inventory_quotes(q, 4.0 + h, 0.0, 1.0, heston, arrival, risk)
-        dn = inventory_quotes(q, 4.0 - h, 0.0, 1.0, heston, arrival, risk)
-        assert sign * (up.delta_a - dn.delta_a) > 0
+        (up_a, dn_a), (up_b, dn_b) = pol.premiums(np.full(2, q), np.array([4.0 + h, 4.0 - h]), 0.0)
+        assert sign * (up_a - dn_a) > 0
         if q > 0:
-            assert up.delta_b - dn.delta_b > 0
+            assert up_b - dn_b > 0
         else:
-            assert up.delta_b - dn.delta_b < 0
+            assert up_b - dn_b < 0
     s_up, _ = spread_and_adjustment(0, 4.0 + h, 0.0, 1.0, heston, arrival, risk)
     s_dn, _ = spread_and_adjustment(0, 4.0 - h, 0.0, 1.0, heston, arrival, risk)
     assert s_up > s_dn  # spread widens with variance
@@ -106,34 +107,34 @@ def test_constant_variance_limit(arrival, risk):
     assert f_small == pytest.approx(f_zero, rel=1e-6)
 
 
-def test_impact_quotes_reduce_without_impact(heston, arrival):
+def test_market_impact_reduces_without_impact(heston, arrival):
     risk0 = RiskParams(gamma=0.1, beta=0.03, eta=0.0)
+    q1 = _one(InventorySV(heston, arrival, risk0, 1.0), 4, 5.0, 0.3)
     for variant in ("plain", "flow_adjusted"):
-        q2 = impact_quotes(4, 5.0, 0.3, 1.0, heston, arrival, risk0, variant)
-        q1 = inventory_quotes(4, 5.0, 0.3, 1.0, heston, arrival, risk0)
-        assert q2.delta_a == pytest.approx(q1.delta_a, rel=1e-14)
-        assert q2.delta_b == pytest.approx(q1.delta_b, rel=1e-14)
+        q2 = _one(MarketImpact(heston, arrival, risk0, 1.0, variant), 4, 5.0, 0.3)
+        assert q2[0] == pytest.approx(q1[0], rel=1e-14)
+        assert q2[1] == pytest.approx(q1[1], rel=1e-14)
 
 
 def test_impact_quote_examples(heston, arrival, risk):
-    q = impact_quotes(1, 4.0, 1.0, 1.0, heston, arrival, risk, "plain")
-    assert q.delta_a == pytest.approx(0.636667, abs=1e-6)
-    assert q.delta_b == pytest.approx(0.698287, abs=1e-6)
+    da, db = MarketImpact(heston, arrival, risk, 1.0, "plain").premiums(
+        np.array([1, 0]), np.full(2, 4.0), 1.0)
+    assert da[0] == pytest.approx(0.636667, abs=1e-6)
+    assert db[0] == pytest.approx(0.698287, abs=1e-6)
     # q = 0 at expiry: symmetric fee (q -+ 1)^2 = 1
-    q = impact_quotes(0, 4.0, 1.0, 1.0, heston, arrival, risk, "plain")
     fee = 0.5 * risk.gamma * risk.eta**2
-    assert q.delta_a == pytest.approx(1 / 1.5 - 0.03 + fee, rel=1e-12)
-    assert q.delta_b == pytest.approx(1 / 1.5 + 0.03 + fee, rel=1e-12)
+    assert da[1] == pytest.approx(1 / 1.5 - 0.03 + fee, rel=1e-12)
+    assert db[1] == pytest.approx(1 / 1.5 + 0.03 + fee, rel=1e-12)
 
 
 def test_flow_adjusted_variant_extra_term(heston, arrival, risk):
-    qa = impact_quotes(2, 4.0, 0.0, 1.0, heston, arrival, risk, "flow_adjusted")
-    qt = impact_quotes(2, 4.0, 0.0, 1.0, heston, arrival, risk, "plain")
+    qa = _one(MarketImpact(heston, arrival, risk, 1.0, "flow_adjusted"), 2, 4.0, 0.0)
+    qt = _one(MarketImpact(heston, arrival, risk, 1.0, "plain"), 2, 4.0, 0.0)
     extra = risk.gamma * arrival.A * risk.eta**2 * 1.0
-    assert qa.delta_a - qt.delta_a == pytest.approx(-extra * 3, rel=1e-9)
-    assert qa.delta_b - qt.delta_b == pytest.approx(extra * 5, rel=1e-9)
+    assert qa[0] - qt[0] == pytest.approx(-extra * 3, rel=1e-9)
+    assert qa[1] - qt[1] == pytest.approx(extra * 5, rel=1e-9)
     with pytest.raises(ValueError):
-        impact_quotes(2, 4.0, 0.0, 1.0, heston, arrival, risk, "bogus")
+        MarketImpact(heston, arrival, risk, 1.0, "bogus")
 
 
 def test_closed_form_values_examples(heston, arrival, risk):
@@ -158,12 +159,17 @@ def test_frozen_value_nonpositive_on_box(heston, arrival, risk):
 
 
 def test_benchmark_policies(heston, arrival, risk):
-    rn = benchmark_quotes(RiskNeutral(arrival, risk))
-    assert rn.delta_a == pytest.approx(0.636667, abs=1e-6)
-    assert rn.delta_b == pytest.approx(0.696667, abs=1e-6)
-    sym = benchmark_quotes(Symmetric(1.53))
-    assert sym.delta_a == sym.delta_b == pytest.approx(0.765)
-    assert benchmark_quotes(Frozen()) is None
+    # constant quotes, one per path, shaped like q
+    q, nu = np.array([0, 3, -2]), np.array([4.0, 1.0, 9.0])
+    da, db = RiskNeutral(arrival, risk).premiums(q, nu, 0.0)
+    assert da.shape == db.shape == q.shape
+    np.testing.assert_allclose(da, 0.636667, atol=1e-6)
+    np.testing.assert_allclose(db, 0.696667, atol=1e-6)
+    da, db = Symmetric(1.53).premiums(q, nu, 0.0)
+    assert da.shape == db.shape == q.shape
+    np.testing.assert_array_equal(da, db)
+    np.testing.assert_allclose(da, 0.765)
+    assert Frozen().premiums(q, nu, 0.0) is None
     with pytest.raises(ValueError):
         Symmetric(0.0)
     with pytest.raises(ValueError):
@@ -176,6 +182,7 @@ def test_policy_vectorized_premiums(heston, arrival, risk):
     nu = np.array([4.0, 5.0, 3.0])
     da, db = pol.premiums(q, nu, 0.1)
     for i in range(3):
-        ref = inventory_quotes(int(q[i]), float(nu[i]), 0.1, 1.0, heston, arrival, risk)
-        assert da[i] == pytest.approx(ref.delta_a, rel=1e-14)
-        assert db[i] == pytest.approx(ref.delta_b, rel=1e-14)
+        # the closed form 1/k -+ beta - f (2q -+ 1), one path at a time
+        f = inventory_coefficient(float(nu[i]), 0.1, 1.0, heston, risk)
+        assert da[i] == pytest.approx(1 / arrival.k - risk.beta - f * (2 * q[i] - 1), rel=1e-14)
+        assert db[i] == pytest.approx(1 / arrival.k + risk.beta + f * (2 * q[i] + 1), rel=1e-14)
