@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, apply_overrides, dump_manifest, load_config
-from .heston import HestonParams
+from .heston import HestonParams, step_count
 from .hjb import BlowupError, HjbConfig, compare_exact_vs_approx, solve_stock_hjb, write_grid_csv, write_report_csv
 from .intensity import ArrivalParams
 from .option_mm import FunctionalLattice, run_hedged_paths, run_joint_paths, write_lattice_csv
@@ -220,7 +220,9 @@ def _cmd_option_mm(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int, hedge
     om = cfg["option_mm"]
     heston, arrival, risk = _heston(cfg), _arrival(cfg), _risk(cfg)
     T = cfg.get("sim", "t_horizon")
-    grid = solve_call_grid(_pricing_config(cfg))
+    pricing = _pricing_config(cfg)
+    step_count(T, om["dt"])  # the books' step rule, checked before the grid solve
+    grid = solve_call_grid(pricing)
     half_s = 0.75 * (grid.s_grid[-1] - heston.s0)
     s_nodes = np.linspace(heston.s0 - half_s, heston.s0 + half_s, om["lattice_n_s"])
     nu_nodes = np.linspace(0.04 * grid.nu_grid[-1], 0.75 * grid.nu_grid[-1], om["lattice_n_nu"])

@@ -81,7 +81,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "nu_lo": (float, 0.0),
         "nu_hi": (float, 12.0),
         "n_nu": (int, 61),
-        "n_time": (int, 400),
+        "n_time": (int, 200),
         "include_impact": (_bool, False),
         "gap_nu_lo": (float, 1.0),
         "gap_nu_hi": (float, 8.0),

@@ -43,6 +43,10 @@ __all__ = [
 
 # time slices a solve keeps: every stride-th step, both ends included
 MAX_STORED_SLICES = 201
+# the steps that overlap the last 1/LAYER_DIVISOR of the horizon, where the
+# time error sits, are each taken as SUBSTEPS equal Douglas sub-steps
+LAYER_DIVISOR = 10
+SUBSTEPS = 4
 
 
 class BlowupError(RuntimeError):
@@ -62,7 +66,7 @@ class HjbConfig:
     nu_lo: float = 0.0
     nu_hi: float = 12.0
     n_nu: int = 61
-    n_time: int = 400
+    n_time: int = 200
     include_impact: bool = False
 
     def __post_init__(self):
@@ -161,6 +165,13 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
     theta = 1/2 ('t Hout & Foulon 2010) follows: an explicit predictor, an
     implicit nu-correction (one banded solve over all q rows) and an implicit
     q-correction (one block-diagonal banded solve over all nu columns).
+
+    The time error of this second-order step sits in a layer just before
+    maturity, so each of the ``n_time`` steps of length ``dt = T / n_time``
+    that overlaps the last ``1 / LAYER_DIVISOR`` of the horizon is taken as
+    ``SUBSTEPS`` equal Douglas sub-steps; the other steps are one each.  The
+    stored times are the coarse ones, every stride-th step of ``dt``.  A
+    ``BlowupError`` names the sub-step's own time and its count from T.
     """
     nu = config.nu_grid
     heston = config.heston
@@ -168,8 +179,15 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
     n_q, n_nu = config.q_levels.size, nu.size
 
     dt = config.T / config.n_time
-    half = 0.5 * dt
-    ab_nu = fd.to_banded(-half * diags[0], 1.0 - half * diags[1], -half * diags[2])
+    n_layer = -(-config.n_time // LAYER_DIVISOR)  # the steps that overlap the layer
+
+    def substeps(count: int) -> tuple[int, float, np.ndarray]:
+        """A step of ``dt`` as ``count`` sub-steps: their length and nu-factor."""
+        h = dt / count
+        half = 0.5 * h
+        return count, h, fd.to_banded(-half * diags[0], 1.0 - half * diags[1], -half * diags[2])
+
+    plain, layer = substeps(1), substeps(SUBSTEPS)
 
     q = config.q_levels.astype(np.float64)[:, None]
     penalty = 0.5 * config.risk.gamma * q**2 * nu[None, :]
@@ -178,51 +196,55 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
     stored_steps = sorted({0, *range(stride, config.n_time, stride), config.n_time})
     store_at = {s: i for i, s in enumerate(stored_steps)}
 
-    shape = (n_q, n_nu, len(stored_steps))
-    values = np.empty(shape)
-    quotes_a = np.full(shape, np.nan)  # no ask at q_min, no bid at q_max
-    quotes_b = np.full(shape, np.nan)
+    values = np.empty((n_q, n_nu, len(stored_steps)))
 
     def record(step_from_end: int, v_slice: np.ndarray):
         step = config.n_time - step_from_end  # index along ascending time
         if step in store_at:
-            i = store_at[step]
-            values[:, :, i] = v_slice
-            quotes_a[1:, :, i], quotes_b[:-1, :, i] = _premiums(v_slice, config)
+            values[:, :, store_at[step]] = v_slice
 
-    def check_finite(n: int, *arrays: np.ndarray):
+    def check_finite(t: float, sub: int, *arrays: np.ndarray):
         for a in arrays:
             if not np.isfinite(a).all():
                 bad = np.argwhere(~np.isfinite(a))[0]
                 raise BlowupError(
                     f"non-finite value at q={config.q_levels[bad[0]]}, "
-                    f"nu={nu[bad[1]]:.4g}, t={config.T - n * dt:.4g} (step {n})"
+                    f"nu={nu[bad[1]]:.4g}, t={t:.4g} (step {sub})"
                 )
 
     v = np.zeros((n_q, n_nu))
     rate_a, rate_b = np.zeros_like(v), np.zeros_like(v)  # zero on the side that leaves the box
     record(0, v)
+    sub = 0  # Douglas sub-steps taken, counted back from T
     for n in range(1, config.n_time + 1):
-        ask, bid = _arrival_factors(v, config)
-        with np.errstate(over="ignore"):
-            rate_a[1:], rate_b[:-1] = config.arrival.A * ask, config.arrival.A * bid
-            out_rate = rate_a + rate_b
-        lv = fd.apply_tridiagonal(diags, v)
-        y = v + dt * (lv + _source(ask, bid, config) - penalty)
-        check_finite(n, out_rate, y)  # before either solve; an overflow inside is caught below
-        # nu-correction, every q row at once
-        y = fd.solve_banded((1, 1), ab_nu, (y - half * lv).T).T
-        # q-correction, nu-major: each nu column is one block of the banded system
-        jv = -out_rate * v
-        jv[1:] += rate_a[1:] * v[:-1]
-        jv[:-1] += rate_b[:-1] * v[1:]
-        ab_q = fd.to_banded(-half * rate_a.T.ravel(), 1.0 + half * out_rate.T.ravel(),
-                            -half * rate_b.T.ravel())
-        y = fd.solve_banded((1, 1), ab_q, (y - half * jv).T.ravel())
-        v = y.reshape(n_nu, n_q).T
-        check_finite(n, v)
+        count, h, ab_nu = layer if n <= n_layer else plain
+        half = 0.5 * h
+        for j in range(1, count + 1):
+            sub += 1
+            t = config.T - (n - 1) * dt - j * h
+            ask, bid = _arrival_factors(v, config)
+            with np.errstate(over="ignore"):
+                rate_a[1:], rate_b[:-1] = config.arrival.A * ask, config.arrival.A * bid
+                out_rate = rate_a + rate_b
+            lv = fd.apply_tridiagonal(diags, v)
+            y = v + h * (lv + _source(ask, bid, config) - penalty)
+            check_finite(t, sub, out_rate, y)  # before either solve; an overflow inside is caught below
+            # nu-correction, every q row at once
+            y = fd.solve_banded((1, 1), ab_nu, (y - half * lv).T).T
+            # q-correction, nu-major: each nu column is one block of the banded system
+            jv = -out_rate * v
+            jv[1:] += rate_a[1:] * v[:-1]
+            jv[:-1] += rate_b[:-1] * v[1:]
+            ab_q = fd.to_banded(-half * rate_a.T.ravel(), 1.0 + half * out_rate.T.ravel(),
+                                -half * rate_b.T.ravel())
+            y = fd.solve_banded((1, 1), ab_q, (y - half * jv).T.ravel())
+            v = y.reshape(n_nu, n_q).T
+            check_finite(t, sub, v)
         record(n, v)
 
+    quotes_a = np.full(values.shape, np.nan)  # no ask at q_min, no bid at q_max
+    quotes_b = np.full(values.shape, np.nan)
+    quotes_a[1:], quotes_b[:-1] = _premiums(values, config)
     times = np.array([s * dt for s in stored_steps])
     return ValueGrid(
         config=config,
@@ -237,11 +259,14 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
 
 def estimate_tolerance(config: HjbConfig, grid: ValueGrid | None = None) -> float:
     """Discretization tolerance from one refinement step (halve dt, double the
-    variance resolution): twice the largest observed change.  At the defaults
-    that change falls 4.0-fold from 400 -> 800 to 800 -> 1600 steps (nu
-    refined each time), as for a second-order scheme, but at t = 0 it falls
-    only 2.0-fold.  That is the nu refinement (2.0-fold alone; the time step
-    alone falls 4.0-fold); the factor 2 is the first-order bound, which
+    variance resolution): twice the largest observed change.  The refined
+    solve's maturity layer has twice as many steps by the same rule, so every
+    Douglas sub-step is halved too (exactly so when ``n_time`` is a multiple
+    of 10).  At the defaults (200 steps, 61 variance nodes) the change is
+    largest at t = 0 and falls 2.0-fold from 200 -> 400 to 400 -> 800 steps:
+    that is the nu refinement (2.0-fold alone, dt fixed), while halving dt
+    alone cuts the change 4.0-fold over every slice, the layer included, as
+    for a second-order scheme.  The factor 2 is the first-order bound, which
     covers both."""
     if grid is None:
         grid = solve_stock_hjb(config)

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import pytest
 from hestonmm import cli, hjb, sim_engine
 from hestonmm.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _policy, _sim_config, main
 from hestonmm.config import ConfigError, apply_overrides, dump_manifest, load_config
+from hestonmm.option_pricing import PricingConfig, default_nu_grid, default_s_grid
 
 
 def run_cli(*args) -> int:
@@ -25,6 +28,20 @@ def test_defaults_match_baseline():
     assert cfg.get("risk", "beta") == 0.03
     assert cfg.get("sim", "dt") == 0.005
     assert cfg.get("risk", "eta") == 0.09
+
+
+def test_grid_defaults_agree_with_the_library():
+    # the grid defaults are written twice, in the config schema and in the
+    # library's dataclasses and signatures: a default must move in both
+    cfg = load_config()
+    hjb_fields = {f.name: f.default for f in dataclasses.fields(hjb.HjbConfig)
+                  if f.default is not dataclasses.MISSING}
+    assert {key: cfg.get("hjb", key) for key in hjb_fields} == hjb_fields
+    assert set(cfg["hjb"]) - set(hjb_fields) == {"gap_nu_lo", "gap_nu_hi"}  # the comparison window
+    pricing = cfg["pricing"]
+    assert (pricing["n_time"], pricing["eta_nu"]) == (PricingConfig.n_time, PricingConfig.eta_nu)
+    assert pricing["n_s"] == inspect.signature(default_s_grid).parameters["n"].default
+    assert pricing["n_nu"] == inspect.signature(default_nu_grid).parameters["n"].default
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -123,7 +140,11 @@ def test_removed_pricing_mc_paths_is_an_unknown_key(tmp_path, capsys):
     ("option-mm", "option_mm.dt=-0.001", "dt"),
     ("option-mm", "option_mm.dt=nan", "dt"),
 ])
-def test_non_finite_horizon_or_variance_box_is_a_config_error(tmp_path, capsys, sub, override, field):
+def test_non_finite_horizon_or_variance_box_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                               sub, override, field):
+    # each is rejected before a grid solve
+    for solve in ("solve_stock_hjb", "solve_call_grid"):
+        monkeypatch.setattr(cli, solve, lambda *args, name=solve: pytest.fail(f"{name} ran"))
     assert run_cli(sub, "--paths", "2", "--set", override, "--out", str(tmp_path)) == EXIT_CONFIG
     assert f"config error: {field} must be finite" in capsys.readouterr().err
     assert list(tmp_path.glob("*.csv")) == []

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from hestonmm import fd
 from hestonmm.heston import HestonParams
 from hestonmm.hjb import (
     BlowupError,
@@ -44,10 +47,11 @@ def frozen_config(arrival, gamma, n_time):
 
 @pytest.mark.filterwarnings("error")
 def test_blowup_reported_with_location(arrival):
-    # the inventory penalty of the first step spreads V(q) - V(q+1) so far
-    # that the next step's fill rates overflow: the explosion must be reported
-    # with its location before a banded solve meets it (no arithmetic warning)
-    with pytest.raises(BlowupError, match=r"q=-10, nu=3, t=0.99 \(step 2\)"):
+    # the inventory penalty of the first sub-step spreads V(q) - V(q+1) so far
+    # that the next sub-step's fill rates overflow: the explosion must be
+    # reported with its location, the sub-step's own time and its count from T,
+    # before a banded solve meets it (no arithmetic warning)
+    with pytest.raises(BlowupError, match=r"q=-10, nu=5, t=0.9975 \(step 2\)"):
         solve_stock_hjb(frozen_config(arrival, gamma=1e4, n_time=200))
     with pytest.raises(BlowupError):
         solve_stock_hjb(frozen_config(arrival, gamma=1e4, n_time=10))
@@ -159,8 +163,6 @@ def test_grid_convergence(heston, arrival, risk):
     grid = solve_stock_hjb(cfg)
     tol = estimate_tolerance(cfg, grid)
     # refine once more: the change must stay within 4x the estimate
-    from dataclasses import replace
-
     fine_cfg = replace(cfg, n_time=2 * cfg.n_time, n_nu=2 * cfg.n_nu - 1)
     fine = solve_stock_hjb(fine_cfg)
     tol_fine = estimate_tolerance(fine_cfg, fine)
@@ -178,3 +180,67 @@ def test_impact_solver_runs_and_lower_bound(heston, arrival, risk):
                               1.0, heston, risk)
     v_frozen = -grid.q_levels.astype(float)[:, None, None] ** 2 * f
     assert np.all(grid.values >= v_frozen - 0.05)
+
+
+def _slice_error(grid, ref):
+    """Largest |V - V_ref| over the common stored times, and at t = 0."""
+    common = np.intersect1d(grid.times, ref.times)
+    diff = np.abs(grid.values[:, :, np.searchsorted(grid.times, common)]
+                  - ref.values[:, :, np.searchsorted(ref.times, common)])
+    return diff.max(), diff[:, :, 0].max()
+
+
+def test_sub_stepped_layer_keeps_second_order(heston, arrival, risk):
+    # halving dt cuts the error against a 16x finer solve about 4-fold (second
+    # order) over every stored slice, the maturity layer included
+    cfg = small_config(heston, arrival, risk, q_min=-4, q_max=4, n_nu=15, n_time=100)
+    ref = solve_stock_hjb(replace(cfg, n_time=16 * cfg.n_time))
+    coarse = _slice_error(solve_stock_hjb(cfg), ref)
+    fine = _slice_error(solve_stock_hjb(replace(cfg, n_time=2 * cfg.n_time)), ref)
+    assert coarse[0] >= 3.5 * fine[0]
+    assert coarse[1] >= 3.5 * fine[1]
+
+
+def test_stored_times_are_the_coarse_steps(heston, arrival, risk):
+    # the sub-steps add no slice: 200 steps store the 201 times that 400 steps
+    # (every other step) store, bitwise
+    times_400 = np.array([s * (1.0 / 400) for s in range(0, 401, 2)])
+    for n_time in (200, 400):
+        grid = solve_stock_hjb(small_config(heston, arrival, risk, q_min=-2, q_max=2,
+                                            n_nu=5, n_time=n_time))
+        assert grid.times.tobytes() == times_400.tobytes()
+
+
+def test_tolerance_refines_every_sub_step(heston, arrival, risk, monkeypatch):
+    cfg = small_config(heston, arrival, risk, q_min=-4, q_max=4, n_nu=15, n_time=60)
+    fine_cfg = replace(cfg, n_time=2 * cfg.n_time, n_nu=2 * cfg.n_nu - 1)
+    solve_banded = fd.solve_banded
+
+    def substep_lengths(c):
+        """Each Douglas sub-step's length, read back from its nu-solve matrix
+        (diagonal 1 - h/2 * L_ii), in the order the solve takes them."""
+        nu = c.nu_grid
+        diag = fd.operator_diagonals(nu, c.heston.theta * (c.heston.alpha - nu),
+                                     0.5 * c.heston.xi**2 * nu)[1]
+        i = int(np.argmax(np.abs(diag)))
+        lengths = []
+
+        def spy(l_and_u, ab, b):
+            if b.ndim == 2:  # the nu-solve: one column per inventory level
+                lengths.append(2.0 * (1.0 - ab[1, i]) / diag[i])
+            return solve_banded(l_and_u, ab, b)
+
+        monkeypatch.setattr(fd, "solve_banded", spy)
+        grid = solve_stock_hjb(c)
+        monkeypatch.setattr(fd, "solve_banded", solve_banded)
+        return grid, np.array(lengths)
+
+    grid, lengths = substep_lengths(cfg)
+    fine, fine_lengths = substep_lengths(fine_cfg)
+    dt = cfg.T / cfg.n_time
+    # the last tenth (6 steps nearest T) as 4 sub-steps each, then 54 plain steps
+    np.testing.assert_allclose(lengths, [dt / 4] * 24 + [dt] * 54, rtol=1e-9)
+    # the refined solve halves every one of them: twice as many layer steps
+    np.testing.assert_allclose(fine_lengths, np.repeat(lengths, 2) / 2, rtol=1e-9)
+    change = np.abs(grid.values - fine.values[:, ::2, ::2]).max()
+    assert estimate_tolerance(cfg, grid) == 2.0 * change

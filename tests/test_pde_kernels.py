@@ -3,9 +3,9 @@ independent formulations.
 
 ``fd.solve_banded`` equals scipy's ``solve_banded((1, 1), ...)`` bitwise, since
 both make the same LAPACK ``gtsv`` call.  The HJB reference is the same
-frozen-control Douglas step written from NaN premiums at the box edges, a
-NaN-masked source and rates, and dense correction matrices solved with
-``np.linalg.solve``; LAPACK's banded and dense solves round differently, so it
+frozen-control Douglas step on the same sub-stepped schedule, written from NaN
+premiums at the box edges, a NaN-masked source and rates, and dense correction
+matrices solved with ``np.linalg.solve``; LAPACK's banded and dense solves round differently, so it
 agrees to 1e-12 relative.  The source and ``c_emp`` equal the masked form
 bitwise, and ``apply_tridiagonal`` equals the ``np.moveaxis`` form it replaced
 bitwise and the dense matrix product within float64 rounding.
@@ -66,7 +66,9 @@ def _masked_rates(delta_a, delta_b, config):
 
 
 def _reference_solve(config):
-    """Every time slice of the Douglas solve, ascending in time, with its quotes."""
+    """Every coarse time slice of the Douglas solve, ascending in time, with its
+    quotes: the steps that overlap the last ``1 / hjb.LAYER_DIVISOR`` of the
+    horizon are taken as ``hjb.SUBSTEPS`` sub-steps each."""
     nu, heston = config.nu_grid, config.heston
     nu_op = _dense(fd.operator_diagonals(nu, heston.theta * (heston.alpha - nu), 0.5 * heston.xi**2 * nu))
     dt = config.T / config.n_time
@@ -75,21 +77,25 @@ def _reference_solve(config):
     penalty = 0.5 * config.risk.gamma * q**2 * nu[None, :]
     iq = np.arange(n_q)
     slices = [np.zeros((n_q, n_nu))]
-    for _ in range(config.n_time):
+    for n in range(1, config.n_time + 1):
+        # step n spans [T - n dt, T - (n - 1) dt]: it overlaps the layer when it starts inside it
+        count = hjb.SUBSTEPS if (n - 1) * hjb.LAYER_DIVISOR < config.n_time else 1
+        h = dt / count
         v = slices[-1]
-        premiums = _masked_premiums(v, config)
-        rate_a, rate_b = _masked_rates(*premiums, config)
-        lv = v @ nu_op.T
-        y = v + dt * (lv + _masked_source(*premiums, config) - penalty)
-        y = np.linalg.solve(np.eye(n_nu) - 0.5 * dt * nu_op, (y - 0.5 * dt * lv).T).T
-        # the jump generator in q, one dense matrix per nu column
-        jump = np.zeros((n_nu, n_q, n_q))
-        jump[:, iq, iq] = -(rate_a + rate_b).T
-        jump[:, iq[1:], iq[:-1]] = rate_a[1:].T
-        jump[:, iq[:-1], iq[1:]] = rate_b[:-1].T
-        rhs = y - 0.5 * dt * np.einsum("jpq,qj->pj", jump, v)
-        y = np.linalg.solve(np.eye(n_q) - 0.5 * dt * jump, rhs.T[:, :, None])[:, :, 0].T
-        slices.append(y)
+        for _ in range(count):
+            premiums = _masked_premiums(v, config)
+            rate_a, rate_b = _masked_rates(*premiums, config)
+            lv = v @ nu_op.T
+            y = v + h * (lv + _masked_source(*premiums, config) - penalty)
+            y = np.linalg.solve(np.eye(n_nu) - 0.5 * h * nu_op, (y - 0.5 * h * lv).T).T
+            # the jump generator in q, one dense matrix per nu column
+            jump = np.zeros((n_nu, n_q, n_q))
+            jump[:, iq, iq] = -(rate_a + rate_b).T
+            jump[:, iq[1:], iq[:-1]] = rate_a[1:].T
+            jump[:, iq[:-1], iq[1:]] = rate_b[:-1].T
+            rhs = y - 0.5 * h * np.einsum("jpq,qj->pj", jump, v)
+            v = np.linalg.solve(np.eye(n_q) - 0.5 * h * jump, rhs.T[:, :, None])[:, :, 0].T
+        slices.append(v)
     slices.reverse()
     quotes = [_masked_premiums(v, config) for v in slices]
     return (np.stack(slices, axis=-1), np.stack([a for a, _ in quotes], axis=-1),
