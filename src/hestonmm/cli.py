@@ -162,13 +162,13 @@ def _cmd_compare(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int, threads
     edges = np.linspace(lo, hi, 31)
     _write_rows(art.path("hist"), ["strategy", "bin_lo", "bin_hi", "count"],
                 [np.array([["Inventory"], ["Symmetric"]]), edges[:-1], edges[1:],
-                 np.stack([inv.histogram(edges=edges)[1], sym.histogram(edges=edges)[1]])])
+                 np.stack([np.histogram(inv.profits, edges)[0], np.histogram(sym.profits, edges)[0]])])
 
 
-def _cmd_frontier(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int | None, threads: int) -> None:
+def _cmd_frontier(cfg: RunConfig, art: ArtifactWriter, seed: int, threads: int) -> None:
     sim = _sim_config(cfg, q0=cfg.get("frontier", "q0"))
-    n = n or cfg.get("frontier", "n_paths")
-    points = efficient_frontier(sim, cfg.get("frontier", "gammas"), n, seed, threads=threads)
+    points = efficient_frontier(sim, cfg.get("frontier", "gammas"), cfg.get("frontier", "n_paths"),
+                                seed, threads=threads)
     _write_rows(
         art.path(),
         ["gamma", "variance", "expected_objective", "objective_se", "profit_mean"],
@@ -216,7 +216,7 @@ def _cmd_price_option(cfg: RunConfig, art: ArtifactWriter, seed: int) -> None:
     write_slice_csv(grid, art.path(), t_values=[0.0])
 
 
-def _cmd_option_mm(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int, hedged: bool | None) -> None:
+def _cmd_option_mm(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int) -> None:
     om = cfg["option_mm"]
     heston, arrival, risk = _heston(cfg), _arrival(cfg), _risk(cfg)
     T = cfg.get("sim", "t_horizon")
@@ -228,8 +228,7 @@ def _cmd_option_mm(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int, hedge
     nu_nodes = np.linspace(0.04 * grid.nu_grid[-1], 0.75 * grid.nu_grid[-1], om["lattice_n_nu"])
     t_nodes = np.linspace(0.0, T, om["lattice_n_t"])
     lattice = FunctionalLattice.build(s_nodes, nu_nodes, t_nodes, T, heston, risk, grid)
-    hedged = om["hedged"] if hedged is None else hedged
-    if hedged:
+    if om["hedged"]:
         st = run_hedged_paths(heston, arrival, risk, grid, lattice, T=T, dt=om["dt"],
                               n_paths=n, seed=seed, q_o0=om["q_o0"])
         _write_rows(
@@ -291,6 +290,8 @@ def main(argv=None) -> int:
             cfg.values["sim"]["n_paths"] = int(args.paths)
             cfg.values["frontier"]["n_paths"] = int(args.paths)
             cfg.values["option_mm"]["n_paths"] = int(args.paths)
+        if getattr(args, "hedged", None) is not None:
+            cfg.values["option_mm"]["hedged"] = args.hedged
         out_dir = Path(args.out or cfg.get("output", "dir")
                        or os.environ.get(ENV_OUTPUT_DIR, "."))
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -304,12 +305,11 @@ def main(argv=None) -> int:
     run = {
         "simulate": lambda: _cmd_simulate(cfg, art, seed, n, args.threads),
         "compare": lambda: _cmd_compare(cfg, art, seed, n, args.threads),
-        "frontier": lambda: _cmd_frontier(cfg, art, seed, args.paths, args.threads),
+        "frontier": lambda: _cmd_frontier(cfg, art, seed, args.threads),
         "trading-curve": lambda: _cmd_trading_curve(cfg, art, seed, n, args.threads),
         "hjb": lambda: _cmd_hjb(cfg, art, seed),
         "price-option": lambda: _cmd_price_option(cfg, art, seed),
-        "option-mm": lambda: _cmd_option_mm(cfg, art, seed, cfg.get("option_mm", "n_paths"),
-                                            args.hedged),
+        "option-mm": lambda: _cmd_option_mm(cfg, art, seed, cfg.get("option_mm", "n_paths")),
     }[args.subcommand]
     try:
         run()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["operator_diagonals", "apply_tridiagonal", "to_banded", "solve_banded"]
+__all__ = ["operator_diagonals", "apply_tridiagonal", "solve_banded"]
 
 
 def operator_diagonals(
@@ -93,24 +93,15 @@ def apply_tridiagonal(diags: tuple[np.ndarray, np.ndarray, np.ndarray], v: np.nd
     return out
 
 
-def to_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Pack diagonals into the ``(3, n)`` layout that ``solve_banded`` takes."""
-    n = diag.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return ab
-
-
-def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """scipy's ``solve_banded`` for float64 systems with ``l_and_u == (1, 1)`` and n >= 2,
-    bitwise: its LAPACK ``gtsv`` call without its checks.  ``scipy.linalg`` is imported
-    on the first call."""
-    if tuple(l_and_u) != (1, 1):
-        raise NotImplementedError(f"only tridiagonal systems are solved, got l_and_u={l_and_u}")
+def solve_banded(diags: tuple[np.ndarray, np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system ``diags = (lower, diag, upper)``, laid out
+    as ``operator_diagonals`` returns them, for ``b`` along its first axis
+    (n >= 2).  Bitwise scipy's ``solve_banded((1, 1), ...)`` for float64: its
+    LAPACK ``gtsv`` call without its checks.  ``scipy.linalg`` is imported on
+    the first call."""
+    lower, diag, upper = diags
     from scipy.linalg.lapack import dgtsv
-    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    *_, x, info = dgtsv(lower[1:], diag, upper[:-1], b)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     return x

@@ -163,8 +163,9 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
     the transaction term is then linear in V, a jump generator J in q with
     fill rates ``A e^{-k delta*}`` plus a known source.  One Douglas step at
     theta = 1/2 ('t Hout & Foulon 2010) follows: an explicit predictor, an
-    implicit nu-correction (one banded solve over all q rows) and an implicit
-    q-correction (one block-diagonal banded solve over all nu columns).
+    implicit nu-correction (one tridiagonal solve over all q rows) and an
+    implicit q-correction (one block-diagonal tridiagonal solve over all nu
+    columns).
 
     The time error of this second-order step sits in a layer just before
     maturity, so each of the ``n_time`` steps of length ``dt = T / n_time``
@@ -181,11 +182,11 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
     dt = config.T / config.n_time
     n_layer = -(-config.n_time // LAYER_DIVISOR)  # the steps that overlap the layer
 
-    def substeps(count: int) -> tuple[int, float, np.ndarray]:
+    def substeps(count: int) -> tuple[int, float, tuple]:
         """A step of ``dt`` as ``count`` sub-steps: their length and nu-factor."""
         h = dt / count
         half = 0.5 * h
-        return count, h, fd.to_banded(-half * diags[0], 1.0 - half * diags[1], -half * diags[2])
+        return count, h, (-half * diags[0], 1.0 - half * diags[1], -half * diags[2])
 
     plain, layer = substeps(1), substeps(SUBSTEPS)
 
@@ -217,7 +218,7 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
     record(0, v)
     sub = 0  # Douglas sub-steps taken, counted back from T
     for n in range(1, config.n_time + 1):
-        count, h, ab_nu = layer if n <= n_layer else plain
+        count, h, factor_nu = layer if n <= n_layer else plain
         half = 0.5 * h
         for j in range(1, count + 1):
             sub += 1
@@ -230,14 +231,14 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
             y = v + h * (lv + _source(ask, bid, config) - penalty)
             check_finite(t, sub, out_rate, y)  # before either solve; an overflow inside is caught below
             # nu-correction, every q row at once
-            y = fd.solve_banded((1, 1), ab_nu, (y - half * lv).T).T
-            # q-correction, nu-major: each nu column is one block of the banded system
+            y = fd.solve_banded(factor_nu, (y - half * lv).T).T
+            # q-correction, nu-major: each nu column is one block of the tridiagonal system
             jv = -out_rate * v
             jv[1:] += rate_a[1:] * v[:-1]
             jv[:-1] += rate_b[:-1] * v[1:]
-            ab_q = fd.to_banded(-half * rate_a.T.ravel(), 1.0 + half * out_rate.T.ravel(),
-                                -half * rate_b.T.ravel())
-            y = fd.solve_banded((1, 1), ab_q, (y - half * jv).T.ravel())
+            factor_q = (-half * rate_a.T.ravel(), 1.0 + half * out_rate.T.ravel(),
+                        -half * rate_b.T.ravel())
+            y = fd.solve_banded(factor_q, (y - half * jv).T.ravel())
             v = y.reshape(n_nu, n_q).T
             check_finite(t, sub, v)
         record(n, v)

@@ -205,15 +205,14 @@ class FunctionalLattice:
         rho, xi = heston.rho, heston.xi
 
         def source(it: int) -> np.ndarray:
-            g = grid._slice(it)
-            delta, c_nu = g[:, :, DELTA], g[:, :, C_NU]
+            delta, c_nu = grid.stack[it, :, :, DELTA], grid.stack[it, :, :, C_NU]
             return grid.nu_grid * np.stack((
                 delta + rho * xi * c_nu,
                 delta**2 + 2.0 * rho * xi * delta * c_nu + xi**2 * c_nu**2,
                 c_nu**2))
 
         at_nodes = np.zeros((grid.times.size, s_nodes.size, nu_nodes.size, 3))  # u(T) = 0
-        u = np.zeros((3,) + grid.values.shape[:2])
+        u = np.zeros((3,) + grid.stack.shape[1:3])
         real_world = replace(grid.config, heston=heston, eta_nu=0.0)
         for back, u in enumerate(douglas_steps(real_world, u, source), 2):
             at_nodes[-back] = bilinear(np.moveaxis(u, 0, -1), i, wi, j, wj)

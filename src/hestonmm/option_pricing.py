@@ -13,6 +13,7 @@ the arithmetic (Bachelier) closed form, used as an independent oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -149,42 +150,22 @@ def bilinear(plane: np.ndarray, i, wi, j, wj) -> np.ndarray:
 class PricingGrid:
     """Solved call surface over (s, nu, t) with interpolation and greeks.
 
-    Each time slice of ``values`` is stacked with its greek planes into a
-    ``(n_s, n_nu, 4)`` array of (C, delta, gamma, c_nu), filled the first
-    time the slice is used; a point lookup then gathers all four at once.
+    ``stack[it]`` is time slice ``it``: read-only ``(n_s, n_nu, 4)`` planes
+    of (C, delta, gamma, c_nu), all written by ``solve_call_grid``; a point
+    lookup gathers all four at once.
     """
 
     config: PricingConfig
     s_grid: np.ndarray
     nu_grid: np.ndarray
     times: np.ndarray  # ascending, times[-1] == T
-    values: np.ndarray  # (n_s, n_nu, n_t)
-
-    def __post_init__(self):
-        n_s, n_nu, n_t = self.values.shape
-        # pages of slices never used are never touched and cost no memory
-        self._stack = os_array((n_t, n_s, n_nu, 4), lazy=True)
-        self._filled = np.zeros(n_t, dtype=bool)
+    stack: np.ndarray  # (n_t, n_s, n_nu, 4)
 
     def _locate(self, grid: np.ndarray, x: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(x, dtype=np.float64)
         if not np.all((x >= grid[0]) & (x <= grid[-1])):  # also rejects nan
             raise ValueError(f"{name} outside the grid [{grid[0]:.6g}, {grid[-1]:.6g}]")
         return cell(grid, x)
-
-    def _slice(self, it: int) -> np.ndarray:
-        """Read-only stacked slice ``it``: (C, delta, gamma, c_nu) planes.
-        Central differences inside, one-sided at the edges."""
-        out = self._stack[it]
-        if not self._filled[it]:
-            c = self.values[:, :, it]
-            out[:, :, C] = c
-            out[:, :, DELTA] = np.gradient(c, self.s_grid, axis=0)
-            out[:, :, GAMMA] = np.gradient(out[:, :, DELTA], self.s_grid, axis=0)
-            out[:, :, C_NU] = np.gradient(c, self.nu_grid, axis=1)
-            self._filled[it] = True
-        out.flags.writeable = False
-        return out
 
     def _time_slice(self, t: float, cols: slice = slice(None)) -> np.ndarray:
         """Stacked (n_s, n_nu, 4) slice at time ``t``, blended linearly
@@ -193,8 +174,8 @@ class PricingGrid:
         it, wt = self._locate(self.times, np.asarray(t), "t")
         it, wt = int(it), float(wt)
         if wt == 0.0:
-            return self._slice(it)[:, :, cols]
-        return (1.0 - wt) * self._slice(it)[:, :, cols] + wt * self._slice(it + 1)[:, :, cols]
+            return self.stack[it, :, :, cols]
+        return (1.0 - wt) * self.stack[it, :, :, cols] + wt * self.stack[it + 1, :, :, cols]
 
     def _bilinear(self, plane: np.ndarray, s, nu):
         """Bilinear interpolation at (s, nu) of every column of a stacked
@@ -273,15 +254,15 @@ def douglas_steps(config: PricingConfig, u: np.ndarray, source=None, edges=None)
     nu_l, nu_d, nu_u = _nu_operator(config)
     mixed = heston.rho * heston.xi * v
 
-    # implicit factors (banded form), one per direction; the s-systems of
-    # every variance level and right-hand side are one block-diagonal
-    # system, uncoupled by their identity edge rows
+    # implicit factors, one per direction; the s-systems of every variance
+    # level and right-hand side are one block-diagonal system, uncoupled by
+    # their identity edge rows
     half = 0.5 * dt
-    ab_s = fd.to_banded(-half * s_lower.ravel(), 1.0 - half * s_diag.ravel(),
-                        -half * s_upper.ravel())
-    ab_s[1, ::ns] = ab_s[1, ns - 1::ns] = 1.0
-    ab_s = np.tile(ab_s, math.prod(u.shape[:-2]))
-    ab_v = fd.to_banded(-half * nu_l, 1.0 - half * nu_d, -half * nu_u)
+    n_rhs = math.prod(u.shape[:-2])
+    factor_s = tuple(np.tile(d.ravel(), n_rhs)
+                     for d in (-half * s_lower, 1.0 - half * s_diag, -half * s_upper))
+    factor_s[1][::ns] = factor_s[1][ns - 1::ns] = 1.0
+    factor_v = (-half * nu_l, 1.0 - half * nu_d, -half * nu_u)
 
     def apply_s(c):
         out = s_diag.T * c
@@ -308,11 +289,11 @@ def douglas_steps(config: PricingConfig, u: np.ndarray, source=None, edges=None)
         y -= half * a_s
         if edges is not None:
             y[..., 0, :], y[..., -1, :] = edges
-        y = solve_banded((1, 1), ab_s, np.swapaxes(y, -1, -2).ravel())
+        y = solve_banded(factor_s, np.swapaxes(y, -1, -2).ravel())
         y = np.swapaxes(y.reshape(c.shape[:-2] + (nv, ns)), -1, -2)
         # nu-direction correction and solve (all s rows at once)
         y = y - half * a_v
-        c = solve_banded((1, 1), ab_v, y.reshape(-1, nv).T).T.reshape(y.shape)
+        c = solve_banded(factor_v, y.reshape(-1, nv).T).T.reshape(y.shape)
         if edges is not None:
             c[..., 0, :], c[..., -1, :] = edges
         if not np.all(np.isfinite(c)):
@@ -324,17 +305,23 @@ def solve_call_grid(config: PricingConfig) -> PricingGrid:
     """The call surface: ``douglas_steps`` from the terminal payoff, with
     far-field Dirichlet boundaries in s (0 deep out of the money, ``s - K``
     deep in).  At ``nu = 0`` the equation reduces to ``C_t + theta alpha
-    C_nu = 0``.
+    C_nu = 0``.  Each slice is stored with its greek planes as it is solved.
     """
     s, v = config.s, config.nu
     c = np.maximum(s[:, None] - config.strike, 0.0) * np.ones((1, v.size))
     n_t = config.n_time + 1
-    values = os_array((s.size, v.size, n_t))
-    values[:, :, -1] = c
-    for back, c in enumerate(douglas_steps(config, c, edges=(0.0, s[-1] - config.strike)), 2):
-        values[:, :, -back] = c
+    stack = os_array((n_t, s.size, v.size, 4))
+    slices = douglas_steps(config, c, edges=(0.0, s[-1] - config.strike))
+    for back, c in enumerate(itertools.chain([c], slices), 1):
+        # central differences inside, one-sided at the edges
+        out = stack[-back]
+        out[:, :, C] = c
+        out[:, :, DELTA] = np.gradient(c, s, axis=0)
+        out[:, :, GAMMA] = np.gradient(out[:, :, DELTA], s, axis=0)
+        out[:, :, C_NU] = np.gradient(c, v, axis=1)
+    stack.flags.writeable = False
     times = np.linspace(0.0, config.T, n_t)
-    return PricingGrid(config=config, s_grid=s, nu_grid=v, times=times, values=values)
+    return PricingGrid(config=config, s_grid=s, nu_grid=v, times=times, stack=stack)
 
 
 def _euler_steps(config: PricingConfig, s: float, nu: float, t: float,

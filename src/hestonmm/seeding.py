@@ -39,12 +39,12 @@ def path_generator(master: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=master, spawn_key=key))
 
 
-def os_array(shape, lazy: bool = False, dtype=np.float64) -> np.ndarray:
-    """Uninitialised array on pages mapped from the OS, all up front or, if
-    ``lazy``, each as first written; unmapped when freed.  Large freed
-    ``malloc`` buffers raise glibc's mmap threshold, later ones then land on
-    the heap, and peak memory varies with its fragmentation from run to run."""
-    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | (0 if lazy else getattr(mmap, "MAP_POPULATE", 0))
+def os_array(shape, dtype=np.float64) -> np.ndarray:
+    """Uninitialised array on pages mapped from the OS up front, unmapped
+    when freed.  Large freed ``malloc`` buffers raise glibc's mmap threshold,
+    later ones then land on the heap, and peak memory varies with its
+    fragmentation from run to run."""
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
     dtype = np.dtype(dtype)
     n = math.prod(shape)
     buf = mmap.mmap(-1, dtype.itemsize * max(n, 1), flags=flags)

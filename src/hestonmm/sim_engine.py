@@ -131,11 +131,6 @@ class EnsembleStats:
     def profit_se(self) -> float:
         return self.profit_std / math.sqrt(self.n)
 
-    def histogram(self, bins: int = 30, edges: np.ndarray | None = None):
-        """P&L histogram over terminal profits: (bin edges, counts)."""
-        counts, out_edges = np.histogram(self.profits, bins=bins if edges is None else edges)
-        return out_edges, counts
-
 
 @dataclass(frozen=True)
 class FrontierPoint:

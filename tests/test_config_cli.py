@@ -99,6 +99,16 @@ def test_manifest_reruns_identically(tmp_path):
     c1 = outputs(out1, "simulate", 3)[0].read_bytes()
     c2 = outputs(out2, "simulate", 3)[0].read_bytes()
     assert c1 == c2
+    # a command-line flag the manifest must echo: the joint book, not the config's hedged one
+    assert run_cli("option-mm", "--no-hedged", "--seed", "3", "--out", str(out1),
+                   "--set", "option_mm.n_paths=20", "--set", "option_mm.dt=0.01",
+                   "--set", "pricing.n_s=41", "--set", "pricing.n_nu=9",
+                   "--set", "pricing.n_time=60") == EXIT_OK
+    manifest = sorted(out1.glob("option-mm-*.manifest"))[0]
+    assert run_cli("option-mm", "--config", str(manifest), "--out", str(out2)) == EXIT_OK
+    c1 = outputs(out1, "option-mm", 3)[0].read_bytes()
+    assert c1.startswith(b"mode,n,z_mean,z_std,q_s_mean")
+    assert c1 == outputs(out2, "option-mm", 3)[0].read_bytes()
 
 
 def test_threads_do_not_change_bytes(tmp_path):

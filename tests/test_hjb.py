@@ -225,10 +225,10 @@ def test_tolerance_refines_every_sub_step(heston, arrival, risk, monkeypatch):
         i = int(np.argmax(np.abs(diag)))
         lengths = []
 
-        def spy(l_and_u, ab, b):
+        def spy(diags, b):
             if b.ndim == 2:  # the nu-solve: one column per inventory level
-                lengths.append(2.0 * (1.0 - ab[1, i]) / diag[i])
-            return solve_banded(l_and_u, ab, b)
+                lengths.append(2.0 * (1.0 - diags[1][i]) / diag[i])
+            return solve_banded(diags, b)
 
         monkeypatch.setattr(fd, "solve_banded", spy)
         grid = solve_stock_hjb(c)

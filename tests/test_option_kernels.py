@@ -94,7 +94,7 @@ def test_cell_matches_searchsorted(grid):
 
 def test_greek_planes_at_stored_slices_are_gradients(pricing_grid):
     for it, t in enumerate(pricing_grid.times):
-        c = pricing_grid.values[:, :, it]
+        c = pricing_grid.stack[it, :, :, C]
         for plane, ref in zip(pricing_grid.greek_planes(t), _gradient_planes(pricing_grid, c)):
             np.testing.assert_array_equal(plane, ref)
         np.testing.assert_array_equal(pricing_grid._time_slice(t)[:, :, 0], c)
@@ -106,8 +106,8 @@ def test_greek_planes_between_slices_match_gradient_of_blend(pricing_grid):
         t = times[it] + w * (times[it + 1] - times[it])
         i, wt = pricing_grid._locate(times, np.asarray(t), "t")
         assert i == it and 0.0 < wt < 1.0
-        v = pricing_grid.values
-        blend = (1.0 - wt) * v[:, :, it] + wt * v[:, :, it + 1]
+        v = pricing_grid.stack[:, :, :, C]
+        blend = (1.0 - wt) * v[it] + wt * v[it + 1]
         for plane, ref in zip(pricing_grid.greek_planes(t), _gradient_planes(pricing_grid, blend)):
             np.testing.assert_allclose(plane, ref, rtol=0, atol=REL * np.abs(ref).max())
         np.testing.assert_array_equal(pricing_grid.price(pricing_grid.s_grid[3:-3], 2.5, t),
@@ -129,6 +129,8 @@ def test_price_column_blend_equals_full_blend(pricing_grid):
 
 
 def test_cached_planes_are_read_only(pricing_grid):
+    assert not pricing_grid.stack.flags.writeable
+    assert not solve_call_grid(pricing_grid.config).stack.flags.writeable
     t = pricing_grid.times[4]
     for plane in pricing_grid.greek_planes(t) + (pricing_grid._time_slice(t),):
         assert not plane.flags.writeable
@@ -141,7 +143,7 @@ def test_greeks_match_per_plane_interpolation(pricing_grid):
     nu = np.array([0.0, 1.7, 4.0, 9.2])
     t = pricing_grid.times[20]
     refs = [_bilinear_ref(pricing_grid, p, s, nu)
-            for p in _gradient_planes(pricing_grid, pricing_grid.values[:, :, 20])]
+            for p in _gradient_planes(pricing_grid, pricing_grid.stack[20, :, :, C])]
     for got, ref in zip(pricing_grid.greeks(s, nu, t), refs):
         np.testing.assert_array_equal(got, ref)
     scalar = pricing_grid.greeks(99.9, 1.7, t)
@@ -196,7 +198,7 @@ def test_integrals_equal_stacked_reference(heston, pricing_grid):
     for step in range(n_steps):
         sc = np.clip(s, g.s_grid[0], g.s_grid[-1])
         vc = np.clip(nu, g.nu_grid[0], g.nu_grid[-1])
-        dplane, _, cplane = _gradient_planes(g, g.values[:, :, step])
+        dplane, _, cplane = _gradient_planes(g, g.stack[step, :, :, C])
         delta = _bilinear_ref(g, dplane, sc, vc)
         c_nu = _bilinear_ref(g, cplane, sc, vc)
         a1 += nu * (delta + rho * xi * c_nu) * dt
@@ -329,10 +331,15 @@ def test_books_count_grid_exits(heston, arrival, risk_nofee):
     assert run_joint_paths(**args).grid_exits == expected
 
 
+def _scipy_ab(lower, diag, upper):
+    """Tridiagonal ``(lower, diag, upper)`` in scipy's ``(3, n)`` banded layout."""
+    return np.stack([np.r_[0.0, upper[:-1]], diag, np.r_[lower[1:], 0.0]])
+
+
 def _per_level_solves(cfg, calls):
     """``solve_banded`` as the pricer calls it, except that the s-direction
     system (the one with a flat right-hand side) is solved one variance level
-    at a time, against that level's implicit factor built on its own."""
+    at a time by scipy, against that level's implicit factor built on its own."""
     half = 0.5 * cfg.T / cfg.n_time
     ns = cfg.s.size
     d2 = fd.operator_diagonals(cfg.s, 0.0, 1.0)
@@ -340,17 +347,17 @@ def _per_level_solves(cfg, calls):
     for v in cfg.nu:
         lower, diag, upper = (0.5 * v * d for d in d2)
         lower[[0, -1]] = diag[[0, -1]] = upper[[0, -1]] = 0.0  # Dirichlet rows
-        ab = fd.to_banded(-half * lower, 1.0 - half * diag, -half * upper)
+        ab = _scipy_ab(-half * lower, 1.0 - half * diag, -half * upper)
         ab[1, 0] = ab[1, -1] = 1.0
         ab[0, 1] = ab[2, -2] = 0.0
         factors.append(ab)
 
-    def solve(l_and_u, ab, b):
+    def solve(diags, b):
         if b.ndim == 2:  # the nu-direction: every s row at once
-            return solve_banded(l_and_u, ab, b)
+            return fd.solve_banded(diags, b)
         calls.append(b.size)
-        np.testing.assert_array_equal(ab, np.concatenate(factors, axis=1))
-        return np.concatenate([solve_banded(l_and_u, f, b[j * ns:(j + 1) * ns])
+        np.testing.assert_array_equal(_scipy_ab(*diags), np.concatenate(factors, axis=1))
+        return np.concatenate([solve_banded((1, 1), f, b[j * ns:(j + 1) * ns])
                                for j, f in enumerate(factors)])
 
     return solve
@@ -362,10 +369,10 @@ def test_batched_s_solve_equals_per_level_solves(heston, monkeypatch, variant):
                         np.linspace(107.0, 140.0, 20)])
     kw = {"default": {}, "nonuniform_s": {"s_grid": tuple(s)}, "eta_nu": {"eta_nu": 0.8}}[variant]
     cfg = PricingConfig(heston=heston, strike=100.0, T=1.0, **kw)
-    batched = solve_call_grid(cfg).values
+    batched = solve_call_grid(cfg).stack
     calls = []
     monkeypatch.setattr(option_pricing, "solve_banded", _per_level_solves(cfg, calls))
-    reference = solve_call_grid(cfg).values
+    reference = solve_call_grid(cfg).stack
     assert calls == [cfg.s.size * cfg.nu.size] * cfg.n_time
     np.testing.assert_array_equal(batched, reference)
 

@@ -181,9 +181,8 @@ def _mapping(a):
     return a.obj if isinstance(a, memoryview) else a
 
 
-@pytest.mark.parametrize("lazy", [False, True])
-def test_os_array_is_a_mapping_released_with_the_array(lazy):
-    a = seeding.os_array((3, 5, 2), lazy=lazy)
+def test_os_array_is_a_mapping_released_with_the_array():
+    a = seeding.os_array((3, 5, 2))
     assert a.shape == (3, 5, 2) and a.dtype == np.float64
     assert a.flags.writeable and a.flags.c_contiguous
     a[:] = 1.5
@@ -193,7 +192,7 @@ def test_os_array_is_a_mapping_released_with_the_array(lazy):
     del a
     assert mapping() is None  # unmapped at once, not kept by an allocator
     assert seeding.os_array((0, 4)).shape == (0, 4)
-    signs = seeding.os_array((4, 3), lazy=lazy, dtype=np.int8)  # the binomial shocks
+    signs = seeding.os_array((4, 3), dtype=np.int8)  # the binomial shocks
     assert signs.dtype == np.int8 and signs.flags.writeable and signs.flags.c_contiguous
     signs[:] = -1
     assert signs.sum() == -12 and len(_mapping(signs)) == 12
@@ -203,10 +202,9 @@ def test_os_array_is_a_mapping_released_with_the_array(lazy):
 
 
 def test_pricing_surfaces_are_os_mappings(pricing_grid):
-    """The grid's values and stacked slices, the largest arrays of an
-    option-mm run, never pass through malloc."""
-    assert isinstance(_mapping(pricing_grid.values), mmap.mmap)
-    assert isinstance(_mapping(pricing_grid._stack), mmap.mmap)
+    """The grid's stacked slices, the largest array of an option-mm run,
+    never pass through malloc."""
+    assert isinstance(_mapping(pricing_grid.stack), mmap.mmap)
 
 
 def test_only_the_seeding_module_builds_a_thread_pool():
