@@ -6,8 +6,9 @@ path series), ``compare`` (inventory vs symmetric table), ``frontier``
 (exact value function and approximation report), ``price-option`` (call
 surface slices) and ``option-mm`` (option market-making summary).
 
-Every run resolves its configuration from defaults, an optional config file
-and ``--set section.key=value`` overrides (in that precedence order), writes
+Every run resolves its configuration from defaults, an optional config file,
+``--set section.key=value`` overrides and the ``--seed``, ``--paths`` and
+``--hedged`` flags, which are overrides too (in that precedence order), writes
 CSV artifacts named ``<subcommand>-<timestamp>-<seed>.csv`` next to a manifest
 echoing the resolved configuration, and prints the written paths.  All
 randomness flows from the single master seed, so artifact contents are
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, apply_overrides, dump_manifest, load_config
+from .config import ConfigError, RunConfig, dump_manifest, load_config
 from .heston import HestonParams, step_count
 from .hjb import BlowupError, HjbConfig, compare_exact_vs_approx, solve_stock_hjb, write_grid_csv, write_report_csv
 from .intensity import ArrivalParams
@@ -44,9 +45,7 @@ _NUMERICAL_ERRORS = (BlowupError, StabilityError, NonFiniteStateError)
 
 
 def _heston(cfg: RunConfig) -> HestonParams:
-    h = cfg["heston"]
-    return HestonParams(theta=h["theta"], alpha=h["alpha"], xi=h["xi"],
-                        rho=h["rho"], s0=h["s0"], nu0=h["nu0"])
+    return HestonParams(**cfg["heston"])
 
 
 def _arrival(cfg: RunConfig) -> ArrivalParams:
@@ -54,8 +53,7 @@ def _arrival(cfg: RunConfig) -> ArrivalParams:
 
 
 def _risk(cfg: RunConfig) -> RiskParams:
-    r = cfg["risk"]
-    return RiskParams(gamma=r["gamma"], beta=r["beta"], eta=r["eta"])
+    return RiskParams(**cfg["risk"])
 
 
 def _sim_config(cfg: RunConfig, q0: int | None = None) -> SimConfig:
@@ -184,17 +182,14 @@ def _cmd_trading_curve(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int, t
                 trading_curve(policy, sim, n, seed, threads=threads))
 
 
-def _cmd_hjb(cfg: RunConfig, art: ArtifactWriter, seed: int) -> None:
-    h = cfg["hjb"]
-    hcfg = HjbConfig(
-        heston=_heston(cfg), arrival=_arrival(cfg), risk=_risk(cfg),
-        T=cfg.get("sim", "t_horizon"), q_min=h["q_min"], q_max=h["q_max"],
-        nu_lo=h["nu_lo"], nu_hi=h["nu_hi"], n_nu=h["n_nu"], n_time=h["n_time"],
-        include_impact=h["include_impact"],
-    )
+def _cmd_hjb(cfg: RunConfig, art: ArtifactWriter) -> None:
+    h = dict(cfg["hjb"])
+    nu_window = (h.pop("gap_nu_lo"), h.pop("gap_nu_hi"))  # the comparison's, not the solve's
+    hcfg = HjbConfig(heston=_heston(cfg), arrival=_arrival(cfg), risk=_risk(cfg),
+                     T=cfg.get("sim", "t_horizon"), **h)
     grid = solve_stock_hjb(hcfg)
     if not hcfg.include_impact:
-        report = compare_exact_vs_approx(grid, nu_window=(h["gap_nu_lo"], h["gap_nu_hi"]))
+        report = compare_exact_vs_approx(grid, nu_window=nu_window)
         write_report_csv(report, art.path())
     write_grid_csv(grid, art.path("grid"))
 
@@ -211,7 +206,7 @@ def _pricing_config(cfg: RunConfig) -> PricingConfig:
     )
 
 
-def _cmd_price_option(cfg: RunConfig, art: ArtifactWriter, seed: int) -> None:
+def _cmd_price_option(cfg: RunConfig, art: ArtifactWriter) -> None:
     grid = solve_call_grid(_pricing_config(cfg))
     write_slice_csv(grid, art.path(), t_values=[0.0])
 
@@ -263,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="config file (key = value with [sections])")
         p.add_argument("--seed", type=int, help="master seed (overrides sim.seed)")
-        p.add_argument("--paths", type=int, help="number of Monte Carlo paths")
+        p.add_argument("--paths", type=int, help="number of Monte Carlo paths (overrides "
+                       "sim.n_paths, frontier.n_paths and option_mm.n_paths)")
         p.add_argument("--threads", type=int, default=1, help="worker threads for the path "
                        "blocks of simulate, compare, frontier and trading-curve")
         p.add_argument("--out", help=f"output directory (default ${ENV_OUTPUT_DIR} or cwd)")
@@ -271,27 +267,22 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a config value; repeatable")
         if name == "option-mm":
             p.add_argument("--hedged", action=argparse.BooleanOptionalAction, default=None,
-                           help="delta-hedged book (default from config)")
+                           help="delta-hedged book (overrides option_mm.hedged)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        apply_overrides(cfg, args.set)
-        if args.seed is not None:
-            cfg.values["sim"]["seed"] = int(args.seed)
+        # the flags are overrides too, after --set so that they win
+        flags = [] if args.seed is None else [f"sim.seed={args.seed}"]
+        if args.paths is not None:
+            flags += [f"{sec}.n_paths={args.paths}" for sec in ("sim", "frontier", "option_mm")]
+        if getattr(args, "hedged", None) is not None:
+            flags.append(f"option_mm.hedged={str(args.hedged).lower()}")
+        cfg = load_config(args.config, args.set + flags)
         if args.threads < 1:
             raise ConfigError("--threads must be positive")
-        if args.paths is not None:
-            if args.paths < 1:
-                raise ConfigError("--paths must be positive")
-            cfg.values["sim"]["n_paths"] = int(args.paths)
-            cfg.values["frontier"]["n_paths"] = int(args.paths)
-            cfg.values["option_mm"]["n_paths"] = int(args.paths)
-        if getattr(args, "hedged", None) is not None:
-            cfg.values["option_mm"]["hedged"] = args.hedged
         out_dir = Path(args.out or cfg.get("output", "dir")
                        or os.environ.get(ENV_OUTPUT_DIR, "."))
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -307,8 +298,8 @@ def main(argv=None) -> int:
         "compare": lambda: _cmd_compare(cfg, art, seed, n, args.threads),
         "frontier": lambda: _cmd_frontier(cfg, art, seed, args.threads),
         "trading-curve": lambda: _cmd_trading_curve(cfg, art, seed, n, args.threads),
-        "hjb": lambda: _cmd_hjb(cfg, art, seed),
-        "price-option": lambda: _cmd_price_option(cfg, art, seed),
+        "hjb": lambda: _cmd_hjb(cfg, art),
+        "price-option": lambda: _cmd_price_option(cfg, art),
         "option-mm": lambda: _cmd_option_mm(cfg, art, seed, cfg.get("option_mm", "n_paths")),
     }[args.subcommand]
     try:

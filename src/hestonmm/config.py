@@ -10,6 +10,7 @@ be dumped to a manifest and re-parsed to reproduce a run exactly.
 from __future__ import annotations
 
 import configparser
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -154,8 +155,9 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"{sec}.{key} must be positive")
 
 
-def load_config(path: str | Path | None = None) -> RunConfig:
-    """Defaults, optionally overlaid with a config file."""
+def load_config(path: str | Path | None = None, overrides: Sequence[str] = ()) -> RunConfig:
+    """Defaults, overlaid with an optional config file and then with
+    ``section.key=value`` overrides, validated once."""
     values = _defaults()
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -167,9 +169,7 @@ def load_config(path: str | Path | None = None) -> RunConfig:
                 raise ConfigError(f"unknown section [{section}]")
             for key, raw in parser.items(section):
                 _set_value(values, section, key, raw)
-    cfg = RunConfig(values=values)
-    _validate(cfg)
-    return cfg
+    return apply_overrides(RunConfig(values=values), overrides)
 
 
 def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:

@@ -26,6 +26,7 @@ from . import fd
 from .heston import HestonParams
 from .intensity import ArrivalParams
 from .quotes import RiskParams, inventory_coefficient, inventory_premiums
+from .seeding import os_array
 from .table import write_table
 
 __all__ = [
@@ -197,7 +198,7 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
     stored_steps = sorted({0, *range(stride, config.n_time, stride), config.n_time})
     store_at = {s: i for i, s in enumerate(stored_steps)}
 
-    values = np.empty((n_q, n_nu, len(stored_steps)))
+    values = os_array((n_q, n_nu, len(stored_steps)))
 
     def record(step_from_end: int, v_slice: np.ndarray):
         step = config.n_time - step_from_end  # index along ascending time
@@ -243,8 +244,8 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
             check_finite(t, sub, v)
         record(n, v)
 
-    quotes_a = np.full(values.shape, np.nan)  # no ask at q_min, no bid at q_max
-    quotes_b = np.full(values.shape, np.nan)
+    quotes_a, quotes_b = os_array(values.shape), os_array(values.shape)
+    quotes_a[0] = quotes_b[-1] = np.nan  # no ask at q_min, no bid at q_max
     quotes_a[1:], quotes_b[:-1] = _premiums(values, config)
     times = np.array([s * dt for s in stored_steps])
     return ValueGrid(

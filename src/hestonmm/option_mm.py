@@ -65,19 +65,6 @@ class Functionals:
     se_m: float = 0.0
 
 
-def _off_grid(grid: PricingGrid, s: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """Paths whose state lies outside the pricing grid, where the greeks
-    and prices read from it are clamped to its edge."""
-    return ((s < grid.s_grid[0]) | (s > grid.s_grid[-1])
-            | (nu < grid.nu_grid[0]) | (nu > grid.nu_grid[-1]))
-
-
-def _clamp(grid: PricingGrid, s: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The state clamped to the pricing grid, where it is read."""
-    return (np.clip(s, grid.s_grid[0], grid.s_grid[-1]),
-            np.clip(nu, grid.nu_grid[0], grid.nu_grid[-1]))
-
-
 _DELTA_C_NU = slice(DELTA, C_NU + 1, C_NU - DELTA)  # the two greek columns the integrands read
 
 
@@ -105,9 +92,9 @@ def _simulate_integrals(
         a3 = np.zeros(n)
         out = np.zeros(n, dtype=bool)
         for step in range(n_steps):
-            out |= _off_grid(grid, s, nu)
-            delta, c_nu = grid._bilinear(grid._time_slice(t + step * dt, _DELTA_C_NU),
-                                         *_clamp(grid, s, nu)).T
+            sc, vc, off = grid.clamp(s, nu)
+            out |= off
+            delta, c_nu = grid._bilinear(grid._time_slice(t + step * dt, _DELTA_C_NU), sc, vc).T
             a1 += nu * (delta + rho * xi * c_nu) * dt
             a2 += nu * (delta**2 + 2.0 * rho * xi * delta * c_nu + xi**2 * c_nu**2) * dt
             a3 += nu * c_nu**2 * dt
@@ -347,8 +334,7 @@ def run_hedged_paths(
 
         s = np.full(n, heston.s0)
         nu = np.full(n, heston.nu0)
-        off = _off_grid(grid, s, nu)
-        sc, vc = _clamp(grid, s, nu)
+        sc, vc, off = grid.clamp(s, nu)
         g = grid._bilinear(grid._time_slice(0.0), sc, vc)
         q_o = np.full(n, q_o0, dtype=np.int64)
         z = np.zeros(n)
@@ -382,9 +368,9 @@ def run_hedged_paths(
 
             ds, nu = euler_step(s, nu, shocks[step, 0], shocks[step, 1], heston, dt)
             s = s + ds
-            off |= _off_grid(grid, s, nu)
             # one lookup at the new state: this step's C and the next step's greeks
-            sc, vc = _clamp(grid, s, nu)
+            sc, vc, outside = grid.clamp(s, nu)
+            off |= outside
             g = grid._bilinear(grid._time_slice(times[step + 1]), sc, vc)
             dc = g[:, C] - c_now
             di_h = q_s * ds + qf * dc
@@ -430,8 +416,7 @@ def run_joint_paths(
 
         s = np.full(n, heston.s0)
         nu = np.full(n, heston.nu0)
-        off = _off_grid(grid, s, nu)
-        sc, vc = _clamp(grid, s, nu)
+        sc, vc, off = grid.clamp(s, nu)
         c_now = grid._bilinear(grid._time_slice(0.0, PRICE), sc, vc)[:, 0]
         q_s = np.full(n, q_s0, dtype=np.int64)
         q_o = np.full(n, q_o0, dtype=np.int64)
@@ -452,8 +437,8 @@ def run_joint_paths(
 
             ds, nu = euler_step(s, nu, shocks[step, 0], shocks[step, 1], heston, dt)
             s = s + ds
-            off |= _off_grid(grid, s, nu)
-            sc, vc = _clamp(grid, s, nu)  # one lookup: this step's C and the next step's
+            sc, vc, outside = grid.clamp(s, nu)  # one lookup: this step's C and the next step's
+            off |= outside
             c_next = grid._bilinear(grid._time_slice(times[step + 1], PRICE), sc, vc)[:, 0]
             di = q_s.astype(np.float64) * ds + q_o.astype(np.float64) * (c_next - c_now)
             qv += di**2

@@ -177,6 +177,14 @@ class PricingGrid:
             return self.stack[it, :, :, cols]
         return (1.0 - wt) * self.stack[it, :, :, cols] + wt * self.stack[it + 1, :, :, cols]
 
+    def clamp(self, s: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The state clamped to the grid, where a path reads it, and the mask
+        of states outside it (non-finite ones included), whose prices and
+        greeks are then read at its edge."""
+        sc = np.clip(s, self.s_grid[0], self.s_grid[-1])
+        vc = np.clip(nu, self.nu_grid[0], self.nu_grid[-1])
+        return sc, vc, (sc != s) | (vc != nu)
+
     def _bilinear(self, plane: np.ndarray, s, nu):
         """Bilinear interpolation at (s, nu) of every column of a stacked
         slice, with one s- and one nu-lookup."""

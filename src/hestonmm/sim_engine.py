@@ -238,7 +238,6 @@ def _run_block(policy, config: SimConfig, master_seed: int, lo: int, hi: int,
         "profit": x + q.astype(np.float64) * (s - risk.beta),
         "spread_avg": spread_sum / n_steps if quoting else np.full(n, np.nan),
         "clipped": clipped,
-        "quoting": quoting,
         "q_snap_sum": q_snap_sum, "q_snap_sumsq": q_snap_sumsq,
     }
     if want_series:
@@ -287,7 +286,6 @@ def run_ensemble(policy, config: SimConfig, n: int, seed: int,
     iv_term = cat("iv")
     spread_term = cat("spread_avg")
     clipped = sum(r["clipped"] for r in results)
-    quoting = results[0]["quoting"]
 
     q_snap_sum = np.zeros_like(results[0]["q_snap_sum"])
     q_snap_sumsq = np.zeros_like(q_snap_sum)
@@ -308,7 +306,7 @@ def run_ensemble(policy, config: SimConfig, n: int, seed: int,
         q_std=float(q_term.std(ddof=ddof)),
         z_mean=float(z_term.mean()),
         objective_mean=float(objective.mean()),
-        avg_spread=float(spread_term.mean()) if quoting else float("nan"),
+        avg_spread=float(spread_term.mean()),  # nan for a book that never quotes
         qv_mean=float(qv_term.mean()),
         clipped=clipped,
         curve_times=config.snapshot_steps * config.dt,

@@ -67,6 +67,27 @@ def test_three_layer_precedence(tmp_path):
     apply_overrides(cfg, ["risk.gamma=0.3"])
     assert cfg.get("risk", "gamma") == 0.3  # flag beats file
     assert cfg.get("risk", "beta") == 0.01
+    assert load_config(cfgfile, ["risk.gamma=0.3"]).values == cfg.values
+
+
+@pytest.mark.parametrize("zero_from", ["--config", "--set"])
+def test_flags_are_overrides_after_set(tmp_path, zero_from):
+    # defaults < file < --set < flag, validated once: --paths replaces an
+    # n_paths = 0 from the file or --set before it is checked
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("[sim]\nseed = 1\n" + ("n_paths = 0\n" if zero_from == "--config" else "")
+                       + "[risk]\ngamma = 0.2\nbeta = 0.01\n")
+    zero = ["--set", "sim.n_paths=0"] if zero_from == "--set" else []
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(cfgfile), "--set", "sim.seed=9",
+                   "--set", "risk.beta=0.02", *zero, "--seed", "5", "--paths", "40",
+                   "--out", str(out)) == EXIT_OK
+    manifest = load_config(sorted(out.glob("simulate-*-5.manifest"))[0])
+    assert manifest.get("sim", "seed") == 5  # flag beats --set and file
+    assert [manifest.get(sec, "n_paths") for sec in ("sim", "frontier", "option_mm")] == [40] * 3
+    assert manifest.get("risk", "beta") == 0.02  # --set beats file
+    assert manifest.get("risk", "gamma") == 0.2  # file beats default
+    assert manifest.get("risk", "eta") == 0.09  # default survives
 
 
 def test_manifest_round_trip(tmp_path):
@@ -165,6 +186,13 @@ def test_threads_below_one_is_a_config_error(tmp_path, capsys, threads):
     assert run_cli("compare", "--paths", "150", "--threads", threads,
                    "--out", str(tmp_path)) == EXIT_CONFIG
     assert "config error: --threads must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_paths_below_one_is_a_config_error(tmp_path, capsys):
+    # --paths is sim.n_paths (and the other two), checked with the file and --set
+    assert run_cli("simulate", "--paths", "0", "--out", str(tmp_path)) == EXIT_CONFIG
+    assert "config error: sim.n_paths must be positive" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

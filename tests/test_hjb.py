@@ -36,6 +36,9 @@ def test_terminal_slice_zero(heston, arrival, risk):
     grid = solve_stock_hjb(small_config(heston, arrival, risk, n_nu=11, n_time=200))
     assert np.all(grid.values[:, :, -1] == 0.0)
     assert np.all(np.isfinite(grid.values))
+    # no ask at q_min and no bid at q_max, a finite premium everywhere else
+    assert np.isnan(grid.quotes_a[0]).all() and np.isnan(grid.quotes_b[-1]).all()
+    assert np.isfinite(grid.quotes_a[1:]).all() and np.isfinite(grid.quotes_b[:-1]).all()
 
 
 def frozen_config(arrival, gamma, n_time):

@@ -331,6 +331,18 @@ def test_books_count_grid_exits(heston, arrival, risk_nofee):
     assert run_joint_paths(**args).grid_exits == expected
 
 
+def test_clamp_reads_off_grid_states_at_the_edge(pricing_grid):
+    s_lo, s_hi = pricing_grid.s_grid[[0, -1]]
+    nu_hi = pricing_grid.nu_grid[-1]
+    s = np.array([100.0, s_lo, s_hi + 1.0, 100.0, np.nan])
+    nu = np.array([1.0, nu_hi, 1.0, -0.5, 1.0])
+    sc, vc, outside = pricing_grid.clamp(s, nu)
+    np.testing.assert_array_equal(sc[:4], [100.0, s_lo, s_hi, 100.0])
+    np.testing.assert_array_equal(vc, [1.0, nu_hi, 1.0, pricing_grid.nu_grid[0], 1.0])
+    # a state on the edge is inside; a non-finite one is outside
+    np.testing.assert_array_equal(outside, [False, False, True, True, True])
+
+
 def _scipy_ab(lower, diag, upper):
     """Tridiagonal ``(lower, diag, upper)`` in scipy's ``(3, n)`` banded layout."""
     return np.stack([np.r_[0.0, upper[:-1]], diag, np.r_[lower[1:], 0.0]])
