@@ -153,6 +153,8 @@ def _validate(cfg: RunConfig) -> None:
     for sec, key in (("sim", "n_paths"), ("frontier", "n_paths"), ("option_mm", "n_paths")):
         if cfg.get(sec, key) < 1:
             raise ConfigError(f"{sec}.{key} must be positive")
+    if cfg.get("sim", "seed") < 0:  # a seed entropy is a non-negative integer
+        raise ConfigError("sim.seed must be non-negative")
 
 
 def load_config(path: str | Path | None = None, overrides: Sequence[str] = ()) -> RunConfig:

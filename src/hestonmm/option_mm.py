@@ -14,6 +14,12 @@ in stock continuously; its single functional is
 All three are path integrals of greeks under the real-world dynamics, solved
 on the pricing grid by Feynman-Kac and cached on a coarse lattice for use
 inside simulations; ``estimate_functionals`` is their Monte Carlo oracle.
+
+Both books and the oracle move the market with ``_walk``, ``CHUNK`` steps
+at a time and one grid and one lattice read per chunk; only the quote, fill
+and inventory recursion runs step by step.  The reads find cells with
+``option_pricing.cell``, a checked uniform-spacing guess that falls back to
+``searchsorted``: exact on any grid, dearer on a stretched one.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .heston import HestonParams, euler_step, step_count
 from .intensity import ArrivalParams, fills
 from .option_pricing import C, C_NU, DELTA, GAMMA, PRICE, PricingGrid, bilinear, cell, douglas_steps
 from .quotes import RiskParams, inventory_coefficient
-from .seeding import FUNCTIONAL_STREAM, OPTION_MM_STREAM, lane_draws, map_blocks
+from .seeding import FUNCTIONAL_STREAM, OPTION_MM_STREAM, lane_draws, map_blocks, os_array
 from .table import write_table
 
 __all__ = [
@@ -66,6 +72,7 @@ class Functionals:
 
 
 _DELTA_C_NU = slice(DELTA, C_NU + 1, C_NU - DELTA)  # the two greek columns the integrands read
+CHUNK = 8  # steps per batched grid and lattice read of the market walk
 
 
 def _simulate_integrals(
@@ -80,26 +87,27 @@ def _simulate_integrals(
     tau = T - t
     n_steps = max(1, round(tau / dt_target))
     dt = tau / n_steps
+    times = [t + step * dt for step in range(n_steps)] + [T]
     rho, xi = heston.rho, heston.xi
 
     def paths(lo: int, hi: int):
         n = hi - lo
         shocks, _ = lane_draws(seed, (FUNCTIONAL_STREAM, 0), lo, hi, n_steps, 2)
-        s = np.full(n, float(s0))
-        nu = np.full(n, float(nu0))
         a1 = np.zeros(n)
         a2 = np.zeros(n)
         a3 = np.zeros(n)
         out = np.zeros(n, dtype=bool)
-        for step in range(n_steps):
-            sc, vc, off = grid.clamp(s, nu)
-            out |= off
-            delta, c_nu = grid._bilinear(grid._time_slice(t + step * dt, _DELTA_C_NU), sc, vc).T
-            a1 += nu * (delta + rho * xi * c_nu) * dt
-            a2 += nu * (delta**2 + 2.0 * rho * xi * delta * c_nu + xi**2 * c_nu**2) * dt
-            a3 += nu * c_nu**2 * dt
-            ds, nu = euler_step(s, nu, shocks[step, 0], shocks[step, 1], heston, dt)
-            s = s + ds
+        for _, _, nu, _, g, _, outside in _walk(grid, heston, shocks, times, dt, s0, nu0,
+                                                _DELTA_C_NU):
+            out |= outside[:-1].any(axis=0)  # the states the integrands read
+            nu, delta, c_nu = nu[:-1], g[:-1, :, 0], g[:-1, :, 1]
+            f1 = nu * (delta + rho * xi * c_nu) * dt
+            f2 = nu * (delta**2 + 2.0 * rho * xi * delta * c_nu + xi**2 * c_nu**2) * dt
+            f3 = nu * c_nu**2 * dt
+            for r in range(nu.shape[0]):
+                a1 += f1[r]
+                a2 += f2[r]
+                a3 += f3[r]
         return a1, a2, a3, out
 
     i1, i2, i3, exited = (np.concatenate(col) for col in zip(*map_blocks(n_paths, paths)))
@@ -209,17 +217,22 @@ class FunctionalLattice:
         table = 0.0 - np.array([1.0, 0.5, 0.5 * xi**2]) * risk.gamma * u_t
         return cls(s_nodes, nu_nodes, t_nodes, *np.moveaxis(table, -1, 0))
 
-    def functionals(self, s, nu, t: float):
-        """(H1, H2, M) at (s, nu) and the one time ``t``, clipped to the node
-        box: the table is blended linearly at ``t``, then read bilinearly
-        through the pricer's kernel ``option_pricing.bilinear``."""
-        t = float(t)
+    def functionals(self, s, nu, t):
+        """(H1, H2, M) at (s, nu) and time ``t``, clipped to the node box: the
+        table is blended linearly at ``t``, then read bilinearly through the
+        pricer's kernel ``option_pricing.bilinear``.  ``t`` is one time, or a
+        1-d array of one time per leading row of the points (``TypeError``
+        otherwise)."""
+        t = np.asarray(t, dtype=np.float64)
+        if t.ndim and np.broadcast(s, nu).shape[:1] != t.shape:
+            raise TypeError(f"t of shape {t.shape} is neither one time nor one per row of the points")
         points = [np.clip(np.asarray(x, dtype=np.float64), nodes[0], nodes[-1])
                   for nodes, x in ((self.s_nodes, s), (self.nu_nodes, nu), (self.t_nodes, t))]
         if any(np.isnan(x).any() for x in points):
             raise ValueError("lattice points must not be nan")
         k, wk = cell(self.t_nodes, points[2])
-        plane = (1.0 - wk) * self._table[:, :, k] + wk * self._table[:, :, k + 1]
+        by_t, wk = np.moveaxis(self._table, 2, 0), wk[..., None, None, None]
+        plane = (1.0 - wk) * by_t[k] + wk * by_t[k + 1]  # one plane, or one per row of t
         out = bilinear(plane, *cell(self.s_nodes, points[0]), *cell(self.nu_nodes, points[1]))
         if out.ndim == 1:
             return tuple(float(v) for v in out)
@@ -309,6 +322,52 @@ def _step_times(T: float, dt: float) -> list[float]:
     return [k * dt for k in range(step_count(T, dt))] + [T]
 
 
+def _walk(grid: PricingGrid, heston: HestonParams, shocks: np.ndarray, times, dt: float,
+          s0: float, nu0: float, cols: slice = slice(None), lattice: FunctionalLattice | None = None):
+    """The market of one block of paths, ``CHUNK`` steps at a time.
+
+    Step ``k`` moves every path from ``times[k]`` to ``times[k + 1]`` by
+    ``euler_step`` with ``shocks[k]`` and ``dt``, from ``(s0, nu0)`` at
+    ``times[0]``.  For each chunk of steps ``a..a+K-1`` it yields ``(a, s,
+    nu, ds, g, h, outside)``, where row ``r`` of ``s``, ``nu``, ``g`` and
+    ``outside`` is state ``a + r`` (``K + 1`` rows, the first shared with the
+    previous chunk) and row ``r`` of ``ds`` and ``h`` is step ``a + r``:
+
+    - ``g``: the grid columns ``cols`` at each state clamped to the grid, at
+      its time; every state after the first is read once, in one batched
+      read per chunk at the step ends;
+    - ``h``: ``lattice.functionals`` at each step's clamped start state and
+      time, in one read per chunk (``None`` without a lattice);
+    - ``outside``: the states off the grid, read at its edge.
+
+    Nothing here depends on a book, so every consumer sees the same market
+    for the same shocks.
+    """
+    times = np.asarray(times)
+    n_steps, n = times.size - 1, shocks.shape[-1]
+    s_end, nu_end = np.full(n, float(s0)), np.full(n, float(nu0))
+    first = grid._time_slice(times[0], cols)
+    g_end = grid._bilinear(first, *grid.clamp(s_end, nu_end)[:2])
+    slab = os_array((min(CHUNK, n_steps),) + first.shape)  # one chunk's time slices
+    for a in range(0, n_steps, CHUNK):
+        k = min(CHUNK, n_steps - a)
+        s, nu, ds = np.empty((k + 1, n)), np.empty((k + 1, n)), np.empty((k, n))
+        s[0], nu[0] = s_end, nu_end
+        for r in range(k):
+            ds[r], nu[r + 1] = euler_step(s[r], nu[r], shocks[a + r, 0], shocks[a + r, 1],
+                                          heston, dt)
+            s[r + 1] = s[r] + ds[r]
+        sc, vc, outside = grid.clamp(s, nu)
+        g = np.empty((k + 1,) + g_end.shape)
+        g[0] = g_end
+        for r in range(k):
+            slab[r] = grid._time_slice(times[a + 1 + r], cols)
+        g[1:] = grid._bilinear(slab[:k], sc[1:], vc[1:])
+        h = None if lattice is None else lattice.functionals(sc[:-1], vc[:-1], times[a:a + k])
+        yield a, s, nu, ds, g, h, outside
+        s_end, nu_end, g_end = s[-1], nu[-1], g[-1]
+
+
 def run_hedged_paths(
     heston: HestonParams, arrival: ArrivalParams, risk: RiskParams,
     grid: PricingGrid, lattice: FunctionalLattice,
@@ -331,52 +390,43 @@ def run_hedged_paths(
     def paths(lo: int, hi: int):
         n = hi - lo
         shocks, uniforms = lane_draws(seed, (OPTION_MM_STREAM,), lo, hi, n_steps, 2, 2)
-
-        s = np.full(n, heston.s0)
-        nu = np.full(n, heston.nu0)
-        sc, vc, off = grid.clamp(s, nu)
-        g = grid._bilinear(grid._time_slice(0.0), sc, vc)
         q_o = np.full(n, q_o0, dtype=np.int64)
         z = np.zeros(n)
         acc_h = np.zeros(n)
         acc_u = np.zeros(n)
         acc_pred = np.zeros(n)
         acc_disc = np.zeros(n)
+        off = np.zeros(n, dtype=bool)
         clipped = 0
 
-        for step in range(n_steps):
-            t = times[step]
-            c_now, delta, gamma, c_nu = g[:, C], g[:, DELTA], g[:, GAMMA], g[:, C_NU]
-            _, _, m = lattice.functionals(sc, vc, t)
-            quotes = hedged_book_quotes(q_o, m, arrival)
-            if lo == 0:
-                trace["t"][step] = t
-                trace["s"][step] = s[0]
-                trace["nu"][step] = nu[0]
-                trace["q_o"][step] = q_o[0]
-                trace["a_o"][step], trace["b_o"][step] = quotes[0]
-            hit, n_clipped = fills(quotes, uniforms[step].T, arrival, dt)
-            clipped += n_clipped
-            paid = np.where(hit, quotes, 0.0)
-            z += paid[:, 0] + paid[:, 1]
-            q_o += hit[:, 1].astype(np.int64) - hit[:, 0].astype(np.int64)
+        for a, s, nu, ds, g, (_, _, m), outside in _walk(grid, heston, shocks, times, dt,
+                                                        heston.s0, heston.nu0, lattice=lattice):
+            off |= outside.any(axis=0)
+            for r in range(ds.shape[0]):
+                step = a + r
+                c_now, delta, gamma, c_nu = g[r, :, C], g[r, :, DELTA], g[r, :, GAMMA], g[r, :, C_NU]
+                quotes = hedged_book_quotes(q_o, m[r], arrival)
+                if lo == 0:
+                    trace["t"][step] = times[step]
+                    trace["s"][step] = s[r, 0]
+                    trace["nu"][step] = nu[r, 0]
+                    trace["q_o"][step] = q_o[0]
+                    trace["a_o"][step], trace["b_o"][step] = quotes[0]
+                hit, n_clipped = fills(quotes, uniforms[step].T, arrival, dt)
+                clipped += n_clipped
+                paid = np.where(hit, quotes, 0.0)
+                z += paid[:, 0] + paid[:, 1]
+                q_o += hit[:, 1].astype(np.int64) - hit[:, 0].astype(np.int64)
 
-            qf = q_o.astype(np.float64)  # post-fill inventory carries the step
-            q_s = hedge_position(qf, delta)
-            acc_pred += nu * xi**2 * c_nu**2 * qf**2 * dt
-            acc_disc += 0.5 * (gamma * nu * qf) ** 2 * dt**2
-
-            ds, nu = euler_step(s, nu, shocks[step, 0], shocks[step, 1], heston, dt)
-            s = s + ds
-            # one lookup at the new state: this step's C and the next step's greeks
-            sc, vc, outside = grid.clamp(s, nu)
-            off |= outside
-            g = grid._bilinear(grid._time_slice(times[step + 1]), sc, vc)
-            dc = g[:, C] - c_now
-            di_h = q_s * ds + qf * dc
-            di_u = qf * dc
-            acc_h += di_h**2
-            acc_u += di_u**2
+                qf = q_o.astype(np.float64)  # post-fill inventory carries the step
+                q_s = hedge_position(qf, delta)
+                acc_pred += nu[r] * xi**2 * c_nu**2 * qf**2 * dt
+                acc_disc += 0.5 * (gamma * nu[r] * qf) ** 2 * dt**2
+                dc = g[r + 1, :, C] - c_now
+                di_h = q_s * ds[r] + qf * dc
+                di_u = qf * dc
+                acc_h += di_h**2
+                acc_u += di_u**2
         return z, q_o, acc_h, acc_u, acc_pred, acc_disc, off, clipped
 
     *cols, clipped = zip(*map_blocks(n_paths, paths))
@@ -413,36 +463,29 @@ def run_joint_paths(
     def paths(lo: int, hi: int):
         n = hi - lo
         shocks, uniforms = lane_draws(seed, (OPTION_MM_STREAM,), lo, hi, n_steps, 2, 4)
-
-        s = np.full(n, heston.s0)
-        nu = np.full(n, heston.nu0)
-        sc, vc, off = grid.clamp(s, nu)
-        c_now = grid._bilinear(grid._time_slice(0.0, PRICE), sc, vc)[:, 0]
         q_s = np.full(n, q_s0, dtype=np.int64)
         q_o = np.full(n, q_o0, dtype=np.int64)
         z = np.zeros(n)
         qv = np.zeros(n)
+        off = np.zeros(n, dtype=bool)
         clipped = 0
 
-        for step in range(n_steps):
-            t = times[step]
-            h1, h2, _ = lattice.functionals(sc, vc, t)
-            quotes = joint_book_quotes(q_s, q_o, nu, t, T, h1, h2, arrival, heston, risk)
-            hit, n_clipped = fills(quotes, uniforms[step].T, arrival, dt)
-            clipped += n_clipped
-            paid = np.where(hit, quotes, 0.0)
-            z += paid[:, 0] + paid[:, 1] + paid[:, 2] + paid[:, 3]
-            q_s += hit[:, 1].astype(np.int64) - hit[:, 0].astype(np.int64)
-            q_o += hit[:, 3].astype(np.int64) - hit[:, 2].astype(np.int64)
-
-            ds, nu = euler_step(s, nu, shocks[step, 0], shocks[step, 1], heston, dt)
-            s = s + ds
-            sc, vc, outside = grid.clamp(s, nu)  # one lookup: this step's C and the next step's
-            off |= outside
-            c_next = grid._bilinear(grid._time_slice(times[step + 1], PRICE), sc, vc)[:, 0]
-            di = q_s.astype(np.float64) * ds + q_o.astype(np.float64) * (c_next - c_now)
-            qv += di**2
-            c_now = c_next
+        for a, _, nu, ds, g, (h1, h2, _), outside in _walk(grid, heston, shocks, times, dt,
+                                                          heston.s0, heston.nu0, PRICE, lattice):
+            off |= outside.any(axis=0)
+            for r in range(ds.shape[0]):
+                step = a + r
+                quotes = joint_book_quotes(q_s, q_o, nu[r], times[step], T, h1[r], h2[r],
+                                           arrival, heston, risk)
+                hit, n_clipped = fills(quotes, uniforms[step].T, arrival, dt)
+                clipped += n_clipped
+                paid = np.where(hit, quotes, 0.0)
+                z += paid[:, 0] + paid[:, 1] + paid[:, 2] + paid[:, 3]
+                q_s += hit[:, 1].astype(np.int64) - hit[:, 0].astype(np.int64)
+                q_o += hit[:, 3].astype(np.int64) - hit[:, 2].astype(np.int64)
+                di = (q_s.astype(np.float64) * ds[r]
+                      + q_o.astype(np.float64) * (g[r + 1, :, 0] - g[r, :, 0]))
+                qv += di**2
         return z, q_s, q_o, qv, off, clipped
 
     *cols, clipped = zip(*map_blocks(n_paths, paths))

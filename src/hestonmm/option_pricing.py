@@ -126,18 +126,40 @@ PRICE = slice(C, C + 1)  # the C column alone, as a one-column stack
 
 def cell(grid: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cell index and weight of points ``x`` in ``[grid[0], grid[-1]]``: the
-    index is the last ``i <= grid.size - 2`` with ``grid[i] <= x``, found by
-    ``searchsorted``, and the weight ``(x - grid[i]) / (grid[i + 1] - grid[i])``.
+    index is the last ``i <= grid.size - 2`` with ``grid[i] <= x``, as
+    ``searchsorted`` finds it, and the weight ``(x - grid[i]) / (grid[i + 1] -
+    grid[i])``.
+
+    The index is first guessed as if the grid were uniform and kept where
+    ``grid[i] <= x < grid[i + 1]``; only the points that check misses (a
+    point on the last node, or a guess off by rounding or by a non-uniform
+    spacing) go through ``searchsorted``.  The result is exact on any
+    strictly increasing grid; a grid far from uniform pays for the guess and
+    the search.
     """
-    i = np.minimum(np.searchsorted(grid, x, "right") - 1, grid.size - 2)
-    return i, (x - grid[i]) / (grid[i + 1] - grid[i])
+    last = grid.size - 2
+    guess = np.fmax(np.fmin((x - grid[0]) * ((last + 1) / (grid[-1] - grid[0])), last), 0.0)
+    i = guess.astype(np.intp)
+    lo, hi = grid[i], grid[1:][i]
+    miss = (x < lo) | (x >= hi)
+    if miss.any():
+        if np.ndim(i) == 0:
+            i = np.minimum(np.searchsorted(grid, x, "right") - 1, last)
+        else:
+            i[miss] = np.minimum(np.searchsorted(grid, x[miss], "right") - 1, last)
+        lo, hi = grid[i], grid[1:][i]
+    return i, (x - lo) / (hi - lo)
 
 
 def bilinear(plane: np.ndarray, i, wi, j, wj) -> np.ndarray:
     """Every column of a stacked ``(n_x, n_y, m)`` plane blended bilinearly
-    in the cells ``(i, j)`` with weights ``(wi, wj)``, as ``cell`` gives them."""
-    n_y = plane.shape[1]
+    in the cells ``(i, j)`` with weights ``(wi, wj)``, as ``cell`` gives them.
+    A ``(K, n_x, n_y, m)`` slab of planes is read row by row: the points then
+    have K leading rows, and row ``r`` reads plane ``r``."""
+    n_x, n_y = plane.shape[-3:-1]
     k = i * n_y + j  # flat index of the lower corner
+    if plane.ndim == 4:
+        k = k + n_x * n_y * np.arange(plane.shape[0]).reshape((-1,) + (1,) * (np.ndim(k) - 1))
     flat = plane.reshape(-1, plane.shape[-1])
     wi, wj = wi[..., None], wj[..., None]
     return ((1 - wi) * (1 - wj) * flat.take(k, axis=0)
@@ -187,7 +209,9 @@ class PricingGrid:
 
     def _bilinear(self, plane: np.ndarray, s, nu):
         """Bilinear interpolation at (s, nu) of every column of a stacked
-        slice, with one s- and one nu-lookup."""
+        slice, with one s- and one nu-lookup.  ``plane`` may be a
+        ``(K, n_s, n_nu, m)`` slab of ``_time_slice`` slices, read with
+        ``(K, ...)`` points, row ``r`` on slice ``r``."""
         return bilinear(plane, *self._locate(self.s_grid, s, "s"),
                         *self._locate(self.nu_grid, nu, "nu"))
 

@@ -196,6 +196,14 @@ def test_paths_below_one_is_a_config_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("sub", ["simulate", "hjb"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, sub):
+    # rejected with the key named, before any draw or solve writes a file
+    assert run_cli(sub, "--paths", "2", "--seed", "-1", "--out", str(tmp_path)) == EXIT_CONFIG
+    assert "config error: sim.seed must be non-negative" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("lo, hi", [("20", "30"), ("5", "2")])
 def test_empty_gap_window_is_a_config_error(tmp_path, capsys, monkeypatch, lo, hi):
     # the window is checked before the refinement solve of the tolerance

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import solve_banded
 
@@ -23,6 +25,7 @@ from hestonmm import fd, option_mm, option_pricing
 from hestonmm.heston import euler_step
 from hestonmm.intensity import fills
 from hestonmm.option_mm import (
+    CHUNK,
     FunctionalLattice,
     _simulate_integrals,
     hedged_book_quotes,
@@ -92,6 +95,39 @@ def test_cell_matches_searchsorted(grid):
     assert (i0, w0) == (grid.size - 2, 1.0)
 
 
+def _sinh_grid(hi, n):
+    """In 't Hout & Foulon's stretched variance grid on [0, hi], d = hi / 10."""
+    d = hi / 10.0
+    return d * np.sinh(np.linspace(0.0, np.arcsinh(hi / d), n))
+
+
+_GRIDS = st.one_of(
+    st.builds(lambda lo, width, n: np.linspace(lo, lo + width, n),
+              st.floats(-200.0, 200.0), st.floats(1e-2, 1e3), st.integers(3, 400)),
+    st.builds(_sinh_grid, st.floats(0.1, 50.0), st.integers(3, 200)),
+    st.builds(lambda lo, width: np.array([lo, lo + width]),
+              st.floats(-200.0, 200.0), st.floats(1e-2, 1e3)),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(grid=_GRIDS, data=st.data())
+def test_cell_is_searchsorted_on_any_increasing_grid(grid, data):
+    # uniform, stretched and 2-node grids: points inside, every node and the
+    # nodes' inside neighbours, as one array and one scalar at a time
+    u = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50)))
+    x = np.concatenate([np.clip(grid[0] + u * (grid[-1] - grid[0]), grid[0], grid[-1]), grid,
+                        np.nextafter(grid[1:], -np.inf), np.nextafter(grid[:-1], np.inf)])
+    i, w = cell(grid, x)
+    i_ref, w_ref = _searchsorted_cell(grid, x)
+    np.testing.assert_array_equal(i, i_ref)
+    np.testing.assert_array_equal(w, w_ref)
+    for point in data.draw(st.lists(st.sampled_from(list(x)), min_size=1, max_size=5)):
+        i, w = cell(grid, np.float64(point))
+        i_ref, w_ref = _searchsorted_cell(grid, np.float64(point))
+        assert (i, w) == (i_ref, w_ref) and np.ndim(i) == np.ndim(w) == 0
+
+
 def test_greek_planes_at_stored_slices_are_gradients(pricing_grid):
     for it, t in enumerate(pricing_grid.times):
         c = pricing_grid.stack[it, :, :, C]
@@ -126,6 +162,37 @@ def test_price_column_blend_equals_full_blend(pricing_grid):
         np.testing.assert_array_equal(price[:, :, 0], full[:, :, C])
         np.testing.assert_array_equal(pricing_grid._bilinear(price, s, nu)[:, 0],
                                       pricing_grid._bilinear(full, s, nu)[:, C])
+
+
+@pytest.mark.parametrize("cols", [slice(None), PRICE])
+def test_slab_read_equals_one_read_per_row(pricing_grid, cols):
+    # a (K, n_s, n_nu, m) slab of time slices read with (K, n) points: row r
+    # is the read of slice r alone, bitwise
+    g = pricing_grid
+    rng = np.random.default_rng(8)
+    times = [0.0, g.times[3], 0.1234, g.times[-2] + 0.3 * (g.times[-1] - g.times[-2]), 1.0]
+    s = np.concatenate([rng.uniform(g.s_grid[0], g.s_grid[-1], (5, 300)),
+                        np.tile(g.s_grid[[0, 1, -2, -1]], (5, 1))], axis=1)
+    nu = np.concatenate([rng.uniform(g.nu_grid[0], g.nu_grid[-1], (5, 300)),
+                         np.tile(g.nu_grid[[0, 2, -1, -1]], (5, 1))], axis=1)
+    slab = np.stack([g._time_slice(t, cols) for t in times])
+    got = g._bilinear(slab, s, nu)
+    assert got.shape == s.shape + slab.shape[-1:]
+    for r, t in enumerate(times):
+        np.testing.assert_array_equal(got[r], g._bilinear(g._time_slice(t, cols), s[r], nu[r]))
+
+
+def test_lattice_reads_one_time_per_row_as_separate_calls(functional_lattice):
+    lat = functional_lattice
+    rng = np.random.default_rng(21)
+    t = np.array([-0.2, 0.0, 0.1, 0.25, 0.6, 1.0, 1.3])  # nodes, between them, and clipped
+    s, nu = rng.uniform(80.0, 120.0, (t.size, 90)), rng.uniform(-1.0, 10.0, (t.size, 90))
+    got = lat.functionals(s, nu, t)
+    for r in range(t.size):
+        for col, ref in zip(got, lat.functionals(s[r], nu[r], t[r])):
+            np.testing.assert_array_equal(col[r], ref)
+    with pytest.raises(TypeError):  # one time per row
+        lat.functionals(s, nu, t[:-1])
 
 
 def test_cached_planes_are_read_only(pricing_grid):
@@ -492,3 +559,77 @@ def test_hedged_book_equals_a_step_loop(heston, arrival, risk_nofee, pricing_gri
 def test_option_mm_has_no_interpolation_kernel_of_its_own():
     # the books, the integrands and the lattice read through option_pricing's kernel
     assert ".take(" not in Path(option_mm.__file__).read_text()
+
+
+def _end_time(step, n_steps, dt, T):
+    """A book's time at the end of ``step``: the last step ends at ``T`` itself."""
+    return T if step + 1 == n_steps else (step + 1) * dt
+
+
+def _joint_step_loop(g, lat, heston, arrival, risk, n, T, dt, seed, q_s0, q_o0):
+    """The joint book written out step by step: per-path z and QV, and q_s, q_o."""
+    n_steps = round(T / dt)
+    shocks, uniforms = _book_draws(seed, n, n_steps, 4)
+    s, nu = np.full(n, heston.s0), np.full(n, heston.nu0)
+    q_s, q_o = np.full(n, q_s0), np.full(n, q_o0)
+    z, qv = np.zeros(n), np.zeros(n)
+    for step in range(n_steps):
+        t = step * dt
+        c_now = g.price(*_clamped(g, s, nu), t)
+        h1, h2, _ = lat.functionals(*_clamped(g, s, nu), t)
+        quotes = joint_book_quotes(q_s, q_o, nu, t, T, h1, h2, arrival, heston, risk)
+        hit, _ = fills(quotes, uniforms[step].T, arrival, dt)
+        paid = np.where(hit, quotes, 0.0)
+        z += paid[:, 0] + paid[:, 1] + paid[:, 2] + paid[:, 3]
+        q_s += hit[:, 1].astype(int) - hit[:, 0]
+        q_o += hit[:, 3].astype(int) - hit[:, 2]
+        ds, nu = euler_step(s, nu, shocks[step, 0], shocks[step, 1], heston, dt)
+        s = s + ds
+        qv += (q_s * ds + q_o * (g.price(*_clamped(g, s, nu), _end_time(step, n_steps, dt, T)) - c_now)) ** 2
+    return z, qv, q_s, q_o
+
+
+def _hedged_step_loop(g, lat, heston, arrival, n, T, dt, seed, q_o0):
+    """The hedged book written out step by step: hedged and option-only QV,
+    the predicted rate's sum, and the trace of path 0's quotes."""
+    n_steps = round(T / dt)
+    shocks, uniforms = _book_draws(seed, n, n_steps, 2)
+    s, nu = np.full(n, heston.s0), np.full(n, heston.nu0)
+    q_o = np.full(n, q_o0)
+    acc_h, acc_u, acc_pred, trace = np.zeros(n), np.zeros(n), np.zeros(n), []
+    for step in range(n_steps):
+        t = step * dt
+        c_now = g.price(*_clamped(g, s, nu), t)
+        delta, _, c_nu = g.greeks(*_clamped(g, s, nu), t)
+        quotes = hedged_book_quotes(q_o, lat.functionals(*_clamped(g, s, nu), t)[2], arrival)
+        trace.append(quotes[0])
+        hit, _ = fills(quotes, uniforms[step].T, arrival, dt)
+        q_o += hit[:, 1].astype(int) - hit[:, 0]
+        acc_pred += nu * heston.xi**2 * c_nu**2 * q_o**2 * dt
+        ds, nu = euler_step(s, nu, shocks[step, 0], shocks[step, 1], heston, dt)
+        s = s + ds
+        dc = g.price(*_clamped(g, s, nu), _end_time(step, n_steps, dt, T)) - c_now
+        acc_h += (-q_o * delta * ds + q_o * dc) ** 2
+        acc_u += (q_o * dc) ** 2
+    return acc_h, acc_u, acc_pred, np.array(trace)
+
+
+@pytest.mark.parametrize("n_steps", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_books_equal_a_step_loop_at_the_chunk_edges(heston, arrival, risk_nofee, pricing_grid,
+                                                     functional_lattice, n_steps):
+    # fewer steps than one chunk, exactly one, one past it, and one past two
+    g, lat, dt = pricing_grid, functional_lattice, 0.025
+    T = n_steps * dt
+    z, qv, q_s, q_o = _joint_step_loop(g, lat, heston, arrival, risk_nofee, 40, T, dt, 19, 1, -2)
+    st_j = run_joint_paths(heston, arrival, risk_nofee, g, lat, T=T, dt=dt, n_paths=40, seed=19,
+                           q_s0=1, q_o0=-2)
+    np.testing.assert_array_equal(st_j.z_terminal, z)
+    np.testing.assert_array_equal(st_j.qv_terminal, qv)
+    assert (st_j.q_s_mean, st_j.q_o_mean) == (float(q_s.mean()), float(q_o.mean()))
+    acc_h, acc_u, acc_pred, trace = _hedged_step_loop(g, lat, heston, arrival, 40, T, dt, 23, 1)
+    st_h = run_hedged_paths(heston, arrival, risk_nofee, g, lat, T=T, dt=dt, n_paths=40,
+                            seed=23, q_o0=1)
+    np.testing.assert_array_equal(st_h.qv_hedged, acc_h)
+    np.testing.assert_array_equal(st_h.qv_unhedged, acc_u)
+    np.testing.assert_array_equal(st_h.qv_rate_pred, acc_pred / T)
+    np.testing.assert_array_equal(np.stack([st_h.trace["a_o"], st_h.trace["b_o"]], axis=1), trace)
