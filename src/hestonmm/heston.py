@@ -3,9 +3,9 @@
 The mid-price follows an arithmetic diffusion ``dS = sqrt(nu) dW`` while the
 instantaneous variance follows the square-root process
 ``dnu = theta (alpha - nu) dt + xi sqrt(nu) dB`` with ``corr(W, B) = rho``.
-This module provides the one Euler step every simulator runs and the
-closed-form conditional moments of the variance used by the quote formulas
-and by the moment-validation tests.
+This module provides the one Euler step, the one walk over it that every
+simulator runs, and the closed-form conditional moments of the variance used
+by the quote formulas and by the moment-validation tests.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .seeding import HESTON_STREAM, lane_draws, map_blocks
 __all__ = [
     "HestonParams",
     "euler_step",
+    "walk",
     "step_count",
     "conditional_moments",
     "sample_terminal",
@@ -77,7 +78,7 @@ def conditional_moments(nu: float, params: HestonParams, tau: float) -> tuple[fl
     return mean, var, second
 
 
-def euler_step(s, nu, z_s, z_perp, params: HestonParams, dt: float, risk_adj: float = 0.0):
+def euler_step(params: HestonParams, dt: float, nu, z_s, z_perp=0.0, *, risk_adj: float = 0.0):
     """One full-truncation Euler step (Lord, Koekkoek & van Dijk, Quant.
     Finance 2010), vectorized over paths: returns ``(ds, nu_next)``.
 
@@ -94,6 +95,18 @@ def euler_step(s, nu, z_s, z_perp, params: HestonParams, dt: float, risk_adj: fl
     drift = params.theta * (params.alpha - nu_pos) - risk_adj * root
     nu_next = np.maximum(nu + drift * dt + params.xi * root * z_nu * sqrt_dt, 0.0)
     return root * z_s * sqrt_dt, nu_next
+
+
+def walk(params: HestonParams, shocks: np.ndarray, dt: float, nu0: float, risk_adj: float = 0.0):
+    """Step by step, ``(nu, ds, nu_next)`` of ``euler_step`` from ``nu0`` over
+    the step-major ``(n_steps, 2 or 1, n)`` shocks of ``seeding.lane_draws``
+    (``z_s`` alone means ``z_perp = 0``).  Nothing is stored; no step reads
+    the price, so each consumer adds ``ds`` to its own (and impact, if any)."""
+    nu = np.full(shocks.shape[-1], float(nu0))
+    for z in shocks:
+        ds, nu_next = euler_step(params, dt, nu, *z, risk_adj=risk_adj)
+        yield nu, ds, nu_next
+        nu = nu_next
 
 
 def step_count(T: float, dt: float) -> int:
@@ -129,9 +142,7 @@ def sample_terminal(
     def paths(lo: int, hi: int):
         shocks, _ = lane_draws(seed, (HESTON_STREAM,), lo, hi, n_steps, 2, scheme=scheme)
         s = np.full(hi - lo, params.s0)
-        nu = np.full(hi - lo, params.nu0)
-        for step in range(n_steps):
-            ds, nu = euler_step(s, nu, shocks[step, 0], shocks[step, 1], params, dt)
+        for _, ds, nu in walk(params, shocks, dt, params.nu0):
             s += ds
         return s, nu
 

@@ -15,11 +15,12 @@ All three are path integrals of greeks under the real-world dynamics, solved
 on the pricing grid by Feynman-Kac and cached on a coarse lattice for use
 inside simulations; ``estimate_functionals`` is their Monte Carlo oracle.
 
-Both books and the oracle move the market with ``_walk``, ``CHUNK`` steps
-at a time and one grid and one lattice read per chunk; only the quote, fill
-and inventory recursion runs step by step.  The reads find cells with
-``option_pricing.cell``, a checked uniform-spacing guess that falls back to
-``searchsorted``: exact on any grid, dearer on a stretched one.
+Both books and the oracle read ``heston.walk`` through ``_walk``, which only
+gathers it ``CHUNK`` steps at a time for one grid and one lattice read per
+chunk; only the quote, fill and inventory recursion runs step by step.  The
+reads find cells with ``option_pricing.cell``, a checked uniform-spacing
+guess that falls back to ``searchsorted``: exact on any grid, dearer on a
+stretched one.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .heston import HestonParams, euler_step, step_count
+from .heston import HestonParams, step_count, walk
 from .intensity import ArrivalParams, fills
 from .option_pricing import C, C_NU, DELTA, GAMMA, PRICE, PricingGrid, bilinear, cell, douglas_steps
 from .quotes import RiskParams, inventory_coefficient
@@ -327,11 +328,11 @@ def _walk(grid: PricingGrid, heston: HestonParams, shocks: np.ndarray, times, dt
     """The market of one block of paths, ``CHUNK`` steps at a time.
 
     Step ``k`` moves every path from ``times[k]`` to ``times[k + 1]`` by
-    ``euler_step`` with ``shocks[k]`` and ``dt``, from ``(s0, nu0)`` at
-    ``times[0]``.  For each chunk of steps ``a..a+K-1`` it yields ``(a, s,
-    nu, ds, g, h, outside)``, where row ``r`` of ``s``, ``nu``, ``g`` and
-    ``outside`` is state ``a + r`` (``K + 1`` rows, the first shared with the
-    previous chunk) and row ``r`` of ``ds`` and ``h`` is step ``a + r``:
+    step ``k`` of ``heston.walk`` over ``shocks`` with ``dt``, from ``(s0,
+    nu0)`` at ``times[0]``.  For each chunk of steps ``a..a+K-1`` it yields
+    ``(a, s, nu, ds, g, h, outside)``, where row ``r`` of ``s``, ``nu``,
+    ``g`` and ``outside`` is state ``a + r`` (``K + 1`` rows, the first shared
+    with the previous chunk) and row ``r`` of ``ds`` and ``h`` is step ``a + r``:
 
     - ``g``: the grid columns ``cols`` at each state clamped to the grid, at
       its time; every state after the first is read once, in one batched
@@ -349,13 +350,13 @@ def _walk(grid: PricingGrid, heston: HestonParams, shocks: np.ndarray, times, dt
     first = grid._time_slice(times[0], cols)
     g_end = grid._bilinear(first, *grid.clamp(s_end, nu_end)[:2])
     slab = os_array((min(CHUNK, n_steps),) + first.shape)  # one chunk's time slices
+    steps = walk(heston, shocks, dt, nu0)
     for a in range(0, n_steps, CHUNK):
         k = min(CHUNK, n_steps - a)
         s, nu, ds = np.empty((k + 1, n)), np.empty((k + 1, n)), np.empty((k, n))
         s[0], nu[0] = s_end, nu_end
         for r in range(k):
-            ds[r], nu[r + 1] = euler_step(s[r], nu[r], shocks[a + r, 0], shocks[a + r, 1],
-                                          heston, dt)
+            _, ds[r], nu[r + 1] = next(steps)
             s[r + 1] = s[r] + ds[r]
         sc, vc, outside = grid.clamp(s, nu)
         g = np.empty((k + 1,) + g_end.shape)

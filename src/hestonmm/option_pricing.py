@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fd
 from .fd import solve_banded
-from .heston import HestonParams, euler_step
+from .heston import HestonParams, walk
 from .seeding import DEFAULT_BLOCK, PRICING_PILOT_STREAM, PRICING_STREAM, lane_draws, map_blocks, os_array
 from .table import write_table
 
@@ -388,23 +388,19 @@ def mc_terminal(
 ) -> np.ndarray:
     """Terminal stock samples under the pricing measure from state (s, nu, t).
 
-    Full-truncation Euler (``heston.euler_step``): the stock has zero drift,
+    Full-truncation Euler (``heston.walk``): the stock has zero drift,
     the variance drift carries the ``eta_nu`` adjustment.  A non-finite
     ``s`` or ``nu``, or a negative ``nu``, raises ``ValueError``.
     """
     n_steps, dt = _euler_steps(config, s, nu, t, dt_target)
     if n_steps == 0:
         return np.full(n_paths, float(s))
-    heston = config.heston
     risk_adj = _risk_adj(config)
 
     def paths(lo: int, hi: int) -> np.ndarray:
         shocks, _ = lane_draws(seed, (PRICING_STREAM,), lo, hi, n_steps, 2)
         s_arr = np.full(hi - lo, float(s))
-        v_arr = np.full(hi - lo, float(nu))
-        for step in range(n_steps):
-            ds, v_arr = euler_step(s_arr, v_arr, shocks[step, 0], shocks[step, 1],
-                                   heston, dt, risk_adj)
+        for _, ds, _ in walk(config.heston, shocks, dt, nu, risk_adj):
             s_arr = s_arr + ds
         return s_arr
 
@@ -416,7 +412,7 @@ def _conditional_paths(config: PricingConfig, s: float, nu: float, n_steps: int,
     """Conditional call values and controls of paths ``lo..hi-1`` of ``stream``.
 
     Each path draws only its variance shocks ``z`` and steps the variance
-    with ``euler_step``; passing ``z`` as the stock shock with ``rho = 1``
+    with ``heston.walk``; passing ``z`` as the stock shock with ``rho = 1``
     makes the step's ``ds`` equal ``sqrt(nu) z sqrt(dt)``.  With ``m`` the
     sum of those and ``I`` the sum of ``nu dt`` (``nu >= 0`` throughout),
     ``S_T`` is normal given the path, with mean ``s + rho m`` and variance
@@ -427,12 +423,10 @@ def _conditional_paths(config: PricingConfig, s: float, nu: float, n_steps: int,
     variance_only = replace(config.heston, rho=1.0)
     risk_adj = _risk_adj(config)
     z, _ = lane_draws(seed, (stream,), lo, hi, n_steps, 1)
-    v = np.full(hi - lo, float(nu))
     m = np.zeros(hi - lo)
     nu_sum = np.zeros(hi - lo)
-    for step in range(n_steps):
+    for v, dm, _ in walk(variance_only, z, dt, nu, risk_adj):
         nu_sum += v
-        dm, v = euler_step(m, v, z[step, 0], 0.0, variance_only, dt, risk_adj)
         m += dm
     value = _bachelier(s + rho * m - config.strike, (1.0 - rho**2) * dt * nu_sum)
     return value, m

@@ -1,12 +1,12 @@
 """Monte Carlo experiment engine.
 
-Each path runs the per-step event loop: quote, sample fills, book the cash
-and revenue, move the mid (plus permanent impact when enabled), step the
-variance with the correlated shock, and accumulate the quadratic variation of
-the inventory value.  Paths are embarrassingly parallel; every path's draws
-are keyed by ``(seed, index)`` (see ``seeding``) and ``seeding.map_blocks``
-returns blocks of paths in index order, so ensembles are bit-reproducible
-regardless of the worker count.
+Each path runs the per-step event loop over the market of ``heston.walk``:
+quote, sample fills, book the cash and revenue, move the mid by the walk's
+``ds`` (plus permanent impact when enabled), and accumulate the quadratic
+variation of the inventory value.  Paths are embarrassingly parallel; every
+path's draws are keyed by ``(seed, index)`` (see ``seeding``) and
+``seeding.map_blocks`` returns blocks of paths in index order, so ensembles
+are bit-reproducible regardless of the worker count.
 
 The same pre-generated draw arrays are consumed by every policy, which makes
 runs with different policies under one master seed common-random-number
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .heston import HestonParams, euler_step, step_count
+from .heston import HestonParams, step_count, walk
 from .intensity import ArrivalParams, fills
 from .quotes import InventorySV, RiskParams
 from .seeding import SCHEMES, SIM_STREAM, lane_draws, map_blocks
@@ -67,7 +67,7 @@ class SimConfig:
 
     @property
     def n_steps(self) -> int:
-        return round(self.T / self.dt)
+        return step_count(self.T, self.dt)
 
     @property
     def snapshot_steps(self) -> np.ndarray:
@@ -160,7 +160,6 @@ def _run_block(policy, config: SimConfig, master_seed: int, lo: int, hi: int,
     shocks, uniforms = lane_draws(master_seed, (SIM_STREAM,), lo, hi, n_steps, 2, 2, config.scheme)
 
     s = np.full(n, heston.s0)
-    nu = np.full(n, heston.nu0)
     q = np.full(n, config.q0, dtype=np.int64)
     x = np.zeros(n)
     z = np.zeros(n)
@@ -200,7 +199,7 @@ def _run_block(policy, config: SimConfig, master_seed: int, lo: int, hi: int,
 
     quoting = policy.premiums(np.zeros(1), np.zeros(1), 0.0) is not None
 
-    for step in range(n_steps):
+    for step, (nu, ds, nu_next) in enumerate(walk(heston, shocks, dt, heston.nu0)):
         t = step * dt
         prem = policy.premiums(q, nu, t) if quoting else None
         snapshot(step, prem)
@@ -219,7 +218,6 @@ def _run_block(policy, config: SimConfig, master_seed: int, lo: int, hi: int,
 
         qf = q.astype(np.float64)
         qv += qf**2 * nu * dt  # nu >= 0: the Euler step clamps it
-        ds, nu = euler_step(s, nu, shocks[step, 0], shocks[step, 1], heston, dt)
         if config.impact and fa is not None:
             ds += risk.eta * (fa.astype(np.float64) - fb.astype(np.float64))
         s = s + ds
@@ -234,7 +232,7 @@ def _run_block(policy, config: SimConfig, master_seed: int, lo: int, hi: int,
     snapshot(n_steps, None)
 
     out = {
-        "x": x, "q": q, "s": s, "nu": nu, "z": z, "qv": qv, "iv": iv,
+        "x": x, "q": q, "s": s, "nu": nu_next, "z": z, "qv": qv, "iv": iv,
         "profit": x + q.astype(np.float64) * (s - risk.beta),
         "spread_avg": spread_sum / n_steps if quoting else np.full(n, np.nan),
         "clipped": clipped,

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hestonmm import cli, hjb, sim_engine
+from hestonmm import cli, heston, hjb
 from hestonmm.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _policy, _sim_config, main
 from hestonmm.config import ConfigError, apply_overrides, dump_manifest, load_config
 from hestonmm.option_pricing import PricingConfig, default_nu_grid, default_s_grid
@@ -235,13 +235,13 @@ def test_programming_error_is_not_a_numerical_failure(tmp_path, monkeypatch):
 def test_non_finite_simulation_exit_and_cleanup(tmp_path, monkeypatch):
     # the one-path series run after the ensemble goes non-finite, so the
     # terminal table is already written and must be removed
-    step = sim_engine.euler_step
+    step = heston.euler_step
 
-    def exploding(s, nu, *args, **kw):
-        ds, nu_next = step(s, nu, *args, **kw)
-        return (np.full_like(ds, np.inf) if s.size == 1 else ds), nu_next
+    def exploding(params, dt, nu, *args, **kw):
+        ds, nu_next = step(params, dt, nu, *args, **kw)
+        return (np.full_like(ds, np.inf) if nu.size == 1 else ds), nu_next
 
-    monkeypatch.setattr(sim_engine, "euler_step", exploding)
+    monkeypatch.setattr(heston, "euler_step", exploding)
     code = run_cli("simulate", "--paths", "3", "--seed", "1", "--out", str(tmp_path))
     assert code == EXIT_NUMERICAL
     assert list(tmp_path.glob("simulate-*")) == []

@@ -1,11 +1,16 @@
+import inspect
 import math
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hestonmm.heston import HestonParams, conditional_moments, euler_step, sample_terminal
+from hestonmm import heston as heston_module
+from hestonmm.heston import HestonParams, conditional_moments, euler_step, sample_terminal, walk
 from hestonmm.seeding import DEFAULT_BLOCK, HESTON_STREAM, lane_draws
 
 
@@ -24,7 +29,7 @@ def test_step_at_zero_variance_diffusion_vanishes():
     # drift alone acts when nu = 0: new nu = theta*alpha*dt, the price stays put
     params = HestonParams(theta=0.02, alpha=4.0, xi=123.0, rho=0.3)
     z_s, z_perp = np.array([1.0, -1.0, 1.0, 2.5]), np.array([1.0, 1.0, -1.0, -3.0])
-    ds, nu = euler_step(np.full(4, 100.0), np.zeros(4), z_s, z_perp, params, dt=0.005)
+    ds, nu = euler_step(params, 0.005, np.zeros(4), z_s, z_perp)
     np.testing.assert_array_equal(nu, np.full(4, 0.02 * 4.0 * 0.005))
     np.testing.assert_array_equal(ds, np.zeros(4))
 
@@ -32,7 +37,7 @@ def test_step_at_zero_variance_diffusion_vanishes():
 def test_step_degenerate_constant_variance():
     params = HestonParams(theta=0.0, alpha=4.0, xi=0.0, rho=0.0)
     z_s = np.array([1.0, -1.0, 0.3])
-    ds, nu = euler_step(np.full(3, 100.0), np.full(3, 3.0), z_s, np.full(3, -1.0), params, 0.01)
+    ds, nu = euler_step(params, 0.01, np.full(3, 3.0), z_s, np.full(3, -1.0))
     np.testing.assert_array_equal(nu, np.full(3, 3.0))
     np.testing.assert_array_equal(ds, math.sqrt(3.0) * z_s * 0.1)
 
@@ -51,7 +56,7 @@ def test_stepped_variance_never_negative(theta, alpha, xi, rho, risk_adj, rows):
     params = HestonParams(theta=theta, alpha=alpha, xi=xi, rho=rho)
     nu, z1, z2 = (np.array(col) for col in zip(*rows))
     dt = 0.005
-    ds, out = euler_step(np.full(nu.size, 100.0), nu, z1, z2, params, dt, risk_adj)
+    ds, out = euler_step(params, dt, nu, z1, z2, risk_adj=risk_adj)
     assert np.all(out >= 0.0)
     # each row is the scalar full-truncation step, drift and diffusion at max(nu, 0)
     for k in range(nu.size):
@@ -131,14 +136,49 @@ def test_euler_step_takes_int8_signs_as_floats(heston):
     # one taken with the same signs as float64
     z_s = np.array([1, -1, 1, -1, 1, -1], dtype=np.int8)
     z_perp = np.array([1, 1, -1, -1, 1, -1], dtype=np.int8)
-    s = np.linspace(95.0, 105.0, 6)
     nu = np.array([4.0, 0.0, -0.3, 1e-9, 9.5, 2.0])
     for risk_adj in (0.0, 0.4):
-        got = euler_step(s, nu, z_s, z_perp, heston, 0.005, risk_adj)
-        want = euler_step(s, nu, z_s.astype(np.float64), z_perp.astype(np.float64), heston,
-                          0.005, risk_adj)
+        got = euler_step(heston, 0.005, nu, z_s, z_perp, risk_adj=risk_adj)
+        want = euler_step(heston, 0.005, nu, z_s.astype(np.float64), z_perp.astype(np.float64),
+                          risk_adj=risk_adj)
         for g, w in zip(got, want):
             assert g.dtype == np.float64 and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("risk_adj", [0.0, 0.4])
+@pytest.mark.parametrize("scheme", ["gaussian", "binomial"])
+def test_walk_equals_a_step_loop(heston, scheme, risk_adj):
+    # two-shock blocks as drawn (int8 signs under binomial), and a one-shock
+    # block under rho = 1 stepped as the explicit z_perp = 0 call; xi = 1.5
+    # takes some paths to the zero clamp under either scheme
+    n_steps, dt, nu0 = 40, 0.05, 0.02
+    shocks, _ = lane_draws(3, (HESTON_STREAM,), 0, 64, n_steps, 2, scheme=scheme)
+    assert shocks.dtype == (np.int8 if scheme == "binomial" else np.float64)
+    wild = replace(heston, xi=1.5)
+    for params, block in ((wild, shocks), (replace(wild, rho=1.0), shocks[:, :1])):
+        steps = list(walk(params, block, dt, nu0, risk_adj))
+        assert len(steps) == n_steps
+        nu = np.full(block.shape[-1], nu0)
+        for k, (got_nu, ds, nu_next) in enumerate(steps):
+            z_perp = block[k, 1] if block.shape[1] == 2 else 0.0
+            want = (nu, *euler_step(params, dt, nu, block[k, 0], z_perp, risk_adj=risk_adj))
+            for g, w in zip((got_nu, ds, nu_next), want):
+                assert g.dtype == np.float64 and g.tobytes() == w.tobytes()
+            if k + 1 < n_steps:
+                assert steps[k + 1][0].tobytes() == nu_next.tobytes()
+            nu = want[2]
+        assert min(float(step[2].min()) for step in steps) == 0.0  # the truncation acts
+
+
+def test_only_the_walk_calls_euler_step():
+    # one market loop: every simulator steps the model through heston.walk
+    src = Path(heston_module.__file__).parent
+    calls = [(p.name, n) for p in sorted(src.glob("*.py"))
+             for n, line in enumerate(p.read_text().splitlines(), 1)
+             if re.search(r"(?<!def )\beuler_step\(", line)]
+    lines, first = inspect.getsourcelines(walk)
+    assert [name for name, _ in calls] == ["heston.py"]
+    assert first <= calls[0][1] < first + len(lines)
 
 
 @given(
@@ -163,9 +203,9 @@ def test_negated_shocks_negate_the_price_step(theta, alpha, xi, rho, dt, risk_ad
     else:
         draw = st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)
         z_s, z_perp = (np.array(data.draw(draw)) for _ in range(2))
-    s, nu = np.full(n, 100.0), np.array(nu)
-    ds, _ = euler_step(s, nu, z_s, z_perp, params, dt, risk_adj)
-    ds_neg, _ = euler_step(s, nu, -z_s, -z_perp, params, dt, risk_adj)
+    nu = np.array(nu)
+    ds, _ = euler_step(params, dt, nu, z_s, z_perp, risk_adj=risk_adj)
+    ds_neg, _ = euler_step(params, dt, nu, -z_s, -z_perp, risk_adj=risk_adj)
     assert ds_neg.tobytes() == (-ds).tobytes()
 
 
@@ -192,7 +232,7 @@ def test_sample_terminal_binomial_and_block_independence(heston):
     shocks, _ = lane_draws(9, (HESTON_STREAM,), lo, hi, n_steps, 2, scheme="binomial")
     s, nu = np.full(hi - lo, heston.s0), np.full(hi - lo, heston.nu0)
     for step in range(n_steps):
-        ds, nu = euler_step(s, nu, shocks[step, 0], shocks[step, 1], heston, 1.0 / n_steps)
+        ds, nu = euler_step(heston, 1.0 / n_steps, nu, shocks[step, 0], shocks[step, 1])
         s += ds
     np.testing.assert_array_equal(b[0][lo:], s)
     np.testing.assert_array_equal(b[1][lo:], nu)

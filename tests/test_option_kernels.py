@@ -511,7 +511,7 @@ def test_joint_book_equals_a_step_loop(heston, arrival, risk_nofee, pricing_grid
         z += paid[:, 0] + paid[:, 1] + paid[:, 2] + paid[:, 3]
         q_s += hit[:, 1].astype(int) - hit[:, 0]
         q_o += hit[:, 3].astype(int) - hit[:, 2]
-        ds, nu = euler_step(s, nu, shocks[step, 0], shocks[step, 1], heston, dt)
+        ds, nu = euler_step(heston, dt, nu, shocks[step, 0], shocks[step, 1])
         s = s + ds
         c_next = g.price(*_clamped(g, s, nu), (step + 1) * dt)
         qv += (q_s * ds + q_o * (c_next - c_now)) ** 2
@@ -542,7 +542,7 @@ def test_hedged_book_equals_a_step_loop(heston, arrival, risk_nofee, pricing_gri
         z += paid[:, 0] + paid[:, 1]
         q_o += hit[:, 1].astype(int) - hit[:, 0]
         acc_pred += nu * heston.xi**2 * c_nu**2 * q_o**2 * dt
-        ds, nu = euler_step(s, nu, shocks[step, 0], shocks[step, 1], heston, dt)
+        ds, nu = euler_step(heston, dt, nu, shocks[step, 0], shocks[step, 1])
         s = s + ds
         dc = g.price(*_clamped(g, s, nu), (step + 1) * dt) - c_now
         acc_h += (-q_o * delta * ds + q_o * dc) ** 2
@@ -583,7 +583,7 @@ def _joint_step_loop(g, lat, heston, arrival, risk, n, T, dt, seed, q_s0, q_o0):
         z += paid[:, 0] + paid[:, 1] + paid[:, 2] + paid[:, 3]
         q_s += hit[:, 1].astype(int) - hit[:, 0]
         q_o += hit[:, 3].astype(int) - hit[:, 2]
-        ds, nu = euler_step(s, nu, shocks[step, 0], shocks[step, 1], heston, dt)
+        ds, nu = euler_step(heston, dt, nu, shocks[step, 0], shocks[step, 1])
         s = s + ds
         qv += (q_s * ds + q_o * (g.price(*_clamped(g, s, nu), _end_time(step, n_steps, dt, T)) - c_now)) ** 2
     return z, qv, q_s, q_o
@@ -606,7 +606,7 @@ def _hedged_step_loop(g, lat, heston, arrival, n, T, dt, seed, q_o0):
         hit, _ = fills(quotes, uniforms[step].T, arrival, dt)
         q_o += hit[:, 1].astype(int) - hit[:, 0]
         acc_pred += nu * heston.xi**2 * c_nu**2 * q_o**2 * dt
-        ds, nu = euler_step(s, nu, shocks[step, 0], shocks[step, 1], heston, dt)
+        ds, nu = euler_step(heston, dt, nu, shocks[step, 0], shocks[step, 1])
         s = s + ds
         dc = g.price(*_clamped(g, s, nu), _end_time(step, n_steps, dt, T)) - c_now
         acc_h += (-q_o * delta * ds + q_o * dc) ** 2
