@@ -12,7 +12,7 @@ Every run resolves its configuration from defaults, an optional config file,
 CSV artifacts named ``<subcommand>-<timestamp>-<seed>.csv`` next to a manifest
 echoing the resolved configuration, and prints the written paths.  All
 randomness flows from the single master seed, so artifact contents are
-byte-identical across reruns and worker counts.
+byte-identical across reruns.
 """
 
 from __future__ import annotations
@@ -85,22 +85,21 @@ def _policy(cfg: RunConfig, sim: SimConfig, name: str | None = None):
     raise LookupError(f"_policy cannot build policy {name!r}")
 
 
-def _symmetric_prerun(cfg: RunConfig, sim: SimConfig, seed: int, n: int, threads: int):
+def _symmetric_prerun(cfg: RunConfig, sim: SimConfig, seed: int, n: int):
     """Run the inventory book (``MarketImpact`` when ``sim.impact``) and return
     its ensemble with the ``Symmetric`` policy quoting its average spread.
 
-    The pre-run uses the seed, path count and threads of the run it serves, so
-    both books see the same draws.
+    The pre-run uses the seed and path count of the run it serves, so both
+    books see the same draws.
     """
-    base = run_ensemble(_policy(cfg, sim, "impact" if sim.impact else "inventory"),
-                        sim, n, seed, threads=threads)
+    base = run_ensemble(_policy(cfg, sim, "impact" if sim.impact else "inventory"), sim, n, seed)
     return base, Symmetric(base.avg_spread)
 
 
-def _configured_policy(cfg: RunConfig, sim: SimConfig, seed: int, n: int, threads: int):
+def _configured_policy(cfg: RunConfig, sim: SimConfig, seed: int, n: int):
     """The ``sim.policy`` book; ``symmetric`` comes from a same-seed pre-run."""
     if cfg.get("sim", "policy") == "symmetric":
-        return _symmetric_prerun(cfg, sim, seed, n, threads)[1]
+        return _symmetric_prerun(cfg, sim, seed, n)[1]
     return _policy(cfg, sim)
 
 
@@ -131,10 +130,10 @@ def _write_rows(path: Path, header: list[str], columns) -> None:
     write_table(path, header, columns)
 
 
-def _cmd_simulate(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int, threads: int) -> None:
+def _cmd_simulate(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int) -> None:
     sim = _sim_config(cfg)
-    policy = _configured_policy(cfg, sim, seed, n, threads)
-    stats = run_ensemble(policy, sim, n, seed, threads=threads)
+    policy = _configured_policy(cfg, sim, seed, n)
+    stats = run_ensemble(policy, sim, n, seed)
     _write_rows(art.path(), ["seed", "profit", "q_T", "z", "avg_spread"],
                 [np.arange(stats.n), stats.profits, stats.q_terminal, stats.z_terminal,
                  stats.spread_terminal])
@@ -145,10 +144,10 @@ def _cmd_simulate(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int, thread
                  np.where(np.isfinite(db), s - db, np.nan), rec.series_q, rec.series_z])
 
 
-def _cmd_compare(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int, threads: int) -> None:
+def _cmd_compare(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int) -> None:
     sim = _sim_config(cfg)
-    inv, symmetric = _symmetric_prerun(cfg, sim, seed, n, threads)
-    sym = run_ensemble(symmetric, sim, n, seed, threads=threads)
+    inv, symmetric = _symmetric_prerun(cfg, sim, seed, n)
+    sym = run_ensemble(symmetric, sim, n, seed)
     _write_rows(
         art.path(),
         ["Strategy", "Average Spread", "Profit", "Std (Profit)", "q_T", "Std (q_T)"],
@@ -163,10 +162,9 @@ def _cmd_compare(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int, threads
                  np.stack([np.histogram(inv.profits, edges)[0], np.histogram(sym.profits, edges)[0]])])
 
 
-def _cmd_frontier(cfg: RunConfig, art: ArtifactWriter, seed: int, threads: int) -> None:
+def _cmd_frontier(cfg: RunConfig, art: ArtifactWriter, seed: int) -> None:
     sim = _sim_config(cfg, q0=cfg.get("frontier", "q0"))
-    points = efficient_frontier(sim, cfg.get("frontier", "gammas"), cfg.get("frontier", "n_paths"),
-                                seed, threads=threads)
+    points = efficient_frontier(sim, cfg.get("frontier", "gammas"), cfg.get("frontier", "n_paths"), seed)
     _write_rows(
         art.path(),
         ["gamma", "variance", "expected_objective", "objective_se", "profit_mean"],
@@ -175,11 +173,10 @@ def _cmd_frontier(cfg: RunConfig, art: ArtifactWriter, seed: int, threads: int) 
     )
 
 
-def _cmd_trading_curve(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int, threads: int) -> None:
+def _cmd_trading_curve(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int) -> None:
     sim = _sim_config(cfg)
-    policy = _configured_policy(cfg, sim, seed, n, threads)
-    _write_rows(art.path(), ["t", "q_mean", "q_std"],
-                trading_curve(policy, sim, n, seed, threads=threads))
+    policy = _configured_policy(cfg, sim, seed, n)
+    _write_rows(art.path(), ["t", "q_mean", "q_std"], trading_curve(policy, sim, n, seed))
 
 
 def _cmd_hjb(cfg: RunConfig, art: ArtifactWriter) -> None:
@@ -260,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="master seed (overrides sim.seed)")
         p.add_argument("--paths", type=int, help="number of Monte Carlo paths (overrides "
                        "sim.n_paths, frontier.n_paths and option_mm.n_paths)")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for the path "
-                       "blocks of simulate, compare, frontier and trading-curve")
         p.add_argument("--out", help=f"output directory (default ${ENV_OUTPUT_DIR} or cwd)")
         p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                        help="override a config value; repeatable")
@@ -281,8 +276,6 @@ def main(argv=None) -> int:
         if getattr(args, "hedged", None) is not None:
             flags.append(f"option_mm.hedged={str(args.hedged).lower()}")
         cfg = load_config(args.config, args.set + flags)
-        if args.threads < 1:
-            raise ConfigError("--threads must be positive")
         out_dir = Path(args.out or cfg.get("output", "dir")
                        or os.environ.get(ENV_OUTPUT_DIR, "."))
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -294,10 +287,10 @@ def main(argv=None) -> int:
     n = cfg.get("sim", "n_paths")
     art = ArtifactWriter(out_dir, args.subcommand, seed)
     run = {
-        "simulate": lambda: _cmd_simulate(cfg, art, seed, n, args.threads),
-        "compare": lambda: _cmd_compare(cfg, art, seed, n, args.threads),
-        "frontier": lambda: _cmd_frontier(cfg, art, seed, args.threads),
-        "trading-curve": lambda: _cmd_trading_curve(cfg, art, seed, n, args.threads),
+        "simulate": lambda: _cmd_simulate(cfg, art, seed, n),
+        "compare": lambda: _cmd_compare(cfg, art, seed, n),
+        "frontier": lambda: _cmd_frontier(cfg, art, seed),
+        "trading-curve": lambda: _cmd_trading_curve(cfg, art, seed, n),
         "hjb": lambda: _cmd_hjb(cfg, art),
         "price-option": lambda: _cmd_price_option(cfg, art),
         "option-mm": lambda: _cmd_option_mm(cfg, art, seed, cfg.get("option_mm", "n_paths")),

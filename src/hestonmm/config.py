@@ -163,14 +163,17 @@ def load_config(path: str | Path | None = None, overrides: Sequence[str] = ()) -
     values = _defaults()
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        read = parser.read(str(path))
-        if not read:
-            raise ConfigError(f"config file not found: {path}")
-        for section in parser.sections():
-            if section not in SCHEMA:
-                raise ConfigError(f"unknown section [{section}]")
-            for key, raw in parser.items(section):
-                _set_value(values, section, key, raw)
+        try:
+            read = parser.read(str(path), encoding="utf-8")
+            if not read:
+                raise ConfigError(f"config file not found: {path}")
+            for section in parser.sections():
+                if section not in SCHEMA:
+                    raise ConfigError(f"unknown section [{section}]")
+                for key, raw in parser.items(section):
+                    _set_value(values, section, key, raw)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"malformed config file {path}: {exc}") from None
     return apply_overrides(RunConfig(values=values), overrides)
 
 

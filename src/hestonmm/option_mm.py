@@ -32,7 +32,7 @@ import numpy as np
 
 from .heston import HestonParams, step_count, walk
 from .intensity import ArrivalParams, fills
-from .option_pricing import C, C_NU, DELTA, GAMMA, PRICE, PricingGrid, bilinear, cell, douglas_steps
+from .option_pricing import C, C_NU, DELTA, GAMMA, PRICE, PricingGrid, _euler_steps, bilinear, cell, douglas_steps
 from .quotes import RiskParams, inventory_coefficient
 from .seeding import FUNCTIONAL_STREAM, OPTION_MM_STREAM, lane_draws, map_blocks, os_array
 from .table import write_table
@@ -77,18 +77,17 @@ CHUNK = 8  # steps per batched grid and lattice read of the market walk
 
 
 def _simulate_integrals(
-    s0: float, nu0: float, t: float, T: float, heston: HestonParams, grid: PricingGrid,
+    s0: float, nu0: float, t: float, heston: HestonParams, grid: PricingGrid,
     n_paths: int, seed: int, dt_target: float, max_exit_fraction: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-path left-endpoint quadratures of the three integrands along
-    real-world paths from ``(s0, nu0)`` at time ``t``, drawn from the key
+    real-world paths from ``(s0, nu0)`` at time ``t`` to the grid's maturity,
+    in the pricer's Euler steps (``_euler_steps``), drawn from the key
     ``(FUNCTIONAL_STREAM, 0)`` under ``seed`` in the blocks of
     ``seeding.map_blocks``.  Raises ``GridExitError`` when more than
     ``max_exit_fraction`` of the paths leave the grid before the last step."""
-    tau = T - t
-    n_steps = max(1, round(tau / dt_target))
-    dt = tau / n_steps
-    times = [t + step * dt for step in range(n_steps)] + [T]
+    n_steps, dt = _euler_steps(grid.config, s0, nu0, t, dt_target)
+    times = [t + step * dt for step in range(n_steps)] + [grid.config.T]
     rho, xi = heston.rho, heston.xi
 
     def paths(lo: int, hi: int):
@@ -131,14 +130,17 @@ def estimate_functionals(
     of ``FunctionalLattice.build``.
 
     Exact zeros at ``t == T`` (empty integral) and for ``gamma == 0``.
+    ``T`` must be the grid's maturity.
     """
+    if T != grid.config.T:
+        raise ValueError(f"T={T} is not the pricing grid's maturity {grid.config.T}")
     if t > T:
         raise ValueError("t beyond horizon")
     if t == T or risk.gamma == 0.0:
         return Functionals(0.0, 0.0, 0.0)
     if n_paths < 1000:
         raise ValueError("n_paths must be at least 1000")
-    i1, i2, i3 = _simulate_integrals(s, nu, t, T, heston, grid, n_paths, seed,
+    i1, i2, i3 = _simulate_integrals(s, nu, t, heston, grid, n_paths, seed,
                                      dt_target, max_exit_fraction)
     gamma, xi, root_n = risk.gamma, heston.xi, math.sqrt(n_paths)
     return Functionals(

@@ -1,22 +1,21 @@
-"""Deterministic stream splitting for seeded, parallel Monte Carlo.
+"""Deterministic stream splitting for seeded Monte Carlo.
 
 All randomness in the library flows from a single master seed.  Paths are
 grouped into fixed-width lanes: path ``i`` is row ``i % LANE`` of lane
 ``i // LANE``, and each lane owns one generator derived from ``(master, *key,
 lane)``, where ``key`` names the source of randomness (a stream, plus a fixed
 node 0 for the functional oracle).  A lane always draws all ``LANE`` rows, so a
-path's draws depend only on ``(master, key, i)``: not on the ensemble size,
-the block layout or the number of workers.
+path's draws depend only on ``(master, key, i)``: not on the ensemble size
+or the block layout.
 
-``map_blocks`` is the only code that splits paths into blocks and, on
-request, runs the blocks on worker threads.
+``map_blocks`` is the only code that splits paths into blocks; it runs them
+in index order on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -91,19 +90,11 @@ def lane_draws(master: int, key: tuple[int, ...], lo: int, hi: int, n_steps: int
     return shocks[..., paths], uniforms[..., paths]
 
 
-def map_blocks(n: int, fn, block: int = DEFAULT_BLOCK, threads: int = 1) -> list:
+def map_blocks(n: int, fn, block: int = DEFAULT_BLOCK) -> list:
     """``[fn(lo, hi) for each block]``: the blocks split ``range(n)`` into
-    contiguous runs of ``block`` paths (the last may be shorter), and the
-    results come back in index order.
-
-    With ``threads > 1`` and more than one block, the blocks run on a pool of
-    that many worker threads.  A block's result depends only on its own
-    paths, so it does not depend on ``threads``.
+    contiguous runs of ``block`` paths (the last may be shorter) and run in
+    index order on the calling thread.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    ranges = [(lo, min(lo + block, n)) for lo in range(0, n, block)]
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(lambda r: fn(*r), ranges))
-    return [fn(lo, hi) for lo, hi in ranges]
+    return [fn(lo, min(lo + block, n)) for lo in range(0, n, block)]

@@ -3,10 +3,10 @@
 Each path runs the per-step event loop over the market of ``heston.walk``:
 quote, sample fills, book the cash and revenue, move the mid by the walk's
 ``ds`` (plus permanent impact when enabled), and accumulate the quadratic
-variation of the inventory value.  Paths are embarrassingly parallel; every
-path's draws are keyed by ``(seed, index)`` (see ``seeding``) and
-``seeding.map_blocks`` returns blocks of paths in index order, so ensembles
-are bit-reproducible regardless of the worker count.
+variation of the inventory value.  Every path's draws are keyed by
+``(seed, index)`` (see ``seeding``) and ``seeding.map_blocks`` runs blocks of
+paths in index order, so ensembles are bit-reproducible whatever the path
+count or block layout.
 
 The same pre-generated draw arrays are consumed by every policy, which makes
 runs with different policies under one master seed common-random-number
@@ -268,14 +268,15 @@ def run_ensemble(policy, config: SimConfig, n: int, seed: int,
                  threads: int = 1) -> EnsembleStats:
     """Run ``n`` independent paths and aggregate.
 
-    Deterministic for fixed ``(seed, n, config)`` regardless of ``threads``:
-    path ``i``'s draws depend only on ``(seed, i)``, and the blocks' per-path
-    results are joined in index order before any mean is taken.
+    Deterministic for fixed ``(seed, n, config)``: path ``i``'s draws depend
+    only on ``(seed, i)``, and the blocks' per-path results are joined in
+    index order before any mean is taken.  ``threads`` is accepted and
+    ignored; every block runs on the calling thread.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     results = map_blocks(n, lambda lo, hi: _run_block(policy, config, seed, lo, hi),
-                         ENSEMBLE_BLOCK, threads)
+                         ENSEMBLE_BLOCK)
     cat = lambda key: np.concatenate([r[key] for r in results])
     profits = cat("profit")
     q_term = cat("q")
@@ -319,8 +320,7 @@ def run_ensemble(policy, config: SimConfig, n: int, seed: int,
     )
 
 
-def efficient_frontier(config: SimConfig, gammas, n: int, seed: int,
-                       threads: int = 1) -> list[FrontierPoint]:
+def efficient_frontier(config: SimConfig, gammas, n: int, seed: int) -> list[FrontierPoint]:
     """One inventory-policy ensemble per risk-aversion level.
 
     All points share the master seed (common random numbers), so differences
@@ -334,7 +334,7 @@ def efficient_frontier(config: SimConfig, gammas, n: int, seed: int,
         risk = replace(config.risk, gamma=float(gamma))
         cfg = replace(config, risk=risk)
         policy = InventorySV(cfg.heston, cfg.arrival, risk, cfg.T)
-        stats = run_ensemble(policy, cfg, n, seed, threads=threads)
+        stats = run_ensemble(policy, cfg, n, seed)
         obj = stats.z_terminal - risk.beta * stats.q_terminal.astype(np.float64)
         points.append(FrontierPoint(
             gamma=float(gamma),
@@ -346,8 +346,8 @@ def efficient_frontier(config: SimConfig, gammas, n: int, seed: int,
     return points
 
 
-def trading_curve(policy, config: SimConfig, n: int, seed: int,
-                  threads: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def trading_curve(policy, config: SimConfig, n: int,
+                  seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Average inventory path E[q_t]: (times, mean, std)."""
-    stats = run_ensemble(policy, config, n, seed, threads=threads)
+    stats = run_ensemble(policy, config, n, seed)
     return stats.curve_times, stats.curve_mean, stats.curve_std

@@ -8,13 +8,18 @@ xi=0.5, k=1.5, A=140, beta=0.03, eta=0.09 for impact runs).
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import hestonmm
 from hestonmm.heston import sample_terminal
 from hestonmm.hjb import HjbConfig, compare_exact_vs_approx, estimate_tolerance, solve_stock_hjb
 from hestonmm.option_mm import run_hedged_paths
@@ -285,9 +290,17 @@ def test_criterion_10_hedged_qv(heston, arrival, risk_nofee, pricing_grid, funct
     assert ratio_ok
 
 
-def _run_and_hash(tmp_path, name, *args):
+def _run_and_hash(tmp_path, name, *args, fresh=False):
+    """The run's CSV bytes; ``fresh`` runs it in a new interpreter."""
     out = tmp_path / name
-    assert main(list(args) + ["--out", str(out)]) == EXIT_OK
+    argv = list(args) + ["--out", str(out)]
+    if fresh:
+        src = str(Path(hestonmm.__file__).parents[1])
+        run = subprocess.run([sys.executable, "-m", "hestonmm.cli", *argv], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == EXIT_OK, run.stderr
+    else:
+        assert main(argv) == EXIT_OK
     files = sorted(p for p in out.glob("*.csv"))
     assert files
     return [p.read_bytes() for p in files]
@@ -315,8 +328,9 @@ def test_criterion_11_determinism(tmp_path):
     for name, args in cases.items():
         first = _run_and_hash(tmp_path, f"{name}-1", *args)
         again = _run_and_hash(tmp_path, f"{name}-2", *args)
-        threaded = _run_and_hash(tmp_path, f"{name}-8", *(args + ["--threads", "8"]))
-        same = first == again == threaded
+        fresh = _run_and_hash(tmp_path, f"{name}-fresh", *args, fresh=True)
+        same = first == again == fresh
         all_ok &= same
-        assert same, f"{name} not byte-identical across runs/threads"
-    report("11", all_ok, f"{len(cases)} subcommands byte-identical across reruns and threads 1 vs 8")
+        assert same, f"{name} not byte-identical across reruns and a fresh interpreter"
+    report("11", all_ok, f"{len(cases)} subcommands byte-identical across two in-process runs "
+                         "and a run in a fresh interpreter")

@@ -132,16 +132,6 @@ def test_manifest_reruns_identically(tmp_path):
     assert c1 == outputs(out2, "option-mm", 3)[0].read_bytes()
 
 
-def test_threads_do_not_change_bytes(tmp_path):
-    # 2,100 paths run as three blocks, so the threads really share them
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run_cli("compare", "--paths", "2100", "--seed", "9", "--threads", "1",
-                   "--out", str(out1)) == EXIT_OK
-    assert run_cli("compare", "--paths", "2100", "--seed", "9", "--threads", "8",
-                   "--out", str(out2)) == EXIT_OK
-    assert outputs(out1, "compare", 9)[0].read_bytes() == outputs(out2, "compare", 9)[0].read_bytes()
-
-
 def test_config_error_exit_code(tmp_path):
     assert run_cli("simulate", "--set", "sim.nonsense=1", "--out", str(tmp_path)) == EXIT_CONFIG
     assert run_cli("simulate", "--set", "sim.policy=warp", "--out", str(tmp_path)) == EXIT_CONFIG
@@ -181,12 +171,21 @@ def test_non_finite_horizon_or_variance_box_is_a_config_error(tmp_path, capsys, 
     assert list(tmp_path.glob("*.csv")) == []
 
 
-@pytest.mark.parametrize("threads", ["0", "-2"])
-def test_threads_below_one_is_a_config_error(tmp_path, capsys, threads):
-    assert run_cli("compare", "--paths", "150", "--threads", threads,
-                   "--out", str(tmp_path)) == EXIT_CONFIG
-    assert "config error: --threads must be positive" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+@pytest.mark.parametrize("content", [
+    b"[sim]\nseed = 1\nseed = 2\n",  # duplicated key
+    b"seed = 1\n",  # no [section] header
+    b"[sim]\nseed\n",  # a line without =
+    b"[sim]\nseed = 1 # \xff\n",  # not UTF-8
+    b"[sim]\npolicy = inv%entory\n",  # a bare % (configparser interpolation)
+], ids=["duplicate-key", "no-section", "no-equals", "not-utf8", "bare-percent"])
+def test_malformed_config_file_is_a_config_error(tmp_path, capsys, content):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(content)
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--paths", "2", "--config", str(bad), "--out", str(out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and str(bad) in err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_paths_below_one_is_a_config_error(tmp_path, capsys):

@@ -277,7 +277,7 @@ def test_integrals_equal_stacked_reference(heston, pricing_grid):
         s = s + root * z_s * math.sqrt(dt)
         nu = np.maximum(nu + heston.theta * (heston.alpha - nu) * dt
                         + xi * root * z_v * math.sqrt(dt), 0.0)
-    got = _simulate_integrals(103.0, 2.0, 0.0, 1.0, heston, g, n_paths, seed, dt, 1.0)
+    got = _simulate_integrals(103.0, 2.0, 0.0, heston, g, n_paths, seed, dt, 1.0)
     for x, ref in zip(got, (a1, a2, a3)):
         np.testing.assert_array_equal(x, ref)
 

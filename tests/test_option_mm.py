@@ -163,7 +163,7 @@ def test_unhedged_three_term_identity(heston, risk_nofee, pricing_grid):
     lat = _constant_zero_lattice()
     stats = run_joint_paths(heston, tiny, risk_nofee, pricing_grid, lat,
                             T=1.0, dt=0.001, n_paths=400, seed=23, q_s0=q_s, q_o0=q_o)
-    i1, i2, _ = _simulate_integrals(100.0, 4.0, 0.0, 1.0, heston, pricing_grid,
+    i1, i2, _ = _simulate_integrals(100.0, 4.0, 0.0, heston, pricing_grid,
                                     2000, 29, 0.001, 1.0)
     nu_integral = ((4.0 - heston.alpha) * -math.expm1(-heston.theta) / heston.theta
                    + heston.alpha * 1.0)
@@ -300,3 +300,14 @@ def test_lattice_rejects_another_maturity_or_nodes_off_the_grid(heston, risk_nof
         FunctionalLattice.build([95.0, 200.0], *nodes[1:], 1.0, heston, risk_nofee, pricing_grid)
     with pytest.raises(ValueError, match="t outside"):
         FunctionalLattice.build(*nodes[:2], [0.0, 1.5], 1.0, heston, risk_nofee, pricing_grid)
+
+
+@pytest.mark.parametrize("T", [0.5, 2.0])
+def test_oracle_rejects_another_maturity_like_the_lattice(heston, risk_nofee, pricing_grid, T):
+    # the oracle and the lattice it checks are defined on the grid's own horizon
+    message = f"T={T} is not the pricing grid's maturity 1.0"
+    with pytest.raises(ValueError, match=message):
+        FunctionalLattice.build([95.0, 105.0], [2.0, 6.0], [0.0, 0.4], T, heston, risk_nofee,
+                                pricing_grid)
+    with pytest.raises(ValueError, match=message):
+        estimate_functionals(100.0, 4.0, 0.0, T, heston, risk_nofee, pricing_grid)

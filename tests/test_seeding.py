@@ -5,7 +5,6 @@ import functools
 import mmap
 import re
 import threading
-import time
 import weakref
 from pathlib import Path
 
@@ -135,7 +134,8 @@ def sim(heston, arrival, risk):
 
 
 def test_ensemble_independent_of_blocks_and_threads(heston, arrival, risk, sim):
-    # 2 * ENSEMBLE_BLOCK + 52 paths run as three blocks; the first 1,000 as one
+    # 2 * ENSEMBLE_BLOCK + 52 paths run as three blocks; the first 1,000 as one.
+    # run_ensemble accepts threads= and ignores it: the benchmark still passes it
     pol = InventorySV(heston, arrival, risk, sim.T)
     n = 2 * ENSEMBLE_BLOCK + 52
     a = run_ensemble(pol, sim, n, seed=4)
@@ -150,22 +150,20 @@ def test_ensemble_independent_of_blocks_and_threads(heston, arrival, risk, sim):
         np.testing.assert_array_equal(getattr(a, name)[:1000], getattr(small, name))
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_map_blocks_returns_blocks_in_index_order(threads):
-    caller, ran_on = threading.get_ident(), set()
+def test_map_blocks_returns_blocks_in_index_order():
+    caller, ran = threading.get_ident(), []
 
     def block(lo, hi):
-        ran_on.add(threading.get_ident())
-        time.sleep(0.002 * max(10 - lo, 0))  # on a pool, later blocks finish first
+        ran.append((lo, threading.get_ident()))
         return lo, hi
 
     # the last block is short
-    assert map_blocks(10, block, block=4, threads=threads) == [(0, 4), (4, 8), (8, 10)]
-    assert map_blocks(3, block, block=4, threads=threads) == [(0, 3)]
-    assert map_blocks(DEFAULT_BLOCK + 1, block, threads=threads) == [
+    assert map_blocks(10, block, block=4) == [(0, 4), (4, 8), (8, 10)]
+    assert map_blocks(3, block, block=4) == [(0, 3)]
+    assert map_blocks(DEFAULT_BLOCK + 1, block) == [
         (0, DEFAULT_BLOCK), (DEFAULT_BLOCK, DEFAULT_BLOCK + 1)]
-    # one thread, or a single block, runs on the calling thread
-    assert (ran_on == {caller}) == (threads == 1)
+    # every block runs on the calling thread, in index order
+    assert ran == [(lo, caller) for lo in (0, 4, 8, 0, 0, DEFAULT_BLOCK)]
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -207,11 +205,11 @@ def test_pricing_surfaces_are_os_mappings(pricing_grid):
     assert isinstance(_mapping(pricing_grid.stack), mmap.mmap)
 
 
-def test_only_the_seeding_module_builds_a_thread_pool():
+def test_no_module_imports_concurrent_or_threading():
     src = Path(seeding.__file__).parent
     users = sorted(p.name for p in src.glob("*.py")
-                   if re.search(r"^\s*(import concurrent|from concurrent)", p.read_text(), re.M))
-    assert users == ["seeding.py"]
+                   if re.search(r"^\s*(import|from)\s+(concurrent|threading)\b", p.read_text(), re.M))
+    assert users == []
 
 
 def test_run_path_replays_ensemble_member(heston, arrival, risk, sim):

