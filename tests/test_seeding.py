@@ -150,20 +150,23 @@ def test_ensemble_independent_of_blocks_and_threads(heston, arrival, risk, sim):
         np.testing.assert_array_equal(getattr(a, name)[:1000], getattr(small, name))
 
 
-def test_map_blocks_returns_blocks_in_index_order():
+@pytest.mark.parametrize("size", [1, 3])
+def test_map_blocks_returns_blocks_in_index_order(size):
     caller, ran = threading.get_ident(), []
 
     def block(lo, hi):
         ran.append((lo, threading.get_ident()))
         return lo, hi
 
-    # the last block is short
-    assert map_blocks(10, block, block=4) == [(0, 4), (4, 8), (8, 10)]
+    # the last block is short unless size divides n
+    split = [(lo, min(lo + size, 10)) for lo in range(0, 10, size)]
+    assert map_blocks(10, block, block=size) == split
     assert map_blocks(3, block, block=4) == [(0, 3)]
     assert map_blocks(DEFAULT_BLOCK + 1, block) == [
         (0, DEFAULT_BLOCK), (DEFAULT_BLOCK, DEFAULT_BLOCK + 1)]
     # every block runs on the calling thread, in index order
-    assert ran == [(lo, caller) for lo in (0, 4, 8, 0, 0, DEFAULT_BLOCK)]
+    starts = [lo for lo, _ in split] + [0, 0, DEFAULT_BLOCK]
+    assert ran == [(lo, caller) for lo in starts]
 
 
 @pytest.mark.parametrize("n", [0, -3])
