@@ -112,8 +112,13 @@ class ArtifactWriter:
         self.written: list[Path] = []
 
     def path(self, suffix: str = "", ext: str = ".csv") -> Path:
-        name = self.stem + (f"-{suffix}" if suffix else "") + ext
-        p = self.out_dir / name
+        """Create the file; one already there (a run of this subcommand and
+        seed in the same second) is left as it is and raises ``ConfigError``."""
+        p = self.out_dir / (self.stem + (f"-{suffix}" if suffix else "") + ext)
+        try:
+            p.touch(exist_ok=False)
+        except FileExistsError:
+            raise ConfigError(f"{p} already exists: a run of this subcommand and seed in this second") from None
         self.written.append(p)
         return p
 

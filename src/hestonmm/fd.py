@@ -1,16 +1,18 @@
-"""Finite-difference weights on a (possibly nonuniform) 1-D grid, and the tridiagonal solve.
+"""Finite-difference weights on a (possibly nonuniform) 1-D grid, their
+application, the Douglas implicit factor and the tridiagonal solve.
 
 Shared by the backward value-function solver and the option pricer.  Weights
 are returned as three diagonals ``(lower, diag, upper)`` so that
 ``(L v)[i] = lower[i] v[i-1] + diag[i] v[i] + upper[i] v[i+1]`` with
-``lower[0] == upper[-1] == 0``.
+``lower[0] == upper[-1] == 0``.  The kernels on them work along the last
+axis; diagonals with leading axes hold one operator per row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["operator_diagonals", "apply_tridiagonal", "solve_banded"]
+__all__ = ["operator_diagonals", "apply_tridiagonal", "implicit", "solve_banded"]
 
 
 def operator_diagonals(
@@ -88,20 +90,35 @@ def apply_tridiagonal(diags: tuple[np.ndarray, np.ndarray, np.ndarray], v: np.nd
     """Apply the operator along the last axis of ``v``."""
     lower, diag, upper = diags
     out = v * diag
-    out[..., 1:] += v[..., :-1] * lower[1:]
-    out[..., :-1] += v[..., 1:] * upper[:-1]
+    out[..., 1:] += v[..., :-1] * lower[..., 1:]
+    out[..., :-1] += v[..., 1:] * upper[..., :-1]
     return out
 
 
+def implicit(diags: tuple[np.ndarray, np.ndarray, np.ndarray], h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonals of the Douglas factor ``I - (h/2) L`` of a step of length
+    ``h`` ('t Hout & Foulon, IJNAM 2010), laid out as ``diags``."""
+    half = 0.5 * h
+    lower, diag, upper = diags
+    return -half * lower, 1.0 - half * diag, -half * upper
+
+
 def solve_banded(diags: tuple[np.ndarray, np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system ``diags = (lower, diag, upper)``, laid out
-    as ``operator_diagonals`` returns them, for ``b`` along its first axis
-    (n >= 2).  Bitwise scipy's ``solve_banded((1, 1), ...)`` for float64: its
-    LAPACK ``gtsv`` call without its checks.  ``scipy.linalg`` is imported on
-    the first call."""
+    """Solve ``L x = b`` along the last axis of ``b`` (n >= 2): bitwise
+    scipy's ``solve_banded((1, 1), ...)`` row by row for finite float64, in
+    one LAPACK ``gtsv`` call (``scipy.linalg`` is imported on the first).  An
+    operator per row makes the rows one block-diagonal system, so each row's
+    ``lower[..., 0]`` and ``upper[..., -1]`` must be 0 (and a non-finite row
+    spills into the next)."""
     lower, diag, upper = diags
     from scipy.linalg.lapack import dgtsv
-    *_, x, info = dgtsv(lower[1:], diag, upper[:-1], b)
+    if np.ndim(diag) > 1:
+        if np.count_nonzero(lower[..., 0]) or np.count_nonzero(upper[..., -1]):
+            raise ValueError("an operator per row needs lower[..., 0] == upper[..., -1] == 0")
+        lower, diag, upper, rhs = (a.ravel() for a in np.broadcast_arrays(*diags, b))
+    else:
+        rhs = b.reshape(-1, b.shape[-1]).T
+    *_, x, info = dgtsv(lower[1:], diag, upper[:-1], rhs)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
-    return x
+    return x.T.reshape(b.shape)

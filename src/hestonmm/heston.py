@@ -4,8 +4,9 @@ The mid-price follows an arithmetic diffusion ``dS = sqrt(nu) dW`` while the
 instantaneous variance follows the square-root process
 ``dnu = theta (alpha - nu) dt + xi sqrt(nu) dB`` with ``corr(W, B) = rho``.
 This module provides the one Euler step, the one walk over it that every
-simulator runs, and the closed-form conditional moments of the variance used
-by the quote formulas and by the moment-validation tests.
+simulator runs, the variance generator that both PDE layers step, and the
+closed-form conditional moments of the variance used by the quote formulas
+and by the moment-validation tests.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fd
 from .seeding import HESTON_STREAM, lane_draws, map_blocks
 
 __all__ = [
     "HestonParams",
     "euler_step",
     "walk",
+    "variance_operator",
     "step_count",
     "conditional_moments",
     "sample_terminal",
@@ -107,6 +110,15 @@ def walk(params: HestonParams, shocks: np.ndarray, dt: float, nu0: float, risk_a
         ds, nu_next = euler_step(params, dt, nu, *z, risk_adj=risk_adj)
         yield nu, ds, nu_next
         nu = nu_next
+
+
+def variance_operator(params: HestonParams, nu: np.ndarray, eta_nu: float = 0.0):
+    """``fd`` diagonals of the variance generator on the grid ``nu``, with the
+    market price of volatility risk ``eta_nu`` (0: the real-world generator)
+    taken off the drift as ``xi sqrt(nu) sqrt(1 - rho^2) eta_nu``."""
+    drift = params.theta * (params.alpha - nu) \
+        - params.xi * np.sqrt(nu) * math.sqrt(1.0 - params.rho**2) * eta_nu
+    return fd.operator_diagonals(nu, drift, 0.5 * params.xi**2 * nu)
 
 
 def step_count(T: float, dt: float) -> int:

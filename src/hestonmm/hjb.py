@@ -16,6 +16,7 @@ approximation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fd
-from .heston import HestonParams
+from .heston import HestonParams, variance_operator
 from .intensity import ArrivalParams
 from .quotes import RiskParams, inventory_coefficient, inventory_premiums
 from .seeding import os_array
@@ -99,8 +100,9 @@ class ValueGrid:
     """Solved value function and exact quotes on (q, nu, t) nodes.
 
     ``values`` has shape ``(n_q, n_nu, n_t)`` with ``times`` ascending and the
-    terminal slice identically zero.  Quotes are NaN at the inventory bound
-    where the corresponding side is dropped.
+    terminal slice identically zero.  The quotes are derived from ``values``
+    on first read (a solve that only needs V builds none); they are NaN at
+    the inventory bound where the corresponding side is dropped.
     """
 
     config: HjbConfig
@@ -108,8 +110,16 @@ class ValueGrid:
     nu_grid: np.ndarray
     times: np.ndarray
     values: np.ndarray
-    quotes_a: np.ndarray
-    quotes_b: np.ndarray
+
+    @functools.cached_property
+    def _quotes(self) -> tuple[np.ndarray, np.ndarray]:
+        quotes_a, quotes_b = os_array(self.values.shape), os_array(self.values.shape)
+        quotes_a[0] = quotes_b[-1] = np.nan  # no ask at q_min, no bid at q_max
+        quotes_a[1:], quotes_b[:-1] = _premiums(self.values, self.config)
+        return quotes_a, quotes_b
+
+    quotes_a = property(lambda self: self._quotes[0])
+    quotes_b = property(lambda self: self._quotes[1])
 
 
 @dataclass(frozen=True)
@@ -163,10 +173,10 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
     Each step freezes the quotes at the later time (Forsyth & Labahn 2007):
     the transaction term is then linear in V, a jump generator J in q with
     fill rates ``A e^{-k delta*}`` plus a known source.  One Douglas step at
-    theta = 1/2 ('t Hout & Foulon 2010) follows: an explicit predictor, an
-    implicit nu-correction (one tridiagonal solve over all q rows) and an
-    implicit q-correction (one block-diagonal tridiagonal solve over all nu
-    columns).
+    theta = 1/2 ('t Hout & Foulon 2010) follows through ``fd``: an explicit
+    predictor, an implicit nu-correction (``heston.variance_operator``, one
+    operator along every q row) and an implicit q-correction (J, one operator
+    per nu column, on the transposed view), both factors from ``fd.implicit``.
 
     The time error of this second-order step sits in a layer just before
     maturity, so each of the ``n_time`` steps of length ``dt = T / n_time``
@@ -176,20 +186,12 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
     ``BlowupError`` names the sub-step's own time and its count from T.
     """
     nu = config.nu_grid
-    heston = config.heston
-    diags = fd.operator_diagonals(nu, heston.theta * (heston.alpha - nu), 0.5 * heston.xi**2 * nu)
+    diags = variance_operator(config.heston, nu)
     n_q, n_nu = config.q_levels.size, nu.size
 
     dt = config.T / config.n_time
     n_layer = -(-config.n_time // LAYER_DIVISOR)  # the steps that overlap the layer
-
-    def substeps(count: int) -> tuple[int, float, tuple]:
-        """A step of ``dt`` as ``count`` sub-steps: their length and nu-factor."""
-        h = dt / count
-        half = 0.5 * h
-        return count, h, (-half * diags[0], 1.0 - half * diags[1], -half * diags[2])
-
-    plain, layer = substeps(1), substeps(SUBSTEPS)
+    factor_nu = {count: fd.implicit(diags, dt / count) for count in (1, SUBSTEPS)}
 
     q = config.q_levels.astype(np.float64)[:, None]
     penalty = 0.5 * config.risk.gamma * q**2 * nu[None, :]
@@ -219,7 +221,8 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
     record(0, v)
     sub = 0  # Douglas sub-steps taken, counted back from T
     for n in range(1, config.n_time + 1):
-        count, h, factor_nu = layer if n <= n_layer else plain
+        count = SUBSTEPS if n <= n_layer else 1
+        h = dt / count
         half = 0.5 * h
         for j in range(1, count + 1):
             sub += 1
@@ -232,31 +235,17 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
             y = v + h * (lv + _source(ask, bid, config) - penalty)
             check_finite(t, sub, out_rate, y)  # before either solve; an overflow inside is caught below
             # nu-correction, every q row at once
-            y = fd.solve_banded(factor_nu, (y - half * lv).T).T
-            # q-correction, nu-major: each nu column is one block of the tridiagonal system
-            jv = -out_rate * v
-            jv[1:] += rate_a[1:] * v[:-1]
-            jv[:-1] += rate_b[:-1] * v[1:]
-            factor_q = (-half * rate_a.T.ravel(), 1.0 + half * out_rate.T.ravel(),
-                        -half * rate_b.T.ravel())
-            y = fd.solve_banded(factor_q, (y - half * jv).T.ravel())
-            v = y.reshape(n_nu, n_q).T
+            y = fd.solve_banded(factor_nu[count], y - half * lv)
+            # q-correction on the transposed view: the jump generator of each nu column is one row
+            jump = (rate_a.T, -out_rate.T, rate_b.T)
+            y = y.T - half * fd.apply_tridiagonal(jump, v.T)
+            v = fd.solve_banded(fd.implicit(jump, h), y).T
             check_finite(t, sub, v)
         record(n, v)
 
-    quotes_a, quotes_b = os_array(values.shape), os_array(values.shape)
-    quotes_a[0] = quotes_b[-1] = np.nan  # no ask at q_min, no bid at q_max
-    quotes_a[1:], quotes_b[:-1] = _premiums(values, config)
     times = np.array([s * dt for s in stored_steps])
-    return ValueGrid(
-        config=config,
-        q_levels=config.q_levels.copy(),
-        nu_grid=nu,
-        times=times,
-        values=values,
-        quotes_a=quotes_a,
-        quotes_b=quotes_b,
-    )
+    return ValueGrid(config=config, q_levels=config.q_levels.copy(), nu_grid=nu, times=times,
+                     values=values)
 
 
 def estimate_tolerance(config: HjbConfig, grid: ValueGrid | None = None) -> float:

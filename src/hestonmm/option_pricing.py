@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fd
 from .fd import solve_banded
-from .heston import HestonParams, walk
+from .heston import HestonParams, variance_operator, walk
 from .seeding import DEFAULT_BLOCK, PRICING_PILOT_STREAM, PRICING_STREAM, lane_draws, map_blocks, os_array
 from .table import write_table
 
@@ -241,24 +241,18 @@ class PricingGrid:
         return out[..., DELTA], out[..., GAMMA], out[..., C_NU]
 
 
-def _nu_operator(config: PricingConfig):
-    heston = config.heston
-    v = config.nu
-    drift = heston.theta * (heston.alpha - v) \
-        - heston.xi * np.sqrt(v) * math.sqrt(1.0 - heston.rho**2) * config.eta_nu
-    diffusion = 0.5 * heston.xi**2 * v
-    return fd.operator_diagonals(v, drift, diffusion)
-
-
 def douglas_steps(config: PricingConfig, u: np.ndarray, source=None, edges=None):
     """Backward Douglas splitting steps of ``u_t + L u + f = 0`` from ``u``,
     a stack shaped ``(..., n_s, n_nu)`` at maturity, with ``L`` the pricer's
     operator under ``config``; yields ``u`` at each earlier stored time, down
     to ``t = 0``.
 
-    The s- and nu-operators are implicit; the mixed derivative term is
-    explicit, with a conservative step bound checked up front.  The nu
-    boundaries use one-sided first derivatives and zero second derivative.
+    The s- and nu-operators are implicit, applied and solved through ``fd``
+    with ``fd.implicit`` factors: in s one operator per variance level, on the
+    swapped view; in nu ``heston.variance_operator`` under ``eta_nu``.  The
+    mixed derivative term is explicit, with a conservative step bound checked
+    up front.  The nu boundaries use one-sided first derivatives and zero
+    second derivative.
     ``source(it)`` is ``f`` at stored time ``it``, applied as a trapezoid in
     t.  ``edges`` are Dirichlet values ``(lo, hi)`` of the s-edge rows;
     without them those rows evolve by the nu-operator and the source alone,
@@ -266,7 +260,6 @@ def douglas_steps(config: PricingConfig, u: np.ndarray, source=None, edges=None)
     """
     s, v = config.s, config.nu
     heston = config.heston
-    ns, nv = s.size, v.size
     dt = config.T / config.n_time
 
     ds_min = float(np.min(np.diff(s)))
@@ -278,29 +271,14 @@ def douglas_steps(config: PricingConfig, u: np.ndarray, source=None, edges=None)
             f"increase n_time to at least {math.ceil(config.T * mixed_rate)}"
         )
 
-    # s-operator: 0.5 * nu * C_ss at each variance level, (nv, ns) diagonals
+    # s-operator 0.5 * nu * C_ss: one per variance level and right-hand side, as the swapped stack
     d2 = np.stack(fd.operator_diagonals(s, 0.0, 1.0))  # unit-diffusion second derivative
-    d2[:, [0, -1]] = 0.0  # the s-edge rows
-    s_lower, s_diag, s_upper = (0.5 * v)[None, :, None] * d2[:, None, :]
-
-    nu_l, nu_d, nu_u = _nu_operator(config)
+    d2[:, [0, -1]] = 0.0  # the s-edge rows: identity rows of the implicit factor
+    s_ops = tuple(np.broadcast_to((0.5 * v)[:, None] * d, (*u.shape[:-2], v.size, s.size)) for d in d2)
+    nu_ops = variance_operator(heston, v, config.eta_nu)
     mixed = heston.rho * heston.xi * v
-
-    # implicit factors, one per direction; the s-systems of every variance
-    # level and right-hand side are one block-diagonal system, uncoupled by
-    # their identity edge rows
     half = 0.5 * dt
-    n_rhs = math.prod(u.shape[:-2])
-    factor_s = tuple(np.tile(d.ravel(), n_rhs)
-                     for d in (-half * s_lower, 1.0 - half * s_diag, -half * s_upper))
-    factor_s[1][::ns] = factor_s[1][ns - 1::ns] = 1.0
-    factor_v = (-half * nu_l, 1.0 - half * nu_d, -half * nu_u)
-
-    def apply_s(c):
-        out = s_diag.T * c
-        out[..., 1:, :] += s_lower.T[1:, :] * c[..., :-1, :]
-        out[..., :-1, :] += s_upper.T[:-1, :] * c[..., 1:, :]
-        return out
+    factor_s, factor_v = fd.implicit(s_ops, dt), fd.implicit(nu_ops, dt)
 
     def apply_mixed(c):
         out = mixed * np.gradient(np.gradient(c, s, axis=-2), v, axis=-1)
@@ -310,8 +288,8 @@ def douglas_steps(config: PricingConfig, u: np.ndarray, source=None, edges=None)
     c = u
     f_next = None if source is None else source(config.n_time)
     for step in range(config.n_time):
-        a_s = apply_s(c)
-        a_v = fd.apply_tridiagonal((nu_l, nu_d, nu_u), c)
+        a_s = np.swapaxes(fd.apply_tridiagonal(s_ops, np.swapaxes(c, -1, -2)), -1, -2)
+        a_v = fd.apply_tridiagonal(nu_ops, c)
         y = c + dt * (a_s + a_v + apply_mixed(c))
         if source is not None:
             f_now = source(config.n_time - 1 - step)
@@ -321,11 +299,9 @@ def douglas_steps(config: PricingConfig, u: np.ndarray, source=None, edges=None)
         y -= half * a_s
         if edges is not None:
             y[..., 0, :], y[..., -1, :] = edges
-        y = solve_banded(factor_s, np.swapaxes(y, -1, -2).ravel())
-        y = np.swapaxes(y.reshape(c.shape[:-2] + (nv, ns)), -1, -2)
+        y = np.swapaxes(solve_banded(factor_s, np.swapaxes(y, -1, -2)), -1, -2)
         # nu-direction correction and solve (all s rows at once)
-        y = y - half * a_v
-        c = solve_banded(factor_v, y.reshape(-1, nv).T).T.reshape(y.shape)
+        c = solve_banded(factor_v, y - half * a_v)
         if edges is not None:
             c[..., 0, :], c[..., -1, :] = edges
         if not np.all(np.isfinite(c)):

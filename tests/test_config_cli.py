@@ -221,6 +221,17 @@ def test_numerical_error_exit_and_cleanup(tmp_path):
     assert list(tmp_path.glob("hjb-*")) == []  # partial outputs removed
 
 
+def test_a_run_in_the_same_second_leaves_the_other_runs_files(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20261020T000000")
+    argv = ["simulate", "--paths", "2", "--seed", "1", "--out", str(tmp_path)]
+    assert main(argv + ["--set", "sim.policy=frozen"]) == EXIT_OK
+    first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(argv + ["--set", "sim.dt=1.0"]) == EXIT_CONFIG
+    assert f"{tmp_path / 'simulate-20261020T000000-1.csv'} already exists" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+
+
 def test_programming_error_is_not_a_numerical_failure(tmp_path, monkeypatch):
     def unfinished(config):
         raise NotImplementedError("solver stub")

@@ -1,4 +1,5 @@
-"""Pinned artifacts: the sha256 of every CSV that ``price-option`` and
+"""Pinned artifacts: the sha256 of every CSV that ``hjb`` (with and without the
+impact term), ``price-option`` (with and without a volatility risk price) and
 ``option-mm`` (both books) write at the small grids of criterion 11 and seed 42.
 
 A change that keeps every output bit passes this unchanged.  A change that
@@ -12,6 +13,8 @@ import pytest
 
 from hestonmm.cli import EXIT_OK, main
 
+HJB_BOX = ["--set", "hjb.q_min=-5", "--set", "hjb.q_max=5", "--set", "hjb.n_nu=13",
+           "--set", "hjb.n_time=400"]
 SMALL_PRICER = ["--set", "pricing.n_s=41", "--set", "pricing.n_nu=9", "--set", "pricing.n_time=60"]
 SMALL_BOOKS = ["--set", "option_mm.n_paths=20", "--set", "option_mm.dt=0.01",
                "--set", "option_mm.lattice_n_s=3", "--set", "option_mm.lattice_n_nu=3",
@@ -21,8 +24,18 @@ LATTICE = "2f3f51ece30f65985f3c86d614ab46f30d4cf9a6b446f78a4af8f58be8663d11"
 
 # run -> (argv, {file suffix after the seed: sha256})
 GOLDEN = {
+    "hjb": (["hjb", *HJB_BOX], {
+        ".csv": "fa23fc55fb28a5c0ac3e1c60a1e53699b0b3fc15befed469e44d0571c01ad547",
+        "-grid.csv": "1fb04d7a413c2170fe2e2280b47a021d9434809d2683c3cf107d3f9429f6650b",
+    }),
+    "hjb-impact": (["hjb", *HJB_BOX, "--set", "hjb.include_impact=true"], {
+        "-grid.csv": "2b3bde683da7e71a0080ce19096a8b35c9880afeccd072520842575e70d0eca4",
+    }),
     "price-option": (["price-option", *SMALL_PRICER], {
         ".csv": "5f04fa53a1de9aa2d04a3b5ced855ea3298e0df1213fd4cfab08c3ca14e2bfa6",
+    }),
+    "price-option-eta-nu": (["price-option", *SMALL_PRICER, "--set", "pricing.eta_nu=0.8"], {
+        ".csv": "00636b25518f972bda7947ec371c7d4d242d6a4c897ea5fc76090de73c780d35",
     }),
     "option-mm-hedged": (["option-mm", "--hedged", *SMALL_BOOKS], {
         ".csv": "6db8b4609e1e04f97050068238d050b1f9d31411236d3777886d9f7a0cca9f9a",

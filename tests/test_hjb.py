@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from hestonmm import fd
+from hestonmm import fd, hjb
 from hestonmm.heston import HestonParams
 from hestonmm.hjb import (
     BlowupError,
@@ -39,6 +39,25 @@ def test_terminal_slice_zero(heston, arrival, risk):
     # no ask at q_min and no bid at q_max, a finite premium everywhere else
     assert np.isnan(grid.quotes_a[0]).all() and np.isnan(grid.quotes_b[-1]).all()
     assert np.isfinite(grid.quotes_a[1:]).all() and np.isfinite(grid.quotes_b[:-1]).all()
+
+
+def test_quotes_are_built_from_values_on_first_read(heston, arrival, risk, monkeypatch):
+    grid = solve_stock_hjb(small_config(heston, arrival, risk, q_min=-3, q_max=3, n_nu=9, n_time=60))
+    premiums, stored_reads = hjb._premiums, []
+
+    def spy(v, config):
+        if v.ndim == 3:  # the stored (q, nu, t) values, not a step's slice
+            stored_reads.append(v)
+        return premiums(v, config)
+
+    monkeypatch.setattr(hjb, "_premiums", spy)
+    estimate_tolerance(grid.config, grid)  # its refined solve reads V alone
+    assert stored_reads == []
+    quotes_a, quotes_b = grid.quotes_a, grid.quotes_b
+    assert len(stored_reads) == 1 and stored_reads[0] is grid.values
+    assert grid.quotes_a is quotes_a and grid.quotes_b is quotes_b  # built once
+    want_a, want_b = premiums(grid.values, grid.config)
+    assert quotes_a[1:].tobytes() == want_a.tobytes() and quotes_b[:-1].tobytes() == want_b.tobytes()
 
 
 def frozen_config(arrival, gamma, n_time):
@@ -229,7 +248,7 @@ def test_tolerance_refines_every_sub_step(heston, arrival, risk, monkeypatch):
         lengths = []
 
         def spy(diags, b):
-            if b.ndim == 2:  # the nu-solve: one column per inventory level
+            if diags[1].ndim == 1:  # the nu-solve: one operator, one row per inventory level
                 lengths.append(2.0 * (1.0 - diags[1][i]) / diag[i])
             return solve_banded(diags, b)
 

@@ -417,10 +417,9 @@ def _scipy_ab(lower, diag, upper):
 
 def _per_level_solves(cfg, calls):
     """``solve_banded`` as the pricer calls it, except that the s-direction
-    system (the one with a flat right-hand side) is solved one variance level
+    system (the one with an operator per variance level) is solved one level
     at a time by scipy, against that level's implicit factor built on its own."""
     half = 0.5 * cfg.T / cfg.n_time
-    ns = cfg.s.size
     d2 = fd.operator_diagonals(cfg.s, 0.0, 1.0)
     factors = []
     for v in cfg.nu:
@@ -432,12 +431,12 @@ def _per_level_solves(cfg, calls):
         factors.append(ab)
 
     def solve(diags, b):
-        if b.ndim == 2:  # the nu-direction: every s row at once
+        if diags[1].ndim == 1:  # the nu-direction: one operator for every s row
             return fd.solve_banded(diags, b)
         calls.append(b.size)
-        np.testing.assert_array_equal(_scipy_ab(*diags), np.concatenate(factors, axis=1))
-        return np.concatenate([solve_banded((1, 1), f, b[j * ns:(j + 1) * ns])
-                               for j, f in enumerate(factors)])
+        np.testing.assert_array_equal(_scipy_ab(*(d.ravel() for d in diags)),
+                                      np.concatenate(factors, axis=1))
+        return np.stack([solve_banded((1, 1), f, row) for f, row in zip(factors, b)])
 
     return solve
 

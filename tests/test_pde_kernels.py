@@ -1,8 +1,9 @@
-"""The HJB step, ``fd.apply_tridiagonal`` and ``fd.solve_banded`` against
-independent formulations.
+"""The HJB step and the ``fd`` kernels both PDE layers step through
+(``apply_tridiagonal``, ``implicit``, ``solve_banded``, and the variance
+generator ``heston.variance_operator``) against independent formulations.
 
-``fd.solve_banded`` equals scipy's ``solve_banded((1, 1), ...)`` bitwise, since
-both make the same LAPACK ``gtsv`` call.  The HJB reference is the same
+``fd.solve_banded`` equals scipy's ``solve_banded((1, 1), ...)`` row by row
+bitwise, since both make the same LAPACK ``gtsv`` call.  The HJB reference is the same
 frozen-control Douglas step on the same sub-stepped schedule, written from NaN
 premiums at the box edges, a NaN-masked source and rates, and dense correction
 matrices solved with ``np.linalg.solve``; LAPACK's banded and dense solves round differently, so it
@@ -11,6 +12,8 @@ bitwise, and ``apply_tridiagonal`` equals the ``np.moveaxis`` form it replaced
 bitwise and the dense matrix product within float64 rounding.
 """
 
+import collections
+import math
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hestonmm import fd, hjb
-from hestonmm.heston import HestonParams
+from hestonmm.heston import HestonParams, variance_operator
 from hestonmm.hjb import HjbConfig, compare_exact_vs_approx, solve_stock_hjb
-from hestonmm.option_pricing import PricingConfig, solve_call_grid
+from hestonmm.option_pricing import PricingConfig, default_nu_grid, solve_call_grid
 from hestonmm.quotes import RiskParams
 
 
@@ -54,8 +57,8 @@ def _moveaxis_apply(diags, v, axis=-1):
     lower, diag, upper = diags
     v = np.moveaxis(v, axis, -1)
     out = v * diag
-    out[..., 1:] += v[..., :-1] * lower[1:]
-    out[..., :-1] += v[..., 1:] * upper[:-1]
+    out[..., 1:] += v[..., :-1] * lower[..., 1:]
+    out[..., :-1] += v[..., 1:] * upper[..., :-1]
     return np.moveaxis(out, -1, axis)
 
 
@@ -166,24 +169,121 @@ def _upwinded_diagonals():
     return fd.operator_diagonals(x, drift, diffusion)
 
 
-@pytest.mark.parametrize("shape", [(15,), (4, 15), (3, 2, 15)])
-@pytest.mark.parametrize("grid", ["uniform", "upwinded"])
-def test_apply_tridiagonal_is_the_matrix_product(shape, grid):
+def _per_row_diagonals(shape):
+    """One operator per row of a ``shape`` array, each with its own drift (the
+    strong ones upwinded) on a uniform grid."""
+    x = np.linspace(0.0, 12.0, shape[-1])
+    rows = [fd.operator_diagonals(x, (0.08 + 2.0 * r) * (4.0 - x), 0.125 * x)
+            for r in range(math.prod(shape[:-1]))]
+    return tuple(np.reshape(d, shape) for d in zip(*rows))
+
+
+def _diagonals(grid, shape):
     if grid == "uniform":
-        x = np.linspace(0.0, 12.0, 15)
-        diags = fd.operator_diagonals(x, 0.08 * (4.0 - x), 0.125 * x)
-    else:
+        x = np.linspace(0.0, 12.0, shape[-1])
+        return fd.operator_diagonals(x, 0.08 * (4.0 - x), 0.125 * x)
+    if grid == "upwinded":
         diags = _upwinded_diagonals()
         lower, _, upper = diags
         assert np.all(lower >= 0) and np.all(upper >= 0)  # monotone after the fallback
+        return diags
+    return _per_row_diagonals(shape)
+
+
+def _row_matrices(diags, shape):
+    """The dense matrix of the operator of each row of a ``shape`` array."""
+    n = shape[-1]
+    return np.stack([_dense(row) for row in
+                     zip(*(np.broadcast_to(d, shape).reshape(-1, n) for d in diags))])
+
+
+@pytest.mark.parametrize("shape", [(15,), (4, 15), (3, 2, 15)])
+@pytest.mark.parametrize("grid", ["uniform", "upwinded", "per_row"])
+def test_apply_tridiagonal_is_the_matrix_product(shape, grid):
+    diags = _diagonals(grid, shape)
     v = np.random.default_rng(7).normal(size=shape)
-    matrix = _dense(diags)
+    matrices, rows = _row_matrices(diags, shape), v.reshape(-1, shape[-1])
     out = fd.apply_tridiagonal(diags, v)
     assert out.shape == v.shape
     # float64 rounding of a three-term sum, relative to its terms' size
-    bound = 1e-14 * (np.abs(v) @ np.abs(matrix).T)
-    assert np.all(np.abs(out - v @ matrix.T) <= bound)
+    bound = 1e-14 * np.einsum("rij,rj->ri", np.abs(matrices), np.abs(rows))
+    assert np.all(np.abs(out.reshape(rows.shape) - np.einsum("rij,rj->ri", matrices, rows)) <= bound)
     np.testing.assert_array_equal(out, _moveaxis_apply(diags, v))
+
+
+@pytest.mark.parametrize("grid", ["uniform", "upwinded", "per_row"])
+def test_implicit_is_the_dense_douglas_factor(grid):
+    shape, h = (3, 15), 0.037
+    diags = _diagonals(grid, shape)
+    factor = fd.implicit(diags, h)
+    for got, matrix in zip(_row_matrices(factor, shape), _row_matrices(diags, shape)):
+        np.testing.assert_array_equal(got, np.eye(shape[-1]) - 0.5 * h * matrix)
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("per_row", [False, True])
+@pytest.mark.parametrize("pivoting", [False, True])
+def test_solve_banded_solves_each_row_as_scipy_does(lead, per_row, pivoting):
+    rng = np.random.default_rng(5)
+    n = 12
+    shape = lead + (n,)
+    lower, diag, upper = rng.uniform(-1.0, 1.0, (3,) + (shape if per_row else (n,)))
+    # an operator per row must not reach into the next row; a shared one's ends are never read
+    lower[..., 0] = upper[..., -1] = 0.0 if per_row else np.nan
+    if pivoting:  # |lower| > |diag|: gtsv swaps rows
+        lower[..., 1:] *= 1.0 + np.abs(diag[..., :-1]) / np.abs(lower[..., 1:])
+    else:  # diagonally dominant
+        diag += np.sign(diag) * 2.0
+    b = rng.normal(size=shape)
+    x = fd.solve_banded((lower, diag, upper), b)
+    assert x.shape == b.shape and x.dtype == b.dtype
+    rows = zip(*(np.broadcast_to(d, shape).reshape(-1, n) for d in (lower, diag, upper)),
+               b.reshape(-1, n))
+    want = [scipy.linalg.solve_banded((1, 1), np.stack([np.r_[0.0, u[:-1]], d, np.r_[lo[1:], 0.0]]), r)
+            for lo, d, u, r in rows]
+    assert x.tobytes() == np.stack(want).tobytes()
+
+
+def test_solve_banded_rejects_rows_that_reach_into_the_next():
+    lower, diag, upper = np.zeros((2, 4)), np.full((2, 4), 2.0), np.zeros((2, 4))
+    upper[0, -1] = 1.0
+    with pytest.raises(ValueError, match="operator per row"):
+        fd.solve_banded((lower, diag, upper), np.ones((2, 4)))
+
+
+@pytest.mark.parametrize("eta_nu", [0.0, 0.8])
+def test_variance_operator_is_both_inline_forms(heston, eta_nu):
+    nu = default_nu_grid(heston, 1.0)
+    got = variance_operator(heston, nu, eta_nu)
+    # the pricer's generator under its volatility risk price ...
+    forms = [fd.operator_diagonals(
+        nu, heston.theta * (heston.alpha - nu)
+        - heston.xi * np.sqrt(nu) * math.sqrt(1.0 - heston.rho**2) * eta_nu,
+        0.5 * heston.xi**2 * nu)]
+    if eta_nu == 0.0:  # ... and the value function's real-world one
+        forms.append(fd.operator_diagonals(nu, heston.theta * (heston.alpha - nu), 0.5 * heston.xi**2 * nu))
+    for want in forms:
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
+def test_both_layers_step_through_fd(heston, arrival, risk, monkeypatch):
+    calls = collections.Counter()
+    for name in ("apply_tridiagonal", "implicit"):
+        def counted(*args, kernel=getattr(fd, name), name=name):
+            calls[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(fd, name, counted)
+    solve_stock_hjb(_config(heston, arrival, risk, "defaults"))
+    # 400 steps: the last tenth's 40 as 4 sub-steps each, then 360 plain ones;
+    # two applies (nu, jump) and one jump factor each, and the two nu factors up front
+    sub_steps = 40 * 4 + 360
+    assert calls == {"apply_tridiagonal": 2 * sub_steps, "implicit": sub_steps + 2}
+    calls.clear()
+    cfg = PricingConfig(heston=heston, strike=100.0, T=1.0, n_time=50)
+    solve_call_grid(cfg)
+    # two applies (s, nu) a step, and the two factors up front
+    assert calls == {"apply_tridiagonal": 2 * cfg.n_time, "implicit": 2}
 
 
 def test_default_pricing_grid_is_unchanged(heston, monkeypatch):
@@ -207,7 +307,7 @@ def test_solve_banded_is_scipys_bitwise(n, n_rhs, order, pivoting, seed):
     b = np.asarray(rng.normal(size=n if n_rhs is None else (n, n_rhs)), order=order)
     diags = (lower, diag, upper)
     diags_in, b_in = tuple(d.copy() for d in diags), b.copy()
-    x = fd.solve_banded(diags, b)
+    x = fd.solve_banded(diags, b.T).T  # one right-hand side per row
     ab = np.stack([np.r_[0.0, upper[:-1]], diag, np.r_[lower[1:], 0.0]])  # scipy's layout
     want = scipy.linalg.solve_banded((1, 1), ab, b)
     assert x.shape == want.shape and x.dtype == want.dtype

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from hestonmm import seeding
 from hestonmm.heston import sample_terminal
+from hestonmm.hjb import HjbConfig, solve_stock_hjb
 from hestonmm.option_pricing import PricingConfig, mc_terminal
 from hestonmm.quotes import InventorySV
 from hestonmm.seeding import DEFAULT_BLOCK, LANE, SIM_STREAM, lane_draws, map_blocks, path_generator
@@ -206,6 +207,15 @@ def test_pricing_surfaces_are_os_mappings(pricing_grid):
     """The grid's stacked slices, the largest array of an option-mm run,
     never pass through malloc."""
     assert isinstance(_mapping(pricing_grid.stack), mmap.mmap)
+
+
+def test_hjb_arrays_are_os_mappings(heston, arrival, risk):
+    """The HJB's stored V, and its quotes derived from V on first read, never
+    pass through malloc."""
+    grid = solve_stock_hjb(HjbConfig(heston=heston, arrival=arrival, risk=risk, T=1.0,
+                                     q_min=-2, q_max=2, n_nu=5, n_time=20))
+    for a in (grid.values, grid.quotes_a, grid.quotes_b):
+        assert isinstance(_mapping(a), mmap.mmap)
 
 
 def test_no_module_imports_concurrent_or_threading():
