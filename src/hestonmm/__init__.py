@@ -13,9 +13,7 @@ from .quotes import (
     RiskNeutral,
     RiskParams,
     Symmetric,
-    closed_form_values,
     inventory_coefficient,
-    spread_and_adjustment,
 )
 
 __all__ = [
@@ -32,8 +30,6 @@ __all__ = [
     "Frozen",
     "RiskNeutral",
     "inventory_coefficient",
-    "spread_and_adjustment",
-    "closed_form_values",
 ]
 
 __version__ = "0.1.0"

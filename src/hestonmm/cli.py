@@ -104,16 +104,22 @@ def _configured_policy(cfg: RunConfig, sim: SimConfig, seed: int, n: int):
 
 
 class ArtifactWriter:
-    """Names, tracks and (on failure) removes output files."""
+    """Names, tracks and (on failure) removes output files.  A run whose stem
+    already names a file in ``out_dir`` (``<stem>.*`` or ``<stem>-*``: a run of
+    this subcommand and seed in the same second) is refused before any work."""
 
     def __init__(self, out_dir: Path, subcommand: str, seed: int):
         self.out_dir = out_dir
         self.stem = f"{subcommand}-{time.strftime('%Y%m%dT%H%M%S')}-{seed}"
         self.written: list[Path] = []
+        taken = [p for p in out_dir.iterdir() if p.name.startswith((self.stem + ".", self.stem + "-"))]
+        if taken:
+            p = min(taken, key=lambda p: (len(p.name), p.name))  # the main table, if any
+            raise ConfigError(f"{p} already exists: a run of this subcommand and seed in this second")
 
     def path(self, suffix: str = "", ext: str = ".csv") -> Path:
-        """Create the file; one already there (a run of this subcommand and
-        seed in the same second) is left as it is and raises ``ConfigError``."""
+        """Create the file; one already there (a colliding run that started
+        after this one) is left as it is and raises ``ConfigError``."""
         p = self.out_dir / (self.stem + (f"-{suffix}" if suffix else "") + ext)
         try:
             p.touch(exist_ok=False)
@@ -284,13 +290,13 @@ def main(argv=None) -> int:
         out_dir = Path(args.out or cfg.get("output", "dir")
                        or os.environ.get(ENV_OUTPUT_DIR, "."))
         out_dir.mkdir(parents=True, exist_ok=True)
+        seed = cfg.get("sim", "seed")
+        art = ArtifactWriter(out_dir, args.subcommand, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    seed = cfg.get("sim", "seed")
     n = cfg.get("sim", "n_paths")
-    art = ArtifactWriter(out_dir, args.subcommand, seed)
     run = {
         "simulate": lambda: _cmd_simulate(cfg, art, seed, n),
         "compare": lambda: _cmd_compare(cfg, art, seed, n),

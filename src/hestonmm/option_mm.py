@@ -33,7 +33,7 @@ import numpy as np
 from .heston import HestonParams, step_count, walk
 from .intensity import ArrivalParams, fills
 from .option_pricing import C, C_NU, DELTA, GAMMA, PRICE, PricingGrid, _euler_steps, bilinear, cell, douglas_steps
-from .quotes import RiskParams, inventory_coefficient
+from .quotes import RiskParams, inventory_coefficient, tilt
 from .seeding import FUNCTIONAL_STREAM, OPTION_MM_STREAM, lane_draws, map_blocks, os_array
 from .table import write_table
 
@@ -44,9 +44,6 @@ __all__ = [
     "estimate_functionals",
     "joint_book_quotes",
     "hedged_book_quotes",
-    "hedge_position",
-    "approx_value_joint",
-    "approx_value_hedged",
     "run_hedged_paths",
     "run_joint_paths",
     "HedgedStats",
@@ -76,6 +73,15 @@ _DELTA_C_NU = slice(DELTA, C_NU + 1, C_NU - DELTA)  # the two greek columns the 
 CHUNK = 8  # steps per batched grid and lattice read of the market walk
 
 
+def _integrands(delta, c_nu, heston: HestonParams) -> np.ndarray:
+    """The three integrands over ``nu``, stacked on a new first axis: ``Delta + rho xi C_nu``,
+    ``Delta^2 + 2 rho xi Delta C_nu + xi^2 C_nu^2`` and ``C_nu^2``."""
+    rho, xi = heston.rho, heston.xi
+    return np.stack((delta + rho * xi * c_nu,
+                     delta**2 + 2.0 * rho * xi * delta * c_nu + xi**2 * c_nu**2,
+                     c_nu**2))
+
+
 def _simulate_integrals(
     s0: float, nu0: float, t: float, heston: HestonParams, grid: PricingGrid,
     n_paths: int, seed: int, dt_target: float, max_exit_fraction: float,
@@ -88,27 +94,19 @@ def _simulate_integrals(
     ``max_exit_fraction`` of the paths leave the grid before the last step."""
     n_steps, dt = _euler_steps(grid.config, s0, nu0, t, dt_target)
     times = [t + step * dt for step in range(n_steps)] + [grid.config.T]
-    rho, xi = heston.rho, heston.xi
 
     def paths(lo: int, hi: int):
         n = hi - lo
         shocks, _ = lane_draws(seed, (FUNCTIONAL_STREAM, 0), lo, hi, n_steps, 2)
-        a1 = np.zeros(n)
-        a2 = np.zeros(n)
-        a3 = np.zeros(n)
+        acc = np.zeros((3, n))
         out = np.zeros(n, dtype=bool)
         for _, _, nu, _, g, _, outside in _walk(grid, heston, shocks, times, dt, s0, nu0,
                                                 _DELTA_C_NU):
             out |= outside[:-1].any(axis=0)  # the states the integrands read
-            nu, delta, c_nu = nu[:-1], g[:-1, :, 0], g[:-1, :, 1]
-            f1 = nu * (delta + rho * xi * c_nu) * dt
-            f2 = nu * (delta**2 + 2.0 * rho * xi * delta * c_nu + xi**2 * c_nu**2) * dt
-            f3 = nu * c_nu**2 * dt
-            for r in range(nu.shape[0]):
-                a1 += f1[r]
-                a2 += f2[r]
-                a3 += f3[r]
-        return a1, a2, a3, out
+            f = nu[:-1] * _integrands(g[:-1, :, 0], g[:-1, :, 1], heston) * dt
+            for r in range(f.shape[1]):
+                acc += f[:, r]
+        return *acc, out
 
     i1, i2, i3, exited = (np.concatenate(col) for col in zip(*map_blocks(n_paths, paths)))
     n_exited = int(exited.sum())
@@ -200,14 +198,9 @@ class FunctionalLattice:
         i, wi = grid._locate(grid.s_grid, s_nodes[:, None], "s")
         j, wj = grid._locate(grid.nu_grid, nu_nodes[None, :], "nu")
         k, wk = grid._locate(grid.times, t_nodes, "t")
-        rho, xi = heston.rho, heston.xi
 
         def source(it: int) -> np.ndarray:
-            delta, c_nu = grid.stack[it, :, :, DELTA], grid.stack[it, :, :, C_NU]
-            return grid.nu_grid * np.stack((
-                delta + rho * xi * c_nu,
-                delta**2 + 2.0 * rho * xi * delta * c_nu + xi**2 * c_nu**2,
-                c_nu**2))
+            return grid.nu_grid * _integrands(grid.stack[it, ..., DELTA], grid.stack[it, ..., C_NU], heston)
 
         at_nodes = np.zeros((grid.times.size, s_nodes.size, nu_nodes.size, 3))  # u(T) = 0
         u = np.zeros((3,) + grid.stack.shape[1:3])
@@ -217,7 +210,7 @@ class FunctionalLattice:
         wk = wk[:, None, None, None]
         u_t = np.moveaxis((1.0 - wk) * at_nodes[k] + wk * at_nodes[k + 1], 0, 2)
         # 0.0 - x turns -0.0 into +0.0 and leaves every other value as -x
-        table = 0.0 - np.array([1.0, 0.5, 0.5 * xi**2]) * risk.gamma * u_t
+        table = 0.0 - np.array([1.0, 0.5, 0.5 * heston.xi**2]) * risk.gamma * u_t
         return cls(s_nodes, nu_nodes, t_nodes, *np.moveaxis(table, -1, 0))
 
     def functionals(self, s, nu, t):
@@ -247,43 +240,22 @@ def joint_book_quotes(q_s, q_o, nu, t, T: float, h1, h2,
     """Premiums of the joint book, vectorized over paths: the last axis
     holds (ask stock, bid stock, ask option, bid option).
 
-    Clearing fees are zero in the option setting, so the stock tilt uses the
-    inventory coefficient with ``beta`` absent.
+    Each asset is quoted by ``quotes.tilt``, the stock with the inventory
+    coefficient and the option with ``-H2``, and each quote moves by the
+    cross term ``-+ H1`` times the other asset's holding.  Clearing fees are
+    zero in the option setting, so ``beta`` is absent.
     """
-    f = inventory_coefficient(nu, t, T, heston, risk)
-    base = 1.0 / arrival.k
     q_s = np.asarray(q_s, dtype=np.float64)
     q_o = np.asarray(q_o, dtype=np.float64)
-    return np.stack((base - f * (2.0 * q_s - 1.0) + h1 * q_o,
-                     base + f * (2.0 * q_s + 1.0) - h1 * q_o,
-                     base + h2 * (2.0 * q_o - 1.0) + h1 * q_s,
-                     base - h2 * (2.0 * q_o + 1.0) - h1 * q_s), axis=-1)
+    a_s, b_s = tilt(q_s, inventory_coefficient(nu, t, T, heston, risk), arrival)
+    a_o, b_o = tilt(q_o, -h2, arrival)
+    return np.stack((a_s + h1 * q_o, b_s - h1 * q_o, a_o + h1 * q_s, b_o - h1 * q_s), axis=-1)
 
 
 def hedged_book_quotes(q_o, m, arrival: ArrivalParams):
-    """Option premiums of the delta-hedged book, ``1/k + M (2 q_o -+ 1)``,
-    vectorized over paths: the last axis holds (ask, bid)."""
-    base = 1.0 / arrival.k
-    q_o = np.asarray(q_o, dtype=np.float64)
-    return np.stack((base + m * (2.0 * q_o - 1.0), base - m * (2.0 * q_o + 1.0)), axis=-1)
-
-
-def hedge_position(q_o, delta):
-    """Stock holding maintaining the delta hedge, ``q_s = -q_o * Delta``."""
-    return -np.asarray(q_o, dtype=np.float64) * np.asarray(delta, dtype=np.float64)
-
-
-def approx_value_joint(q_s: float, q_o: int, nu: float, t: float, T: float,
-                       heston: HestonParams, risk: RiskParams, F: Functionals) -> float:
-    """Quadratic approximate value of the joint book:
-    ``-f q_s^2 + H1 q_s q_o + H2 q_o^2``."""
-    f = float(inventory_coefficient(nu, t, T, heston, risk))
-    return -f * q_s**2 + F.h1 * q_s * q_o + F.h2 * q_o**2
-
-
-def approx_value_hedged(q_o: int, F: Functionals) -> float:
-    """Approximate value of the hedged book, ``M q_o^2``."""
-    return F.m * q_o**2
+    """Option premiums of the delta-hedged book, ``quotes.tilt`` with the
+    coefficient ``-M``, vectorized over paths: the last axis holds (ask, bid)."""
+    return np.stack(tilt(q_o, -m, arrival), axis=-1)
 
 
 @dataclass
@@ -422,7 +394,7 @@ def run_hedged_paths(
                 q_o += hit[:, 1].astype(np.int64) - hit[:, 0].astype(np.int64)
 
                 qf = q_o.astype(np.float64)  # post-fill inventory carries the step
-                q_s = hedge_position(qf, delta)
+                q_s = -qf * delta  # the delta hedge
                 acc_pred += nu[r] * xi**2 * c_nu**2 * qf**2 * dt
                 acc_disc += 0.5 * (gamma * nu[r] * qf) ** 2 * dt**2
                 dc = g[r + 1, :, C] - c_now

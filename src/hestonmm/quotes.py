@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,12 +29,10 @@ __all__ = [
     "Symmetric",
     "Frozen",
     "RiskNeutral",
-    "ClosedFormValues",
     "inventory_coefficient",
     "inventory_premiums",
-    "spread_and_adjustment",
-    "closed_form_values",
     "risk_neutral_rate",
+    "tilt",
 ]
 
 IMPACT_VARIANTS = ("plain", "flow_adjusted")
@@ -57,18 +54,14 @@ class RiskParams:
             raise ValueError("gamma, beta and eta must be nonnegative")
 
 
-def _check_horizon(t, T):
-    if np.any(np.asarray(t) > T):
-        raise ValueError("t must not exceed the horizon T")
-
-
 def inventory_coefficient(nu, t, T: float, heston: HestonParams, risk: RiskParams):
     """The bracket ``f(nu, t)`` scaling the inventory tilt of the quotes.
 
     ``theta == 0`` uses the analytic limit ``(gamma/2) nu (T - t)``.
     Vectorized over ``nu`` and ``t``.
     """
-    _check_horizon(t, T)
+    if np.any(np.asarray(t) > T):
+        raise ValueError("t must not exceed the horizon T")
     tau = T - np.asarray(t, dtype=np.float64)
     nu = np.asarray(nu, dtype=np.float64)
     theta = heston.theta
@@ -80,32 +73,24 @@ def inventory_coefficient(nu, t, T: float, heston: HestonParams, risk: RiskParam
     return float(out) if out.ndim == 0 else out
 
 
-def inventory_premiums(q, nu, t, T, heston: HestonParams, arrival: ArrivalParams, risk: RiskParams):
-    """Approximate optimal premiums for the stock-only dealer (vectorized)."""
-    f = inventory_coefficient(nu, t, T, heston, risk)
+def tilt(q, f, arrival: ArrivalParams, beta=0.0, fee=0.0):
+    """The closed-form quote rule of every book (vectorized): ask and bid
+    premiums ``1/k -+ beta [+ fee (q -+ 1)^2] -+ f (2 q -+ 1)`` of a dealer
+    holding ``q``, with ``f`` the inventory coefficient of the quoted asset
+    (``-H2`` or ``-M`` for an option).  The fee term is computed only when
+    ``fee`` is nonzero."""
     q = np.asarray(q, dtype=np.float64)
     base = 1.0 / arrival.k
-    delta_a = base - risk.beta - f * (2.0 * q - 1.0)
-    delta_b = base + risk.beta + f * (2.0 * q + 1.0)
-    return delta_a, delta_b
+    delta_a, delta_b = base - beta, base + beta
+    if fee:
+        delta_a = delta_a + fee * (q - 1.0) ** 2
+        delta_b = delta_b + fee * (q + 1.0) ** 2
+    return delta_a - f * (2.0 * q - 1.0), delta_b + f * (2.0 * q + 1.0)
 
 
-def spread_and_adjustment(
-    q, nu, t, T, heston: HestonParams, arrival: ArrivalParams, risk: RiskParams,
-):
-    """Bid-ask spread ``delta_a + delta_b`` and price adjustment
-    ``m = delta_a - delta_b`` of the stock-only quotes.
-
-    The identities ``spread == delta_a + delta_b`` and ``m == delta_a -
-    delta_b`` hold exactly because both are computed from the same ``f``.
-    """
-    f = inventory_coefficient(nu, t, T, heston, risk)
-    q = np.asarray(q, dtype=np.float64)
-    spread = 2.0 / arrival.k + 2.0 * f
-    m = -2.0 * risk.beta - 4.0 * f * q
-    if np.ndim(spread) == 0 and np.ndim(m) == 0:
-        return float(spread), float(m)
-    return spread, m
+def inventory_premiums(q, nu, t, T, heston: HestonParams, arrival: ArrivalParams, risk: RiskParams):
+    """Approximate optimal premiums for the stock-only dealer (vectorized)."""
+    return tilt(q, inventory_coefficient(nu, t, T, heston, risk), arrival, risk.beta)
 
 
 def risk_neutral_rate(arrival: ArrivalParams, risk: RiskParams) -> float:
@@ -113,24 +98,6 @@ def risk_neutral_rate(arrival: ArrivalParams, risk: RiskParams) -> float:
     ``(A/k) e^{-1} (e^{k beta} + e^{-k beta})``."""
     kb = arrival.k * risk.beta
     return arrival.A * math.exp(-1.0) / arrival.k * (math.exp(kb) + math.exp(-kb))
-
-
-class ClosedFormValues(NamedTuple):
-    frozen_v: float
-    risk_neutral_v: float
-
-
-def closed_form_values(
-    q: int, nu: float, t: float, T: float,
-    heston: HestonParams, arrival: ArrivalParams, risk: RiskParams,
-) -> ClosedFormValues:
-    """Benchmark value functions: the frozen (inactive) dealer, which is also
-    the quadratic approximation, and the risk-neutral dealer."""
-    f = inventory_coefficient(nu, t, T, heston, risk)
-    frozen_v = -float(q) ** 2 * float(f)
-    _check_horizon(t, T)
-    rn = risk_neutral_rate(arrival, risk) * (T - t)
-    return ClosedFormValues(frozen_v=frozen_v, risk_neutral_v=rn)
 
 
 # --- Policies -------------------------------------------------------------
@@ -179,12 +146,7 @@ class MarketImpact:
         if self.variant == "flow_adjusted":
             tau = self.T - np.asarray(t, dtype=np.float64)
             F = F + risk.gamma * self.arrival.A * risk.eta**2 * tau
-        q = np.asarray(q, dtype=np.float64)
-        base = 1.0 / self.arrival.k
-        fee = 0.5 * risk.gamma * risk.eta**2
-        delta_a = base - risk.beta + fee * (q - 1.0) ** 2 - F * (2.0 * q - 1.0)
-        delta_b = base + risk.beta + fee * (q + 1.0) ** 2 + F * (2.0 * q + 1.0)
-        return delta_a, delta_b
+        return tilt(q, F, self.arrival, risk.beta, 0.5 * risk.gamma * risk.eta**2)
 
 
 @dataclass(frozen=True)

@@ -232,6 +232,27 @@ def test_a_run_in_the_same_second_leaves_the_other_runs_files(tmp_path, monkeypa
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
 
 
+def test_a_colliding_run_is_refused_before_its_work(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20261020T000000")
+    box = ["--set", "hjb.q_min=-2", "--set", "hjb.q_max=2", "--set", "hjb.n_nu=9",
+           "--set", "hjb.n_time=100", "--out", str(tmp_path)]
+    assert main(["hjb", "--seed", "3", *box]) == EXIT_OK
+    # seed 4's stem is a prefix of seed 42's names, but not a run of its own
+    (tmp_path / "hjb-20261020T000000-42.csv").write_text("other seed\n")
+    first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+
+    def solve(config):
+        raise AssertionError("the colliding run solved before it was refused")
+
+    monkeypatch.setattr(cli, "solve_stock_hjb", solve)
+    assert main(["hjb", "--seed", "3", *box]) == EXIT_CONFIG
+    assert f"{tmp_path / 'hjb-20261020T000000-3.csv'} already exists" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+    with pytest.raises(AssertionError, match="solved"):
+        main(["hjb", "--seed", "4", *box])
+
+
 def test_programming_error_is_not_a_numerical_failure(tmp_path, monkeypatch):
     def unfinished(config):
         raise NotImplementedError("solver stub")

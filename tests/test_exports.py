@@ -1,13 +1,28 @@
-"""Every exported name resolves: deleting a function must delete its exports."""
+"""Every exported name resolves and is what the program runs: deleting a
+function must delete its exports, and an export only tests call must be a
+named oracle."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import hestonmm
 
 MODULES = ["hestonmm"] + [f"hestonmm.{m.name}" for m in pkgutil.iter_modules(hestonmm.__path__)]
+
+# Exports that no program code calls, kept as independent references for tests.
+ORACLES = {
+    "conditional_moments",  # test_heston.py::test_conditional_moments_examples
+    "sample_terminal",  # test_acceptance.py::test_criterion_01_heston_moments
+    "bachelier_call",  # test_option_pricing.py::test_bachelier_degenerate_case
+    "risk_neutral_rate",  # test_hjb.py::test_risk_neutral_closed_form
+    "estimate_functionals",  # test_option_mm.py::test_lattice_agrees_with_the_monte_carlo_oracle
+    "mc_price",  # test_acceptance.py::test_criterion_09_option_pricer
+    "mc_terminal",  # test_option_pricing.py::test_conditional_estimator_agrees_with_the_payoff_mean
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -17,6 +32,31 @@ def test_all_lists_only_real_names(name):
     assert len(set(exported)) == len(exported), f"{name}.__all__ repeats a name"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ lists undefined names {missing}"
+
+
+def _program_references() -> set[str]:
+    """Names and attributes that the package's modules read, each outside the
+    top-level definition of that name (the package's re-exports excluded)."""
+    found = set()
+    for path in Path(hestonmm.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id != own:
+                    found.add(node.id)
+                elif isinstance(node, ast.Attribute) and node.attr != own:
+                    found.add(node.attr)
+    return found
+
+
+def test_every_export_is_run_by_the_program_or_an_oracle():
+    exported = {attr for name in MODULES for attr in getattr(importlib.import_module(name), "__all__", [])}
+    references = _program_references()
+    assert sorted(exported - references - ORACLES) == []
+    assert sorted(ORACLES - exported) == [] and sorted(ORACLES & references) == []
 
 
 def test_cold_start_leaves_scipy_subpackages_out(tmp_path):

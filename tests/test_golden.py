@@ -1,6 +1,8 @@
-"""Pinned artifacts: the sha256 of every CSV that ``hjb`` (with and without the
-impact term), ``price-option`` (with and without a volatility risk price) and
-``option-mm`` (both books) write at the small grids of criterion 11 and seed 42.
+"""Pinned artifacts: the sha256 of every CSV that ``simulate`` (the inventory
+book and both impact variants) and ``compare`` write at 300 paths, and that
+``hjb`` (with and without the impact term), ``price-option`` (with and without
+a volatility risk price) and ``option-mm`` (both books) write at the small
+grids of criterion 11, all at seed 42.
 
 A change that keeps every output bit passes this unchanged.  A change that
 moves values on purpose updates the hashes here and says so in CHANGES.md.
@@ -20,10 +22,28 @@ SMALL_BOOKS = ["--set", "option_mm.n_paths=20", "--set", "option_mm.dt=0.01",
                "--set", "option_mm.lattice_n_s=3", "--set", "option_mm.lattice_n_nu=3",
                "--set", "option_mm.lattice_n_t=3", "--set", "pricing.n_s=81",
                "--set", "pricing.n_nu=16", "--set", "pricing.n_time=100"]
+IMPACT = ["--set", "sim.impact=true", "--set", "sim.policy=impact"]
 LATTICE = "2f3f51ece30f65985f3c86d614ab46f30d4cf9a6b446f78a4af8f58be8663d11"
 
 # run -> (argv, {file suffix after the seed: sha256})
 GOLDEN = {
+    "simulate": (["simulate", "--paths", "300"], {
+        ".csv": "125823979caa5d2b9b94bda8231bbedccf6149f56e70894c660481ded7513730",
+        "-series.csv": "6ff6e630e362382ddcb39d5e0557c57f41e89d781ec977d2bec5e47e8a338f75",
+    }),
+    "simulate-impact": (["simulate", "--paths", "300", *IMPACT], {
+        ".csv": "7ba12b4a9a46181df4db942eba14477c53c95a98bb4c0bc554e17d5cec8197af",
+        "-series.csv": "beaf222d736e5e5c5f11ac357361ec067aa32c633126470144879598804a85e6",
+    }),
+    "simulate-impact-plain": (["simulate", "--paths", "300", *IMPACT,
+                               "--set", "sim.impact_variant=plain"], {
+        ".csv": "bb124a0828542705918ca8afc3df3163929dfa7819b78a6c0267ce6df07de79e",
+        "-series.csv": "430100f6a335b57845d7bdecf4f25b179b2d8d916ace605d2ab12370c171e640",
+    }),
+    "compare": (["compare", "--paths", "300"], {
+        ".csv": "503907a4ea8da2550f17e8f17415aa68a241e9cf85273ff400365fa96104718b",
+        "-hist.csv": "2580e804fe54bb227805fdd248627226d5a71c62e48eab78079d145641370dd4",
+    }),
     "hjb": (["hjb", *HJB_BOX], {
         ".csv": "fa23fc55fb28a5c0ac3e1c60a1e53699b0b3fc15befed469e44d0571c01ad547",
         "-grid.csv": "1fb04d7a413c2170fe2e2280b47a021d9434809d2683c3cf107d3f9429f6650b",

@@ -13,7 +13,7 @@ from hestonmm.hjb import (
     estimate_tolerance,
     solve_stock_hjb,
 )
-from hestonmm.quotes import RiskParams, closed_form_values, risk_neutral_rate
+from hestonmm.quotes import RiskParams, inventory_coefficient, risk_neutral_rate
 
 
 def small_config(heston, arrival, risk, **kw):
@@ -101,7 +101,7 @@ def test_no_transaction_limit_equals_frozen_value(heston, arrival, risk):
     inu = int(np.argmin(np.abs(grid.nu_grid - 4.0)))
     for q in (-6, -2, 0, 3, 6):
         iq = int(np.where(grid.q_levels == q)[0][0])
-        expected = closed_form_values(q, 4.0, 0.0, 1.0, heston, tiny, risk).frozen_v
+        expected = -q**2 * inventory_coefficient(4.0, 0.0, 1.0, heston, risk)  # the frozen value
         assert grid.values[iq, inu, 0] == pytest.approx(expected, abs=2e-3)
 
 

@@ -9,10 +9,7 @@ from hestonmm.option_mm import (
     FunctionalLattice,
     Functionals,
     GridExitError,
-    approx_value_hedged,
-    approx_value_joint,
     estimate_functionals,
-    hedge_position,
     run_hedged_paths,
     run_joint_paths,
     joint_book_quotes,
@@ -109,7 +106,6 @@ def test_hedged_book_quotes_and_hedge(arrival):
     assert b2 == pytest.approx(1 / arrival.k - 3 * m, rel=1e-12)  # bid backs off
     assert a3 == b3 == pytest.approx(1 / arrival.k)
     np.testing.assert_array_equal(quotes[2], hedged_book_quotes(1, m, arrival))
-    assert hedge_position(2, 0.5) == -1.0
 
 
 def test_hedged_trace_quotes_are_the_quote_function(heston, arrival, risk_nofee,
@@ -128,14 +124,6 @@ def test_hedged_trace_quotes_are_the_quote_function(heston, arrival, risk_nofee,
     np.testing.assert_array_equal(quotes[:, 0], tr["a_o"])
     np.testing.assert_array_equal(quotes[:, 1], tr["b_o"])
     assert np.unique(tr["q_o"]).size > 1  # the trace saw fills
-
-
-def test_approx_value_assembly(heston, risk_nofee):
-    F = Functionals(h1=-0.21, h2=-0.075, m=-0.0002)
-    f = float(inventory_coefficient(4.0, 0.3, 1.0, heston, risk_nofee))
-    v = approx_value_joint(2.0, 3, 4.0, 0.3, 1.0, heston, risk_nofee, F)
-    assert v == pytest.approx(-f * 4.0 + F.h1 * 6.0 + F.h2 * 9.0, rel=1e-12)
-    assert approx_value_hedged(3, F) == pytest.approx(F.m * 9.0, rel=1e-12)
 
 
 def test_hedged_qv_identity_and_variance_reduction(heston, arrival, risk_nofee,
