@@ -17,10 +17,10 @@ inside simulations; ``estimate_functionals`` is their Monte Carlo oracle.
 
 Both books and the oracle read ``heston.walk`` through ``_walk``, which only
 gathers it ``CHUNK`` steps at a time for one grid and one lattice read per
-chunk; only the quote, fill and inventory recursion runs step by step.  The
-reads find cells with ``option_pricing.cell``, a checked uniform-spacing
-guess that falls back to ``searchsorted``: exact on any grid, dearer on a
-stretched one.
+chunk; only the quotes and the book step ``intensity.trade`` (fills, premium
+income, inventory) run step by step.  The reads find cells with
+``option_pricing.cell``, a checked uniform-spacing guess that falls back to
+``searchsorted``: exact on any grid, dearer on a stretched one.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .heston import HestonParams, step_count, walk
-from .intensity import ArrivalParams, fills
+from .intensity import ArrivalParams, trade
 from .option_pricing import C, C_NU, DELTA, GAMMA, PRICE, PricingGrid, _euler_steps, bilinear, cell, douglas_steps
 from .quotes import RiskParams, inventory_coefficient, tilt
 from .seeding import FUNCTIONAL_STREAM, OPTION_MM_STREAM, lane_draws, map_blocks, os_array
@@ -387,11 +387,10 @@ def run_hedged_paths(
                     trace["nu"][step] = nu[r, 0]
                     trace["q_o"][step] = q_o[0]
                     trace["a_o"][step], trace["b_o"][step] = quotes[0]
-                hit, n_clipped = fills(quotes, uniforms[step].T, arrival, dt)
+                _, income, dq, n_clipped = trade(quotes, uniforms[step].T, arrival, dt)
                 clipped += n_clipped
-                paid = np.where(hit, quotes, 0.0)
-                z += paid[:, 0] + paid[:, 1]
-                q_o += hit[:, 1].astype(np.int64) - hit[:, 0].astype(np.int64)
+                z += income
+                q_o += dq[:, 0]
 
                 qf = q_o.astype(np.float64)  # post-fill inventory carries the step
                 q_s = -qf * delta  # the delta hedge
@@ -452,12 +451,11 @@ def run_joint_paths(
                 step = a + r
                 quotes = joint_book_quotes(q_s, q_o, nu[r], times[step], T, h1[r], h2[r],
                                            arrival, heston, risk)
-                hit, n_clipped = fills(quotes, uniforms[step].T, arrival, dt)
+                _, income, dq, n_clipped = trade(quotes, uniforms[step].T, arrival, dt)
                 clipped += n_clipped
-                paid = np.where(hit, quotes, 0.0)
-                z += paid[:, 0] + paid[:, 1] + paid[:, 2] + paid[:, 3]
-                q_s += hit[:, 1].astype(np.int64) - hit[:, 0].astype(np.int64)
-                q_o += hit[:, 3].astype(np.int64) - hit[:, 2].astype(np.int64)
+                z += income
+                q_s += dq[:, 0]
+                q_o += dq[:, 1]
                 di = (q_s.astype(np.float64) * ds[r]
                       + q_o.astype(np.float64) * (g[r + 1, :, 0] - g[r, :, 0]))
                 qv += di**2

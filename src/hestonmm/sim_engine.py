@@ -1,12 +1,12 @@
 """Monte Carlo experiment engine.
 
 Each path runs the per-step event loop over the market of ``heston.walk``:
-quote, sample fills, book the cash and revenue, move the mid by the walk's
-``ds`` (plus permanent impact when enabled), and accumulate the quadratic
-variation of the inventory value.  Every path's draws are keyed by
-``(seed, index)`` (see ``seeding``) and ``seeding.map_blocks`` runs blocks of
-paths in index order, so ensembles are bit-reproducible whatever the path
-count or block layout.
+quote, take the book step ``intensity.trade`` (fills, revenue, inventory),
+book the cash, move the mid by the walk's ``ds`` (plus permanent impact when
+enabled), and accumulate the quadratic variation of the inventory value.
+Every path's draws are keyed by ``(seed, index)`` (see ``seeding``) and
+``seeding.map_blocks`` runs blocks of paths in index order, so ensembles are
+bit-reproducible whatever the path count or block layout.
 
 The same pre-generated draw arrays are consumed by every policy, which makes
 runs with different policies under one master seed common-random-number
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .heston import HestonParams, step_count, walk
-from .intensity import ArrivalParams, fills
+from .intensity import ArrivalParams, trade
 from .quotes import InventorySV, RiskParams
 from .seeding import SCHEMES, SIM_STREAM, lane_draws, map_blocks
 
@@ -208,12 +208,12 @@ def _run_block(policy, config: SimConfig, master_seed: int, lo: int, hi: int,
             deltas = np.empty((n, 2))
             deltas[:, 0], deltas[:, 1] = prem
             da, db = deltas[:, 0], deltas[:, 1]
-            hit, n_clipped = fills(deltas, uniforms[step].T, arrival, dt)
+            hit, income, dq, n_clipped = trade(deltas, uniforms[step].T, arrival, dt)
             clipped += n_clipped
             fa, fb = hit[:, 0], hit[:, 1]
             x += np.where(fa, s + da, 0.0) - np.where(fb, s - db, 0.0)
-            z += np.where(fa, da, 0.0) + np.where(fb, db, 0.0)
-            q += fb.astype(np.int64) - fa.astype(np.int64)
+            z += income
+            q += dq[:, 0]
             spread_sum += da + db
 
         qf = q.astype(np.float64)

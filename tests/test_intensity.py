@@ -1,12 +1,15 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hestonmm.intensity import ArrivalParams, fills, intensity
+import hestonmm
+from hestonmm.intensity import ArrivalParams, fills, intensity, trade
 
 
 def test_params_validation():
@@ -131,3 +134,67 @@ def test_side_independence(arrival):
     hit, _ = fills(np.tile([0.6, 0.7], (n, 1)), rng.random((n, 2)), arrival, dt)
     corr = np.corrcoef(hit[:, 0].astype(float), hit[:, 1].astype(float))[0, 1]
     assert abs(corr) <= 3.0 / math.sqrt(n)
+
+
+def _book_step(quotes, u, arrival, dt):
+    """The step every book wrote inline before ``trade``: fills, the paid
+    premiums summed column by column, then bid minus ask hits per asset."""
+    hit, clipped = fills(quotes, u, arrival, dt)
+    paid = np.where(hit, quotes, 0.0)
+    if quotes.shape[1] == 2:
+        income = paid[:, 0] + paid[:, 1]
+    else:
+        income = paid[:, 0] + paid[:, 1] + paid[:, 2] + paid[:, 3]
+    dq = np.stack([hit[:, j + 1].astype(np.int64) - hit[:, j].astype(np.int64)
+                   for j in range(0, quotes.shape[1], 2)], axis=1)
+    return hit, income, dq, clipped
+
+
+@pytest.mark.parametrize("columns", [2, 4])
+@pytest.mark.parametrize("case", ["mixed", "crossed", "no hits"])
+def test_trade_is_the_inline_book_step_bitwise(arrival, columns, case):
+    rng = np.random.default_rng(columns)
+    n = 500
+    u = rng.random((n, columns))
+    if case == "crossed":  # every rate overflows and clips: every quote is hit
+        quotes = np.full((n, columns), -1e3)
+    elif case == "no hits":
+        quotes = np.full((n, columns), 1e3)
+    else:
+        quotes = rng.normal(0.5, 1.0, (n, columns))  # about a third negative
+        quotes[::7] = -1e3 * rng.random(quotes[::7].shape)  # deep-crossed
+        # hit at u = 0 on every side; left to right these premiums sum to 1.0,
+        # pairwise to 1.0000000000000002
+        quotes[1], u[1] = [1.0, 1e-16, 1e-16, 1e-16][:columns], 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = trade(quotes, u, arrival, 0.005)
+    want = _book_step(quotes, u, arrival, 0.005)
+    for g, w in zip(got[:3], want[:3]):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert got[2].shape == (n, columns // 2) and got[3] == want[3]
+    if case == "crossed":
+        assert got[0].all() and got[3] == quotes.size and (got[2] == 0).all()
+    elif case == "no hits":
+        assert not got[0].any() and got[3] == 0 and (got[1] == 0.0).all() and (got[2] == 0).all()
+    else:
+        assert 0 < got[3] < quotes.size and (got[1] < 0.0).any()
+
+
+def _calls(node, name):
+    return [c for c in ast.walk(node) if isinstance(c, ast.Call)
+            and name in (getattr(c.func, "id", None), getattr(c.func, "attr", None))]
+
+
+def test_every_book_steps_through_trade():
+    # fills is called by trade alone, and each book's step calls trade
+    callers, books = set(), {}
+    for path in Path(hestonmm.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.FunctionDef):
+                books[f"{path.stem}.{top.name}"] = len(_calls(top, "trade"))
+            if _calls(top, "fills"):
+                callers.add(f"{path.stem}.{getattr(top, 'name', None)}")
+    assert callers == {"intensity.trade"}
+    for book in ("sim_engine._run_block", "option_mm.run_hedged_paths", "option_mm.run_joint_paths"):
+        assert books.get(book) == 1, book
