@@ -1,7 +1,7 @@
 """Experiment runner.
 
-Subcommands map to the core experiments: ``simulate`` (ensemble + one dense
-path series), ``compare`` (inventory vs symmetric table), ``frontier``
+Subcommands map to the core experiments: ``simulate`` (ensemble + the series
+of its path 0), ``compare`` (inventory vs symmetric table), ``frontier``
 (risk-aversion sweep), ``trading-curve`` (average inventory path), ``hjb``
 (exact value function and approximation report), ``price-option`` (call
 surface slices) and ``option-mm`` (option market-making summary).
@@ -32,7 +32,7 @@ from .intensity import ArrivalParams
 from .option_mm import FunctionalLattice, run_hedged_paths, run_joint_paths, write_lattice_csv
 from .option_pricing import PricingConfig, StabilityError, default_nu_grid, default_s_grid, solve_call_grid, write_slice_csv
 from .quotes import Frozen, InventorySV, MarketImpact, RiskNeutral, RiskParams, Symmetric
-from .sim_engine import NonFiniteStateError, SimConfig, efficient_frontier, run_ensemble, run_path, trading_curve
+from .sim_engine import NonFiniteStateError, SimConfig, efficient_frontier, run_ensemble, trading_curve
 from .table import write_table
 
 ENV_OUTPUT_DIR = "HESTONMM_OUT"
@@ -143,16 +143,15 @@ def _write_rows(path: Path, header: list[str], columns) -> None:
 
 def _cmd_simulate(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int) -> None:
     sim = _sim_config(cfg)
-    policy = _configured_policy(cfg, sim, seed, n)
-    stats = run_ensemble(policy, sim, n, seed)
+    stats = run_ensemble(_configured_policy(cfg, sim, seed, n), sim, n, seed)
     _write_rows(art.path(), ["seed", "profit", "q_T", "z", "avg_spread"],
                 [np.arange(stats.n), stats.profits, stats.q_terminal, stats.z_terminal,
                  stats.spread_terminal])
-    rec = run_path(policy, sim, seed, index=0)
-    s, da, db = rec.series_s, rec.series_delta_a, rec.series_delta_b
+    tr = stats.trace
+    s, da, db = tr["s"], tr["da"], tr["db"]
     _write_rows(art.path("series"), ["t", "s", "p_a", "p_b", "q", "z"],
-                [rec.times, s, np.where(np.isfinite(da), s + da, np.nan),
-                 np.where(np.isfinite(db), s - db, np.nan), rec.series_q, rec.series_z])
+                [stats.curve_times, s, np.where(np.isfinite(da), s + da, np.nan),
+                 np.where(np.isfinite(db), s - db, np.nan), tr["q"], tr["z"]])
 
 
 def _cmd_compare(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int) -> None:

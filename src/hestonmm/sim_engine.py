@@ -2,8 +2,10 @@
 
 Each path runs the per-step event loop over the market of ``heston.walk``:
 quote, take the book step ``intensity.trade`` (fills, revenue, inventory),
-book the cash, move the mid by the walk's ``ds`` (plus permanent impact when
-enabled), and accumulate the quadratic variation of the inventory value.
+move the mid by the walk's ``ds`` (plus permanent impact when enabled), and
+accumulate the inventory value ``iv = sum q dS`` and its quadratic variation.
+No cash account is kept: by summation by parts the mark-to-market profit
+``x_T + q_T (s_T - beta)`` of the cash ``x`` is ``z + iv + q0 s0 - beta q_T``.
 Every path's draws are keyed by ``(seed, index)`` (see ``seeding``) and
 ``seeding.map_blocks`` runs blocks of paths in index order, so ensembles are
 bit-reproducible whatever the path count or block layout.
@@ -27,10 +29,8 @@ from .seeding import SCHEMES, SIM_STREAM, lane_draws, map_blocks
 
 __all__ = [
     "SimConfig",
-    "PathRecord",
     "EnsembleStats",
     "FrontierPoint",
-    "run_path",
     "run_ensemble",
     "efficient_frontier",
     "trading_curve",
@@ -39,7 +39,7 @@ __all__ = [
 
 
 class NonFiniteStateError(RuntimeError):
-    """A simulated price or cash position became non-finite."""
+    """A simulated price or premium income became non-finite."""
 
 
 @dataclass(frozen=True)
@@ -79,31 +79,6 @@ class SimConfig:
 
 
 @dataclass
-class PathRecord:
-    """Terminal state and (optionally dense) per-snapshot series of one path."""
-
-    seed_index: int
-    x: float
-    q: int
-    s: float
-    nu: float
-    z: float
-    qv: float
-    iv: float
-    profit: float
-    avg_spread: float
-    clipped: int
-    times: np.ndarray | None = None
-    series_s: np.ndarray | None = None
-    series_delta_a: np.ndarray | None = None
-    series_delta_b: np.ndarray | None = None
-    series_q: np.ndarray | None = None
-    series_z: np.ndarray | None = None
-    series_x: np.ndarray | None = None
-    series_iv: np.ndarray | None = None
-
-
-@dataclass
 class EnsembleStats:
     """Aggregates over an ensemble; per-path terminal arrays retained."""
 
@@ -120,16 +95,13 @@ class EnsembleStats:
     curve_times: np.ndarray
     curve_mean: np.ndarray
     curve_std: np.ndarray
+    trace: dict  # path 0 at curve_times: s, da, db (nan where it quotes none), q, z
     profits: np.ndarray = field(repr=False, default=None)
     q_terminal: np.ndarray = field(repr=False, default=None)
     z_terminal: np.ndarray = field(repr=False, default=None)
     qv_terminal: np.ndarray = field(repr=False, default=None)
     iv_terminal: np.ndarray = field(repr=False, default=None)
     spread_terminal: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def profit_se(self) -> float:
-        return self.profit_std / math.sqrt(self.n)
 
 
 @dataclass(frozen=True)
@@ -148,10 +120,9 @@ class FrontierPoint:
 ENSEMBLE_BLOCK = 2048
 
 
-def _run_block(policy, config: SimConfig, master_seed: int, lo: int, hi: int,
-               want_series: bool = False) -> dict:
-    """Simulate paths ``lo..hi-1``; returns per-path terminals plus snapshot
-    accumulators (and dense series when requested)."""
+def _run_block(policy, config: SimConfig, master_seed: int, lo: int, hi: int) -> dict:
+    """Simulate paths ``lo..hi-1``; returns per-path terminals, snapshot
+    accumulators and, in the block of path 0, that path's snapshot trace."""
     n = hi - lo
     n_steps = config.n_steps
     dt = config.dt
@@ -161,7 +132,6 @@ def _run_block(policy, config: SimConfig, master_seed: int, lo: int, hi: int,
 
     s = np.full(n, heston.s0)
     q = np.full(n, config.q0, dtype=np.int64)
-    x = np.zeros(n)
     z = np.zeros(n)
     qv = np.zeros(n)
     iv = np.zeros(n)
@@ -172,96 +142,62 @@ def _run_block(policy, config: SimConfig, master_seed: int, lo: int, hi: int,
     snap_set = {int(k): j for j, k in enumerate(snap_steps)}
     q_snap_sum = np.zeros(snap_steps.size)
     q_snap_sumsq = np.zeros(snap_steps.size)
+    trace = None
+    if lo == 0:
+        m = snap_steps.size
+        trace = {"s": np.empty(m), "da": np.full(m, np.nan), "db": np.full(m, np.nan),
+                 "q": np.empty(m, dtype=np.int64), "z": np.empty(m)}
 
-    if want_series:
-        n_snap = snap_steps.size
-        ser = {
-            "s": np.empty((n, n_snap)), "da": np.full((n, n_snap), np.nan),
-            "db": np.full((n, n_snap), np.nan), "q": np.empty((n, n_snap), dtype=np.int64),
-            "z": np.empty((n, n_snap)), "x": np.empty((n, n_snap)), "iv": np.empty((n, n_snap)),
-        }
-
-    def snapshot(step: int, prem) -> None:
+    def snapshot(step: int, deltas) -> None:
         j = snap_set.get(step)
         if j is None:
             return
         q_snap_sum[j] += q.sum()
         q_snap_sumsq[j] += (q.astype(np.float64) ** 2).sum()
-        if want_series:
-            ser["s"][:, j] = s
-            ser["q"][:, j] = q
-            ser["z"][:, j] = z
-            ser["x"][:, j] = x
-            ser["iv"][:, j] = iv
-            if prem is not None:
-                ser["da"][:, j] = prem[0]
-                ser["db"][:, j] = prem[1]
+        if trace is not None:
+            trace["s"][j], trace["q"][j], trace["z"][j] = s[0], q[0], z[0]
+            if deltas is not None:
+                trace["da"][j], trace["db"][j] = deltas[0]
 
     quoting = policy.premiums(np.zeros(1), np.zeros(1), 0.0) is not None
+    impact = config.impact and quoting
 
-    for step, (nu, ds, nu_next) in enumerate(walk(heston, shocks, dt, heston.nu0)):
-        t = step * dt
-        prem = policy.premiums(q, nu, t) if quoting else None
-        snapshot(step, prem)
-        fa = fb = None
-        if prem is not None:
+    for step, (nu, ds, _) in enumerate(walk(heston, shocks, dt, heston.nu0)):
+        deltas = None
+        if quoting:
             deltas = np.empty((n, 2))
-            deltas[:, 0], deltas[:, 1] = prem
-            da, db = deltas[:, 0], deltas[:, 1]
+            deltas[:, 0], deltas[:, 1] = policy.premiums(q, nu, step * dt)
+        snapshot(step, deltas)
+        if quoting:
             hit, income, dq, n_clipped = trade(deltas, uniforms[step].T, arrival, dt)
             clipped += n_clipped
-            fa, fb = hit[:, 0], hit[:, 1]
-            x += np.where(fa, s + da, 0.0) - np.where(fb, s - db, 0.0)
             z += income
             q += dq[:, 0]
-            spread_sum += da + db
+            spread_sum += deltas[:, 0] + deltas[:, 1]
 
         qf = q.astype(np.float64)
         qv += qf**2 * nu * dt  # nu >= 0: the Euler step clamps it
-        if config.impact and fa is not None:
-            ds += risk.eta * (fa.astype(np.float64) - fb.astype(np.float64))
+        if impact:
+            ds -= risk.eta * dq[:, 0]
+            qv += qf**2 * risk.eta**2 * hit.sum(axis=1)
         s = s + ds
         iv += qf * ds
-        if config.impact and fa is not None:
-            qv += qf**2 * risk.eta**2 * (fa.astype(np.float64) + fb.astype(np.float64))
         if step % 50 == 0 or step == n_steps - 1:
-            if not (np.all(np.isfinite(s)) and np.all(np.isfinite(x))):
-                bad = int(np.argwhere(~(np.isfinite(s) & np.isfinite(x)))[0][0])
+            finite = np.isfinite(s) & np.isfinite(z)
+            if not finite.all():
+                bad = int(np.argmin(finite))
                 raise NonFiniteStateError(f"non-finite state on path {lo + bad} at step {step}")
 
     snapshot(n_steps, None)
 
-    out = {
-        "x": x, "q": q, "s": s, "nu": nu_next, "z": z, "qv": qv, "iv": iv,
-        "profit": x + q.astype(np.float64) * (s - risk.beta),
+    qf = q.astype(np.float64)
+    return {
+        "q": q, "z": z, "qv": qv, "iv": iv,
+        "profit": z + iv + config.q0 * heston.s0 - risk.beta * qf,
         "spread_avg": spread_sum / n_steps if quoting else np.full(n, np.nan),
-        "clipped": clipped,
+        "clipped": clipped, "trace": trace,
         "q_snap_sum": q_snap_sum, "q_snap_sumsq": q_snap_sumsq,
     }
-    if want_series:
-        out["series"] = ser
-    return out
-
-
-def run_path(policy, config: SimConfig, seed: int, index: int = 0) -> PathRecord:
-    """Simulate a single path with a dense snapshot series.
-
-    ``(seed, index)`` addresses the same stream as member ``index`` of
-    ``run_ensemble(seed=seed)``, so a path can be replayed exactly.
-    """
-    blk = _run_block(policy, config, seed, index, index + 1, want_series=True)
-    ser = blk["series"]
-    return PathRecord(
-        seed_index=index,
-        x=float(blk["x"][0]), q=int(blk["q"][0]), s=float(blk["s"][0]),
-        nu=float(blk["nu"][0]), z=float(blk["z"][0]), qv=float(blk["qv"][0]),
-        iv=float(blk["iv"][0]), profit=float(blk["profit"][0]),
-        avg_spread=float(blk["spread_avg"][0]), clipped=int(blk["clipped"]),
-        times=config.snapshot_steps * config.dt,
-        series_s=ser["s"][0], series_delta_a=ser["da"][0], series_delta_b=ser["db"][0],
-        series_q=ser["q"][0], series_z=ser["z"][0], series_x=ser["x"][0],
-        series_iv=ser["iv"][0],
-    )
 
 
 def run_ensemble(policy, config: SimConfig, n: int, seed: int,
@@ -311,6 +247,7 @@ def run_ensemble(policy, config: SimConfig, n: int, seed: int,
         curve_times=config.snapshot_steps * config.dt,
         curve_mean=curve_mean,
         curve_std=curve_std,
+        trace=results[0]["trace"],
         profits=profits,
         q_terminal=q_term,
         z_terminal=z_term,

@@ -134,7 +134,7 @@ def test_criterion_05_table1_bands(heston, arrival, risk):
     inv = run_ensemble(InventorySV(heston, arrival, risk, 1.0), sim, 1000, seed=505)
     sym = run_ensemble(Symmetric(inv.avg_spread), sim, 1000, seed=505)
     elapsed = time.perf_counter() - t0
-    se = math.hypot(inv.profit_se, sym.profit_se)
+    se = math.hypot(inv.profit_std, sym.profit_std) / math.sqrt(1000)
     in_band = 55.0 <= inv.profit_mean <= 75.0
     std_ok = sym.profit_std >= 1.5 * inv.profit_std
     mean_ok = sym.profit_mean >= inv.profit_mean - 2 * se

@@ -264,18 +264,36 @@ def test_programming_error_is_not_a_numerical_failure(tmp_path, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_simulation_exit_and_cleanup(tmp_path, monkeypatch):
-    # the one-path series run after the ensemble goes non-finite, so the
-    # terminal table is already written and must be removed
+    # every path's price goes non-finite in the ensemble, before any table
     step = heston.euler_step
 
     def exploding(params, dt, nu, *args, **kw):
         ds, nu_next = step(params, dt, nu, *args, **kw)
-        return (np.full_like(ds, np.inf) if nu.size == 1 else ds), nu_next
+        return np.full_like(ds, np.inf), nu_next
 
     monkeypatch.setattr(heston, "euler_step", exploding)
     code = run_cli("simulate", "--paths", "3", "--seed", "1", "--out", str(tmp_path))
     assert code == EXIT_NUMERICAL
     assert list(tmp_path.glob("simulate-*")) == []
+
+
+def test_a_later_collision_removes_the_tables_already_written(tmp_path, monkeypatch, capsys):
+    # a colliding run that started after this one takes the series name once
+    # the terminal table is written: that table goes, the other run's file stays
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20261020T000000")
+    series = tmp_path / "simulate-20261020T000000-1-series.csv"
+    write = cli._write_rows
+
+    def write_then_collide(path, header, columns):
+        write(path, header, columns)
+        if path.name == "simulate-20261020T000000-1.csv":
+            series.write_text("the other run's series\n")
+
+    monkeypatch.setattr(cli, "_write_rows", write_then_collide)
+    assert run_cli("simulate", "--paths", "2", "--seed", "1", "--out", str(tmp_path)) == EXIT_CONFIG
+    assert f"{series} already exists" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [series.name]
+    assert series.read_text() == "the other run's series\n"
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch):

@@ -28,21 +28,21 @@ LATTICE = "2f3f51ece30f65985f3c86d614ab46f30d4cf9a6b446f78a4af8f58be8663d11"
 # run -> (argv, {file suffix after the seed: sha256})
 GOLDEN = {
     "simulate": (["simulate", "--paths", "300"], {
-        ".csv": "125823979caa5d2b9b94bda8231bbedccf6149f56e70894c660481ded7513730",
+        ".csv": "bec409ecc787e174cab26cb5fab94b5874a00cc6200acfe5c016940a8b27d4da",
         "-series.csv": "6ff6e630e362382ddcb39d5e0557c57f41e89d781ec977d2bec5e47e8a338f75",
     }),
     "simulate-impact": (["simulate", "--paths", "300", *IMPACT], {
-        ".csv": "7ba12b4a9a46181df4db942eba14477c53c95a98bb4c0bc554e17d5cec8197af",
+        ".csv": "f00427b99914c81ceb8f5669ff9c5863b9e15539a7a4940fd2f482d647036cd4",
         "-series.csv": "beaf222d736e5e5c5f11ac357361ec067aa32c633126470144879598804a85e6",
     }),
     "simulate-impact-plain": (["simulate", "--paths", "300", *IMPACT,
                                "--set", "sim.impact_variant=plain"], {
-        ".csv": "bb124a0828542705918ca8afc3df3163929dfa7819b78a6c0267ce6df07de79e",
+        ".csv": "eea97e5040fa9900d54e4fa90c2b432bc8bbe48ce62206a227b76f7001ec7624",
         "-series.csv": "430100f6a335b57845d7bdecf4f25b179b2d8d916ace605d2ab12370c171e640",
     }),
     "compare": (["compare", "--paths", "300"], {
-        ".csv": "503907a4ea8da2550f17e8f17415aa68a241e9cf85273ff400365fa96104718b",
-        "-hist.csv": "2580e804fe54bb227805fdd248627226d5a71c62e48eab78079d145641370dd4",
+        ".csv": "ab73d37c5d043c05ab2e2445ef90b9bd719163cc702793561be0d7edf0bef837",
+        "-hist.csv": "f5a02fb984daa0cf68a80669a330367cf57977a4b19fbfdf733c100a7fb8dbab",
     }),
     "hjb": (["hjb", *HJB_BOX], {
         ".csv": "fa23fc55fb28a5c0ac3e1c60a1e53699b0b3fc15befed469e44d0571c01ad547",

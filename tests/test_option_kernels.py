@@ -489,77 +489,6 @@ def _book_draws(seed, n, n_steps, n_uniform):
     return lane_draws(seed, (OPTION_MM_STREAM,), 0, n, n_steps, 2, n_uniform)
 
 
-def test_joint_book_equals_a_step_loop(heston, arrival, risk_nofee, pricing_grid,
-                                       functional_lattice):
-    # each step reads the price at its start and at its end, both at the
-    # clamped state, and H1/H2 at its start
-    g, lat = pricing_grid, functional_lattice
-    n, T, dt, seed = 40, 0.2, 0.01, 19
-    n_steps = round(T / dt)
-    shocks, uniforms = _book_draws(seed, n, n_steps, 4)
-    s, nu = np.full(n, heston.s0), np.full(n, heston.nu0)
-    q_s, q_o = np.full(n, 1), np.full(n, -2)
-    z, qv = np.zeros(n), np.zeros(n)
-    for step in range(n_steps):
-        t = step * dt
-        c_now = g.price(*_clamped(g, s, nu), t)
-        h1, h2, _ = lat.functionals(*_clamped(g, s, nu), t)
-        quotes = joint_book_quotes(q_s, q_o, nu, t, T, h1, h2, arrival, heston, risk_nofee)
-        hit, _ = fills(quotes, uniforms[step].T, arrival, dt)
-        paid = np.where(hit, quotes, 0.0)
-        z += paid[:, 0] + paid[:, 1] + paid[:, 2] + paid[:, 3]
-        q_s += hit[:, 1].astype(int) - hit[:, 0]
-        q_o += hit[:, 3].astype(int) - hit[:, 2]
-        ds, nu = euler_step(heston, dt, nu, shocks[step, 0], shocks[step, 1])
-        s = s + ds
-        c_next = g.price(*_clamped(g, s, nu), (step + 1) * dt)
-        qv += (q_s * ds + q_o * (c_next - c_now)) ** 2
-    st = run_joint_paths(heston, arrival, risk_nofee, g, lat, T=T, dt=dt, n_paths=n, seed=seed,
-                         q_s0=1, q_o0=-2)
-    np.testing.assert_array_equal(st.z_terminal, z)
-    np.testing.assert_array_equal(st.qv_terminal, qv)
-    assert (st.q_s_mean, st.q_o_mean) == (float(q_s.mean()), float(q_o.mean()))
-    assert np.unique(q_o).size > 1 and qv.min() > 0.0  # fills and price moves were seen
-
-
-def test_hedged_book_equals_a_step_loop(heston, arrival, risk_nofee, pricing_grid,
-                                        functional_lattice):
-    g, lat = pricing_grid, functional_lattice
-    n, T, dt, seed = 40, 0.2, 0.01, 23
-    n_steps = round(T / dt)
-    shocks, uniforms = _book_draws(seed, n, n_steps, 2)
-    s, nu = np.full(n, heston.s0), np.full(n, heston.nu0)
-    q_o = np.full(n, 1)
-    z, acc_h, acc_u, acc_pred = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
-    for step in range(n_steps):
-        t = step * dt
-        c_now = g.price(*_clamped(g, s, nu), t)
-        delta, _, c_nu = g.greeks(*_clamped(g, s, nu), t)
-        quotes = hedged_book_quotes(q_o, lat.functionals(*_clamped(g, s, nu), t)[2], arrival)
-        hit, _ = fills(quotes, uniforms[step].T, arrival, dt)
-        paid = np.where(hit, quotes, 0.0)
-        z += paid[:, 0] + paid[:, 1]
-        q_o += hit[:, 1].astype(int) - hit[:, 0]
-        acc_pred += nu * heston.xi**2 * c_nu**2 * q_o**2 * dt
-        ds, nu = euler_step(heston, dt, nu, shocks[step, 0], shocks[step, 1])
-        s = s + ds
-        dc = g.price(*_clamped(g, s, nu), (step + 1) * dt) - c_now
-        acc_h += (-q_o * delta * ds + q_o * dc) ** 2
-        acc_u += (q_o * dc) ** 2
-    st = run_hedged_paths(heston, arrival, risk_nofee, g, lat, T=T, dt=dt, n_paths=n, seed=seed,
-                          q_o0=1)
-    np.testing.assert_array_equal(st.qv_hedged, acc_h)
-    np.testing.assert_array_equal(st.qv_unhedged, acc_u)
-    np.testing.assert_array_equal(st.qv_rate_pred, acc_pred / (n_steps * dt))
-    assert (st.z_mean, st.q_o_mean) == (float(z.mean()), float(q_o.mean()))
-    assert np.unique(q_o).size > 1
-
-
-def test_option_mm_has_no_interpolation_kernel_of_its_own():
-    # the books, the integrands and the lattice read through option_pricing's kernel
-    assert ".take(" not in Path(option_mm.__file__).read_text()
-
-
 def _end_time(step, n_steps, dt, T):
     """A book's time at the end of ``step``: the last step ends at ``T`` itself."""
     return T if step + 1 == n_steps else (step + 1) * dt
@@ -589,13 +518,14 @@ def _joint_step_loop(g, lat, heston, arrival, risk, n, T, dt, seed, q_s0, q_o0):
 
 
 def _hedged_step_loop(g, lat, heston, arrival, n, T, dt, seed, q_o0):
-    """The hedged book written out step by step: hedged and option-only QV,
-    the predicted rate's sum, and the trace of path 0's quotes."""
+    """The hedged book written out step by step: per-path z, hedged and
+    option-only QV, the predicted rate's sum, q_o, and the trace of path 0's
+    quotes."""
     n_steps = round(T / dt)
     shocks, uniforms = _book_draws(seed, n, n_steps, 2)
     s, nu = np.full(n, heston.s0), np.full(n, heston.nu0)
     q_o = np.full(n, q_o0)
-    acc_h, acc_u, acc_pred, trace = np.zeros(n), np.zeros(n), np.zeros(n), []
+    z, acc_h, acc_u, acc_pred, trace = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n), []
     for step in range(n_steps):
         t = step * dt
         c_now = g.price(*_clamped(g, s, nu), t)
@@ -603,6 +533,8 @@ def _hedged_step_loop(g, lat, heston, arrival, n, T, dt, seed, q_o0):
         quotes = hedged_book_quotes(q_o, lat.functionals(*_clamped(g, s, nu), t)[2], arrival)
         trace.append(quotes[0])
         hit, _ = fills(quotes, uniforms[step].T, arrival, dt)
+        paid = np.where(hit, quotes, 0.0)
+        z += paid[:, 0] + paid[:, 1]
         q_o += hit[:, 1].astype(int) - hit[:, 0]
         acc_pred += nu * heston.xi**2 * c_nu**2 * q_o**2 * dt
         ds, nu = euler_step(heston, dt, nu, shocks[step, 0], shocks[step, 1])
@@ -610,7 +542,42 @@ def _hedged_step_loop(g, lat, heston, arrival, n, T, dt, seed, q_o0):
         dc = g.price(*_clamped(g, s, nu), _end_time(step, n_steps, dt, T)) - c_now
         acc_h += (-q_o * delta * ds + q_o * dc) ** 2
         acc_u += (q_o * dc) ** 2
-    return acc_h, acc_u, acc_pred, np.array(trace)
+    return z, acc_h, acc_u, acc_pred, q_o, np.array(trace)
+
+
+def test_joint_book_equals_a_step_loop(heston, arrival, risk_nofee, pricing_grid,
+                                       functional_lattice):
+    # each step reads the price at its start and at its end, both at the
+    # clamped state, and H1/H2 at its start
+    g, lat = pricing_grid, functional_lattice
+    n, T, dt, seed = 40, 0.2, 0.01, 19
+    z, qv, q_s, q_o = _joint_step_loop(g, lat, heston, arrival, risk_nofee, n, T, dt, seed, 1, -2)
+    st = run_joint_paths(heston, arrival, risk_nofee, g, lat, T=T, dt=dt, n_paths=n, seed=seed,
+                         q_s0=1, q_o0=-2)
+    np.testing.assert_array_equal(st.z_terminal, z)
+    np.testing.assert_array_equal(st.qv_terminal, qv)
+    assert (st.q_s_mean, st.q_o_mean) == (float(q_s.mean()), float(q_o.mean()))
+    assert np.unique(q_o).size > 1 and qv.min() > 0.0  # fills and price moves were seen
+
+
+def test_hedged_book_equals_a_step_loop(heston, arrival, risk_nofee, pricing_grid,
+                                        functional_lattice):
+    g, lat = pricing_grid, functional_lattice
+    n, T, dt, seed = 40, 0.2, 0.01, 23
+    n_steps = round(T / dt)
+    z, acc_h, acc_u, acc_pred, q_o, _ = _hedged_step_loop(g, lat, heston, arrival, n, T, dt, seed, 1)
+    st = run_hedged_paths(heston, arrival, risk_nofee, g, lat, T=T, dt=dt, n_paths=n, seed=seed,
+                          q_o0=1)
+    np.testing.assert_array_equal(st.qv_hedged, acc_h)
+    np.testing.assert_array_equal(st.qv_unhedged, acc_u)
+    np.testing.assert_array_equal(st.qv_rate_pred, acc_pred / (n_steps * dt))
+    assert (st.z_mean, st.q_o_mean) == (float(z.mean()), float(q_o.mean()))
+    assert np.unique(q_o).size > 1
+
+
+def test_option_mm_has_no_interpolation_kernel_of_its_own():
+    # the books, the integrands and the lattice read through option_pricing's kernel
+    assert ".take(" not in Path(option_mm.__file__).read_text()
 
 
 @pytest.mark.parametrize("n_steps", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
@@ -625,10 +592,11 @@ def test_books_equal_a_step_loop_at_the_chunk_edges(heston, arrival, risk_nofee,
     np.testing.assert_array_equal(st_j.z_terminal, z)
     np.testing.assert_array_equal(st_j.qv_terminal, qv)
     assert (st_j.q_s_mean, st_j.q_o_mean) == (float(q_s.mean()), float(q_o.mean()))
-    acc_h, acc_u, acc_pred, trace = _hedged_step_loop(g, lat, heston, arrival, 40, T, dt, 23, 1)
+    z, acc_h, acc_u, acc_pred, q_o, trace = _hedged_step_loop(g, lat, heston, arrival, 40, T, dt, 23, 1)
     st_h = run_hedged_paths(heston, arrival, risk_nofee, g, lat, T=T, dt=dt, n_paths=40,
                             seed=23, q_o0=1)
     np.testing.assert_array_equal(st_h.qv_hedged, acc_h)
     np.testing.assert_array_equal(st_h.qv_unhedged, acc_u)
     np.testing.assert_array_equal(st_h.qv_rate_pred, acc_pred / T)
+    assert (st_h.z_mean, st_h.q_o_mean) == (float(z.mean()), float(q_o.mean()))
     np.testing.assert_array_equal(np.stack([st_h.trace["a_o"], st_h.trace["b_o"]], axis=1), trace)

@@ -19,7 +19,7 @@ from hestonmm.hjb import HjbConfig, solve_stock_hjb
 from hestonmm.option_pricing import PricingConfig, mc_terminal
 from hestonmm.quotes import InventorySV
 from hestonmm.seeding import DEFAULT_BLOCK, LANE, SIM_STREAM, lane_draws, map_blocks, path_generator
-from hestonmm.sim_engine import ENSEMBLE_BLOCK, SimConfig, run_ensemble, run_path
+from hestonmm.sim_engine import ENSEMBLE_BLOCK, SimConfig, run_ensemble
 
 N_STEPS, N_UNIFORM = 7, 3
 
@@ -223,15 +223,6 @@ def test_no_module_imports_concurrent_or_threading():
     users = sorted(p.name for p in src.glob("*.py")
                    if re.search(r"^\s*(import|from)\s+(concurrent|threading)\b", p.read_text(), re.M))
     assert users == []
-
-
-def test_run_path_replays_ensemble_member(heston, arrival, risk, sim):
-    pol = InventorySV(heston, arrival, risk, sim.T)
-    stats = run_ensemble(pol, sim, 100, seed=8)
-    rec = run_path(pol, sim, seed=8, index=64)
-    assert rec.profit == stats.profits[64]
-    assert rec.q == stats.q_terminal[64]
-    assert rec.qv == stats.qv_terminal[64]
 
 
 def test_mc_terminal_prefix_of_larger_run(heston):

@@ -7,7 +7,7 @@ import pytest
 from hestonmm.intensity import ArrivalParams
 from hestonmm.quotes import Frozen, InventorySV, MarketImpact, RiskNeutral, RiskParams, Symmetric, risk_neutral_rate
 from hestonmm.seeding import SIM_STREAM, lane_draws
-from hestonmm.sim_engine import ENSEMBLE_BLOCK, SimConfig, efficient_frontier, run_ensemble, run_path, trading_curve
+from hestonmm.sim_engine import ENSEMBLE_BLOCK, SimConfig, efficient_frontier, run_ensemble, trading_curve
 
 
 @pytest.fixture()
@@ -26,45 +26,71 @@ def test_config_validation(heston, arrival, risk):
 
 def test_frozen_path(heston, arrival, risk):
     cfg = SimConfig(heston=heston, arrival=arrival, risk=risk, q0=6)
-    rec = run_path(Frozen(), cfg, seed=3)
-    assert rec.q == 6
-    assert rec.z == 0.0
-    assert rec.x == 0.0
-    assert rec.profit == pytest.approx(6 * (rec.s - risk.beta), rel=1e-12)
-    assert math.isnan(rec.avg_spread)
+    stats = run_ensemble(Frozen(), cfg, 1, seed=3)
+    tr = stats.trace
+    assert stats.q_terminal[0] == 6
+    assert stats.z_terminal[0] == 0.0
+    np.testing.assert_array_equal(tr["q"], 6)
+    np.testing.assert_array_equal(tr["z"], 0.0)
+    assert np.isnan(tr["da"]).all() and np.isnan(tr["db"]).all()
+    assert stats.profits[0] == pytest.approx(6 * (tr["s"][-1] - risk.beta), rel=1e-12)
+    assert math.isnan(stats.avg_spread)
 
 
 def test_vanishing_intensity_equals_frozen(heston, risk):
     # A ~ 0: any quoting policy collapses onto the frozen book, path by path
     tiny = ArrivalParams(A=1e-300, k=1.5)
     cfg = SimConfig(heston=heston, arrival=tiny, risk=risk, q0=4)
-    inv = run_path(InventorySV(heston, tiny, risk, 1.0), cfg, seed=11)
-    fro = run_path(Frozen(), cfg, seed=11)
-    assert inv.q == fro.q == 4
-    assert inv.z == 0.0
-    assert inv.s == fro.s
-    assert inv.x == fro.x == 0.0
+    inv = run_ensemble(InventorySV(heston, tiny, risk, 1.0), cfg, 20, seed=11)
+    fro = run_ensemble(Frozen(), cfg, 20, seed=11)
+    np.testing.assert_array_equal(inv.q_terminal, 4)
+    np.testing.assert_array_equal(fro.q_terminal, 4)
+    np.testing.assert_array_equal(inv.z_terminal, 0.0)
+    np.testing.assert_array_equal(inv.iv_terminal, fro.iv_terminal)
+    np.testing.assert_array_equal(inv.profits, fro.profits)
+    np.testing.assert_array_equal(inv.trace["s"], fro.trace["s"])
+
+
+# The largest |profit - cash-ledger profit| measured over the cases below is
+# 1.02e-12, at q0 = 6 with impact (profits up to about 680); the bound leaves
+# a decade above it.
+IDENTITY_ATOL = 1e-11
 
 
 def test_mark_to_market_decomposition(heston, arrival, risk):
-    # Delta(x + q s) = Delta z + q * Delta s at every step, exactly
-    cfg = SimConfig(heston=heston, arrival=arrival, risk=risk, q0=2, snapshot_stride=1)
-    rec = run_path(InventorySV(heston, arrival, risk, 1.0), cfg, seed=17)
-    wealth = rec.series_x + rec.series_q * rec.series_s
-    lhs = np.diff(wealth)
-    rhs = np.diff(rec.series_z) + np.diff(rec.series_iv)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-9)
-    assert rec.series_q.sum() != 2 * rec.series_q.size  # some fills happened
+    # summation by parts: the profit x_T + q_T (s_T - beta) of the reference's
+    # cash ledger x is the engine's z + iv + q0 s0 - beta q_T, up to rounding
+    for q0, impact, scheme in [(2, False, "binomial"), (6, True, "binomial"), (-3, False, "gaussian")]:
+        cfg = SimConfig(heston=heston, arrival=arrival, risk=risk, q0=q0, impact=impact, scheme=scheme)
+        policy = (MarketImpact if impact else InventorySV)(heston, arrival, risk, 1.0)
+        stats = run_ensemble(policy, cfg, 500, seed=17)
+        cash_profits = _ensemble_reference(policy, cfg, 500, seed=17)[1]
+        np.testing.assert_allclose(stats.profits, cash_profits, rtol=0.0, atol=IDENTITY_ATOL,
+                                   err_msg=f"q0={q0} impact={impact} {scheme}")
+        assert (stats.q_terminal != q0).any()  # some fills happened
 
 
 def test_accounting_identity(heston, arrival, risk, sim):
+    # the trace of path 0 ends at that path's terminals, and its profit is
+    # z + iv + q0 s0 - beta q_T (q0 = 0 here)
     stats = run_ensemble(InventorySV(heston, arrival, risk, 1.0), sim, 50, seed=23)
-    # q_T = q0 + bid fills - ask fills is implicit; check z >= 0 can fail
-    # (negative premiums), but profit must match x + q (s - beta) per path
-    rec = run_path(InventorySV(heston, arrival, risk, 1.0), sim, seed=23, index=7)
-    assert stats.profits[7] == pytest.approx(rec.profit, rel=1e-12)
-    assert stats.q_terminal[7] == rec.q
-    assert stats.z_terminal[7] == pytest.approx(rec.z, rel=1e-12)
+    tr = stats.trace
+    assert tr["q"][-1] == stats.q_terminal[0]
+    assert tr["z"][-1] == stats.z_terminal[0]
+    assert np.isnan(tr["da"][-1]) and np.isfinite(tr["da"][:-1]).all()
+    assert stats.profits[0] == stats.z_terminal[0] + stats.iv_terminal[0] - risk.beta * tr["q"][-1]
+
+
+def test_path_zero_trace_is_independent_of_path_count(heston, arrival, risk, sim):
+    # path 0 alone and path 0 of a two-block ensemble are the same path
+    pol = InventorySV(heston, arrival, risk, sim.T)
+    one = run_ensemble(pol, replace(sim, snapshot_stride=7), 1, seed=8)
+    many = run_ensemble(pol, replace(sim, snapshot_stride=7), ENSEMBLE_BLOCK + 10, seed=8)
+    assert one.trace.keys() == many.trace.keys() == {"s", "da", "db", "q", "z"}
+    for name in one.trace:
+        np.testing.assert_array_equal(one.trace[name], many.trace[name], err_msg=name)
+    assert one.trace["s"].shape == one.curve_times.shape
+    assert one.profits[0] == many.profits[0]
 
 
 def test_determinism_across_reruns_and_blocks(heston, arrival, risk, sim):
@@ -108,9 +134,9 @@ def test_impact_moves_price(heston, arrival):
     # eta large enough to see: ask fill pushes the mid up
     risk = RiskParams(gamma=0.0, beta=0.0, eta=5.0)
     cfg = SimConfig(heston=heston, arrival=arrival, risk=risk, impact=True)
-    on = run_path(RiskNeutral(arrival, risk), cfg, seed=3)
-    off = run_path(RiskNeutral(arrival, risk), replace(cfg, impact=False), seed=3)
-    assert on.s != off.s
+    on = run_ensemble(RiskNeutral(arrival, risk), cfg, 1, seed=3)
+    off = run_ensemble(RiskNeutral(arrival, risk), replace(cfg, impact=False), 1, seed=3)
+    assert on.trace["s"][-1] != off.trace["s"][-1]
 
 
 def test_trading_curve_frozen_constant(heston, arrival, risk):
@@ -160,10 +186,12 @@ def test_clip_counter_increments(heston, arrival):
 
 
 def _ensemble_reference(policy, config, n, seed):
-    """Per-path terminals of paths ``0..n-1``, the clip count and the
-    inventory curve, by the event loop written out inline over all ``n``
-    paths at once: the draws from ``lane_draws``, the fill rule and the
-    full-truncation Euler step spelled out term by term."""
+    """The ensemble fields of paths ``0..n-1`` (per-path terminals, the clip
+    count, the inventory curve and path 0's trace) by the event loop written
+    out inline over all ``n`` paths at once: the draws from ``lane_draws``,
+    the fill rule and the full-truncation Euler step spelled out term by
+    term.  Also returns the profit ``x + q (s - beta)`` of a cash ledger
+    ``x``, which the engine does not keep."""
     n_steps, dt = config.n_steps, config.dt
     sqrt_dt = math.sqrt(dt)
     h, arrival, risk = config.heston, config.arrival, config.risk
@@ -174,10 +202,12 @@ def _ensemble_reference(policy, config, n, seed):
     x, z, qv, iv, spread = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
     clipped = 0
     q_steps = []  # q at the start of each step, then at T
+    path0 = []  # path 0's (s, da, db, q, z) at the start of each step, then at T
     for step in range(n_steps):
         q_steps.append(q.copy())
         da, db = (np.broadcast_to(np.asarray(p, dtype=np.float64), (n,))
                   for p in policy.premiums(q, nu, step * dt))
+        path0.append((s[0], da[0], db[0], q[0], z[0]))
         raw_a = arrival.A * np.exp(-arrival.k * da) * dt
         raw_b = arrival.A * np.exp(-arrival.k * db) * dt
         clipped += int(np.count_nonzero(raw_a > 1.0)) + int(np.count_nonzero(raw_b > 1.0))
@@ -200,13 +230,18 @@ def _ensemble_reference(policy, config, n, seed):
         z_nu = h.rho * shocks[step, 0] + rho_c * shocks[step, 1]
         nu = np.maximum(nu + h.theta * (h.alpha - nu) * dt
                         + h.xi * np.sqrt(nu_pos) * z_nu * sqrt_dt, 0.0)
-    q_steps = np.array(q_steps + [q], dtype=np.float64)
+    path0.append((s[0], np.nan, np.nan, q[0], z[0]))
+    path0 = [np.array(col)[config.snapshot_steps] for col in zip(*path0)]
+    q_steps = np.array(q_steps + [q], dtype=np.float64)[config.snapshot_steps]
     curve_mean = q_steps.sum(axis=1) / n
     curve_var = np.maximum((q_steps**2).sum(axis=1) / n - curve_mean**2, 0.0)
-    return {"profits": x + q.astype(np.float64) * (s - risk.beta), "q_terminal": q,
-            "z_terminal": z, "qv_terminal": qv, "iv_terminal": iv,
-            "spread_terminal": spread / n_steps, "clipped": clipped,
-            "curve_mean": curve_mean, "curve_std": np.sqrt(curve_var * n / (n - 1))}
+    qf = q.astype(np.float64)
+    fields = {"profits": z + iv + config.q0 * h.s0 - risk.beta * qf, "q_terminal": q,
+              "z_terminal": z, "qv_terminal": qv, "iv_terminal": iv,
+              "spread_terminal": spread / n_steps, "clipped": clipped,
+              "curve_mean": curve_mean, "curve_std": np.sqrt(curve_var * n / (n - 1)),
+              "trace": dict(zip(("s", "da", "db", "q", "z"), path0))}
+    return fields, x + qf * (s - risk.beta)
 
 
 @pytest.mark.parametrize("impact", [False, True])
@@ -217,7 +252,9 @@ def test_binomial_ensemble_equals_inline_reference(heston, arrival, risk, impact
     policy = (MarketImpact if impact else InventorySV)(heston, arrival, risk, 1.0)
     n = ENSEMBLE_BLOCK + 150
     stats = run_ensemble(policy, cfg, n, seed=19)
-    ref = _ensemble_reference(policy, cfg, n, seed=19)
+    ref, _ = _ensemble_reference(policy, cfg, n, seed=19)
     assert ref["clipped"] > 0
+    for name, want in ref.pop("trace").items():
+        np.testing.assert_array_equal(stats.trace[name], want, err_msg=f"trace {name}")
     for name, want in ref.items():
         np.testing.assert_array_equal(getattr(stats, name), want, err_msg=name)
