@@ -100,16 +100,21 @@ def euler_step(params: HestonParams, dt: float, nu, z_s, z_perp=0.0, *, risk_adj
     return root * z_s * sqrt_dt, nu_next
 
 
-def walk(params: HestonParams, shocks: np.ndarray, dt: float, nu0: float, risk_adj: float = 0.0):
-    """Step by step, ``(nu, ds, nu_next)`` of ``euler_step`` from ``nu0`` over
-    the step-major ``(n_steps, 2 or 1, n)`` shocks of ``seeding.lane_draws``
-    (``z_s`` alone means ``z_perp = 0``).  Nothing is stored; no step reads
-    the price, so each consumer adds ``ds`` to its own (and impact, if any)."""
-    nu = np.full(shocks.shape[-1], float(nu0))
-    for z in shocks:
-        ds, nu_next = euler_step(params, dt, nu, *z, risk_adj=risk_adj)
-        yield nu, ds, nu_next
-        nu = nu_next
+def walk(params: HestonParams, draws, dt: float, nu0: float, risk_adj: float = 0.0):
+    """Step by step, ``(nu, ds, nu_next, u)`` of ``euler_step`` from ``nu0``
+    over the ``(shocks, uniforms)`` chunks of ``seeding.lane_draws``: the
+    step's ``(2 or 1, n)`` shocks drive it (``z_s`` alone means ``z_perp =
+    0``) and its ``(n_uniforms, n)`` uniforms pass through as ``u``.  Nothing
+    is stored; no step reads the price, so each consumer adds ``ds`` to its
+    own (and impact, if any)."""
+    nu = None
+    for shocks, uniforms in draws:
+        if nu is None:
+            nu = np.full(shocks.shape[-1], float(nu0))
+        for z, u in zip(shocks, uniforms):
+            ds, nu_next = euler_step(params, dt, nu, *z, risk_adj=risk_adj)
+            yield nu, ds, nu_next, u
+            nu = nu_next
 
 
 def variance_operator(params: HestonParams, nu: np.ndarray, eta_nu: float = 0.0):
@@ -152,9 +157,9 @@ def sample_terminal(
     dt = T / n_steps
 
     def paths(lo: int, hi: int):
-        shocks, _ = lane_draws(seed, (HESTON_STREAM,), lo, hi, n_steps, 2, scheme=scheme)
+        draws = lane_draws(seed, (HESTON_STREAM,), lo, hi, n_steps, 2, scheme=scheme)
         s = np.full(hi - lo, params.s0)
-        for _, ds, nu in walk(params, shocks, dt, params.nu0):
+        for _, ds, nu, _ in walk(params, draws, dt, params.nu0):
             s += ds
         return s, nu
 

@@ -17,7 +17,8 @@ inside simulations; ``estimate_functionals`` is their Monte Carlo oracle.
 
 Both books and the oracle read ``heston.walk`` through ``_walk``, which only
 gathers it ``CHUNK`` steps at a time for one grid and one lattice read per
-chunk; only the quotes and the book step ``intensity.trade`` (fills, premium
+chunk; each book also draws its shocks and fill uniforms ``CHUNK`` steps at a
+time.  Only the quotes and the book step ``intensity.trade`` (fills, premium
 income, inventory) run step by step.  The reads find cells with
 ``option_pricing.cell``, a checked uniform-spacing guess that falls back to
 ``searchsorted``: exact on any grid, dearer on a stretched one.
@@ -70,7 +71,7 @@ class Functionals:
 
 
 _DELTA_C_NU = slice(DELTA, C_NU + 1, C_NU - DELTA)  # the two greek columns the integrands read
-CHUNK = 8  # steps per batched grid and lattice read of the market walk
+CHUNK = 8  # steps per batched grid and lattice read of the market walk, and per book draw
 
 
 def _integrands(delta, c_nu, heston: HestonParams) -> np.ndarray:
@@ -90,18 +91,19 @@ def _simulate_integrals(
     real-world paths from ``(s0, nu0)`` at time ``t`` to the grid's maturity,
     in the pricer's Euler steps (``_euler_steps``), drawn from the key
     ``(FUNCTIONAL_STREAM, 0)`` under ``seed`` in the blocks of
-    ``seeding.map_blocks``.  Raises ``GridExitError`` when more than
-    ``max_exit_fraction`` of the paths leave the grid before the last step."""
+    ``seeding.map_blocks``, ``seeding.STEP_CHUNK`` steps at a time.  Raises
+    ``GridExitError`` when more than ``max_exit_fraction`` of the paths leave
+    the grid before the last step."""
     n_steps, dt = _euler_steps(grid.config, s0, nu0, t, dt_target)
     times = [t + step * dt for step in range(n_steps)] + [grid.config.T]
 
     def paths(lo: int, hi: int):
         n = hi - lo
-        shocks, _ = lane_draws(seed, (FUNCTIONAL_STREAM, 0), lo, hi, n_steps, 2)
+        draws = lane_draws(seed, (FUNCTIONAL_STREAM, 0), lo, hi, n_steps, 2)
         acc = np.zeros((3, n))
         out = np.zeros(n, dtype=bool)
-        for _, _, nu, _, g, _, outside in _walk(grid, heston, shocks, times, dt, s0, nu0,
-                                                _DELTA_C_NU):
+        for _, _, nu, _, _, g, _, outside in _walk(grid, heston, draws, n, times, dt, s0, nu0,
+                                                   _DELTA_C_NU):
             out |= outside[:-1].any(axis=0)  # the states the integrands read
             f = nu[:-1] * _integrands(g[:-1, :, 0], g[:-1, :, 1], heston) * dt
             for r in range(f.shape[1]):
@@ -297,16 +299,18 @@ def _step_times(T: float, dt: float) -> list[float]:
     return [k * dt for k in range(step_count(T, dt))] + [T]
 
 
-def _walk(grid: PricingGrid, heston: HestonParams, shocks: np.ndarray, times, dt: float,
+def _walk(grid: PricingGrid, heston: HestonParams, draws, n: int, times, dt: float,
           s0: float, nu0: float, cols: slice = slice(None), lattice: FunctionalLattice | None = None):
-    """The market of one block of paths, ``CHUNK`` steps at a time.
+    """The market of one block of ``n`` paths, ``CHUNK`` steps at a time.
 
     Step ``k`` moves every path from ``times[k]`` to ``times[k + 1]`` by
-    step ``k`` of ``heston.walk`` over ``shocks`` with ``dt``, from ``(s0,
-    nu0)`` at ``times[0]``.  For each chunk of steps ``a..a+K-1`` it yields
-    ``(a, s, nu, ds, g, h, outside)``, where row ``r`` of ``s``, ``nu``,
-    ``g`` and ``outside`` is state ``a + r`` (``K + 1`` rows, the first shared
-    with the previous chunk) and row ``r`` of ``ds`` and ``h`` is step ``a + r``:
+    step ``k`` of ``heston.walk`` over the ``seeding.lane_draws`` chunks
+    ``draws`` with ``dt``, from ``(s0, nu0)`` at ``times[0]``.  For each
+    chunk of steps ``a..a+K-1`` it yields ``(a, s, nu, ds, u, g, h,
+    outside)``, where row ``r`` of ``s``, ``nu``, ``g`` and ``outside`` is
+    state ``a + r`` (``K + 1`` rows, the first shared with the previous
+    chunk) and row ``r`` of ``ds``, ``u`` (the step's uniforms) and ``h`` is
+    step ``a + r``:
 
     - ``g``: the grid columns ``cols`` at each state clamped to the grid, at
       its time; every state after the first is read once, in one batched
@@ -319,18 +323,19 @@ def _walk(grid: PricingGrid, heston: HestonParams, shocks: np.ndarray, times, dt
     for the same shocks.
     """
     times = np.asarray(times)
-    n_steps, n = times.size - 1, shocks.shape[-1]
+    n_steps = times.size - 1
     s_end, nu_end = np.full(n, float(s0)), np.full(n, float(nu0))
     first = grid._time_slice(times[0], cols)
     g_end = grid._bilinear(first, *grid.clamp(s_end, nu_end)[:2])
     slab = os_array((min(CHUNK, n_steps),) + first.shape)  # one chunk's time slices
-    steps = walk(heston, shocks, dt, nu0)
+    steps = walk(heston, draws, dt, nu0)
     for a in range(0, n_steps, CHUNK):
         k = min(CHUNK, n_steps - a)
-        s, nu, ds = np.empty((k + 1, n)), np.empty((k + 1, n)), np.empty((k, n))
+        s, nu, ds, u = np.empty((k + 1, n)), np.empty((k + 1, n)), np.empty((k, n)), []
         s[0], nu[0] = s_end, nu_end
         for r in range(k):
-            _, ds[r], nu[r + 1] = next(steps)
+            _, ds[r], nu[r + 1], u_r = next(steps)
+            u.append(u_r)
             s[r + 1] = s[r] + ds[r]
         sc, vc, outside = grid.clamp(s, nu)
         g = np.empty((k + 1,) + g_end.shape)
@@ -339,7 +344,7 @@ def _walk(grid: PricingGrid, heston: HestonParams, shocks: np.ndarray, times, dt
             slab[r] = grid._time_slice(times[a + 1 + r], cols)
         g[1:] = grid._bilinear(slab[:k], sc[1:], vc[1:])
         h = None if lattice is None else lattice.functionals(sc[:-1], vc[:-1], times[a:a + k])
-        yield a, s, nu, ds, g, h, outside
+        yield a, s, nu, ds, u, g, h, outside
         s_end, nu_end, g_end = s[-1], nu[-1], g[-1]
 
 
@@ -364,7 +369,7 @@ def run_hedged_paths(
 
     def paths(lo: int, hi: int):
         n = hi - lo
-        shocks, uniforms = lane_draws(seed, (OPTION_MM_STREAM,), lo, hi, n_steps, 2, 2)
+        draws = lane_draws(seed, (OPTION_MM_STREAM,), lo, hi, n_steps, 2, 2, chunk=CHUNK)
         q_o = np.full(n, q_o0, dtype=np.int64)
         z = np.zeros(n)
         acc_h = np.zeros(n)
@@ -374,8 +379,8 @@ def run_hedged_paths(
         off = np.zeros(n, dtype=bool)
         clipped = 0
 
-        for a, s, nu, ds, g, (_, _, m), outside in _walk(grid, heston, shocks, times, dt,
-                                                        heston.s0, heston.nu0, lattice=lattice):
+        for a, s, nu, ds, u, g, (_, _, m), outside in _walk(grid, heston, draws, n, times, dt,
+                                                           heston.s0, heston.nu0, lattice=lattice):
             off |= outside.any(axis=0)
             for r in range(ds.shape[0]):
                 step = a + r
@@ -387,7 +392,7 @@ def run_hedged_paths(
                     trace["nu"][step] = nu[r, 0]
                     trace["q_o"][step] = q_o[0]
                     trace["a_o"][step], trace["b_o"][step] = quotes[0]
-                _, income, dq, n_clipped = trade(quotes, uniforms[step].T, arrival, dt)
+                _, income, dq, n_clipped = trade(quotes, u[r].T, arrival, dt)
                 clipped += n_clipped
                 z += income
                 q_o += dq[:, 0]
@@ -436,7 +441,7 @@ def run_joint_paths(
 
     def paths(lo: int, hi: int):
         n = hi - lo
-        shocks, uniforms = lane_draws(seed, (OPTION_MM_STREAM,), lo, hi, n_steps, 2, 4)
+        draws = lane_draws(seed, (OPTION_MM_STREAM,), lo, hi, n_steps, 2, 4, chunk=CHUNK)
         q_s = np.full(n, q_s0, dtype=np.int64)
         q_o = np.full(n, q_o0, dtype=np.int64)
         z = np.zeros(n)
@@ -444,14 +449,14 @@ def run_joint_paths(
         off = np.zeros(n, dtype=bool)
         clipped = 0
 
-        for a, _, nu, ds, g, (h1, h2, _), outside in _walk(grid, heston, shocks, times, dt,
-                                                          heston.s0, heston.nu0, PRICE, lattice):
+        for a, _, nu, ds, u, g, (h1, h2, _), outside in _walk(grid, heston, draws, n, times, dt,
+                                                             heston.s0, heston.nu0, PRICE, lattice):
             off |= outside.any(axis=0)
             for r in range(ds.shape[0]):
                 step = a + r
                 quotes = joint_book_quotes(q_s, q_o, nu[r], times[step], T, h1[r], h2[r],
                                            arrival, heston, risk)
-                _, income, dq, n_clipped = trade(quotes, uniforms[step].T, arrival, dt)
+                _, income, dq, n_clipped = trade(quotes, u[r].T, arrival, dt)
                 clipped += n_clipped
                 z += income
                 q_s += dq[:, 0]

@@ -374,9 +374,9 @@ def mc_terminal(
     risk_adj = _risk_adj(config)
 
     def paths(lo: int, hi: int) -> np.ndarray:
-        shocks, _ = lane_draws(seed, (PRICING_STREAM,), lo, hi, n_steps, 2)
+        draws = lane_draws(seed, (PRICING_STREAM,), lo, hi, n_steps, 2)
         s_arr = np.full(hi - lo, float(s))
-        for _, ds, _ in walk(config.heston, shocks, dt, nu, risk_adj):
+        for _, ds, _, _ in walk(config.heston, draws, dt, nu, risk_adj):
             s_arr = s_arr + ds
         return s_arr
 
@@ -398,10 +398,10 @@ def _conditional_paths(config: PricingConfig, s: float, nu: float, n_steps: int,
     rho = config.heston.rho
     variance_only = replace(config.heston, rho=1.0)
     risk_adj = _risk_adj(config)
-    z, _ = lane_draws(seed, (stream,), lo, hi, n_steps, 1)
+    draws = lane_draws(seed, (stream,), lo, hi, n_steps, 1)
     m = np.zeros(hi - lo)
     nu_sum = np.zeros(hi - lo)
-    for v, dm, _ in walk(variance_only, z, dt, nu, risk_adj):
+    for v, dm, _, _ in walk(variance_only, draws, dt, nu, risk_adj):
         nu_sum += v
         m += dm
     value = _bachelier(s + rho * m - config.strike, (1.0 - rho**2) * dt * nu_sum)

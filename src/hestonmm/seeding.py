@@ -2,11 +2,13 @@
 
 All randomness in the library flows from a single master seed.  Paths are
 grouped into fixed-width lanes: path ``i`` is row ``i % LANE`` of lane
-``i // LANE``, and each lane owns one generator derived from ``(master, *key,
-lane)``, where ``key`` names the source of randomness (a stream, plus a fixed
-node 0 for the functional oracle).  A lane always draws all ``LANE`` rows, so a
-path's draws depend only on ``(master, key, i)``: not on the ensemble size
-or the block layout.
+``i // LANE``.  Each lane owns one generator for its shocks, derived from
+``(master, *key, 0, lane)``, and one for its uniforms, from ``(master, *key,
+1, lane)``, where ``key`` names the source of randomness (a stream, plus a
+fixed node 0 for the functional oracle).  Each generator draws its lane's
+``LANE`` paths step by step, so a path's draws depend only on ``(master,
+key, i)``: not on the ensemble size, the block layout or how the steps are
+split into chunks.
 
 ``map_blocks`` is the only code that splits paths into blocks; it runs them
 in index order on the calling thread.
@@ -29,65 +31,74 @@ PRICING_PILOT_STREAM = 5  # the pilot that fits mc_price's control coefficient
 
 DEFAULT_BLOCK = 4096
 LANE = 64  # paths per generator
+STEP_CHUNK = 25  # steps per draw chunk, unless a caller asks for another
 
 SCHEMES = ("binomial", "gaussian")
 
 
 def path_generator(master: int, *key: int) -> np.random.Generator:
-    """The generator of one lane: ``path_generator(master, *key, lane)``."""
+    """The generator of one lane's shocks or uniforms:
+    ``path_generator(master, *key, 0 or 1, lane)``."""
     return np.random.default_rng(np.random.SeedSequence(entropy=master, spawn_key=key))
 
 
-def os_array(shape, dtype=np.float64) -> np.ndarray:
-    """Uninitialised array on pages mapped from the OS up front, unmapped
-    when freed.  Large freed ``malloc`` buffers raise glibc's mmap threshold,
-    later ones then land on the heap, and peak memory varies with its
-    fragmentation from run to run."""
+def os_array(shape) -> np.ndarray:
+    """Uninitialised float64 array on pages mapped from the OS up front,
+    unmapped when freed.  Large freed ``malloc`` buffers raise glibc's mmap
+    threshold, later ones then land on the heap, and peak memory varies with
+    its fragmentation from run to run."""
     flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
-    dtype = np.dtype(dtype)
     n = math.prod(shape)
-    buf = mmap.mmap(-1, dtype.itemsize * max(n, 1), flags=flags)
-    return np.frombuffer(buf, dtype=dtype, count=n).reshape(shape)
+    buf = mmap.mmap(-1, 8 * max(n, 1), flags=flags)
+    return np.frombuffer(buf, dtype=np.float64, count=n).reshape(shape)
+
+
+def _lane_chunk(rngs, n_lanes: int, k: int, width: int, kind: str) -> np.ndarray:
+    """The next ``k`` steps of ``width`` draws from each lane generator, as a
+    ``(k, width, n_lanes * LANE)`` array: gaussian shocks, binomial signs or
+    uniforms.  Each lane draws ``(k, width, LANE)`` values in one call."""
+    lanes = np.empty((n_lanes, k, width, LANE), dtype=np.int8 if kind == "binomial" else np.float64)
+    for out, rng in zip(lanes, rngs):
+        if kind == "gaussian":
+            rng.standard_normal(out=out)
+        elif kind == "binomial":
+            out[...] = rng.integers(0, 2, size=out.shape, dtype=np.int8)
+        else:
+            rng.random(out=out)
+    if kind == "binomial":
+        lanes *= 2
+        lanes -= 1
+    return lanes.transpose(1, 2, 0, 3).reshape(k, width, n_lanes * LANE)
 
 
 def lane_draws(master: int, key: tuple[int, ...], lo: int, hi: int, n_steps: int,
-               n_shocks: int, n_uniforms: int = 0,
-               scheme: str = "gaussian") -> tuple[np.ndarray, np.ndarray]:
-    """Paths ``lo..hi-1``'s draws, step-major so that one step's draws are
-    contiguous: ``shocks[step, j]`` and ``uniforms[step, j]`` hold shock or
-    uniform ``j`` of ``step`` for the ``n = hi - lo`` paths in order, in
-    arrays of shape (n_steps, n_shocks, n) and (n_steps, n_uniforms, n).
-    ``n_shocks`` is 2 for a stock and a variance shock per step, 1 for the
-    variance shock alone (``mc_price``).  Shocks are float64 standard
-    normals, or int8 signs of +-1 for ``binomial``; uniforms lie in [0, 1).
+               n_shocks: int, n_uniforms: int = 0, scheme: str = "gaussian",
+               chunk: int = STEP_CHUNK):
+    """Paths ``lo..hi-1``'s draws, ``chunk`` steps at a time (the last chunk
+    may be shorter): an iterator of ``(shocks, uniforms)`` pairs of shape
+    ``(k, n_shocks, n)`` and ``(k, n_uniforms, n)``, ``n = hi - lo``, whose
+    ``shocks[r, j]`` and ``uniforms[r, j]`` hold shock or uniform ``j`` of the
+    chunk's step ``r`` for the paths in order.  ``n_shocks`` is 2 for a stock
+    and a variance shock per step, 1 for the variance shock alone
+    (``mc_price``).  Shocks are float64 standard normals, or int8 signs of
+    +-1 for ``binomial``; uniforms lie in [0, 1).
 
-    The buffers span the whole lanes that hold ``lo..hi-1`` and come from
-    ``os_array``.  Each lane draws all its paths' shocks in one call, path
-    by path and step by step, then all its paths' uniforms in one call
-    (none when ``n_uniforms`` is 0), each into a one-lane scratch that is
-    copied transposed into the lane's columns; the arrays returned are
-    views of columns ``lo..hi-1``.
+    The generators of the whole lanes that hold ``lo..hi-1`` are built
+    before the first chunk (no uniform generators when ``n_uniforms`` is 0).
+    Each generator draws its lane's paths step by step, so the values do not
+    depend on ``chunk``; binomial signs are drawn 32 bits at a time, and each
+    call draws ``k * n_shocks * LANE`` of them, a multiple of 4.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    first = lo // LANE
-    rows = (-(-hi // LANE) - first) * LANE
-    shocks = os_array((n_steps, n_shocks, rows), dtype=np.float64 if scheme == "gaussian" else np.int8)
-    uniforms = os_array((n_steps, n_uniforms, rows))
-    scratch = os_array((LANE * n_steps * max(n_shocks, n_uniforms),))
-    for row in range(0, rows, LANE):
-        rng = path_generator(master, *key, first + row // LANE)
-        if scheme == "gaussian":
-            z = rng.standard_normal(out=scratch[:LANE * n_steps * n_shocks].reshape(LANE, -1))
-        else:  # binomial: signs
-            z = rng.integers(0, 2, size=(LANE, n_steps * n_shocks), dtype=np.int8)
-            z *= 2
-            z -= 1
-        shocks.reshape(-1, rows)[:, row:row + LANE] = z.T
-        u = rng.random(out=scratch[:LANE * n_steps * n_uniforms].reshape(LANE, -1))
-        uniforms.reshape(-1, rows)[:, row:row + LANE] = u.T
-    paths = slice(lo - first * LANE, hi - first * LANE)
-    return shocks[..., paths], uniforms[..., paths]
+    lanes = range(lo // LANE, -(-hi // LANE))
+    shock_rngs = [path_generator(master, *key, 0, lane) for lane in lanes]
+    uniform_rngs = [path_generator(master, *key, 1, lane) for lane in lanes] if n_uniforms else []
+    paths = slice(lo - lanes.start * LANE, hi - lanes.start * LANE)
+    for a in range(0, n_steps, chunk):
+        k = min(chunk, n_steps - a)
+        yield (_lane_chunk(shock_rngs, len(lanes), k, n_shocks, scheme)[..., paths],
+               _lane_chunk(uniform_rngs, len(lanes), k, n_uniforms, "uniform")[..., paths])
 
 
 def map_blocks(n: int, fn, block: int = DEFAULT_BLOCK) -> list:

@@ -10,9 +10,11 @@ Every path's draws are keyed by ``(seed, index)`` (see ``seeding``) and
 ``seeding.map_blocks`` runs blocks of paths in index order, so ensembles are
 bit-reproducible whatever the path count or block layout.
 
-The same pre-generated draw arrays are consumed by every policy, which makes
-runs with different policies under one master seed common-random-number
-comparable (the frozen book simply ignores its fill uniforms).
+Every policy walks the same shocks, drawn ``seeding.STEP_CHUNK`` steps at a
+time, which makes runs with different policies under one master seed
+common-random-number comparable.  A book that quotes also draws its fill
+uniforms, from generators of their own, so the frozen book draws none and
+sees the same market.
 """
 
 from __future__ import annotations
@@ -113,13 +115,6 @@ class FrontierPoint:
     profit_mean: float
 
 
-# Paths per block of the event loop, below seeding.DEFAULT_BLOCK: a block holds
-# its paths' draws for every step, 18 bytes per path-step for the binomial
-# scheme (two int8 signs, two float64 uniforms; 3.6 KB per path at the default
-# 200 steps, 7.4 MB per block) and 32 for the gaussian one (6.4 KB per path).
-ENSEMBLE_BLOCK = 2048
-
-
 def _run_block(policy, config: SimConfig, master_seed: int, lo: int, hi: int) -> dict:
     """Simulate paths ``lo..hi-1``; returns per-path terminals, snapshot
     accumulators and, in the block of path 0, that path's snapshot trace."""
@@ -127,8 +122,6 @@ def _run_block(policy, config: SimConfig, master_seed: int, lo: int, hi: int) ->
     n_steps = config.n_steps
     dt = config.dt
     heston, arrival, risk = config.heston, config.arrival, config.risk
-
-    shocks, uniforms = lane_draws(master_seed, (SIM_STREAM,), lo, hi, n_steps, 2, 2, config.scheme)
 
     s = np.full(n, heston.s0)
     q = np.full(n, config.q0, dtype=np.int64)
@@ -161,15 +154,17 @@ def _run_block(policy, config: SimConfig, master_seed: int, lo: int, hi: int) ->
 
     quoting = policy.premiums(np.zeros(1), np.zeros(1), 0.0) is not None
     impact = config.impact and quoting
+    draws = lane_draws(master_seed, (SIM_STREAM,), lo, hi, n_steps, 2, 2 if quoting else 0,
+                       config.scheme)
 
-    for step, (nu, ds, _) in enumerate(walk(heston, shocks, dt, heston.nu0)):
+    for step, (nu, ds, _, u) in enumerate(walk(heston, draws, dt, heston.nu0)):
         deltas = None
         if quoting:
             deltas = np.empty((n, 2))
             deltas[:, 0], deltas[:, 1] = policy.premiums(q, nu, step * dt)
         snapshot(step, deltas)
         if quoting:
-            hit, income, dq, n_clipped = trade(deltas, uniforms[step].T, arrival, dt)
+            hit, income, dq, n_clipped = trade(deltas, u.T, arrival, dt)
             clipped += n_clipped
             z += income
             q += dq[:, 0]
@@ -211,8 +206,7 @@ def run_ensemble(policy, config: SimConfig, n: int, seed: int,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    results = map_blocks(n, lambda lo, hi: _run_block(policy, config, seed, lo, hi),
-                         ENSEMBLE_BLOCK)
+    results = map_blocks(n, lambda lo, hi: _run_block(policy, config, seed, lo, hi))
     cat = lambda key: np.concatenate([r[key] for r in results])
     profits = cat("profit")
     q_term = cat("q")

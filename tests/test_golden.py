@@ -28,21 +28,21 @@ LATTICE = "2f3f51ece30f65985f3c86d614ab46f30d4cf9a6b446f78a4af8f58be8663d11"
 # run -> (argv, {file suffix after the seed: sha256})
 GOLDEN = {
     "simulate": (["simulate", "--paths", "300"], {
-        ".csv": "bec409ecc787e174cab26cb5fab94b5874a00cc6200acfe5c016940a8b27d4da",
-        "-series.csv": "6ff6e630e362382ddcb39d5e0557c57f41e89d781ec977d2bec5e47e8a338f75",
+        ".csv": "620aa0e342445a84fb924a5877d68a1ca663e84bbd6fb678407ab1cfe031d688",
+        "-series.csv": "38c91f393e032ef662d9c03e41145da1f34d31b6a9bdf0769ac96c52faee155b",
     }),
     "simulate-impact": (["simulate", "--paths", "300", *IMPACT], {
-        ".csv": "f00427b99914c81ceb8f5669ff9c5863b9e15539a7a4940fd2f482d647036cd4",
-        "-series.csv": "beaf222d736e5e5c5f11ac357361ec067aa32c633126470144879598804a85e6",
+        ".csv": "b1f09ff72cd885a113999c9adfa4a7940fd9fd6971f4f3e96352d84d0a530da2",
+        "-series.csv": "1bdcb71bd2f455acdbd70e13d6d44e7021ee9a523c78f40b362672d35b9e67bd",
     }),
     "simulate-impact-plain": (["simulate", "--paths", "300", *IMPACT,
                                "--set", "sim.impact_variant=plain"], {
-        ".csv": "eea97e5040fa9900d54e4fa90c2b432bc8bbe48ce62206a227b76f7001ec7624",
-        "-series.csv": "430100f6a335b57845d7bdecf4f25b179b2d8d916ace605d2ab12370c171e640",
+        ".csv": "25532e760cb9695e0632839d750fea95dcdbc5f8d58526de90c02baf35cbb372",
+        "-series.csv": "934d96ea971dfec952e5ed5f9a9fe05dfc2b487b8a4ce478024a9592eafd2c5b",
     }),
     "compare": (["compare", "--paths", "300"], {
-        ".csv": "ab73d37c5d043c05ab2e2445ef90b9bd719163cc702793561be0d7edf0bef837",
-        "-hist.csv": "f5a02fb984daa0cf68a80669a330367cf57977a4b19fbfdf733c100a7fb8dbab",
+        ".csv": "3a0281f396eee64009ee48f404235baf7e295bfbcd089c61e1e8c458d9418708",
+        "-hist.csv": "efba016e8957943ba11413bd77dc9c86014bbb43f329d53d5b13ba8773247ef5",
     }),
     "hjb": (["hjb", *HJB_BOX], {
         ".csv": "fa23fc55fb28a5c0ac3e1c60a1e53699b0b3fc15befed469e44d0571c01ad547",
@@ -58,12 +58,12 @@ GOLDEN = {
         ".csv": "00636b25518f972bda7947ec371c7d4d242d6a4c897ea5fc76090de73c780d35",
     }),
     "option-mm-hedged": (["option-mm", "--hedged", *SMALL_BOOKS], {
-        ".csv": "6db8b4609e1e04f97050068238d050b1f9d31411236d3777886d9f7a0cca9f9a",
-        "-trace.csv": "f146d3a222f2df3065f80969c47bebee77c000d5dd7a5bf470d1f0f80ea5b371",
+        ".csv": "596b7f0b6888351e00c5c51f889d64896e2d58653931f661d2dc4673f2ea172d",
+        "-trace.csv": "010e8bc9f9c043484df41f3348377f1b329601c7c0c10dda4136b0731d102d6e",
         "-lattice.csv": LATTICE,
     }),
     "option-mm-joint": (["option-mm", "--no-hedged", *SMALL_BOOKS], {
-        ".csv": "af58d70ee0da3fb3581031b0087272ebee8f1a4706605420a21b8e58ea0e3572",
+        ".csv": "f78f964d28747b0ebf6c0ad31d0287791b6069a14095d9ed9474ca4483d4126b",
         "-lattice.csv": LATTICE,
     }),
 }

@@ -149,17 +149,21 @@ def test_euler_step_takes_int8_signs_as_floats(heston):
 @pytest.mark.parametrize("scheme", ["gaussian", "binomial"])
 def test_walk_equals_a_step_loop(heston, scheme, risk_adj):
     # two-shock blocks as drawn (int8 signs under binomial), and a one-shock
-    # block under rho = 1 stepped as the explicit z_perp = 0 call; xi = 1.5
-    # takes some paths to the zero clamp under either scheme
+    # block under rho = 1 stepped as the explicit z_perp = 0 call, each walked
+    # in chunks of 7 steps with the uniforms passed through; xi = 1.5 takes
+    # some paths to the zero clamp under either scheme
     n_steps, dt, nu0 = 40, 0.05, 0.02
-    shocks, _ = lane_draws(3, (HESTON_STREAM,), 0, 64, n_steps, 2, scheme=scheme)
+    (shocks, uniforms), = lane_draws(3, (HESTON_STREAM,), 0, 64, n_steps, 2, 3, scheme,
+                                     chunk=n_steps)
     assert shocks.dtype == (np.int8 if scheme == "binomial" else np.float64)
     wild = replace(heston, xi=1.5)
     for params, block in ((wild, shocks), (replace(wild, rho=1.0), shocks[:, :1])):
-        steps = list(walk(params, block, dt, nu0, risk_adj))
+        chunks = [(block[a:a + 7], uniforms[a:a + 7]) for a in range(0, n_steps, 7)]
+        steps = list(walk(params, chunks, dt, nu0, risk_adj))
         assert len(steps) == n_steps
         nu = np.full(block.shape[-1], nu0)
-        for k, (got_nu, ds, nu_next) in enumerate(steps):
+        for k, (got_nu, ds, nu_next, u) in enumerate(steps):
+            assert u.tobytes() == uniforms[k].tobytes()
             z_perp = block[k, 1] if block.shape[1] == 2 else 0.0
             want = (nu, *euler_step(params, dt, nu, block[k, 0], z_perp, risk_adj=risk_adj))
             for g, w in zip((got_nu, ds, nu_next), want):
@@ -229,7 +233,8 @@ def test_sample_terminal_binomial_and_block_independence(heston):
     np.testing.assert_array_equal(a[1], b[1][:500])
     # the second block's paths are those drawn for their own indices
     lo, hi, n_steps = DEFAULT_BLOCK, 4200, 20
-    shocks, _ = lane_draws(9, (HESTON_STREAM,), lo, hi, n_steps, 2, scheme="binomial")
+    (shocks, _), = lane_draws(9, (HESTON_STREAM,), lo, hi, n_steps, 2, scheme="binomial",
+                              chunk=n_steps)
     s, nu = np.full(hi - lo, heston.s0), np.full(hi - lo, heston.nu0)
     for step in range(n_steps):
         ds, nu = euler_step(heston, 1.0 / n_steps, nu, shocks[step, 0], shocks[step, 1])

@@ -1,12 +1,11 @@
 """The option layer's vectorized kernels against the computations they replace.
 
-Each reference is the straightforward form kept here: draws taken straight
-from the lane generators (``path_generator(seed, *key, lane)``, 64 paths per
-lane) and sliced per path, greek planes taken with ``np.gradient`` of a value slice,
-``searchsorted`` cell lookups, scipy's ``RegularGridInterpolator``, one
-``solve_banded`` call per variance level, each right-hand side of a stacked
-backward solve solved alone, and the books' step loops written
-out from the market kernels.  Where the arithmetic is unchanged the results
+Each reference is the straightforward form kept here: draws read through
+``lane_draws`` in one chunk of every step and sliced per step, greek planes
+taken with ``np.gradient`` of a value slice, ``searchsorted`` cell lookups,
+scipy's ``RegularGridInterpolator``, one ``solve_banded`` call per variance
+level, each right-hand side of a stacked backward solve solved alone, and the
+books' step loops written out from the market kernels.  Where the arithmetic is unchanged the results
 must be equal; where only its order changed, the tolerance is fixed from
 float64 rounding, not from a run.
 """
@@ -38,30 +37,20 @@ from hestonmm.option_pricing import (C, PRICE, PricingConfig, cell, douglas_step
 from hestonmm.seeding import (
     DEFAULT_BLOCK,
     FUNCTIONAL_STREAM,
-    LANE,
     OPTION_MM_STREAM,
     PRICING_STREAM,
     lane_draws,
-    path_generator,
 )
 
 # relative to the largest magnitude involved: a few float64 roundings
 REL = 1e-12
 
 
-def _lane_reference(seed, key, n_paths, n_steps, n_uniform=0):
-    """Paths ``0..n_paths-1``'s shocks (and uniforms) drawn lane by lane:
-    each lane generator draws 64 paths' shocks, then 64 paths' uniforms."""
-    n_lanes = -(-n_paths // LANE)
-    shocks = np.empty((n_lanes * LANE, n_steps, 2))
-    uniforms = np.empty((n_lanes * LANE, n_steps, n_uniform))
-    for lane in range(n_lanes):
-        rng = path_generator(seed, *key, lane)
-        rows = slice(lane * LANE, (lane + 1) * LANE)
-        shocks[rows] = rng.standard_normal((LANE, n_steps, 2))
-        if n_uniform:
-            uniforms[rows] = rng.random((LANE, n_steps, n_uniform))
-    return shocks[:n_paths], uniforms[:n_paths]
+def _all_steps(seed, key, n_paths, n_steps, n_uniform=0):
+    """Paths ``0..n_paths-1``'s shocks and uniforms, every step in one chunk:
+    ``(n_steps, 2, n_paths)`` and ``(n_steps, n_uniform, n_paths)``."""
+    (shocks, uniforms), = lane_draws(seed, key, 0, n_paths, n_steps, 2, n_uniform, chunk=n_steps)
+    return shocks, uniforms
 
 
 def _searchsorted_cell(grid, x):
@@ -219,13 +208,15 @@ def test_greeks_match_per_plane_interpolation(pricing_grid):
 
 
 def test_mm_draws_fill_equals_stacked_draws():
-    # the books' draws: a block inside one lane, and one spanning three lanes
+    # the books' draws, CHUNK steps at a time: a block inside one lane, and
+    # one spanning three lanes, against every step of paths 0..199 at once
     n_steps, n_uniform = 37, 4
-    ref_z, ref_u = _lane_reference(9, (OPTION_MM_STREAM,), 200, n_steps, n_uniform)
+    ref_z, ref_u = _all_steps(9, (OPTION_MM_STREAM,), 200, n_steps, n_uniform)
     for lo, hi in [(5, 11), (60, 190)]:
-        shocks, uniforms = lane_draws(9, (OPTION_MM_STREAM,), lo, hi, n_steps, 2, n_uniform)
-        np.testing.assert_array_equal(shocks, ref_z[lo:hi].transpose(1, 2, 0))
-        np.testing.assert_array_equal(uniforms, ref_u[lo:hi].transpose(1, 2, 0))
+        chunks = list(lane_draws(9, (OPTION_MM_STREAM,), lo, hi, n_steps, 2, n_uniform, chunk=CHUNK))
+        assert len(chunks) == -(-n_steps // CHUNK)
+        np.testing.assert_array_equal(np.concatenate([z for z, _ in chunks]), ref_z[..., lo:hi])
+        np.testing.assert_array_equal(np.concatenate([u for _, u in chunks]), ref_u[..., lo:hi])
 
 
 def test_mc_terminal_equals_stacked_reference(pricing_grid):
@@ -236,13 +227,13 @@ def test_mc_terminal_equals_stacked_reference(pricing_grid):
     dt = 1.0 / n_steps
     rho_c = math.sqrt(1.0 - h.rho**2)
     risk_adj = h.xi * rho_c * cfg.eta_nu
-    shocks, _ = _lane_reference(4, (PRICING_STREAM,), n_paths, n_steps)
+    shocks, _ = _all_steps(4, (PRICING_STREAM,), n_paths, n_steps)
     s, v = np.full(n_paths, 100.0), np.full(n_paths, 4.0)
     for step in range(n_steps):
         v_pos = np.maximum(v, 0.0)
         root = np.sqrt(v_pos)
-        z_s = shocks[:, step, 0]
-        z_v = h.rho * z_s + rho_c * shocks[:, step, 1]
+        z_s = shocks[step, 0]
+        z_v = h.rho * z_s + rho_c * shocks[step, 1]
         s = s + root * z_s * math.sqrt(dt)
         v = np.maximum(v + (h.theta * (h.alpha - v_pos) - risk_adj * root) * dt
                        + h.xi * root * z_v * math.sqrt(dt), 0.0)
@@ -259,7 +250,7 @@ def test_integrals_equal_stacked_reference(heston, pricing_grid):
     rho_c = math.sqrt(1.0 - rho**2)
     g = pricing_grid
     # estimate_functionals draws from node key 0
-    shocks, _ = _lane_reference(seed, (FUNCTIONAL_STREAM, 0), n_paths, n_steps)
+    shocks, _ = _all_steps(seed, (FUNCTIONAL_STREAM, 0), n_paths, n_steps)
     s, nu = np.full(n_paths, 103.0), np.full(n_paths, 2.0)
     a1, a2, a3 = np.zeros(n_paths), np.zeros(n_paths), np.zeros(n_paths)
     for step in range(n_steps):
@@ -272,8 +263,8 @@ def test_integrals_equal_stacked_reference(heston, pricing_grid):
         a2 += nu * (delta**2 + 2.0 * rho * xi * delta * c_nu + xi**2 * c_nu**2) * dt
         a3 += nu * c_nu**2 * dt
         root = np.sqrt(np.maximum(nu, 0.0))
-        z_s = shocks[:, step, 0]
-        z_v = rho * z_s + rho_c * shocks[:, step, 1]
+        z_s = shocks[step, 0]
+        z_v = rho * z_s + rho_c * shocks[step, 1]
         s = s + root * z_s * math.sqrt(dt)
         nu = np.maximum(nu + heston.theta * (heston.alpha - nu) * dt
                         + xi * root * z_v * math.sqrt(dt), 0.0)
@@ -366,8 +357,8 @@ def _recount_exits(heston, grid, T, dt, n_paths, seed):
     n_steps = round(T / dt)
     rho_c = math.sqrt(1.0 - heston.rho**2)
     exits = 0
-    draws, _ = _lane_reference(seed, (OPTION_MM_STREAM,), n_paths, n_steps)
-    for z in draws:
+    shocks, _ = _all_steps(seed, (OPTION_MM_STREAM,), n_paths, n_steps)
+    for z in shocks.transpose(2, 0, 1):
         s, nu = heston.s0, heston.nu0
         off = False
         for step in range(n_steps + 1):
@@ -485,10 +476,6 @@ def _clamped(grid, s, nu):
             np.clip(nu, grid.nu_grid[0], grid.nu_grid[-1]))
 
 
-def _book_draws(seed, n, n_steps, n_uniform):
-    return lane_draws(seed, (OPTION_MM_STREAM,), 0, n, n_steps, 2, n_uniform)
-
-
 def _end_time(step, n_steps, dt, T):
     """A book's time at the end of ``step``: the last step ends at ``T`` itself."""
     return T if step + 1 == n_steps else (step + 1) * dt
@@ -497,7 +484,7 @@ def _end_time(step, n_steps, dt, T):
 def _joint_step_loop(g, lat, heston, arrival, risk, n, T, dt, seed, q_s0, q_o0):
     """The joint book written out step by step: per-path z and QV, and q_s, q_o."""
     n_steps = round(T / dt)
-    shocks, uniforms = _book_draws(seed, n, n_steps, 4)
+    shocks, uniforms = _all_steps(seed, (OPTION_MM_STREAM,), n, n_steps, 4)
     s, nu = np.full(n, heston.s0), np.full(n, heston.nu0)
     q_s, q_o = np.full(n, q_s0), np.full(n, q_o0)
     z, qv = np.zeros(n), np.zeros(n)
@@ -522,7 +509,7 @@ def _hedged_step_loop(g, lat, heston, arrival, n, T, dt, seed, q_o0):
     option-only QV, the predicted rate's sum, q_o, and the trace of path 0's
     quotes."""
     n_steps = round(T / dt)
-    shocks, uniforms = _book_draws(seed, n, n_steps, 2)
+    shocks, uniforms = _all_steps(seed, (OPTION_MM_STREAM,), n, n_steps, 2)
     s, nu = np.full(n, heston.s0), np.full(n, heston.nu0)
     q_o = np.full(n, q_o0)
     z, acc_h, acc_u, acc_pred, trace = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n), []

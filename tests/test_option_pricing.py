@@ -148,9 +148,9 @@ def test_pilot_rows_are_not_main_rows(pricing_grid, monkeypatch):
     lane_draws = option_pricing.lane_draws
 
     def record(master, key, lo, hi, *args):
-        shocks, uniforms = lane_draws(master, key, lo, hi, *args)
-        drawn.setdefault((master, key), []).append(shocks[:, 0].T.copy())
-        return shocks, uniforms
+        chunks = list(lane_draws(master, key, lo, hi, *args))
+        drawn.setdefault((master, key), []).append(np.concatenate([z[:, 0] for z, _ in chunks]).T)
+        return iter(chunks)
 
     monkeypatch.setattr(option_pricing, "lane_draws", record)
     for seed in (8, 9):

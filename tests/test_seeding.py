@@ -1,6 +1,8 @@
-"""The keyed-lane contract: path ``i``'s draws depend only on
-``(seed, key, i)``, whatever range, block layout or worker count asks for them."""
+"""The keyed-lane contract: path ``i``'s draws depend only on ``(seed, key,
+i)``, whatever range, block layout or step chunking asks for them, and no
+draw call asks for more than one chunk of steps."""
 
+import ast
 import functools
 import mmap
 import re
@@ -13,19 +15,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hestonmm import seeding
+from hestonmm import option_mm, seeding
 from hestonmm.heston import sample_terminal
 from hestonmm.hjb import HjbConfig, solve_stock_hjb
 from hestonmm.option_pricing import PricingConfig, mc_terminal
 from hestonmm.quotes import InventorySV
-from hestonmm.seeding import DEFAULT_BLOCK, LANE, SIM_STREAM, lane_draws, map_blocks, path_generator
-from hestonmm.sim_engine import ENSEMBLE_BLOCK, SimConfig, run_ensemble
+from hestonmm.seeding import (DEFAULT_BLOCK, LANE, SIM_STREAM, STEP_CHUNK, lane_draws, map_blocks,
+                              path_generator)
+from hestonmm.sim_engine import SimConfig, run_ensemble
 
 N_STEPS, N_UNIFORM = 7, 3
 
 
+def _joined(chunks):
+    """The chunks of ``lane_draws`` joined along the steps: ``(shocks, uniforms)``."""
+    z, u = zip(*chunks)
+    return np.concatenate(z), np.concatenate(u)
+
+
 def _draws(lo, hi, scheme="gaussian", key=(SIM_STREAM,), seed=11):
-    return lane_draws(seed, key, lo, hi, N_STEPS, 2, N_UNIFORM, scheme)
+    return _joined(lane_draws(seed, key, lo, hi, N_STEPS, 2, N_UNIFORM, scheme, chunk=3))
 
 
 ALL_PATHS = 700
@@ -33,7 +42,8 @@ ALL_PATHS = 700
 
 @functools.cache
 def _all_draws(n_steps, n_shocks, n_uniforms, scheme):
-    return lane_draws(11, (SIM_STREAM,), 0, ALL_PATHS, n_steps, n_shocks, n_uniforms, scheme)
+    return _joined(lane_draws(11, (SIM_STREAM,), 0, ALL_PATHS, n_steps, n_shocks, n_uniforms,
+                              scheme, chunk=n_steps))
 
 
 @pytest.mark.parametrize("scheme", ["gaussian", "binomial"])
@@ -42,64 +52,114 @@ def _all_draws(n_steps, n_shocks, n_uniforms, scheme):
     n_steps=st.integers(1, 5),
     n_shocks=st.sampled_from([1, 2]),
     n_uniforms=st.sampled_from([0, 2, 4]),
+    chunk=st.integers(1, 6),
 )
 @settings(max_examples=100, deadline=None)
-def test_draws_independent_of_range(scheme, bounds, n_steps, n_shocks, n_uniforms):
+def test_draws_independent_of_range(scheme, bounds, n_steps, n_shocks, n_uniforms, chunk):
     lo, hi = bounds
-    z, u = lane_draws(11, (SIM_STREAM,), lo, hi, n_steps, n_shocks, n_uniforms, scheme)
-    assert z.shape == (n_steps, n_shocks, hi - lo) and u.shape == (n_steps, n_uniforms, hi - lo)
+    chunks = list(lane_draws(11, (SIM_STREAM,), lo, hi, n_steps, n_shocks, n_uniforms, scheme,
+                             chunk=chunk))
+    assert [z.shape for z, _ in chunks] == [(min(chunk, n_steps - a), n_shocks, hi - lo)
+                                            for a in range(0, n_steps, chunk)]
+    z, u = _joined(chunks)
+    assert u.shape == (n_steps, n_uniforms, hi - lo)
     z_all, u_all = _all_draws(n_steps, n_shocks, n_uniforms, scheme)
     np.testing.assert_array_equal(z, z_all[..., lo:hi])
     np.testing.assert_array_equal(u, u_all[..., lo:hi])
 
 
-def _path_major(lo, hi, n_steps, n_shocks, n_uniforms, scheme, key=(SIM_STREAM, 2), seed=11):
-    """Paths ``lo..hi-1``'s draws as each lane generator makes them: all 64
-    paths' shocks, path by path and step by step, then all their uniforms."""
+def _lane_streams(lo, hi, n_steps, n_shocks, n_uniforms, scheme, key=(SIM_STREAM, 2), seed=11):
+    """Paths ``lo..hi-1``'s draws as the lane generators make them, each in
+    one call: lane L's shocks from ``(seed, *key, 0, L)`` and its uniforms
+    from ``(seed, *key, 1, L)``, step by step, ``(n_steps, k, 64)``."""
     lanes = range(lo // LANE, -(-hi // LANE))
     z, u = [], []
     for lane in lanes:
-        rng = path_generator(seed, *key, lane)
+        rng = path_generator(seed, *key, 0, lane)
         if scheme == "gaussian":
-            z.append(rng.standard_normal((LANE, n_steps, n_shocks)))
+            z.append(rng.standard_normal((n_steps, n_shocks, LANE)))
         else:
-            z.append(rng.integers(0, 2, size=(LANE, n_steps, n_shocks), dtype=np.int8) * 2 - 1)
-        u.append(rng.random((LANE, n_steps, n_uniforms)))
-    rows = slice(lo - lanes[0] * LANE, hi - lanes[0] * LANE)
-    return np.concatenate(z)[rows], np.concatenate(u)[rows]
+            z.append(rng.integers(0, 2, size=(n_steps, n_shocks, LANE), dtype=np.int8) * 2 - 1)
+        u.append(path_generator(seed, *key, 1, lane).random((n_steps, n_uniforms, LANE)))
+    paths = slice(lo - lanes[0] * LANE, hi - lanes[0] * LANE)
+    return np.concatenate(z, axis=-1)[..., paths], np.concatenate(u, axis=-1)[..., paths]
 
 
 @pytest.mark.parametrize("scheme", ["gaussian", "binomial"])
 @pytest.mark.parametrize("lo, hi", [(5, 11), (37, 200), (64, 128)])
 def test_draws_are_the_lane_streams_transposed(scheme, lo, hi):
-    # pins the stream: column k of step j is path lo + k's draws at step j
+    # pins the stream: each lane generator's stream read step-major, the
+    # lanes side by side, so column k of step j is path lo + k's draws at
+    # step j; drawn two steps at a time, against one call per generator
     n_steps, n_shocks, n_uniforms = 5, 2, 3
-    z, u = lane_draws(11, (SIM_STREAM, 2), lo, hi, n_steps, n_shocks, n_uniforms, scheme)
-    ref_z, ref_u = _path_major(lo, hi, n_steps, n_shocks, n_uniforms, scheme)
+    chunks = list(lane_draws(11, (SIM_STREAM, 2), lo, hi, n_steps, n_shocks, n_uniforms, scheme,
+                             chunk=2))
+    z, u = _joined(chunks)
+    ref_z, ref_u = _lane_streams(lo, hi, n_steps, n_shocks, n_uniforms, scheme)
     assert z.dtype == ref_z.dtype and u.dtype == ref_u.dtype == np.float64
-    np.testing.assert_array_equal(z.transpose(2, 0, 1), ref_z)
-    np.testing.assert_array_equal(u.transpose(2, 0, 1), ref_u)
-    for step in range(n_steps):  # the kernels read one step's draws as contiguous rows
-        assert z[step, 0].flags.c_contiguous and u[step, 1].flags.c_contiguous
+    np.testing.assert_array_equal(z, ref_z)
+    np.testing.assert_array_equal(u, ref_u)
+    for z, u in chunks:  # the kernels read one step's draws as contiguous rows
+        assert z[0, 0].flags.c_contiguous and u[-1, 1].flags.c_contiguous
 
 
-def test_draws_are_rows_of_whole_lane_mappings():
-    z, u = _draws(70, 75)
-    assert z.shape == (N_STEPS, 2, 5) and u.shape == (N_STEPS, N_UNIFORM, 5)
-    assert len(_mapping(z)) == 8 * LANE * N_STEPS * 2  # lane 1, all 64 rows
-    assert len(_mapping(u)) == 8 * LANE * N_STEPS * N_UNIFORM
+def _chunk_dependent_draws(master, key, lo, hi, n_steps, n_shocks, n_uniforms, scheme, chunk):
+    """A variant of ``lane_draws`` with one generator per lane that draws a
+    chunk's shocks, then its uniforms: where one chunk ends moves the rest."""
+    lanes = range(lo // LANE, -(-hi // LANE))
+    rngs = [path_generator(master, *key, lane) for lane in lanes]
+    paths = slice(lo - lanes.start * LANE, hi - lanes.start * LANE)
+    for a in range(0, n_steps, chunk):
+        k = min(chunk, n_steps - a)
+        if scheme == "gaussian":
+            z = [rng.standard_normal((k, n_shocks, LANE)) for rng in rngs]
+        else:
+            z = [rng.integers(0, 2, size=(k, n_shocks, LANE), dtype=np.int8) * 2 - 1 for rng in rngs]
+        u = [rng.random((k, n_uniforms, LANE)) for rng in rngs]
+        yield np.concatenate(z, axis=-1)[..., paths], np.concatenate(u, axis=-1)[..., paths]
+
+
+def _chunking_is_invisible(draw, scheme, n_uniforms, n_steps=60, lo=37, hi=300):
+    """Whether ``draw`` gives the same block in chunks of 1, 7, each book's
+    ``CHUNK``, ``STEP_CHUNK`` and all the steps."""
+    runs = [_joined(draw(11, (SIM_STREAM,), lo, hi, n_steps, 2, n_uniforms, scheme, chunk=chunk))
+            for chunk in (1, 7, option_mm.CHUNK, STEP_CHUNK, n_steps)]
+    return all(np.array_equal(z, runs[0][0]) and np.array_equal(u, runs[0][1]) for z, u in runs)
+
+
+@pytest.mark.parametrize("scheme", ["gaussian", "binomial"])
+@pytest.mark.parametrize("n_uniforms", [0, 4])
+def test_draws_do_not_depend_on_the_chunking(scheme, n_uniforms):
+    assert _chunking_is_invisible(lane_draws, scheme, n_uniforms)
+
+
+@pytest.mark.parametrize("scheme", ["gaussian", "binomial"])
+def test_the_chunking_check_catches_a_shared_generator(scheme):
+    # the check above is not vacuous: one generator per lane for shocks and
+    # uniforms passes without uniforms and fails with them
+    assert _chunking_is_invisible(_chunk_dependent_draws, scheme, 0)
+    assert not _chunking_is_invisible(_chunk_dependent_draws, scheme, 4)
 
 
 def test_shocks_do_not_depend_on_uniforms():
     z, _ = _draws(30, 200)
-    alone, no_uniforms = lane_draws(11, (SIM_STREAM,), 30, 200, N_STEPS, 2)
+    alone, no_uniforms = _joined(lane_draws(11, (SIM_STREAM,), 30, 200, N_STEPS, 2))
     assert no_uniforms.shape == (N_STEPS, 0, 170)
     np.testing.assert_array_equal(alone, z)
 
 
+def test_no_uniform_generator_without_uniforms(monkeypatch):
+    # a frozen book or an oracle builds one generator per lane, for its shocks
+    keys = []
+    monkeypatch.setattr(seeding, "path_generator", lambda *key: keys.append(key) or path_generator(*key))
+    _joined(lane_draws(11, (SIM_STREAM,), 30, 200, N_STEPS, 2))
+    assert keys == [(11, SIM_STREAM, 0, lane) for lane in range(4)]
+
+
 def test_keys_and_seeds_give_distinct_draws():
-    z, _ = _draws(0, 2 * LANE)
+    z, u = _draws(0, 2 * LANE)
     assert not np.any(z[..., :LANE] == z[..., LANE:])  # lanes differ
+    assert not np.any(z[:, :1] == u[:, :1])  # shocks and uniforms come from generators of their own
     for other in [_draws(0, 2 * LANE, key=(SIM_STREAM, 1))[0], _draws(0, 2 * LANE, seed=12)[0]]:
         assert not np.any(other == z)
 
@@ -135,10 +195,10 @@ def sim(heston, arrival, risk):
 
 
 def test_ensemble_independent_of_blocks_and_threads(heston, arrival, risk, sim):
-    # 2 * ENSEMBLE_BLOCK + 52 paths run as three blocks; the first 1,000 as one.
+    # 2 * DEFAULT_BLOCK + 52 paths run as three blocks; the first 1,000 as one.
     # run_ensemble accepts threads= and ignores it: the benchmark still passes it
     pol = InventorySV(heston, arrival, risk, sim.T)
-    n = 2 * ENSEMBLE_BLOCK + 52
+    n = 2 * DEFAULT_BLOCK + 52
     a = run_ensemble(pol, sim, n, seed=4)
     b = run_ensemble(pol, sim, n, seed=4, threads=2)
     for name in ("profits", "q_terminal", "z_terminal", "qv_terminal", "iv_terminal"):
@@ -194,13 +254,6 @@ def test_os_array_is_a_mapping_released_with_the_array():
     del a
     assert mapping() is None  # unmapped at once, not kept by an allocator
     assert seeding.os_array((0, 4)).shape == (0, 4)
-    signs = seeding.os_array((4, 3), dtype=np.int8)  # the binomial shocks
-    assert signs.dtype == np.int8 and signs.flags.writeable and signs.flags.c_contiguous
-    signs[:] = -1
-    assert signs.sum() == -12 and len(_mapping(signs)) == 12
-    mapping = weakref.ref(_mapping(signs))
-    del signs
-    assert mapping() is None
 
 
 def test_pricing_surfaces_are_os_mappings(pricing_grid):
@@ -232,3 +285,55 @@ def test_mc_terminal_prefix_of_larger_run(heston):
     large = mc_terminal(cfg, 100.0, 4.0, 0.5, n_paths=5000, seed=6, dt_target=0.05)
     assert large.size > DEFAULT_BLOCK
     np.testing.assert_array_equal(large[:1000], small)
+
+
+class _CountingGenerator:
+    """A path generator whose draw calls record how many values each returns."""
+
+    def __init__(self, rng, sizes):
+        self._rng, self._sizes = rng, sizes
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self._sizes.append(np.size(out))
+            return out
+
+        return draw
+
+
+def test_no_draw_call_asks_for_more_than_one_chunk(heston, arrival, risk, risk_nofee,
+                                                   pricing_grid, functional_lattice, monkeypatch):
+    # wrapped as the benchmark's tracer wraps it: draw memory does not grow
+    # with the horizon, whole-horizon lane draws would be 64 x 1,000 x 4 values
+    sizes = []
+    monkeypatch.setattr(seeding, "path_generator",
+                        lambda *key: _CountingGenerator(path_generator(*key), sizes))
+    args = dict(heston=heston, arrival=arrival, risk=risk_nofee, grid=pricing_grid,
+                lattice=functional_lattice, T=1.0, dt=0.001, n_paths=100, seed=3)
+    option_mm.run_joint_paths(**args)
+    assert len(sizes) == 2 * 2 * 1000 // option_mm.CHUNK  # two lanes, shocks and uniforms
+    assert max(sizes) == option_mm.CHUNK * 4 * LANE
+    sizes.clear()
+    option_mm.run_hedged_paths(**args)
+    assert max(sizes) == option_mm.CHUNK * 2 * LANE
+    sizes.clear()
+    sim = SimConfig(heston=heston, arrival=arrival, risk=risk, T=1.0, dt=0.005)
+    run_ensemble(InventorySV(heston, arrival, risk, sim.T), sim, 100, seed=3)
+    assert sim.n_steps == 200 and max(sizes) == STEP_CHUNK * 2 * LANE
+
+
+def test_only_seeding_draws():
+    # every random number comes from a lane generator built in seeding
+    draw_methods = {m for m in dir(np.random.Generator) if not m.startswith("_")}
+    draw_methods -= {"bit_generator", "spawn"}
+    callers = set()
+    for path in Path(seeding.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in draw_methods | {"path_generator", "default_rng"}:
+                    callers.add(path.stem)
+    assert callers == {"seeding"}

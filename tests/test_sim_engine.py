@@ -6,8 +6,8 @@ import pytest
 
 from hestonmm.intensity import ArrivalParams
 from hestonmm.quotes import Frozen, InventorySV, MarketImpact, RiskNeutral, RiskParams, Symmetric, risk_neutral_rate
-from hestonmm.seeding import SIM_STREAM, lane_draws
-from hestonmm.sim_engine import ENSEMBLE_BLOCK, SimConfig, efficient_frontier, run_ensemble, trading_curve
+from hestonmm.seeding import DEFAULT_BLOCK, SIM_STREAM, lane_draws
+from hestonmm.sim_engine import SimConfig, efficient_frontier, run_ensemble, trading_curve
 
 
 @pytest.fixture()
@@ -85,7 +85,7 @@ def test_path_zero_trace_is_independent_of_path_count(heston, arrival, risk, sim
     # path 0 alone and path 0 of a two-block ensemble are the same path
     pol = InventorySV(heston, arrival, risk, sim.T)
     one = run_ensemble(pol, replace(sim, snapshot_stride=7), 1, seed=8)
-    many = run_ensemble(pol, replace(sim, snapshot_stride=7), ENSEMBLE_BLOCK + 10, seed=8)
+    many = run_ensemble(pol, replace(sim, snapshot_stride=7), DEFAULT_BLOCK + 10, seed=8)
     assert one.trace.keys() == many.trace.keys() == {"s", "da", "db", "q", "z"}
     for name in one.trace:
         np.testing.assert_array_equal(one.trace[name], many.trace[name], err_msg=name)
@@ -94,10 +94,10 @@ def test_path_zero_trace_is_independent_of_path_count(heston, arrival, risk, sim
 
 
 def test_determinism_across_reruns_and_blocks(heston, arrival, risk, sim):
-    # 2,100 paths run as three blocks, 300 as one
+    # DEFAULT_BLOCK + 100 paths run as two blocks, 300 as one
     pol = InventorySV(heston, arrival, risk, 1.0)
-    a = run_ensemble(pol, sim, 2100, seed=9)
-    b = run_ensemble(pol, sim, 2100, seed=9)
+    a = run_ensemble(pol, sim, DEFAULT_BLOCK + 100, seed=9)
+    b = run_ensemble(pol, sim, DEFAULT_BLOCK + 100, seed=9)
     c = run_ensemble(pol, sim, 300, seed=9)
     np.testing.assert_array_equal(a.profits, b.profits)
     np.testing.assert_array_equal(a.profits[:300], c.profits)
@@ -188,15 +188,16 @@ def test_clip_counter_increments(heston, arrival):
 def _ensemble_reference(policy, config, n, seed):
     """The ensemble fields of paths ``0..n-1`` (per-path terminals, the clip
     count, the inventory curve and path 0's trace) by the event loop written
-    out inline over all ``n`` paths at once: the draws from ``lane_draws``,
-    the fill rule and the full-truncation Euler step spelled out term by
+    out inline over all ``n`` paths at once: the draws from ``lane_draws`` in
+    one chunk of every step, the fill rule and the full-truncation Euler step spelled out term by
     term.  Also returns the profit ``x + q (s - beta)`` of a cash ledger
     ``x``, which the engine does not keep."""
     n_steps, dt = config.n_steps, config.dt
     sqrt_dt = math.sqrt(dt)
     h, arrival, risk = config.heston, config.arrival, config.risk
     rho_c = math.sqrt(1.0 - h.rho**2)
-    shocks, uniforms = lane_draws(seed, (SIM_STREAM,), 0, n, n_steps, 2, 2, config.scheme)
+    (shocks, uniforms), = lane_draws(seed, (SIM_STREAM,), 0, n, n_steps, 2, 2, config.scheme,
+                                     chunk=n_steps)
     s, nu = np.full(n, h.s0), np.full(n, h.nu0)
     q = np.full(n, config.q0, dtype=np.int64)
     x, z, qv, iv, spread = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
@@ -247,10 +248,10 @@ def _ensemble_reference(policy, config, n, seed):
 @pytest.mark.parametrize("impact", [False, True])
 def test_binomial_ensemble_equals_inline_reference(heston, arrival, risk, impact):
     # q0 = 6 crosses the ask early on, so the clip count is exercised too;
-    # the paths past ENSEMBLE_BLOCK run as a second block
+    # the paths past DEFAULT_BLOCK run as a second block
     cfg = SimConfig(heston=heston, arrival=arrival, risk=risk, q0=6, impact=impact)
     policy = (MarketImpact if impact else InventorySV)(heston, arrival, risk, 1.0)
-    n = ENSEMBLE_BLOCK + 150
+    n = DEFAULT_BLOCK + 150
     stats = run_ensemble(policy, cfg, n, seed=19)
     ref, _ = _ensemble_reference(policy, cfg, n, seed=19)
     assert ref["clipped"] > 0
