@@ -32,7 +32,7 @@ from .intensity import ArrivalParams
 from .option_mm import FunctionalLattice, run_hedged_paths, run_joint_paths, write_lattice_csv
 from .option_pricing import PricingConfig, StabilityError, default_nu_grid, default_s_grid, solve_call_grid, write_slice_csv
 from .quotes import Frozen, InventorySV, MarketImpact, RiskNeutral, RiskParams, Symmetric
-from .sim_engine import NonFiniteStateError, SimConfig, efficient_frontier, run_ensemble, trading_curve
+from .sim_engine import NonFiniteStateError, SimConfig, efficient_frontier, run_ensemble
 from .table import write_table
 
 ENV_OUTPUT_DIR = "HESTONMM_OUT"
@@ -185,8 +185,8 @@ def _cmd_frontier(cfg: RunConfig, art: ArtifactWriter, seed: int) -> None:
 
 def _cmd_trading_curve(cfg: RunConfig, art: ArtifactWriter, seed: int, n: int) -> None:
     sim = _sim_config(cfg)
-    policy = _configured_policy(cfg, sim, seed, n)
-    _write_rows(art.path(), ["t", "q_mean", "q_std"], trading_curve(policy, sim, n, seed))
+    stats = run_ensemble(_configured_policy(cfg, sim, seed, n), sim, n, seed)
+    _write_rows(art.path(), ["t", "q_mean", "q_std"], [stats.curve_times, stats.curve_mean, stats.curve_std])
 
 
 def _cmd_hjb(cfg: RunConfig, art: ArtifactWriter) -> None:

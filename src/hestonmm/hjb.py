@@ -248,19 +248,18 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
                      values=values)
 
 
-def estimate_tolerance(config: HjbConfig, grid: ValueGrid | None = None) -> float:
-    """Discretization tolerance from one refinement step (halve dt, double the
-    variance resolution): twice the largest observed change.  The refined
-    solve's maturity layer has twice as many steps by the same rule, so every
-    Douglas sub-step is halved too (exactly so when ``n_time`` is a multiple
-    of 10).  At the defaults (200 steps, 61 variance nodes) the change is
-    largest at t = 0 and falls 2.0-fold from 200 -> 400 to 400 -> 800 steps:
-    that is the nu refinement (2.0-fold alone, dt fixed), while halving dt
-    alone cuts the change 4.0-fold over every slice, the layer included, as
-    for a second-order scheme.  The factor 2 is the first-order bound, which
-    covers both."""
-    if grid is None:
-        grid = solve_stock_hjb(config)
+def estimate_tolerance(grid: ValueGrid) -> float:
+    """Discretization tolerance of ``grid`` from one refinement step of its
+    config (halve dt, double the variance resolution): twice the largest
+    observed change.  The refined solve's maturity layer has twice as many
+    steps by the same rule, so every Douglas sub-step is halved too (exactly
+    so when ``n_time`` is a multiple of 10).  At the defaults (200 steps, 61
+    variance nodes) the change is largest at t = 0 and falls 2.0-fold from
+    200 -> 400 to 400 -> 800 steps: that is the nu refinement (2.0-fold
+    alone, dt fixed), while halving dt alone cuts the change 4.0-fold over
+    every slice, the layer included, as for a second-order scheme.  The
+    factor 2 is the first-order bound, which covers both."""
+    config = grid.config
     fine_cfg = replace(config, n_time=2 * config.n_time, n_nu=2 * config.n_nu - 1)
     fine = solve_stock_hjb(fine_cfg)
     # base nu-nodes are the even nodes of the refined grid
@@ -286,15 +285,15 @@ def compare_exact_vs_approx(
     grid: ValueGrid,
     tol: float | None = None,
     nu_window: tuple[float, float] | None = None,
-    q_window: tuple[int, int] | None = None,
 ) -> ComparisonReport:
     """Quote gaps between the exact solve and the closed-form approximation,
     plus the empirical sandwich check on the value function.
 
     Gaps are taken over interior inventory levels (both quote sides defined)
-    restricted to the optional ``q_window``/``nu_window``; the sandwich bound
-    and ``c_emp`` use every node of the grid.  A window that holds no such
-    node raises ``ValueError`` before the refinement solve of the tolerance.
+    at the variance nodes of the optional ``nu_window``; the sandwich bound
+    and ``c_emp`` use every node of the grid.  A window that holds no
+    variance node raises ``ValueError`` before the refinement solve of the
+    tolerance.
     """
     config = grid.config
     if config.include_impact:
@@ -303,11 +302,6 @@ def compare_exact_vs_approx(
     t = grid.times
     levels = grid.q_levels
     keep_q = (levels > levels[0]) & (levels < levels[-1])  # both quote sides defined
-    if q_window is not None:
-        keep_q &= (levels >= q_window[0]) & (levels <= q_window[1])
-        if not keep_q.any():
-            raise ValueError(f"q_window {tuple(q_window)} holds no interior inventory level "
-                             f"of [{levels[1]}, {levels[-2]}]")
     keep_nu = np.ones(nu.size, dtype=bool)
     if nu_window is not None:
         keep_nu = (nu >= nu_window[0]) & (nu <= nu_window[1])
@@ -315,7 +309,7 @@ def compare_exact_vs_approx(
             raise ValueError(f"nu_window {tuple(nu_window)} holds no variance node "
                              f"of [{nu[0]:g}, {nu[-1]:g}]")
     if tol is None:
-        tol = estimate_tolerance(config, grid)
+        tol = estimate_tolerance(grid)
     # before the gap arrays: lower peak memory
     c_emp = float(_source(*_arrival_factors(grid.values, config), config).max())
 

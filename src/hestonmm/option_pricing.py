@@ -220,25 +220,11 @@ class PricingGrid:
         out = self._bilinear(self._time_slice(t), s, nu)[..., C]
         return float(out) if np.ndim(out) == 0 else out
 
-    def put(self, s, nu, t: float):
-        """Put via parity ``P = C - (s - K)`` (zero rates)."""
-        s = np.asarray(s, dtype=np.float64)
-        out = self.price(s, nu, t) - (s - self.config.strike)
-        return float(out) if np.ndim(out) == 0 else out
-
     def greek_planes(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Node values of (delta, gamma, c_nu) on the slice at time ``t``;
         between stored slices, the blend of their planes."""
         plane = self._time_slice(t)
         return plane[:, :, DELTA], plane[:, :, GAMMA], plane[:, :, C_NU]
-
-    def greeks(self, s, nu, t: float):
-        """(delta, gamma, c_nu) interpolated at (s, nu, t); rejects points
-        outside the grid and non-finite points."""
-        out = self._bilinear(self._time_slice(t), s, nu)
-        if out.ndim == 1:
-            return tuple(float(v) for v in out[DELTA:])
-        return out[..., DELTA], out[..., GAMMA], out[..., C_NU]
 
 
 def douglas_steps(config: PricingConfig, u: np.ndarray, source=None, edges=None):
@@ -444,9 +430,10 @@ def mc_price(
     return float(y.mean()), float(y.std(ddof=1) / math.sqrt(n_paths))
 
 
-def write_slice_csv(grid: PricingGrid, path, t_values=None) -> None:
-    """Price/greek slices, one row per (t, s, nu) node."""
-    t_values = np.asarray([grid.times[0]] if t_values is None else t_values, dtype=np.float64)
+def write_slice_csv(grid: PricingGrid, path, t_values) -> None:
+    """Price/greek slices at the times ``t_values``, one row per (t, s, nu)
+    node; the put column is parity ``P = C - (s - K)`` (zero rates)."""
+    t_values = np.asarray(t_values, dtype=np.float64)
     greeks = np.stack([grid.greek_planes(t) for t in t_values], axis=1)  # delta, gamma, c_nu
     c = np.stack([grid._time_slice(t)[:, :, C] for t in t_values])
     write_table(path, ["s", "nu", "t", "C", "P", "delta", "gamma", "c_nu"],

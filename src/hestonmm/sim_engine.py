@@ -35,7 +35,6 @@ __all__ = [
     "FrontierPoint",
     "run_ensemble",
     "efficient_frontier",
-    "trading_curve",
     "NonFiniteStateError",
 ]
 
@@ -275,10 +274,3 @@ def efficient_frontier(config: SimConfig, gammas, n: int, seed: int) -> list[Fro
             profit_mean=stats.profit_mean,
         ))
     return points
-
-
-def trading_curve(policy, config: SimConfig, n: int,
-                  seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Average inventory path E[q_t]: (times, mean, std)."""
-    stats = run_ensemble(policy, config, n, seed)
-    return stats.curve_times, stats.curve_mean, stats.curve_std

@@ -23,7 +23,7 @@ import hestonmm
 from hestonmm.heston import sample_terminal
 from hestonmm.hjb import HjbConfig, compare_exact_vs_approx, estimate_tolerance, solve_stock_hjb
 from hestonmm.option_mm import run_hedged_paths
-from hestonmm.option_pricing import PricingConfig, mc_price, mc_terminal, solve_call_grid
+from hestonmm.option_pricing import PricingConfig, mc_price, mc_terminal, solve_call_grid, write_slice_csv
 from hestonmm.quotes import Frozen, InventorySV, MarketImpact, RiskNeutral, RiskParams, Symmetric
 from hestonmm.sim_engine import SimConfig, efficient_frontier, run_ensemble
 from hestonmm.cli import EXIT_OK, main
@@ -100,7 +100,7 @@ def hjb_comparison(heston, arrival, risk):
     cfg = HjbConfig(heston=heston, arrival=arrival, risk=risk, T=1.0,
                     q_min=-10, q_max=10, nu_lo=0.0, nu_hi=12.0, n_nu=61, n_time=2000)
     grid = solve_stock_hjb(cfg)
-    tol = estimate_tolerance(cfg, grid)
+    tol = estimate_tolerance(grid)
     report_ = compare_exact_vs_approx(grid, tol=tol, nu_window=(1.0, 8.0))
     return report_, time.perf_counter() - t0
 
@@ -226,7 +226,7 @@ def test_criterion_08_trading_curve_ordering(heston, arrival, risk):
         assert vals[0.01][0] - vals[0.1][0] >= 2 * math.hypot(vals[0.1][1], vals[0.01][1])
 
 
-def test_criterion_09_option_pricer(heston):
+def test_criterion_09_option_pricer(heston, tmp_path):
     t0 = time.perf_counter()
     from hestonmm.heston import HestonParams
 
@@ -239,12 +239,12 @@ def test_criterion_09_option_pricer(heston):
 
     cfg = PricingConfig(heston=heston, strike=100.0, T=1.0)
     grid = solve_call_grid(cfg)
-    # parity on the interior grid (P defined through parity, so this checks
-    # the arithmetic only) and by Monte Carlo
-    s_in = grid.s_grid[1:-1]
-    c_in = grid.price(s_in, 4.0, 0.0)
-    p_in = grid.put(s_in, 4.0, 0.0)
-    parity_sup = float(np.abs(c_in - p_in - (s_in - 100.0)).max())
+    # parity on the interior rows of the written t = 0 slice (P is defined
+    # through parity, so this checks the arithmetic only) and by Monte Carlo
+    write_slice_csv(grid, tmp_path / "slice.csv", [0.0])
+    rows = np.genfromtxt(tmp_path / "slice.csv", delimiter=",", names=True)
+    inner = (rows["s"] > grid.s_grid[0]) & (rows["s"] < grid.s_grid[-1])
+    parity_sup = float(np.abs(rows["C"] - rows["P"] - (rows["s"] - 100.0))[inner].max())
     parity_ok = parity_sup <= 0.005 * 100.0
     s_term = mc_terminal(cfg, 100.0, 4.0, 0.0, n_paths=60_000, seed=909)
     pc = np.maximum(s_term - 100.0, 0.0) - np.maximum(100.0 - s_term, 0.0)

@@ -1,9 +1,12 @@
 """Every exported name resolves and is what the program runs: deleting a
 function must delete its exports, and an export only tests call must be a
-named oracle."""
+named oracle.  The same holds for the public methods and properties of every
+exported class."""
 
 import ast
+import functools
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -22,6 +25,12 @@ ORACLES = {
     "estimate_functionals",  # test_option_mm.py::test_lattice_agrees_with_the_monte_carlo_oracle
     "mc_price",  # test_acceptance.py::test_criterion_09_option_pricer
     "mc_terminal",  # test_option_pricing.py::test_conditional_estimator_agrees_with_the_payoff_mean
+}
+
+# Public methods that no program code reads, kept as references for tests.
+METHOD_ORACLES = {
+    "PricingGrid.price": "the grid's price at a point: test_acceptance.py::test_criterion_09_option_pricer "
+                         "and the benchmark's option-mm oracle check",
 }
 
 
@@ -52,11 +61,37 @@ def _program_references() -> set[str]:
     return found
 
 
+def _attribute_references() -> set[str]:
+    """Attribute names read anywhere in the package (``x.name``); a bare name,
+    such as a local variable, does not count."""
+    return {node.attr for path in Path(hestonmm.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Attribute)}
+
+
+def _public_methods() -> set[str]:
+    """``Class.name`` of every public method or property defined on a class
+    that some module exports."""
+    kinds = (property, functools.cached_property, classmethod, staticmethod)
+    exported = {getattr(module, attr) for module in map(importlib.import_module, MODULES)
+                for attr in getattr(module, "__all__", [])}
+    return {f"{cls.__name__}.{name}" for cls in exported if inspect.isclass(cls)
+            for name, value in vars(cls).items()
+            if not name.startswith("_") and (inspect.isfunction(value) or isinstance(value, kinds))}
+
+
 def test_every_export_is_run_by_the_program_or_an_oracle():
     exported = {attr for name in MODULES for attr in getattr(importlib.import_module(name), "__all__", [])}
     references = _program_references()
     assert sorted(exported - references - ORACLES) == []
     assert sorted(ORACLES - exported) == [] and sorted(ORACLES & references) == []
+
+
+def test_every_public_method_is_read_by_the_program_or_an_oracle():
+    methods = _public_methods()
+    references = _attribute_references()
+    unread = {m for m in methods if m.split(".", 1)[1] not in references}
+    assert sorted(unread - set(METHOD_ORACLES)) == []
+    assert sorted(set(METHOD_ORACLES) - unread) == []
 
 
 def test_cold_start_leaves_scipy_subpackages_out(tmp_path):

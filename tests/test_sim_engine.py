@@ -7,7 +7,7 @@ import pytest
 from hestonmm.intensity import ArrivalParams
 from hestonmm.quotes import Frozen, InventorySV, MarketImpact, RiskNeutral, RiskParams, Symmetric, risk_neutral_rate
 from hestonmm.seeding import DEFAULT_BLOCK, SIM_STREAM, lane_draws
-from hestonmm.sim_engine import SimConfig, efficient_frontier, run_ensemble, trading_curve
+from hestonmm.sim_engine import SimConfig, efficient_frontier, run_ensemble
 
 
 @pytest.fixture()
@@ -141,10 +141,10 @@ def test_impact_moves_price(heston, arrival):
 
 def test_trading_curve_frozen_constant(heston, arrival, risk):
     cfg = SimConfig(heston=heston, arrival=arrival, risk=risk, q0=6, snapshot_stride=20)
-    times, mean, std = trading_curve(Frozen(), cfg, 50, seed=3)
-    np.testing.assert_array_equal(mean, 6.0)
-    np.testing.assert_array_equal(std, 0.0)
-    assert times[0] == 0.0 and times[-1] == 1.0
+    stats = run_ensemble(Frozen(), cfg, 50, seed=3)
+    np.testing.assert_array_equal(stats.curve_mean, 6.0)
+    np.testing.assert_array_equal(stats.curve_std, 0.0)
+    assert stats.curve_times[0] == 0.0 and stats.curve_times[-1] == 1.0
 
 
 def test_trading_curve_mirror_symmetry(heston, arrival):
@@ -153,8 +153,8 @@ def test_trading_curve_mirror_symmetry(heston, arrival):
     pol = InventorySV(heston, arrival, risk0, 1.0)
     up = SimConfig(heston=heston, arrival=arrival, risk=risk0, q0=6, snapshot_stride=25)
     dn = replace(up, q0=-6)
-    _, m_up, s_up = trading_curve(pol, up, 800, seed=7)
-    _, m_dn, s_dn = trading_curve(pol, dn, 800, seed=8)
+    up, dn = run_ensemble(pol, up, 800, seed=7), run_ensemble(pol, dn, 800, seed=8)
+    m_up, s_up, m_dn, s_dn = up.curve_mean, up.curve_std, dn.curve_mean, dn.curve_std
     se = np.sqrt(s_up**2 + s_dn**2) / math.sqrt(800)
     assert np.all(np.abs(m_up + m_dn) <= 3 * se + 1e-9)
 
