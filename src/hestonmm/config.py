@@ -153,6 +153,9 @@ def _validate(cfg: RunConfig) -> None:
     for sec, key in (("sim", "n_paths"), ("frontier", "n_paths"), ("option_mm", "n_paths")):
         if cfg.get(sec, key) < 1:
             raise ConfigError(f"{sec}.{key} must be positive")
+    for key in ("lattice_n_s", "lattice_n_nu", "lattice_n_t"):  # a cell needs two nodes
+        if cfg.get("option_mm", key) < 2:
+            raise ConfigError(f"option_mm.{key} must be at least 2")
     if cfg.get("sim", "seed") < 0:  # a seed entropy is a non-negative integer
         raise ConfigError("sim.seed must be non-negative")
 

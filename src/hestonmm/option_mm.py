@@ -12,8 +12,9 @@ in stock continuously; its single functional is
     M = -(gamma / 2) xi^2 E[ integral of nu C_nu^2 ].
 
 All three are path integrals of greeks under the real-world dynamics, solved
-on the pricing grid by Feynman-Kac and cached on a coarse lattice for use
-inside simulations; ``estimate_functionals`` is their Monte Carlo oracle.
+on the pricing grid by Feynman-Kac and cached on a coarse lattice, in one
+time-major table laid out like the grid's, for use inside simulations;
+``estimate_functionals`` is their Monte Carlo oracle.
 
 Both books and the oracle read ``heston.walk`` through ``_walk``, which only
 gathers it ``CHUNK`` steps at a time for one grid and one lattice read per
@@ -153,25 +154,27 @@ def estimate_functionals(
     )
 
 
+@dataclass
 class FunctionalLattice:
     """(H1, H2, M) on a coarse (s, nu, t) lattice, interpolated linearly
-    in t, then bilinearly in (s, nu), during simulations."""
+    in t, then bilinearly in (s, nu), during simulations.
 
-    def __init__(self, s_nodes, nu_nodes, t_nodes, h1, h2, m):
-        self.s_nodes = np.asarray(s_nodes, dtype=np.float64)
-        self.nu_nodes = np.asarray(nu_nodes, dtype=np.float64)
-        self.t_nodes = np.asarray(t_nodes, dtype=np.float64)
-        self.h1 = np.asarray(h1)
-        self.h2 = np.asarray(h2)
-        self.m = np.asarray(m)
-        shape = (self.s_nodes.size, self.nu_nodes.size, self.t_nodes.size)
+    ``table[k]`` is time node ``k``: an ``(n_s, n_nu, 3)`` plane of (H1, H2,
+    M), laid out like ``PricingGrid.stack``.
+    """
+
+    s_nodes: np.ndarray
+    nu_nodes: np.ndarray
+    t_nodes: np.ndarray
+    table: np.ndarray  # (n_t, n_s, n_nu, 3)
+
+    def __post_init__(self):
         for nodes in (self.s_nodes, self.nu_nodes, self.t_nodes):
             if nodes.ndim != 1 or nodes.size < 2 or np.any(np.diff(nodes) <= 0):
                 raise ValueError("lattice nodes must be strictly ascending, at least 2 per axis")
-        if not self.h1.shape == self.h2.shape == self.m.shape == shape:
-            raise ValueError(f"functional tables must have shape {shape}")
-        # (n_s, n_nu, n_t, 3): H1, H2 and M gathered together at each corner
-        self._table = np.stack([self.h1, self.h2, self.m], axis=-1).astype(np.float64)
+        shape = (self.t_nodes.size, self.s_nodes.size, self.nu_nodes.size, 3)
+        if self.table.shape != shape:
+            raise ValueError(f"the functional table must have shape {shape}")
 
     @classmethod
     def build(
@@ -210,30 +213,22 @@ class FunctionalLattice:
         for back, u in enumerate(douglas_steps(real_world, u, source), 2):
             at_nodes[-back] = bilinear(np.moveaxis(u, 0, -1), i, wi, j, wj)
         wk = wk[:, None, None, None]
-        u_t = np.moveaxis((1.0 - wk) * at_nodes[k] + wk * at_nodes[k + 1], 0, 2)
+        u_t = (1.0 - wk) * at_nodes[k] + wk * at_nodes[k + 1]
         # 0.0 - x turns -0.0 into +0.0 and leaves every other value as -x
-        table = 0.0 - np.array([1.0, 0.5, 0.5 * heston.xi**2]) * risk.gamma * u_t
-        return cls(s_nodes, nu_nodes, t_nodes, *np.moveaxis(table, -1, 0))
+        return cls(s_nodes, nu_nodes, t_nodes,
+                   0.0 - np.array([1.0, 0.5, 0.5 * heston.xi**2]) * risk.gamma * u_t)
 
     def functionals(self, s, nu, t):
-        """(H1, H2, M) at (s, nu) and time ``t``, clipped to the node box: the
-        table is blended linearly at ``t``, then read bilinearly through the
-        pricer's kernel ``option_pricing.bilinear``.  ``t`` is one time, or a
-        1-d array of one time per leading row of the points (``TypeError``
-        otherwise)."""
-        t = np.asarray(t, dtype=np.float64)
-        if t.ndim and np.broadcast(s, nu).shape[:1] != t.shape:
-            raise TypeError(f"t of shape {t.shape} is neither one time nor one per row of the points")
-        points = [np.clip(np.asarray(x, dtype=np.float64), nodes[0], nodes[-1])
-                  for nodes, x in ((self.s_nodes, s), (self.nu_nodes, nu), (self.t_nodes, t))]
-        if any(np.isnan(x).any() for x in points):
-            raise ValueError("lattice points must not be nan")
-        k, wk = cell(self.t_nodes, points[2])
-        by_t, wk = np.moveaxis(self._table, 2, 0), wk[..., None, None, None]
-        plane = (1.0 - wk) * by_t[k] + wk * by_t[k + 1]  # one plane, or one per row of t
-        out = bilinear(plane, *cell(self.s_nodes, points[0]), *cell(self.nu_nodes, points[1]))
-        if out.ndim == 1:
-            return tuple(float(v) for v in out)
+        """(H1, H2, M) at ``(K, n)`` points ``(s, nu)``, row ``r`` at time
+        ``t[r]``, clipped to the node box: each row's plane is the table
+        blended linearly at its time, read bilinearly through the pricer's
+        kernel ``option_pricing.bilinear``.  Returns three ``(K, n)`` arrays."""
+        s, nu, t = (np.clip(x, nodes[0], nodes[-1]) for nodes, x in
+                    ((self.s_nodes, s), (self.nu_nodes, nu), (self.t_nodes, t)))
+        k, wk = cell(self.t_nodes, t)
+        wk = wk[:, None, None, None]
+        planes = (1.0 - wk) * self.table[k] + wk * self.table[k + 1]
+        out = bilinear(planes, *cell(self.s_nodes, s), *cell(self.nu_nodes, nu))
         return out[..., 0], out[..., 1], out[..., 2]
 
 
@@ -486,4 +481,4 @@ def run_joint_paths(
 def write_lattice_csv(lattice: FunctionalLattice, path) -> None:
     write_table(path, ["s", "nu", "t", "H1", "H2", "M"],
                 [lattice.s_nodes[:, None, None], lattice.nu_nodes[None, :, None],
-                 lattice.t_nodes[None, None, :], *np.moveaxis(lattice._table, -1, 0)])
+                 lattice.t_nodes[None, None, :], *lattice.table.transpose(3, 1, 2, 0)])

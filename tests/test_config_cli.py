@@ -195,6 +195,17 @@ def test_paths_below_one_is_a_config_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("key", ["lattice_n_s", "lattice_n_nu", "lattice_n_t"])
+def test_lattice_below_two_nodes_is_a_config_error(tmp_path, capsys, monkeypatch, key):
+    # rejected with the key named, before the pricing grid is solved
+    solves = []
+    monkeypatch.setattr(cli, "solve_call_grid", lambda *args: solves.append(args))
+    assert run_cli("option-mm", "--set", f"option_mm.{key}=1", "--out", str(tmp_path)) == EXIT_CONFIG
+    assert f"config error: option_mm.{key} must be at least 2" in capsys.readouterr().err
+    assert solves == []
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("sub", ["simulate", "hjb"])
 def test_negative_seed_is_a_config_error(tmp_path, capsys, sub):
     # rejected with the key named, before any draw or solve writes a file

@@ -171,19 +171,6 @@ def test_slab_read_equals_one_read_per_row(pricing_grid, cols):
         np.testing.assert_array_equal(got[r], g._bilinear(g._time_slice(t, cols), s[r], nu[r]))
 
 
-def test_lattice_reads_one_time_per_row_as_separate_calls(functional_lattice):
-    lat = functional_lattice
-    rng = np.random.default_rng(21)
-    t = np.array([-0.2, 0.0, 0.1, 0.25, 0.6, 1.0, 1.3])  # nodes, between them, and clipped
-    s, nu = rng.uniform(80.0, 120.0, (t.size, 90)), rng.uniform(-1.0, 10.0, (t.size, 90))
-    got = lat.functionals(s, nu, t)
-    for r in range(t.size):
-        for col, ref in zip(got, lat.functionals(s[r], nu[r], t[r])):
-            np.testing.assert_array_equal(col[r], ref)
-    with pytest.raises(TypeError):  # one time per row
-        lat.functionals(s, nu, t[:-1])
-
-
 def test_cached_planes_are_read_only(pricing_grid):
     assert not pricing_grid.stack.flags.writeable
     assert not solve_call_grid(pricing_grid.config).stack.flags.writeable
@@ -272,81 +259,69 @@ def test_integrals_equal_stacked_reference(heston, pricing_grid):
 
 
 def _rgi_functionals(lattice, s, nu, t):
-    """The interpolation as scipy evaluates it, on the clipped point."""
+    """The interpolation as scipy evaluates it, on the clipped points, row
+    ``r`` of ``(s, nu)`` at time ``t[r]``."""
     nodes = (lattice.s_nodes, lattice.nu_nodes, lattice.t_nodes)
     pts = np.stack(np.broadcast_arrays(
-        *(np.clip(np.asarray(x, dtype=np.float64), n[0], n[-1]) for n, x in zip(nodes, (s, nu, t)))),
-        axis=-1)
-    return tuple(RegularGridInterpolator(nodes, table, bounds_error=False, fill_value=None)(pts)
-                 for table in (lattice.h1, lattice.h2, lattice.m))
+        *(np.clip(x, n[0], n[-1]) for n, x in zip(nodes, (s, nu, t[:, None])))), axis=-1)
+    return tuple(RegularGridInterpolator(nodes, np.moveaxis(lattice.table[..., c], 0, -1),
+                                         bounds_error=False, fill_value=None)(pts)
+                 for c in range(3))
+
+
+# one time per row: before the first node, at each node, between nodes, at T
+# and past it
+ROW_TIMES = np.array([-0.1, 0.0, 0.13, 0.25, 0.37, 0.5, 0.5 + 1e-9, 0.6, 0.75, 0.999, 1.0, 1.1])
 
 
 def test_lattice_kernel_matches_regular_grid_interpolator(functional_lattice):
     lat = functional_lattice
     rng = np.random.default_rng(12)
     n = 500
-    s = rng.uniform(80.0, 120.0, n)  # nodes span 88..112: part of each draw is outside
-    nu = rng.uniform(-1.0, 10.0, n)  # nodes span 0.5..9
-    t = rng.uniform(-0.1, 1.1, n)
-    # functionals reads one t per call: the points drawn at n times are read one by one
-    probes = [*zip(s, nu, t), (s, nu, 0.37), (s[:, None], nu[None, :20], 0.6),
-              (lat.s_nodes[2], lat.nu_nodes[1], lat.t_nodes[2]), (100.3, 4.1, 0.41),
-              (130.0, -2.0, 2.0), (70.0, 20.0, -1.0)]
-    for probe in probes:
-        got = lat.functionals(*probe)
-        ref = _rgi_functionals(lat, *probe)
-        for g, r, table in zip(got, ref, (lat.h1, lat.h2, lat.m)):
-            if np.ndim(probe[0]) == 0:
-                assert isinstance(g, float)
-                r = float(r.reshape(-1)[0])
-            np.testing.assert_allclose(g, r, rtol=REL, atol=REL * np.abs(table).max())
+    s = rng.uniform(80.0, 120.0, (ROW_TIMES.size, n))  # nodes span 88..112: part of each draw is outside
+    nu = rng.uniform(-1.0, 10.0, (ROW_TIMES.size, n))  # nodes span 0.5..9
+    corners = np.array([[130.0, 70.0, lat.s_nodes[2], 100.3], [-2.0, 20.0, lat.nu_nodes[1], 4.1]])
+    s[:, :4], nu[:, :4] = corners  # far outside the box, on a node, and inside a cell
+    got = lat.functionals(s, nu, ROW_TIMES)
+    for g, r, c in zip(got, _rgi_functionals(lat, s, nu, ROW_TIMES), range(3)):
+        assert g.shape == s.shape
+        np.testing.assert_allclose(g, r, rtol=REL, atol=REL * np.abs(lat.table[..., c]).max())
 
 
 def test_lattice_blends_in_t_then_reads_bilinearly(functional_lattice):
     lat = functional_lattice
-    table = np.stack([lat.h1, lat.h2, lat.m], axis=-1)
     rng = np.random.default_rng(5)
-    s, nu = rng.uniform(80.0, 120.0, 300), rng.uniform(-1.0, 10.0, 300)
-    for t in [0.0, 0.13, 0.25, 0.5 + 1e-9, 0.999, 1.0, -0.3, 1.7]:
+    shape = (ROW_TIMES.size, 300)
+    s, nu = rng.uniform(80.0, 120.0, shape), rng.uniform(-1.0, 10.0, shape)
+    got = lat.functionals(s, nu, ROW_TIMES)
+    for r, t in enumerate(ROW_TIMES):
         k, wk = _searchsorted_cell(lat.t_nodes, np.clip(t, lat.t_nodes[0], lat.t_nodes[-1]))
-        plane = (1.0 - wk) * table[:, :, k] + wk * table[:, :, k + 1]
-        i, wi = _searchsorted_cell(lat.s_nodes, np.clip(s, lat.s_nodes[0], lat.s_nodes[-1]))
-        j, wj = _searchsorted_cell(lat.nu_nodes, np.clip(nu, lat.nu_nodes[0], lat.nu_nodes[-1]))
+        plane = (1.0 - wk) * lat.table[k] + wk * lat.table[k + 1]
+        i, wi = _searchsorted_cell(lat.s_nodes, np.clip(s[r], lat.s_nodes[0], lat.s_nodes[-1]))
+        j, wj = _searchsorted_cell(lat.nu_nodes, np.clip(nu[r], lat.nu_nodes[0], lat.nu_nodes[-1]))
         wi, wj = wi[:, None], wj[:, None]
         ref = ((1 - wi) * (1 - wj) * plane[i, j] + wi * (1 - wj) * plane[i + 1, j]
                + (1 - wi) * wj * plane[i, j + 1] + wi * wj * plane[i + 1, j + 1])
-        for got, col in zip(lat.functionals(s, nu, t), ref.T):
-            np.testing.assert_array_equal(got, col)
+        for col, want in zip(got, ref.T):
+            np.testing.assert_array_equal(col[r], want)
 
 
 def test_lattice_returns_the_stored_values_at_the_nodes(functional_lattice):
     lat = functional_lattice
     s, nu = np.meshgrid(lat.s_nodes, lat.nu_nodes, indexing="ij")
-    for k, t in enumerate(lat.t_nodes):
-        for got, table in zip(lat.functionals(s, nu, t), (lat.h1, lat.h2, lat.m)):
-            np.testing.assert_array_equal(got, table[:, :, k])
-        assert lat.functionals(s[4, 3], nu[4, 3], t) == (lat.h1[4, 3, k], lat.h2[4, 3, k],
-                                                          lat.m[4, 3, k])
-
-
-def test_lattice_rejects_nan_points(functional_lattice):
-    with pytest.raises(ValueError):
-        functional_lattice.functionals(np.array([100.0, math.nan]), 4.0, 0.5)
-    with pytest.raises(ValueError):
-        functional_lattice.functionals(100.0, np.array([4.0, math.nan]), 0.5)
-    with pytest.raises(ValueError):
-        functional_lattice.functionals(100.0, 4.0, math.nan)
-    with pytest.raises(TypeError):  # one t per call
-        functional_lattice.functionals(100.0, 4.0, np.array([0.1, 0.2]))
+    rows = (lat.t_nodes.size, s.size)
+    got = lat.functionals(np.broadcast_to(s.ravel(), rows), np.broadcast_to(nu.ravel(), rows),
+                          lat.t_nodes)
+    for c, col in enumerate(got):
+        np.testing.assert_array_equal(col.reshape(lat.table.shape[:3]), lat.table[..., c])
 
 
 def test_lattice_rejects_degenerate_axes():
-    z = np.zeros((1, 2, 2))
+    nu, t = np.array([1.0, 2.0]), np.array([0.0, 1.0])
     with pytest.raises(ValueError):
-        FunctionalLattice([100.0], [1.0, 2.0], [0.0, 1.0], z, z, z)
+        FunctionalLattice(np.array([100.0]), nu, t, np.zeros((2, 1, 2, 3)))
     with pytest.raises(ValueError):
-        FunctionalLattice([100.0, 90.0], [1.0, 2.0], [0.0, 1.0], z.repeat(2, 0), z.repeat(2, 0),
-                          z.repeat(2, 0))
+        FunctionalLattice(np.array([100.0, 90.0]), nu, t, np.zeros((2, 2, 2, 3)))
 
 
 def _recount_exits(heston, grid, T, dt, n_paths, seed):
@@ -377,8 +352,8 @@ def test_books_count_grid_exits(heston, arrival, risk_nofee):
     narrow = solve_call_grid(PricingConfig(heston=heston, strike=100.0, T=1.0,
                                            s_grid=tuple(np.linspace(97.0, 103.0, 25)),
                                            nu_grid=tuple(np.linspace(0.0, 6.0, 7))))
-    z = np.zeros((2, 2, 2))
-    lattice = FunctionalLattice([0.0, 200.0], [0.0, 20.0], [0.0, 1.0], z, z, z)
+    lattice = FunctionalLattice(np.array([0.0, 200.0]), np.array([0.0, 20.0]), np.array([0.0, 1.0]),
+                                np.zeros((2, 2, 2, 3)))
     args = dict(heston=heston, arrival=arrival, risk=risk_nofee, grid=narrow, lattice=lattice,
                 T=1.0, dt=0.01, n_paths=200, seed=31)
     expected = _recount_exits(heston, narrow, 1.0, 0.01, 200, 31)
@@ -474,6 +449,12 @@ def _clamped(grid, s, nu):
             np.clip(nu, grid.nu_grid[0], grid.nu_grid[-1]))
 
 
+def _lattice_at(lat, g, s, nu, t):
+    """(H1, H2, M) at the clamped states of one step, read as one row."""
+    s, nu = _clamped(g, s, nu)
+    return [col[0] for col in lat.functionals(s[None], nu[None], np.array([t]))]
+
+
 def _end_time(step, n_steps, dt, T):
     """A book's time at the end of ``step``: the last step ends at ``T`` itself."""
     return T if step + 1 == n_steps else (step + 1) * dt
@@ -489,7 +470,7 @@ def _joint_step_loop(g, lat, heston, arrival, risk, n, T, dt, seed, q_s0, q_o0):
     for step in range(n_steps):
         t = step * dt
         c_now = g.price(*_clamped(g, s, nu), t)
-        h1, h2, _ = lat.functionals(*_clamped(g, s, nu), t)
+        h1, h2, _ = _lattice_at(lat, g, s, nu, t)
         quotes = joint_book_quotes(q_s, q_o, nu, t, T, h1, h2, arrival, heston, risk)
         hit, _ = fills(quotes, uniforms[step].T, arrival, dt)
         paid = np.where(hit, quotes, 0.0)
@@ -515,7 +496,7 @@ def _hedged_step_loop(g, lat, heston, arrival, n, T, dt, seed, q_o0):
         t = step * dt
         c_now = g.price(*_clamped(g, s, nu), t)
         _, delta, _, c_nu = g._bilinear(g._time_slice(t), *_clamped(g, s, nu)).T
-        quotes = hedged_book_quotes(q_o, lat.functionals(*_clamped(g, s, nu), t)[2], arrival)
+        quotes = hedged_book_quotes(q_o, _lattice_at(lat, g, s, nu, t)[2], arrival)
         trace.append(quotes[0])
         hit, _ = fills(quotes, uniforms[step].T, arrival, dt)
         paid = np.where(hit, quotes, 0.0)

@@ -116,10 +116,10 @@ def test_hedged_trace_quotes_are_the_quote_function(heston, arrival, risk_nofee,
                              T=1.0, dt=0.01, n_paths=70, seed=31, q_o0=2)
     tr = stats.trace
     g = pricing_grid
-    # functionals reads one t per call
-    m = np.array([functional_lattice.functionals(s, nu, t)[2] for s, nu, t in zip(
-        np.clip(tr["s"], g.s_grid[0], g.s_grid[-1]), np.clip(tr["nu"], g.nu_grid[0], g.nu_grid[-1]),
-        tr["t"])])
+    # one traced state per row, each at its own time
+    m = functional_lattice.functionals(np.clip(tr["s"], g.s_grid[0], g.s_grid[-1])[:, None],
+                                       np.clip(tr["nu"], g.nu_grid[0], g.nu_grid[-1])[:, None],
+                                       tr["t"])[2][:, 0]
     quotes = hedged_book_quotes(tr["q_o"], m, arrival)
     np.testing.assert_array_equal(quotes[:, 0], tr["a_o"])
     np.testing.assert_array_equal(quotes[:, 1], tr["b_o"])
@@ -162,9 +162,8 @@ def test_unhedged_three_term_identity(heston, risk_nofee, pricing_grid):
 def _constant_zero_lattice():
     from hestonmm.option_mm import FunctionalLattice
 
-    z = np.zeros((2, 2, 2))
     return FunctionalLattice(np.array([0.0, 200.0]), np.array([0.0, 20.0]),
-                             np.array([0.0, 1.0]), z, z, z)
+                             np.array([0.0, 1.0]), np.zeros((2, 2, 2, 3)))
 
 
 def test_joint_run_smoke(heston, arrival, risk_nofee, pricing_grid, functional_lattice):
@@ -225,15 +224,12 @@ def test_books_end_at_maturity_when_steps_overshoot_it(heston, arrival, risk_nof
 def test_lattice_matches_direct_estimate(heston, risk_nofee, pricing_grid, functional_lattice):
     # at a lattice node the interpolant returns the stored estimate
     i, j, k = 2, 1, 2  # s = 100, nu ~ 3.33, t = 0.5
-    s = functional_lattice.s_nodes[i]
-    nu = functional_lattice.nu_nodes[j]
-    t = functional_lattice.t_nodes[k]
-    h1, h2, m = functional_lattice.functionals(s, nu, t)
-    assert h1 == pytest.approx(functional_lattice.h1[i, j, k], rel=1e-12)
-    assert h2 == pytest.approx(functional_lattice.h2[i, j, k], rel=1e-12)
-    assert m == pytest.approx(functional_lattice.m[i, j, k], rel=1e-12)
+    lat = functional_lattice
+    got = lat.functionals(lat.s_nodes[[[i]]], lat.nu_nodes[[[j]]], lat.t_nodes[[k]])
+    for col, want in zip(got, lat.table[k, i, j]):
+        assert col[0, 0] == pytest.approx(want, rel=1e-12)
     # and the terminal layer is exactly zero
-    assert functional_lattice.h1[:, :, -1].max() == 0.0
+    assert lat.table[-1, ..., 0].max() == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -255,26 +251,27 @@ def test_lattice_agrees_with_the_monte_carlo_oracle(heston, risk_nofee, pricing_
     f = estimate_functionals(lat.s_nodes[i], lat.nu_nodes[j], lat.t_nodes[k], 1.0, heston,
                              risk_nofee, pricing_grid, n_paths=20_000, seed=11,
                              dt_target=0.0025, max_exit_fraction=0.5)
-    for table, est, se in ((lat.h1, f.h1, f.se_h1), (lat.h2, f.h2, f.se_h2), (lat.m, f.m, f.se_m)):
+    for c, est, se in ((0, f.h1, f.se_h1), (1, f.h2, f.se_h2), (2, f.m, f.se_m)):
         # the floor covers M at rounding level near the grid edges
-        assert abs(table[i, j, k] - est) <= 3.0 * se + 1e-8 * np.abs(table).max()
+        table = lat.table[..., c]
+        assert abs(table[k, i, j] - est) <= 3.0 * se + 1e-8 * np.abs(table).max()
 
 
 def test_lattice_ignores_seed_and_paths(heston, risk_nofee, pricing_grid, cli_lattice):
     args = (cli_lattice.s_nodes, cli_lattice.nu_nodes, cli_lattice.t_nodes, 1.0, heston,
             risk_nofee, pricing_grid)
     for kw in ({"seed": 1, "n_paths": 2000}, {"seed": 2, "n_paths": 5000}):
-        np.testing.assert_array_equal(FunctionalLattice.build(*args, **kw)._table,
-                                      cli_lattice._table)
+        np.testing.assert_array_equal(FunctionalLattice.build(*args, **kw).table,
+                                      cli_lattice.table)
 
 
 def test_lattice_zeros_are_positive(heston, pricing_grid, cli_lattice, tmp_path):
     # at t = T, and everywhere for gamma = 0, every entry is +0.0, never -0.0
-    at_maturity = cli_lattice._table[:, :, -1]
+    at_maturity = cli_lattice.table[-1]
     assert np.all(at_maturity == 0.0) and not np.signbit(at_maturity).any()
     lat = FunctionalLattice.build(cli_lattice.s_nodes, cli_lattice.nu_nodes, cli_lattice.t_nodes,
                                   1.0, heston, RiskParams(0.0), pricing_grid)
-    assert np.all(lat._table == 0.0) and not np.signbit(lat._table).any()
+    assert np.all(lat.table == 0.0) and not np.signbit(lat.table).any()
     option_mm.write_lattice_csv(lat, tmp_path / "lattice.csv")
     rows = (tmp_path / "lattice.csv").read_text().splitlines()[1:]
     assert rows and all(row.split(",")[3:] == ["0.0", "0.0", "0.0"] for row in rows)

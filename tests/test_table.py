@@ -103,9 +103,7 @@ def reference_lattice(lattice, path):
                 for k, tv in enumerate(lattice.t_nodes):
                     w.writerow([
                         repr(float(sv)), repr(float(nv)), repr(float(tv)),
-                        repr(float(lattice.h1[i, j, k])),
-                        repr(float(lattice.h2[i, j, k])),
-                        repr(float(lattice.m[i, j, k])),
+                        *(repr(float(v)) for v in lattice.table[k, i, j]),
                     ])
 
 
@@ -135,9 +133,9 @@ def _cases(value_grid, coarse_pricing_grid):
     times = coarse_pricing_grid.times
     t_values = [0.0, 0.5 * (times[3] + times[4])]  # the second lies between stored slices
     rng = np.random.default_rng(3)
-    lattice = FunctionalLattice([88.0, 112.0], [0.5, 9.0], [0.0, 0.5, 1.0],
-                                *(rng.standard_normal((2, 2, 3)) * 10.0 ** rng.integers(-30, 3, (2, 2, 3))
-                                  for _ in range(3)))
+    shape = (3, 2, 2, 3)  # (t, s, nu) nodes, then (H1, H2, M)
+    lattice = FunctionalLattice(np.array([88.0, 112.0]), np.array([0.5, 9.0]), np.array([0.0, 0.5, 1.0]),
+                                rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 3, shape))
     report = compare_exact_vs_approx(value_grid, tol=1e-3)
     rows = _summary_rows()
     header = ["mode", "n", "z_mean", "q_o_mean", "qv_mean", "clipped"]
