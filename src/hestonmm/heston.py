@@ -5,8 +5,8 @@ instantaneous variance follows the square-root process
 ``dnu = theta (alpha - nu) dt + xi sqrt(nu) dB`` with ``corr(W, B) = rho``.
 This module provides the one Euler step, the one walk over it that every
 simulator runs, the variance generator that both PDE layers step, and the
-closed-form conditional moments of the variance used by the quote formulas
-and by the moment-validation tests.
+step count of a horizon.  The walk takes its draws from the caller, so the
+module draws nothing itself.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fd
-from .seeding import HESTON_STREAM, lane_draws, map_blocks
 
 __all__ = [
     "HestonParams",
@@ -25,8 +24,6 @@ __all__ = [
     "walk",
     "variance_operator",
     "step_count",
-    "conditional_moments",
-    "sample_terminal",
 ]
 
 @dataclass(frozen=True)
@@ -53,32 +50,6 @@ class HestonParams:
             raise ValueError("theta, alpha, xi and nu0 must be nonnegative")
         if abs(self.rho) > 1:
             raise ValueError("rho must lie in [-1, 1]")
-
-
-def conditional_moments(nu: float, params: HestonParams, tau: float) -> tuple[float, float, float]:
-    """Conditional mean, variance and second moment of the variance after
-    horizon ``tau``.
-
-    Uses numerically stable ``expm1`` factorizations so that the identity
-    ``var + mean**2 == second_moment`` holds to relative 1e-12 even for tiny
-    ``theta*tau``.  The ``theta == 0`` case is the analytic limit.
-    """
-    if tau < 0 or nu < 0:
-        raise ValueError("tau and nu must be nonnegative")
-    theta, alpha, xi = params.theta, params.alpha, params.xi
-    if theta == 0.0:
-        mean = nu
-        var = xi**2 * nu * tau
-        return mean, var, nu**2 + var
-
-    e1 = math.exp(-theta * tau)
-    x = -math.expm1(-theta * tau)  # 1 - exp(-theta*tau)
-    y = -math.expm1(-2.0 * theta * tau)  # 1 - exp(-2*theta*tau)
-    mean = e1 * nu + alpha * x
-    var = (xi**2 / theta) * nu * e1 * x + (alpha * xi**2 / (2.0 * theta)) * x * x
-    c = (2.0 * theta * alpha + xi**2) / theta
-    second = e1 * e1 * nu * nu + c * (nu - alpha) * e1 * x + 0.5 * c * alpha * y
-    return mean, var, second
 
 
 def euler_step(params: HestonParams, dt: float, nu, z_s, z_perp=0.0, *, risk_adj: float = 0.0):
@@ -135,32 +106,3 @@ def step_count(T: float, dt: float) -> int:
     if n < 1 or abs(n * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError("dt must divide T within rounding")
     return n
-
-
-def sample_terminal(
-    params: HestonParams,
-    T: float,
-    n_steps: int,
-    n_paths: int,
-    seed: int,
-    scheme: str = "gaussian",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Terminal ``(S_T, nu_T)`` over ``n_paths`` independent paths.
-
-    Path ``i``'s draws depend only on ``(seed, i)``, so results do
-    not depend on ``n_paths`` or on how paths are grouped into blocks.
-    """
-    if not 0.0 < T < math.inf:
-        raise ValueError(f"T must be finite and positive, got {T}")
-    if n_steps < 1 or n_paths < 1:
-        raise ValueError("n_steps and n_paths must be positive")
-    dt = T / n_steps
-
-    def paths(lo: int, hi: int):
-        draws = lane_draws(seed, (HESTON_STREAM,), lo, hi, n_steps, 2, scheme=scheme)
-        s = np.full(hi - lo, params.s0)
-        for _, ds, nu, _ in walk(params, draws, dt, params.nu0):
-            s += ds
-        return s, nu
-
-    return tuple(np.concatenate(col) for col in zip(*map_blocks(n_paths, paths)))

@@ -13,37 +13,34 @@ in stock continuously; its single functional is
 
 All three are path integrals of greeks under the real-world dynamics, solved
 on the pricing grid by Feynman-Kac and cached on a coarse lattice, in one
-time-major table laid out like the grid's, for use inside simulations;
-``estimate_functionals`` is their Monte Carlo oracle.
+time-major table laid out like the grid's, for use inside simulations.  The
+integrands come from ``_integrands``; the tests' Monte Carlo oracle
+(``tests/oracles.py``) integrates the same ones along ``_walk``.
 
-Both books and the oracle read ``heston.walk`` through ``_walk``, which only
-gathers it ``CHUNK`` steps at a time for one grid and one lattice read per
-chunk; each book also draws its shocks and fill uniforms ``CHUNK`` steps at a
-time.  Only the quotes and the book step ``intensity.trade`` (fills, premium
-income, inventory) run step by step.  The reads find cells with
-``option_pricing.cell``, a checked uniform-spacing guess that falls back to
-``searchsorted``: exact on any grid, dearer on a stretched one.
+Both books read ``heston.walk`` through ``_walk``, which only gathers it
+``CHUNK`` steps at a time for one grid and one lattice read per chunk; each
+book also draws its shocks and fill uniforms ``CHUNK`` steps at a time.
+Only the quotes and the book step ``intensity.trade`` (fills, premium income,
+inventory) run step by step.  The reads find cells with ``option_pricing.cell``,
+a checked uniform-spacing guess that falls back to ``searchsorted``: exact on
+any grid, dearer on a stretched one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .heston import HestonParams, step_count, walk
 from .intensity import ArrivalParams, trade
-from .option_pricing import C, C_NU, DELTA, GAMMA, PRICE, PricingGrid, _euler_steps, bilinear, cell, douglas_steps
+from .option_pricing import C, C_NU, DELTA, GAMMA, PRICE, PricingGrid, bilinear, cell, douglas_steps
 from .quotes import RiskParams, inventory_coefficient, tilt
-from .seeding import FUNCTIONAL_STREAM, OPTION_MM_STREAM, lane_draws, map_blocks, os_array
+from .seeding import OPTION_MM_STREAM, lane_draws, map_blocks, os_array
 from .table import write_table
 
 __all__ = [
-    "Functionals",
     "FunctionalLattice",
-    "GridExitError",
-    "estimate_functionals",
     "joint_book_quotes",
     "hedged_book_quotes",
     "run_hedged_paths",
@@ -54,24 +51,6 @@ __all__ = [
 ]
 
 
-class GridExitError(RuntimeError):
-    """Too many simulated paths left the pricing grid."""
-
-
-@dataclass(frozen=True)
-class Functionals:
-    """Monte Carlo estimates of the quote-tilt functionals with standard
-    errors.  H2 and M are nonpositive up to sampling noise."""
-
-    h1: float
-    h2: float
-    m: float
-    se_h1: float = 0.0
-    se_h2: float = 0.0
-    se_m: float = 0.0
-
-
-_DELTA_C_NU = slice(DELTA, C_NU + 1, C_NU - DELTA)  # the two greek columns the integrands read
 CHUNK = 8  # steps per batched grid and lattice read of the market walk, and per book draw
 
 
@@ -82,76 +61,6 @@ def _integrands(delta, c_nu, heston: HestonParams) -> np.ndarray:
     return np.stack((delta + rho * xi * c_nu,
                      delta**2 + 2.0 * rho * xi * delta * c_nu + xi**2 * c_nu**2,
                      c_nu**2))
-
-
-def _simulate_integrals(
-    s0: float, nu0: float, t: float, heston: HestonParams, grid: PricingGrid,
-    n_paths: int, seed: int, dt_target: float, max_exit_fraction: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-path left-endpoint quadratures of the three integrands along
-    real-world paths from ``(s0, nu0)`` at time ``t`` to the grid's maturity,
-    in the pricer's Euler steps (``_euler_steps``), drawn from the key
-    ``(FUNCTIONAL_STREAM, 0)`` under ``seed`` in the blocks of
-    ``seeding.map_blocks``, ``seeding.STEP_CHUNK`` steps at a time.  Raises
-    ``GridExitError`` when more than ``max_exit_fraction`` of the paths leave
-    the grid before the last step."""
-    n_steps, dt = _euler_steps(grid.config, s0, nu0, t, dt_target)
-    times = [t + step * dt for step in range(n_steps)] + [grid.config.T]
-
-    def paths(lo: int, hi: int):
-        n = hi - lo
-        draws = lane_draws(seed, (FUNCTIONAL_STREAM, 0), lo, hi, n_steps, 2)
-        acc = np.zeros((3, n))
-        out = np.zeros(n, dtype=bool)
-        for _, _, nu, _, _, g, _, outside in _walk(grid, heston, draws, n, times, dt, s0, nu0,
-                                                   _DELTA_C_NU):
-            out |= outside[:-1].any(axis=0)  # the states the integrands read
-            f = nu[:-1] * _integrands(g[:-1, :, 0], g[:-1, :, 1], heston) * dt
-            for r in range(f.shape[1]):
-                acc += f[:, r]
-        return *acc, out
-
-    i1, i2, i3, exited = (np.concatenate(col) for col in zip(*map_blocks(n_paths, paths)))
-    n_exited = int(exited.sum())
-    if n_exited > max_exit_fraction * n_paths:
-        raise GridExitError(
-            f"{n_exited}/{n_paths} paths left the pricing grid "
-            f"(allowed fraction {max_exit_fraction}); widen the grid"
-        )
-    return i1, i2, i3
-
-
-def estimate_functionals(
-    s: float, nu: float, t: float, T: float,
-    heston: HestonParams, risk: RiskParams, grid: PricingGrid,
-    n_paths: int = 2000, seed: int = 0, dt_target: float = 0.005,
-    max_exit_fraction: float = 0.01,
-) -> Functionals:
-    """Estimate (H1, H2, M) at state (s, nu, t) by Monte Carlo, the oracle
-    of ``FunctionalLattice.build``.
-
-    Exact zeros at ``t == T`` (empty integral) and for ``gamma == 0``.
-    ``T`` must be the grid's maturity.
-    """
-    if T != grid.config.T:
-        raise ValueError(f"T={T} is not the pricing grid's maturity {grid.config.T}")
-    if t > T:
-        raise ValueError("t beyond horizon")
-    if t == T or risk.gamma == 0.0:
-        return Functionals(0.0, 0.0, 0.0)
-    if n_paths < 1000:
-        raise ValueError("n_paths must be at least 1000")
-    i1, i2, i3 = _simulate_integrals(s, nu, t, heston, grid, n_paths, seed,
-                                     dt_target, max_exit_fraction)
-    gamma, xi, root_n = risk.gamma, heston.xi, math.sqrt(n_paths)
-    return Functionals(
-        h1=-gamma * float(i1.mean()),
-        h2=-0.5 * gamma * float(i2.mean()),
-        m=-0.5 * gamma * xi**2 * float(i3.mean()),
-        se_h1=gamma * float(i1.std(ddof=1)) / root_n,
-        se_h2=0.5 * gamma * float(i2.std(ddof=1)) / root_n,
-        se_m=0.5 * gamma * xi**2 * float(i3.std(ddof=1)) / root_n,
-    )
 
 
 @dataclass

@@ -33,7 +33,6 @@ __all__ = [
     "cell",
     "default_s_grid",
     "default_nu_grid",
-    "bachelier_call",
     "douglas_steps",
     "solve_call_grid",
     "mc_terminal",
@@ -112,11 +111,6 @@ def _bachelier(x, var):
         d = x / sd
         value = x * ndtr(d) + sd * (np.exp(-d**2 / 2.0) / _SQRT_2PI)
     return np.where(sd > 0, value, np.maximum(x, 0.0))
-
-
-def bachelier_call(s: float, strike: float, nu: float, tau: float) -> float:
-    """Closed-form arithmetic call with constant variance ``nu``."""
-    return float(_bachelier(s - strike, max(nu, 0.0) * max(tau, 0.0)))
 
 
 # columns of the stacked greek slices

@@ -31,7 +31,6 @@ __all__ = [
     "RiskNeutral",
     "inventory_coefficient",
     "inventory_premiums",
-    "risk_neutral_rate",
     "tilt",
 ]
 
@@ -91,13 +90,6 @@ def tilt(q, f, arrival: ArrivalParams, beta=0.0, fee=0.0):
 def inventory_premiums(q, nu, t, T, heston: HestonParams, arrival: ArrivalParams, risk: RiskParams):
     """Approximate optimal premiums for the stock-only dealer (vectorized)."""
     return tilt(q, inventory_coefficient(nu, t, T, heston, risk), arrival, risk.beta)
-
-
-def risk_neutral_rate(arrival: ArrivalParams, risk: RiskParams) -> float:
-    """Expected objective accrual rate of the risk-neutral dealer,
-    ``(A/k) e^{-1} (e^{k beta} + e^{-k beta})``."""
-    kb = arrival.k * risk.beta
-    return arrival.A * math.exp(-1.0) / arrival.k * (math.exp(kb) + math.exp(-kb))
 
 
 # --- Policies -------------------------------------------------------------

@@ -5,10 +5,10 @@ grouped into fixed-width lanes: path ``i`` is row ``i % LANE`` of lane
 ``i // LANE``.  Each lane owns one generator for its shocks, derived from
 ``(master, *key, 0, lane)``, and one for its uniforms, from ``(master, *key,
 1, lane)``, where ``key`` names the source of randomness (a stream, plus a
-fixed node 0 for the functional oracle).  Each generator draws its lane's
-``LANE`` paths step by step, so a path's draws depend only on ``(master,
-key, i)``: not on the ensemble size, the block layout or how the steps are
-split into chunks.
+fixed node 0 for the tests' functional oracle).  Each generator draws its
+lane's ``LANE`` paths step by step, so a path's draws depend only on
+``(master, key, i)``: not on the ensemble size, the block layout or how the
+steps are split into chunks.
 
 ``map_blocks`` is the only code that splits paths into blocks; it runs them
 in index order on the calling thread.
@@ -21,7 +21,9 @@ import mmap
 
 import numpy as np
 
-# Stream identifiers: one per independent source of randomness.
+# Stream identifiers: one per independent source of randomness.  The tests'
+# oracles draw from HESTON_STREAM and FUNCTIONAL_STREAM, which stay here so
+# that no other source reuses them.
 SIM_STREAM = 0
 HESTON_STREAM = 1
 PRICING_STREAM = 2

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from hestonmm import ArrivalParams, HestonParams, RiskParams
+from hestonmm.heston import HestonParams
+from hestonmm.intensity import ArrivalParams
 from hestonmm.option_mm import FunctionalLattice
 from hestonmm.option_pricing import PricingConfig, solve_call_grid
+from hestonmm.quotes import RiskParams
 
 
 @pytest.fixture(scope="session")

@@ -20,13 +20,13 @@ import pytest
 from scipy.stats import spearmanr
 
 import hestonmm
-from hestonmm.heston import sample_terminal
 from hestonmm.hjb import HjbConfig, compare_exact_vs_approx, estimate_tolerance, solve_stock_hjb
 from hestonmm.option_mm import run_hedged_paths
 from hestonmm.option_pricing import PricingConfig, mc_price, mc_terminal, solve_call_grid, write_slice_csv
 from hestonmm.quotes import Frozen, InventorySV, MarketImpact, RiskNeutral, RiskParams, Symmetric
 from hestonmm.sim_engine import SimConfig, efficient_frontier, run_ensemble
 from hestonmm.cli import EXIT_OK, main
+from oracles import sample_terminal
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

@@ -17,14 +17,11 @@ import hestonmm
 MODULES = ["hestonmm"] + [f"hestonmm.{m.name}" for m in pkgutil.iter_modules(hestonmm.__path__)]
 
 # Exports that no program code calls, kept as independent references for tests.
+# Every other reference that only tests run lives in tests/oracles.py.
 ORACLES = {
-    "conditional_moments",  # test_heston.py::test_conditional_moments_examples
-    "sample_terminal",  # test_acceptance.py::test_criterion_01_heston_moments
-    "bachelier_call",  # test_option_pricing.py::test_bachelier_degenerate_case
-    "risk_neutral_rate",  # test_hjb.py::test_risk_neutral_closed_form
-    "estimate_functionals",  # test_option_mm.py::test_lattice_agrees_with_the_monte_carlo_oracle
-    "mc_price",  # test_acceptance.py::test_criterion_09_option_pricer
-    "mc_terminal",  # test_option_pricing.py::test_conditional_estimator_agrees_with_the_payoff_mean
+    "mc_price",  # test_acceptance.py::test_criterion_09_option_pricer and the benchmark's option-mm
+    "mc_terminal",  # test_option_pricing.py::test_conditional_estimator_agrees_with_the_payoff_mean;
+                    # the benchmark's tracer wraps it (tests/test_trace_targets.py)
 }
 
 # Public methods that no program code reads, kept as references for tests.

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hestonmm import heston as heston_module
-from hestonmm.heston import HestonParams, conditional_moments, euler_step, sample_terminal, walk
+from hestonmm.heston import HestonParams, euler_step, walk
 from hestonmm.seeding import DEFAULT_BLOCK, HESTON_STREAM, lane_draws
+from oracles import conditional_moments, sample_terminal
 
 
 def test_params_validation():

@@ -15,7 +15,8 @@ from hestonmm.hjb import (
     estimate_tolerance,
     solve_stock_hjb,
 )
-from hestonmm.quotes import RiskParams, inventory_coefficient, risk_neutral_rate
+from hestonmm.quotes import RiskParams, inventory_coefficient
+from oracles import risk_neutral_rate
 
 
 def small_config(heston, arrival, risk, **kw):

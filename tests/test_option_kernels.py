@@ -26,7 +26,6 @@ from hestonmm.intensity import fills
 from hestonmm.option_mm import (
     CHUNK,
     FunctionalLattice,
-    _simulate_integrals,
     hedged_book_quotes,
     joint_book_quotes,
     run_hedged_paths,
@@ -41,6 +40,7 @@ from hestonmm.seeding import (
     PRICING_STREAM,
     lane_draws,
 )
+from oracles import _simulate_integrals
 
 # relative to the largest magnitude involved: a few float64 roundings
 REL = 1e-12

@@ -11,7 +11,6 @@ from hestonmm.option_pricing import (
     StabilityError,
     _bachelier,
     _conditional_paths,
-    bachelier_call,
     default_nu_grid,
     default_s_grid,
     douglas_steps,
@@ -47,12 +46,12 @@ def test_terminal_slice_is_payoff(pricing_grid):
 
 
 def test_bachelier_degenerate_case(degenerate_grid):
-    target = bachelier_call(100.0, 100.0, 4.0, 1.0)
+    target = float(_bachelier(100.0 - 100.0, 4.0 * 1.0))
     assert target == pytest.approx(0.797885, abs=5e-7)
     atm = degenerate_grid.price(100.0, 4.0, 0.0)
     assert abs(atm - target) / target < 0.005
     for s in (94.0, 98.0, 103.0, 108.0):
-        exact = bachelier_call(s, 100.0, 4.0, 1.0)
+        exact = float(_bachelier(s - 100.0, 4.0 * 1.0))
         assert degenerate_grid.price(s, 4.0, 0.0) == pytest.approx(exact, abs=5e-3)
 
 
@@ -119,7 +118,7 @@ def test_conditional_estimator_is_exact_without_vol_of_vol():
     cfg = PricingConfig(heston=h, strike=100.0, T=1.0)
     for s in (94.0, 100.0, 108.0):
         price, se = mc_price(cfg, s, 4.0, 0.0, n_paths=5000, seed=3)
-        assert price == pytest.approx(bachelier_call(s, 100.0, 4.0, 1.0), rel=1e-12)
+        assert price == pytest.approx(float(_bachelier(s - 100.0, 4.0 * 1.0)), rel=1e-12)
         assert se < 1e-12
 
 

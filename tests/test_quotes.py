@@ -18,9 +18,9 @@ from hestonmm.quotes import (
     RiskParams,
     Symmetric,
     inventory_coefficient,
-    risk_neutral_rate,
     tilt,
 )
+from oracles import risk_neutral_rate
 
 
 def _one(policy, q, nu, t):

@@ -16,13 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hestonmm import option_mm, seeding
-from hestonmm.heston import sample_terminal
 from hestonmm.hjb import HjbConfig, solve_stock_hjb
 from hestonmm.option_pricing import PricingConfig, mc_terminal
 from hestonmm.quotes import InventorySV
 from hestonmm.seeding import (DEFAULT_BLOCK, LANE, SIM_STREAM, STEP_CHUNK, lane_draws, map_blocks,
                               path_generator)
 from hestonmm.sim_engine import SimConfig, run_ensemble
+from oracles import sample_terminal
 
 N_STEPS, N_UNIFORM = 7, 3
 
@@ -162,6 +162,13 @@ def test_keys_and_seeds_give_distinct_draws():
     assert not np.any(z[:, :1] == u[:, :1])  # shocks and uniforms come from generators of their own
     for other in [_draws(0, 2 * LANE, key=(SIM_STREAM, 1))[0], _draws(0, 2 * LANE, seed=12)[0]]:
         assert not np.any(other == z)
+
+
+def test_stream_ids_are_distinct():
+    # the tests' oracles draw from HESTON_STREAM and FUNCTIONAL_STREAM, which no
+    # program code names: a new stream must not take one of their ids
+    ids = {name: value for name, value in vars(seeding).items() if name.endswith("_STREAM")}
+    assert len(ids) >= 6 and len(set(ids.values())) == len(ids), ids
 
 
 def test_binomial_signs_and_unit_uniforms():

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from hestonmm.intensity import ArrivalParams
-from hestonmm.quotes import Frozen, InventorySV, MarketImpact, RiskNeutral, RiskParams, Symmetric, risk_neutral_rate
+from hestonmm.quotes import Frozen, InventorySV, MarketImpact, RiskNeutral, RiskParams, Symmetric
 from hestonmm.seeding import DEFAULT_BLOCK, SIM_STREAM, lane_draws
 from hestonmm.sim_engine import SimConfig, efficient_frontier, run_ensemble
+from oracles import risk_neutral_rate
 
 
 @pytest.fixture()
