@@ -13,6 +13,10 @@ CSV artifacts named ``<subcommand>-<timestamp>-<seed>.csv`` next to a manifest
 echoing the resolved configuration, and prints the written paths.  All
 randomness flows from the single master seed, so artifact contents are
 byte-identical across reruns.
+
+Exit codes: 0 success, 2 on a ``ConfigError`` and 3 on a ``NumericalError``
+(see ``hestonmm.errors``).  A failed run first removes every file it wrote;
+any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -25,14 +29,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, dump_manifest, load_config
+from .config import RunConfig, dump_manifest, load_config
+from .errors import ConfigError, NumericalError
 from .heston import HestonParams, step_count
-from .hjb import BlowupError, HjbConfig, compare_exact_vs_approx, solve_stock_hjb, write_grid_csv, write_report_csv
+from .hjb import HjbConfig, compare_exact_vs_approx, solve_stock_hjb, write_grid_csv, write_report_csv
 from .intensity import ArrivalParams
 from .option_mm import FunctionalLattice, run_hedged_paths, run_joint_paths, write_lattice_csv
-from .option_pricing import PricingConfig, StabilityError, default_nu_grid, default_s_grid, solve_call_grid, write_slice_csv
+from .option_pricing import PricingConfig, default_nu_grid, default_s_grid, solve_call_grid, write_slice_csv
 from .quotes import Frozen, InventorySV, MarketImpact, RiskNeutral, RiskParams, Symmetric
-from .sim_engine import NonFiniteStateError, SimConfig, efficient_frontier, run_ensemble
+from .sim_engine import SimConfig, efficient_frontier, run_ensemble
 from .table import write_table
 
 ENV_OUTPUT_DIR = "HESTONMM_OUT"
@@ -40,8 +45,6 @@ ENV_OUTPUT_DIR = "HESTONMM_OUT"
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-_NUMERICAL_ERRORS = (BlowupError, StabilityError, NonFiniteStateError)
 
 
 def _heston(cfg: RunConfig) -> HestonParams:
@@ -278,6 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    art = None
     try:
         # the flags are overrides too, after --set so that they win
         flags = [] if args.seed is None else [f"sim.seed={args.seed}"]
@@ -291,32 +295,27 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         seed = cfg.get("sim", "seed")
         art = ArtifactWriter(out_dir, args.subcommand, seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    n = cfg.get("sim", "n_paths")
-    run = {
-        "simulate": lambda: _cmd_simulate(cfg, art, seed, n),
-        "compare": lambda: _cmd_compare(cfg, art, seed, n),
-        "frontier": lambda: _cmd_frontier(cfg, art, seed),
-        "trading-curve": lambda: _cmd_trading_curve(cfg, art, seed, n),
-        "hjb": lambda: _cmd_hjb(cfg, art),
-        "price-option": lambda: _cmd_price_option(cfg, art),
-        "option-mm": lambda: _cmd_option_mm(cfg, art, seed, cfg.get("option_mm", "n_paths")),
-    }[args.subcommand]
-    try:
-        run()
+        n = cfg.get("sim", "n_paths")
+        {
+            "simulate": lambda: _cmd_simulate(cfg, art, seed, n),
+            "compare": lambda: _cmd_compare(cfg, art, seed, n),
+            "frontier": lambda: _cmd_frontier(cfg, art, seed),
+            "trading-curve": lambda: _cmd_trading_curve(cfg, art, seed, n),
+            "hjb": lambda: _cmd_hjb(cfg, art),
+            "price-option": lambda: _cmd_price_option(cfg, art),
+            "option-mm": lambda: _cmd_option_mm(cfg, art, seed, cfg.get("option_mm", "n_paths")),
+        }[args.subcommand]()
         dump_manifest(cfg, art.path(ext=".manifest"))
-    except _NUMERICAL_ERRORS as exc:
-        art.cleanup()
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ConfigError, ValueError) as exc:
-        # domain-parameter validation failures are configuration problems
-        art.cleanup()
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except BaseException as exc:
+        if art is not None:
+            art.cleanup()
+        if isinstance(exc, ConfigError):
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        if isinstance(exc, NumericalError):
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        raise
     for p in art.written:
         print(f"wrote {p}")
     return EXIT_OK

@@ -14,14 +14,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .errors import ConfigError
 from .quotes import IMPACT_VARIANTS
 from .seeding import SCHEMES
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "apply_overrides", "dump_manifest"]
-
-
-class ConfigError(ValueError):
-    """Invalid, unknown or unparseable configuration input."""
+__all__ = ["RunConfig", "load_config", "apply_overrides", "dump_manifest"]
 
 
 def _bool(text: str) -> bool:

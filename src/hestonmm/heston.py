@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fd
+from .errors import ConfigError
 
 __all__ = [
     "HestonParams",
@@ -45,11 +46,11 @@ class HestonParams:
     def __post_init__(self):
         fields = (self.theta, self.alpha, self.xi, self.rho, self.s0, self.nu0)
         if not all(math.isfinite(v) for v in fields):
-            raise ValueError("HestonParams fields must be finite")
+            raise ConfigError("HestonParams fields must be finite")
         if self.theta < 0 or self.alpha < 0 or self.xi < 0 or self.nu0 < 0:
-            raise ValueError("theta, alpha, xi and nu0 must be nonnegative")
+            raise ConfigError("theta, alpha, xi and nu0 must be nonnegative")
         if abs(self.rho) > 1:
-            raise ValueError("rho must lie in [-1, 1]")
+            raise ConfigError("rho must lie in [-1, 1]")
 
 
 def euler_step(params: HestonParams, dt: float, nu, z_s, z_perp=0.0, *, risk_adj: float = 0.0):
@@ -101,8 +102,8 @@ def step_count(T: float, dt: float) -> int:
     """Number of steps of size ``dt`` in a horizon ``T``: ``dt`` must be finite
     and positive and divide ``T`` within ``1e-9 * max(T, 1)``."""
     if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and positive, got {dt}")
+        raise ConfigError(f"dt must be finite and positive, got {dt}")
     n = round(T / dt)
     if n < 1 or abs(n * dt - T) > 1e-9 * max(T, 1.0):
-        raise ValueError("dt must divide T within rounding")
+        raise ConfigError("dt must divide T within rounding")
     return n

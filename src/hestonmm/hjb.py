@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fd
+from .errors import ConfigError, NumericalError
 from .heston import HestonParams, variance_operator
 from .intensity import ArrivalParams
 from .quotes import RiskParams, inventory_coefficient, inventory_premiums
@@ -34,7 +35,6 @@ __all__ = [
     "HjbConfig",
     "ValueGrid",
     "ComparisonReport",
-    "BlowupError",
     "solve_stock_hjb",
     "estimate_tolerance",
     "compare_exact_vs_approx",
@@ -49,10 +49,6 @@ MAX_STORED_SLICES = 201
 # time error sits, are each taken as SUBSTEPS equal Douglas sub-steps
 LAYER_DIVISOR = 10
 SUBSTEPS = 4
-
-
-class BlowupError(RuntimeError):
-    """Non-finite values or fill rates appeared during the backward sweep."""
 
 
 @dataclass(frozen=True)
@@ -74,17 +70,17 @@ class HjbConfig:
     def __post_init__(self):
         for name in ("T", "nu_lo", "nu_hi"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise ConfigError(f"{name} must be finite")
         if not (self.q_min < 0 < self.q_max):
-            raise ValueError("inventory box must satisfy q_min < 0 < q_max")
+            raise ConfigError("inventory box must satisfy q_min < 0 < q_max")
         if self.nu_lo < 0 or self.nu_hi <= self.nu_lo:
-            raise ValueError("variance grid must satisfy 0 <= nu_lo < nu_hi")
+            raise ConfigError("variance grid must satisfy 0 <= nu_lo < nu_hi")
         if self.n_nu < 3:
-            raise ValueError("need at least 3 variance nodes")
+            raise ConfigError("need at least 3 variance nodes")
         if self.n_time < 1:
-            raise ValueError("n_time must be at least 1")
+            raise ConfigError("n_time must be at least 1")
         if self.T <= 0:
-            raise ValueError("T must be positive")
+            raise ConfigError("T must be positive")
 
     @property
     def nu_grid(self) -> np.ndarray:
@@ -183,7 +179,7 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
     that overlaps the last ``1 / LAYER_DIVISOR`` of the horizon is taken as
     ``SUBSTEPS`` equal Douglas sub-steps; the other steps are one each.  The
     stored times are the coarse ones, every stride-th step of ``dt``.  A
-    ``BlowupError`` names the sub-step's own time and its count from T.
+    ``NumericalError`` names the sub-step's own time and its count from T.
     """
     nu = config.nu_grid
     diags = variance_operator(config.heston, nu)
@@ -211,7 +207,7 @@ def solve_stock_hjb(config: HjbConfig) -> ValueGrid:
         for a in arrays:
             if not np.isfinite(a).all():
                 bad = np.argwhere(~np.isfinite(a))[0]
-                raise BlowupError(
+                raise NumericalError(
                     f"non-finite value at q={config.q_levels[bad[0]]}, "
                     f"nu={nu[bad[1]]:.4g}, t={t:.4g} (step {sub})"
                 )
@@ -292,7 +288,7 @@ def compare_exact_vs_approx(
     Gaps are taken over interior inventory levels (both quote sides defined)
     at the variance nodes of the optional ``nu_window``; the sandwich bound
     and ``c_emp`` use every node of the grid.  A window that holds no
-    variance node raises ``ValueError`` before the refinement solve of the
+    variance node raises ``ConfigError`` before the refinement solve of the
     tolerance.
     """
     config = grid.config
@@ -306,7 +302,7 @@ def compare_exact_vs_approx(
     if nu_window is not None:
         keep_nu = (nu >= nu_window[0]) & (nu <= nu_window[1])
         if not keep_nu.any():
-            raise ValueError(f"nu_window {tuple(nu_window)} holds no variance node "
+            raise ConfigError(f"nu_window {tuple(nu_window)} holds no variance node "
                              f"of [{nu[0]:g}, {nu[-1]:g}]")
     if tol is None:
         tol = estimate_tolerance(grid)

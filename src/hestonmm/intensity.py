@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = ["ArrivalParams", "intensity", "fills", "trade"]
 
 
@@ -24,9 +26,9 @@ class ArrivalParams:
 
     def __post_init__(self):
         if not (math.isfinite(self.A) and math.isfinite(self.k)):
-            raise ValueError("ArrivalParams fields must be finite")
+            raise ConfigError("ArrivalParams fields must be finite")
         if self.A <= 0 or self.k <= 0:
-            raise ValueError("A and k must be positive")
+            raise ConfigError("A and k must be positive")
 
 
 def intensity(delta, arrival: ArrivalParams):

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fd
+from .errors import ConfigError, NumericalError
 from .fd import solve_banded
 from .heston import HestonParams, variance_operator, walk
 from .seeding import DEFAULT_BLOCK, PRICING_PILOT_STREAM, PRICING_STREAM, lane_draws, map_blocks, os_array
@@ -28,7 +29,6 @@ from .table import write_table
 __all__ = [
     "PricingConfig",
     "PricingGrid",
-    "StabilityError",
     "bilinear",
     "cell",
     "default_s_grid",
@@ -39,11 +39,6 @@ __all__ = [
     "mc_price",
     "write_slice_csv",
 ]
-
-
-class StabilityError(RuntimeError):
-    """Time step too large for the explicitly treated mixed derivative, or
-    non-finite values in a backward solve."""
 
 
 def default_s_grid(heston: HestonParams, T: float, n: int = 161) -> np.ndarray:
@@ -73,19 +68,19 @@ class PricingConfig:
     def __post_init__(self):
         for name in ("T", "eta_nu"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise ConfigError(f"{name} must be finite")
         if self.strike <= 0:
-            raise ValueError("strike must be positive")
+            raise ConfigError("strike must be positive")
         if self.T <= 0 or self.n_time < 1:
-            raise ValueError("T and n_time must be positive")
+            raise ConfigError("T and n_time must be positive")
         s = np.asarray(self.s_grid if len(self.s_grid) else default_s_grid(self.heston, self.T))
         v = np.asarray(self.nu_grid if len(self.nu_grid) else default_nu_grid(self.heston, self.T))
         if s.size < 5 or np.any(np.diff(s) <= 0):
-            raise ValueError("s_grid must be strictly increasing with at least 5 nodes")
+            raise ConfigError("s_grid must be strictly increasing with at least 5 nodes")
         if v.size < 3 or np.any(np.diff(v) <= 0) or v[0] < 0:
-            raise ValueError("nu_grid must be strictly increasing with nu_lo >= 0")
+            raise ConfigError("nu_grid must be strictly increasing with nu_lo >= 0")
         if not (s[1] < self.strike < s[-2]):
-            raise ValueError("strike must lie in the interior of the s grid")
+            raise ConfigError("strike must lie in the interior of the s grid")
         object.__setattr__(self, "s_grid", tuple(float(x) for x in s))
         object.__setattr__(self, "nu_grid", tuple(float(x) for x in v))
 
@@ -246,7 +241,7 @@ def douglas_steps(config: PricingConfig, u: np.ndarray, source=None, edges=None)
     dv_min = float(np.min(np.diff(v)))
     mixed_rate = abs(heston.rho) * heston.xi * float(v[-1]) / (4.0 * ds_min * dv_min)
     if mixed_rate > 0 and dt > 1.0 / mixed_rate:
-        raise StabilityError(
+        raise NumericalError(
             f"dt={dt:.3e} exceeds the mixed-term bound {1.0 / mixed_rate:.3e}; "
             f"increase n_time to at least {math.ceil(config.T * mixed_rate)}"
         )
@@ -285,7 +280,7 @@ def douglas_steps(config: PricingConfig, u: np.ndarray, source=None, edges=None)
         if edges is not None:
             c[..., 0, :], c[..., -1, :] = edges
         if not np.all(np.isfinite(c)):
-            raise StabilityError(f"non-finite values at backward step {step + 1}")
+            raise NumericalError(f"non-finite values at backward step {step + 1}")
         yield c
 
 

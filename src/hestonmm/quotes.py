@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .heston import HestonParams
 from .intensity import ArrivalParams
 
@@ -48,9 +49,9 @@ class RiskParams:
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.gamma, self.beta, self.eta)):
-            raise ValueError("RiskParams fields must be finite")
+            raise ConfigError("RiskParams fields must be finite")
         if self.gamma < 0 or self.beta < 0 or self.eta < 0:
-            raise ValueError("gamma, beta and eta must be nonnegative")
+            raise ConfigError("gamma, beta and eta must be nonnegative")
 
 
 def inventory_coefficient(nu, t, T: float, heston: HestonParams, risk: RiskParams):
@@ -130,7 +131,7 @@ class MarketImpact:
 
     def __post_init__(self):
         if self.variant not in IMPACT_VARIANTS:
-            raise ValueError(f"unknown impact variant {self.variant!r}")
+            raise ConfigError(f"unknown impact variant {self.variant!r}")
 
     def premiums(self, q, nu, t):
         risk = self.risk
@@ -150,7 +151,7 @@ class Symmetric:
 
     def __post_init__(self):
         if not math.isfinite(self.avg_spread) or self.avg_spread <= 0:
-            raise ValueError("Symmetric requires avg_spread > 0")
+            raise ConfigError("Symmetric requires avg_spread > 0")
 
     def premiums(self, q, nu, t):
         half = 0.5 * self.avg_spread

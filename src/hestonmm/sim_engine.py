@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import ConfigError, NumericalError
 from .heston import HestonParams, step_count, walk
 from .intensity import ArrivalParams, trade
 from .quotes import InventorySV, RiskParams
@@ -35,12 +36,7 @@ __all__ = [
     "FrontierPoint",
     "run_ensemble",
     "efficient_frontier",
-    "NonFiniteStateError",
 ]
-
-
-class NonFiniteStateError(RuntimeError):
-    """A simulated price or premium income became non-finite."""
 
 
 @dataclass(frozen=True)
@@ -59,12 +55,12 @@ class SimConfig:
 
     def __post_init__(self):
         if not 0.0 < self.T < math.inf:
-            raise ValueError(f"T must be finite and positive, got {self.T}")
+            raise ConfigError(f"T must be finite and positive, got {self.T}")
         step_count(self.T, self.dt)
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be >= 1")
+            raise ConfigError("snapshot_stride must be >= 1")
 
     @property
     def n_steps(self) -> int:
@@ -180,7 +176,7 @@ def _run_block(policy, config: SimConfig, master_seed: int, lo: int, hi: int) ->
             finite = np.isfinite(s) & np.isfinite(z)
             if not finite.all():
                 bad = int(np.argmin(finite))
-                raise NonFiniteStateError(f"non-finite state on path {lo + bad} at step {step}")
+                raise NumericalError(f"non-finite state on path {lo + bad} at step {step}")
 
     snapshot(n_steps, None)
 
@@ -258,7 +254,7 @@ def efficient_frontier(config: SimConfig, gammas, n: int, seed: int) -> list[Fro
     """
     gammas = list(gammas)
     if not gammas:
-        raise ValueError("gamma list must be nonempty")
+        raise ConfigError("gamma list must be nonempty")
     points = []
     for gamma in gammas:
         risk = replace(config.risk, gamma=float(gamma))

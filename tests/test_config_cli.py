@@ -8,8 +8,14 @@ import pytest
 
 from hestonmm import cli, heston, hjb
 from hestonmm.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _policy, _sim_config, main
-from hestonmm.config import ConfigError, apply_overrides, dump_manifest, load_config
+from hestonmm.config import apply_overrides, dump_manifest, load_config
+from hestonmm.errors import ConfigError
+from hestonmm.heston import HestonParams, step_count
+from hestonmm.hjb import HjbConfig
+from hestonmm.intensity import ArrivalParams
 from hestonmm.option_pricing import PricingConfig, default_nu_grid, default_s_grid
+from hestonmm.quotes import MarketImpact, RiskParams, Symmetric, inventory_coefficient
+from hestonmm.sim_engine import SimConfig
 
 
 def run_cli(*args) -> int:
@@ -271,6 +277,49 @@ def test_programming_error_is_not_a_numerical_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "solve_call_grid", unfinished)
     with pytest.raises(NotImplementedError):
         run_cli("price-option", "--out", str(tmp_path))
+
+
+@pytest.mark.parametrize("fault", [ValueError, TypeError])
+def test_a_fault_after_a_table_propagates_and_removes_the_tables(tmp_path, monkeypatch, fault):
+    # a bug in the second table's write: neither a config error (exit 2) nor
+    # a reason to leave the first table behind
+    write = cli._write_rows
+    written = []
+
+    def write_then_fail(path, header, columns):
+        if written:
+            assert written[0].exists()
+            raise fault("a bug in the series table")
+        write(path, header, columns)
+        written.append(path)
+
+    monkeypatch.setattr(cli, "_write_rows", write_then_fail)
+    with pytest.raises(fault, match="a bug in the series table"):
+        run_cli("simulate", "--paths", "5", "--out", str(tmp_path))
+    assert len(written) == 1
+    assert list(tmp_path.glob("simulate-*")) == []
+
+
+@pytest.mark.parametrize("build, user_error", [
+    (lambda fx: HestonParams(theta=0.02, alpha=4.0, xi=0.5, rho=2), True),
+    (lambda fx: ArrivalParams(A=0, k=1.5), True),
+    (lambda fx: RiskParams(gamma=-1), True),
+    (lambda fx: SimConfig(fx("heston"), fx("arrival"), fx("risk"), T=1.0, dt=0.3), True),
+    (lambda fx: HjbConfig(fx("heston"), fx("arrival"), fx("risk"), T=1.0, n_nu=2), True),
+    (lambda fx: PricingConfig(fx("heston"), strike=-1, T=1.0), True),
+    (lambda fx: MarketImpact(fx("heston"), fx("arrival"), fx("risk"), 1.0, variant="x"), True),
+    (lambda fx: Symmetric(0.0), True),
+    (lambda fx: step_count(1.0, 0.3), True),
+    (lambda fx: inventory_coefficient(4.0, 2.0, 1.0, fx("heston"), fx("risk")), False),
+    (lambda fx: fx("pricing_grid").price(1e9, 4.0, 0.0), False),
+], ids=["HestonParams", "ArrivalParams", "RiskParams", "SimConfig", "HjbConfig", "PricingConfig",
+        "MarketImpact", "Symmetric", "step_count", "inventory_coefficient", "PricingGrid.price"])
+def test_a_parameter_check_is_a_config_error_and_a_fault_check_is_not(request, build, user_error):
+    # a value that a config key sets is the user's (exit 2); the other checks
+    # are reached only through a bug, and raise a plain ValueError
+    with pytest.raises(ValueError) as info:
+        build(request.getfixturevalue)
+    assert isinstance(info.value, ConfigError) is user_error
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -4,6 +4,7 @@ named oracle.  The same holds for the public methods and properties of every
 exported class."""
 
 import ast
+import builtins
 import functools
 import importlib
 import inspect
@@ -89,6 +90,22 @@ def test_every_public_method_is_read_by_the_program_or_an_oracle():
     unread = {m for m in methods if m.split(".", 1)[1] not in references}
     assert sorted(unread - set(METHOD_ORACLES)) == []
     assert sorted(set(METHOD_ORACLES) - unread) == []
+
+
+def test_every_exception_class_is_defined_in_errors():
+    # the CLI maps ConfigError to exit 2 and NumericalError to exit 3, and lets
+    # any other exception propagate: a class of its own in another module
+    # would be a failure that neither path knows
+    found = []
+    for path in sorted(Path(hestonmm.__file__).parent.glob("*.py")):
+        module = importlib.import_module("hestonmm" if path.stem == "__init__" else f"hestonmm.{path.stem}")
+        scope = {**vars(builtins), **vars(module)}
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(base, type) and issubclass(base, BaseException)
+                    for base in (eval(ast.unparse(b), scope) for b in node.bases)):
+                found.append(f"{path.name}:{node.name}")
+    assert found == ["errors.py:ConfigError", "errors.py:NumericalError"]
 
 
 def test_cold_start_leaves_scipy_subpackages_out(tmp_path):

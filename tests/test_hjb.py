@@ -6,9 +6,9 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from hestonmm import fd, hjb
+from hestonmm.errors import NumericalError
 from hestonmm.heston import HestonParams
 from hestonmm.hjb import (
-    BlowupError,
     HjbConfig,
     ValueGrid,
     compare_exact_vs_approx,
@@ -76,9 +76,9 @@ def test_blowup_reported_with_location(arrival):
     # that the next sub-step's fill rates overflow: the explosion must be
     # reported with its location, the sub-step's own time and its count from T,
     # before a banded solve meets it (no arithmetic warning)
-    with pytest.raises(BlowupError, match=r"q=-10, nu=5, t=0.9975 \(step 2\)"):
+    with pytest.raises(NumericalError, match=r"q=-10, nu=5, t=0.9975 \(step 2\)"):
         solve_stock_hjb(frozen_config(arrival, gamma=1e4, n_time=200))
-    with pytest.raises(BlowupError):
+    with pytest.raises(NumericalError):
         solve_stock_hjb(frozen_config(arrival, gamma=1e4, n_time=10))
 
 

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hestonmm import cli, option_pricing
+from hestonmm import option_pricing
+from hestonmm.errors import NumericalError
 from hestonmm.heston import HestonParams
 from hestonmm.option_pricing import (
     C,
     PricingConfig,
-    StabilityError,
     _bachelier,
     _conditional_paths,
     default_nu_grid,
@@ -228,7 +228,7 @@ def test_non_finite_points_rejected(pricing_grid, point):
 
 
 def test_stability_guard(heston):
-    with pytest.raises(StabilityError):
+    with pytest.raises(NumericalError):
         solve_call_grid(PricingConfig(heston=heston, strike=100.0, T=1.0, n_time=2))
 
 
@@ -237,9 +237,9 @@ def test_non_finite_source_is_a_numerical_failure(heston):
     # (exit 3), not reported as an invalid input (exit 2)
     cfg = PricingConfig(heston=heston, strike=100.0, T=1.0)
     u = np.zeros((cfg.s.size, cfg.nu.size))
-    with pytest.raises(StabilityError, match="backward step 1$") as info:
+    with pytest.raises(NumericalError, match="backward step 1$") as info:
         next(douglas_steps(cfg, u, lambda it: np.full(u.shape, np.inf)))
-    assert isinstance(info.value, cli._NUMERICAL_ERRORS)
+    assert isinstance(info.value, NumericalError)
 
 
 def test_mc_requires_min_paths(pricing_grid):
