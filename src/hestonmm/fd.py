@@ -1,5 +1,6 @@
 """Finite-difference weights on a (possibly nonuniform) 1-D grid, their
-application, the Douglas implicit factor and the tridiagonal solve.
+application, the Douglas implicit factor, the tridiagonal solve and the
+central-difference first derivative (``gradient``, along any axis).
 
 Shared by the backward value-function solver and the option pricer.  Weights
 are returned as three diagonals ``(lower, diag, upper)`` so that
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["operator_diagonals", "apply_tridiagonal", "implicit", "solve_banded"]
+__all__ = ["operator_diagonals", "apply_tridiagonal", "implicit", "solve_banded", "gradient"]
 
 
 def operator_diagonals(
@@ -84,6 +85,42 @@ def operator_diagonals(
     lower[-1] = -drift[-1] / hn
     diag[-1] = drift[-1] / hn
     return lower, diag, upper
+
+
+def gradient(x: np.ndarray):
+    """The first derivative on the strictly increasing grid ``x``, as a
+    function ``d(f, axis)`` of float64 ``f`` with ``x`` along ``axis``:
+    bitwise ``np.gradient(f, x, axis=axis)``, central differences inside and
+    one-sided at the two ends, with the grid weights computed here once.  As
+    in ``np.gradient``, a grid whose spacings are all equal takes the uniform
+    formula and any other (``linspace`` uneven by an ulp) the three-point one.
+    """
+    dx = np.diff(np.asarray(x, dtype=np.float64))
+    h0, hn = dx[0], dx[-1]
+    if (dx == dx[0]).all():
+        two_h = 2.0 * dx[0]
+        weights = None
+    else:
+        dx1, dx2 = dx[:-1], dx[1:]
+        weights = (-dx2 / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2), dx1 / (dx2 * (dx1 + dx2)))
+
+    def d(f: np.ndarray, axis: int) -> np.ndarray:
+        axis %= f.ndim
+        lead = (slice(None),) * axis
+        out = np.empty_like(f)
+        lo, mid, hi = (f[lead + (part,)] for part in (slice(None, -2), slice(1, -1), slice(2, None)))
+        if weights is None:
+            out[lead + (slice(1, -1),)] = (hi - lo) / two_h
+        else:
+            # numpy's expression as written: the order of a commutative
+            # operation's operands picks which nan a sum of two nans keeps
+            a, b, c = (w.reshape((-1,) + (1,) * (f.ndim - 1 - axis)) for w in weights)
+            out[lead + (slice(1, -1),)] = a * lo + b * mid + c * hi
+        out[lead + (0,)] = (f[lead + (1,)] - f[lead + (0,)]) / h0
+        out[lead + (-1,)] = (f[lead + (-1,)] - f[lead + (-2,)]) / hn
+        return out
+
+    return d
 
 
 def apply_tridiagonal(diags: tuple[np.ndarray, np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:

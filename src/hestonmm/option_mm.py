@@ -13,9 +13,10 @@ in stock continuously; its single functional is
 
 All three are path integrals of greeks under the real-world dynamics, solved
 on the pricing grid by Feynman-Kac and cached on a coarse lattice, in one
-time-major table laid out like the grid's, for use inside simulations.  The
-integrands come from ``_integrands``; the tests' Monte Carlo oracle
-(``tests/oracles.py``) integrates the same ones along ``_walk``.
+time-major table of (s, nu) planes like the grid's greek slices, for use
+inside simulations.  The integrands come from ``_integrands``; the tests'
+Monte Carlo oracle (``tests/oracles.py``) integrates the same ones along
+``_walk``.
 
 Both books read ``heston.walk`` through ``_walk``, which only gathers it
 ``CHUNK`` steps at a time for one grid and one lattice read per chunk; each
@@ -69,7 +70,7 @@ class FunctionalLattice:
     in t, then bilinearly in (s, nu), during simulations.
 
     ``table[k]`` is time node ``k``: an ``(n_s, n_nu, 3)`` plane of (H1, H2,
-    M), laid out like ``PricingGrid.stack``.
+    M), laid out like a slice of the pricing grid's derived greek planes.
     """
 
     s_nodes: np.ndarray
@@ -114,10 +115,11 @@ class FunctionalLattice:
         k, wk = grid._locate(grid.times, t_nodes, "t")
 
         def source(it: int) -> np.ndarray:
-            return grid.nu_grid * _integrands(grid.stack[it, ..., DELTA], grid.stack[it, ..., C_NU], heston)
+            planes = grid._planes(it)
+            return grid.nu_grid * _integrands(planes[..., DELTA], planes[..., C_NU], heston)
 
         at_nodes = np.zeros((grid.times.size, s_nodes.size, nu_nodes.size, 3))  # u(T) = 0
-        u = np.zeros((3,) + grid.stack.shape[1:3])
+        u = np.zeros((3,) + grid.values.shape[1:])
         real_world = replace(grid.config, heston=heston, eta_nu=0.0)
         for back, u in enumerate(douglas_steps(real_world, u, source), 2):
             at_nodes[-back] = bilinear(np.moveaxis(u, 0, -1), i, wi, j, wj)

@@ -108,7 +108,7 @@ def _bachelier(x, var):
     return np.where(sd > 0, value, np.maximum(x, 0.0))
 
 
-# columns of the stacked greek slices
+# columns of the derived greek planes of a slice
 C, DELTA, GAMMA, C_NU = range(4)
 PRICE = slice(C, C + 1)  # the C column alone, as a one-column stack
 
@@ -161,16 +161,22 @@ def bilinear(plane: np.ndarray, i, wi, j, wj) -> np.ndarray:
 class PricingGrid:
     """Solved call surface over (s, nu, t) with interpolation and greeks.
 
-    ``stack[it]`` is time slice ``it``: read-only ``(n_s, n_nu, 4)`` planes
-    of (C, delta, gamma, c_nu), all written by ``solve_call_grid``; a point
-    lookup gathers all four at once.
+    ``values[it]`` is the read-only ``(n_s, n_nu)`` plane of call values at
+    stored time ``it``, as ``solve_call_grid`` solved it.  The greeks of a
+    slice are derived from it the first time a reader needs them
+    (``_planes``), and a point lookup then gathers (C, delta, gamma, c_nu) at
+    once; a read of C alone (``PRICE``) derives nothing.
     """
 
     config: PricingConfig
     s_grid: np.ndarray
     nu_grid: np.ndarray
     times: np.ndarray  # ascending, times[-1] == T
-    stack: np.ndarray  # (n_t, n_s, n_nu, 4)
+    values: np.ndarray  # (n_t, n_s, n_nu)
+
+    def __post_init__(self):
+        self._derived = {}  # stored time -> its planes, at most two
+        self._d_s, self._d_nu = fd.gradient(self.s_grid), fd.gradient(self.nu_grid)
 
     def _locate(self, grid: np.ndarray, x: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(x, dtype=np.float64)
@@ -178,15 +184,41 @@ class PricingGrid:
             raise ValueError(f"{name} outside the grid [{grid[0]:.6g}, {grid[-1]:.6g}]")
         return cell(grid, x)
 
+    def _planes(self, it: int) -> np.ndarray:
+        """Read-only ``(n_s, n_nu, 4)`` planes of (C, delta, gamma, c_nu) at
+        stored time ``it``: central differences inside, one-sided at the
+        edges (``fd.gradient``).  Derived on the first read; the grid keeps
+        two derived slices and drops the one farther from ``it``, so a walk
+        through the stored times, forward or backward and one slice or a
+        blended pair at a time, derives each slice once."""
+        planes = self._derived.get(it)
+        if planes is None:
+            c = self.values[it]
+            planes = np.empty(c.shape + (4,))
+            planes[:, :, C] = c
+            planes[:, :, DELTA] = self._d_s(c, 0)
+            planes[:, :, GAMMA] = self._d_s(planes[:, :, DELTA], 0)
+            planes[:, :, C_NU] = self._d_nu(c, 1)
+            planes.flags.writeable = False
+            if len(self._derived) == 2:
+                del self._derived[max(self._derived, key=lambda k: abs(k - it))]
+            self._derived[it] = planes
+        return planes
+
     def _time_slice(self, t: float, cols: slice = slice(None)) -> np.ndarray:
-        """Stacked (n_s, n_nu, 4) slice at time ``t``, blended linearly
-        between the two neighbouring stored slices; ``cols`` blends only
-        those columns (``PRICE`` for C alone)."""
+        """Stacked (n_s, n_nu, m) slice of the columns ``cols`` at time
+        ``t``, blended linearly between the two neighbouring stored slices:
+        ``PRICE`` (C alone) straight from ``values``, other columns from the
+        derived planes."""
         it, wt = self._locate(self.times, np.asarray(t), "t")
         it, wt = int(it), float(wt)
+
+        def stored(k: int) -> np.ndarray:
+            return self.values[k, :, :, None] if cols == PRICE else self._planes(k)[:, :, cols]
+
         if wt == 0.0:
-            return self.stack[it, :, :, cols]
-        return (1.0 - wt) * self.stack[it, :, :, cols] + wt * self.stack[it + 1, :, :, cols]
+            return stored(it)
+        return (1.0 - wt) * stored(it) + wt * stored(it + 1)
 
     def clamp(self, s: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The state clamped to the grid, where a path reads it, and the mask
@@ -206,7 +238,7 @@ class PricingGrid:
 
     def price(self, s, nu, t: float):
         """Call price by bilinear interpolation on the time-interpolated slice."""
-        out = self._bilinear(self._time_slice(t), s, nu)[..., C]
+        out = self._bilinear(self._time_slice(t, PRICE), s, nu)[..., 0]
         return float(out) if np.ndim(out) == 0 else out
 
     def greek_planes(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -254,9 +286,10 @@ def douglas_steps(config: PricingConfig, u: np.ndarray, source=None, edges=None)
     mixed = heston.rho * heston.xi * v
     half = 0.5 * dt
     factor_s, factor_v = fd.implicit(s_ops, dt), fd.implicit(nu_ops, dt)
+    d_s, d_v = fd.gradient(s), fd.gradient(v)
 
     def apply_mixed(c):
-        out = mixed * np.gradient(np.gradient(c, s, axis=-2), v, axis=-1)
+        out = mixed * d_v(d_s(c, -2), -1)
         out[..., [0, -1], :] = 0.0
         return out
 
@@ -288,23 +321,19 @@ def solve_call_grid(config: PricingConfig) -> PricingGrid:
     """The call surface: ``douglas_steps`` from the terminal payoff, with
     far-field Dirichlet boundaries in s (0 deep out of the money, ``s - K``
     deep in).  At ``nu = 0`` the equation reduces to ``C_t + theta alpha
-    C_nu = 0``.  Each slice is stored with its greek planes as it is solved.
+    C_nu = 0``.  Each slice's call values are stored as they are solved; the
+    grid derives their greeks when they are read.
     """
     s, v = config.s, config.nu
     c = np.maximum(s[:, None] - config.strike, 0.0) * np.ones((1, v.size))
     n_t = config.n_time + 1
-    stack = os_array((n_t, s.size, v.size, 4))
+    values = os_array((n_t, s.size, v.size))
     slices = douglas_steps(config, c, edges=(0.0, s[-1] - config.strike))
     for back, c in enumerate(itertools.chain([c], slices), 1):
-        # central differences inside, one-sided at the edges
-        out = stack[-back]
-        out[:, :, C] = c
-        out[:, :, DELTA] = np.gradient(c, s, axis=0)
-        out[:, :, GAMMA] = np.gradient(out[:, :, DELTA], s, axis=0)
-        out[:, :, C_NU] = np.gradient(c, v, axis=1)
-    stack.flags.writeable = False
+        values[-back] = c
+    values.flags.writeable = False
     times = np.linspace(0.0, config.T, n_t)
-    return PricingGrid(config=config, s_grid=s, nu_grid=v, times=times, stack=stack)
+    return PricingGrid(config=config, s_grid=s, nu_grid=v, times=times, values=values)
 
 
 def _euler_steps(config: PricingConfig, s: float, nu: float, t: float,
@@ -424,7 +453,7 @@ def write_slice_csv(grid: PricingGrid, path, t_values) -> None:
     node; the put column is parity ``P = C - (s - K)`` (zero rates)."""
     t_values = np.asarray(t_values, dtype=np.float64)
     greeks = np.stack([grid.greek_planes(t) for t in t_values], axis=1)  # delta, gamma, c_nu
-    c = np.stack([grid._time_slice(t)[:, :, C] for t in t_values])
+    c = np.stack([grid._time_slice(t, PRICE)[:, :, 0] for t in t_values])
     write_table(path, ["s", "nu", "t", "C", "P", "delta", "gamma", "c_nu"],
                 [grid.s_grid[None, :, None], grid.nu_grid[None, None, :], t_values[:, None, None],
                  c, c - (grid.s_grid[:, None] - grid.config.strike), *greeks])

@@ -10,7 +10,10 @@ must be equal; where only its order changed, the tolerance is fixed from
 float64 rounding, not from a run.
 """
 
+import contextlib
+import io
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import solve_banded
 
-from hestonmm import fd, option_mm, option_pricing
+from hestonmm import cli, fd, option_mm, option_pricing
 from hestonmm.heston import euler_step
 from hestonmm.intensity import fills
 from hestonmm.option_mm import (
@@ -31,8 +34,8 @@ from hestonmm.option_mm import (
     run_hedged_paths,
     run_joint_paths,
 )
-from hestonmm.option_pricing import (C, PRICE, PricingConfig, cell, douglas_steps, mc_terminal,
-                                     solve_call_grid)
+from hestonmm.option_pricing import (C, PRICE, PricingConfig, PricingGrid, cell, default_nu_grid,
+                                     default_s_grid, douglas_steps, mc_terminal, solve_call_grid)
 from hestonmm.seeding import (
     DEFAULT_BLOCK,
     FUNCTIONAL_STREAM,
@@ -119,7 +122,7 @@ def test_cell_is_searchsorted_on_any_increasing_grid(grid, data):
 
 def test_greek_planes_at_stored_slices_are_gradients(pricing_grid):
     for it, t in enumerate(pricing_grid.times):
-        c = pricing_grid.stack[it, :, :, C]
+        c = pricing_grid.values[it]
         for plane, ref in zip(pricing_grid.greek_planes(t), _gradient_planes(pricing_grid, c)):
             np.testing.assert_array_equal(plane, ref)
         np.testing.assert_array_equal(pricing_grid._time_slice(t)[:, :, 0], c)
@@ -131,7 +134,7 @@ def test_greek_planes_between_slices_match_gradient_of_blend(pricing_grid):
         t = times[it] + w * (times[it + 1] - times[it])
         i, wt = pricing_grid._locate(times, np.asarray(t), "t")
         assert i == it and 0.0 < wt < 1.0
-        v = pricing_grid.stack[:, :, :, C]
+        v = pricing_grid.values
         blend = (1.0 - wt) * v[it] + wt * v[it + 1]
         for plane, ref in zip(pricing_grid.greek_planes(t), _gradient_planes(pricing_grid, blend)):
             np.testing.assert_allclose(plane, ref, rtol=0, atol=REL * np.abs(ref).max())
@@ -172,13 +175,81 @@ def test_slab_read_equals_one_read_per_row(pricing_grid, cols):
 
 
 def test_cached_planes_are_read_only(pricing_grid):
-    assert not pricing_grid.stack.flags.writeable
-    assert not solve_call_grid(pricing_grid.config).stack.flags.writeable
+    assert not pricing_grid.values.flags.writeable
+    assert not solve_call_grid(pricing_grid.config).values.flags.writeable
     t = pricing_grid.times[4]
-    for plane in pricing_grid.greek_planes(t) + (pricing_grid._time_slice(t),):
+    # a derived slice, and the reads that return it or a view of it at a stored time
+    read = (pricing_grid._planes(4), pricing_grid._time_slice(t), pricing_grid._time_slice(t, PRICE))
+    for plane in pricing_grid.greek_planes(t) + read:
         assert not plane.flags.writeable
         with pytest.raises(ValueError):
             plane[0, 0] = 1.0
+
+
+class _Ledger(dict):
+    """A grid's cache of derived slices that logs the stored time of each
+    slice derived into it."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def __setitem__(self, it, planes):
+        self.log.append(it)
+        super().__setitem__(it, planes)
+
+
+@pytest.fixture
+def derived(monkeypatch):
+    """The stored times of the slices that the grids made in a test derive, in order."""
+    log = []
+    post_init = PricingGrid.__post_init__
+
+    def logged(self):
+        post_init(self)
+        self._derived = _Ledger(log)
+
+    monkeypatch.setattr(PricingGrid, "__post_init__", logged)
+    return log
+
+
+def test_price_option_derives_one_slice(derived, tmp_path):
+    # criterion 11's small pricer grid; the CSV holds the t = 0 slice alone
+    argv = ["price-option", "--seed", "42", "--set", "pricing.n_s=41", "--set", "pricing.n_nu=9",
+            "--set", "pricing.n_time=60", "--out", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == cli.EXIT_OK
+    assert derived == [0]
+
+
+@pytest.mark.parametrize("dt", [0.01, 1.0 / 270], ids=["on-slices", "between-slices"])
+def test_lattice_and_books_derive_each_slice_at_most_once(derived, heston, arrival, risk_nofee, dt):
+    # criterion 11's small option-mm grids, at its book step and one between the stored times
+    cfg = PricingConfig(heston=heston, strike=100.0, T=1.0, n_time=100,
+                        s_grid=tuple(default_s_grid(heston, 1.0, 81)),
+                        nu_grid=tuple(default_nu_grid(heston, 1.0, 16)))
+    grid = solve_call_grid(cfg)
+    assert derived == []
+    lattice = FunctionalLattice.build(np.linspace(88.0, 112.0, 3), np.linspace(0.5, 9.0, 3),
+                                      np.linspace(0.0, 1.0, 3), 1.0, heston, risk_nofee, grid)
+    assert derived == list(range(cfg.n_time, -1, -1))  # the backward solve's sources, once each
+    derived.clear()
+    books = dict(grid=grid, lattice=lattice, T=1.0, dt=dt, n_paths=20, seed=42)
+    run_joint_paths(heston, arrival, risk_nofee, **books)
+    grid.price(np.array([95.0, 100.0]), 4.0, 0.0)
+    grid.price(100.0, 4.0, 0.4321)
+    assert derived == []  # C alone is read from the stored values
+    run_hedged_paths(heston, arrival, risk_nofee, **books)
+    assert derived and len(derived) == len(set(derived))
+
+
+def test_planes_read_in_any_order_are_the_planes_read_in_order(pricing_grid):
+    in_order = replace(pricing_grid)  # a grid on the same values with nothing derived
+    want = [in_order._planes(it) for it in range(pricing_grid.times.size)]
+    shuffled = replace(pricing_grid)
+    order = np.random.default_rng(11).permutation(np.repeat(np.arange(pricing_grid.times.size), 2))
+    for it in order:
+        assert shuffled._planes(it).tobytes() == want[it].tobytes()
 
 
 def test_greeks_match_per_plane_interpolation(pricing_grid):
@@ -186,7 +257,7 @@ def test_greeks_match_per_plane_interpolation(pricing_grid):
     nu = np.array([0.0, 1.7, 4.0, 9.2])
     t = pricing_grid.times[20]
     refs = [_bilinear_ref(pricing_grid, p, s, nu)
-            for p in _gradient_planes(pricing_grid, pricing_grid.stack[20, :, :, C])]
+            for p in _gradient_planes(pricing_grid, pricing_grid.values[20])]
     got = pricing_grid._bilinear(pricing_grid._time_slice(t), s, nu)  # (C, delta, gamma, c_nu)
     for col, ref in zip(got.T[1:], refs):
         np.testing.assert_array_equal(col, ref)
@@ -241,7 +312,7 @@ def test_integrals_equal_stacked_reference(heston, pricing_grid):
     for step in range(n_steps):
         sc = np.clip(s, g.s_grid[0], g.s_grid[-1])
         vc = np.clip(nu, g.nu_grid[0], g.nu_grid[-1])
-        dplane, _, cplane = _gradient_planes(g, g.stack[step, :, :, C])
+        dplane, _, cplane = _gradient_planes(g, g.values[step])
         delta = _bilinear_ref(g, dplane, sc, vc)
         c_nu = _bilinear_ref(g, cplane, sc, vc)
         a1 += nu * (delta + rho * xi * c_nu) * dt
@@ -411,10 +482,10 @@ def test_batched_s_solve_equals_per_level_solves(heston, monkeypatch, variant):
                         np.linspace(107.0, 140.0, 20)])
     kw = {"default": {}, "nonuniform_s": {"s_grid": tuple(s)}, "eta_nu": {"eta_nu": 0.8}}[variant]
     cfg = PricingConfig(heston=heston, strike=100.0, T=1.0, **kw)
-    batched = solve_call_grid(cfg).stack
+    batched = solve_call_grid(cfg).values
     calls = []
     monkeypatch.setattr(option_pricing, "solve_banded", _per_level_solves(cfg, calls))
-    reference = solve_call_grid(cfg).stack
+    reference = solve_call_grid(cfg).values
     assert calls == [cfg.s.size * cfg.nu.size] * cfg.n_time
     np.testing.assert_array_equal(batched, reference)
 

@@ -7,7 +7,6 @@ from hestonmm import option_pricing
 from hestonmm.errors import NumericalError
 from hestonmm.heston import HestonParams
 from hestonmm.option_pricing import (
-    C,
     PricingConfig,
     _bachelier,
     _conditional_paths,
@@ -42,7 +41,7 @@ def test_config_validation(heston):
 def test_terminal_slice_is_payoff(pricing_grid):
     s = pricing_grid.s_grid
     payoff = np.maximum(s - 100.0, 0.0)
-    np.testing.assert_array_equal(pricing_grid.stack[-1, :, :, C], payoff[:, None] * np.ones((1, pricing_grid.nu_grid.size)))
+    np.testing.assert_array_equal(pricing_grid.values[-1], payoff[:, None] * np.ones((1, pricing_grid.nu_grid.size)))
 
 
 def test_bachelier_degenerate_case(degenerate_grid):
@@ -170,7 +169,7 @@ def test_reported_standard_error_is_honest(pricing_grid):
 
 
 def test_monotonicity_on_grid(pricing_grid):
-    v0 = pricing_grid.stack[0, :, :, C]
+    v0 = pricing_grid.values[0]
     assert np.all(np.diff(v0, axis=0) >= -1e-8)  # nondecreasing in s
     # eta_nu = 0: nondecreasing in variance up to the first-order wiggle of
     # the degenerate nu = 0 boundary row
@@ -185,7 +184,7 @@ def test_convexity_on_grid(pricing_grid):
 def test_no_early_exercise_lower_bound(pricing_grid):
     # with r = 0 the call dominates intrinsic value everywhere on the grid
     intrinsic = np.maximum(pricing_grid.s_grid - 100.0, 0.0)[:, None]
-    assert np.all(pricing_grid.stack[:, :, :, C] >= intrinsic - 1e-3)
+    assert np.all(pricing_grid.values >= intrinsic - 1e-3)
 
 
 def test_grid_vs_mc_probes(pricing_grid):

@@ -288,9 +288,9 @@ def test_both_layers_step_through_fd(heston, arrival, risk, monkeypatch):
 
 def test_default_pricing_grid_is_unchanged(heston, monkeypatch):
     cfg = PricingConfig(heston=heston, strike=100.0, T=1.0)
-    stack = solve_call_grid(cfg).stack
+    values = solve_call_grid(cfg).values
     monkeypatch.setattr(fd, "apply_tridiagonal", lambda diags, v: _moveaxis_apply(diags, v, axis=1))
-    np.testing.assert_array_equal(stack, solve_call_grid(cfg).stack)
+    np.testing.assert_array_equal(values, solve_call_grid(cfg).values)
 
 
 @given(n=st.integers(2, 300), n_rhs=st.sampled_from([None, 1, 3]), order=st.sampled_from("CF"),
@@ -324,3 +324,54 @@ def test_solve_banded_rejects_singular_systems():
     ab = np.stack([np.r_[0.0, diags[2][:-1]], diags[1], np.r_[diags[0][1:], 0.0]])
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
         scipy.linalg.solve_banded((1, 1), ab, np.ones(4))
+
+
+def _stretched(lo, hi, n):
+    """In 't Hout & Foulon's sinh-stretched grid on [lo, hi], d = (hi - lo) / 10."""
+    d = (hi - lo) / 10.0
+    return lo + d * np.sinh(np.linspace(0.0, np.arcsinh((hi - lo) / d), n))
+
+
+_GRADIENT_GRIDS = st.one_of(
+    # exactly equal spacings: np.gradient's uniform formula
+    st.builds(lambda lo, k, n: lo + 2.0**k * np.arange(n),
+              st.integers(-200, 200).map(float), st.integers(-4, 4), st.integers(2, 40)),
+    # linspace: equal up to an ulp, so the three-point formula, as the pricer's default grids
+    st.builds(lambda lo, width, n: np.linspace(lo, lo + width, n),
+              st.floats(-200.0, 200.0), st.floats(1e-2, 1e3), st.integers(2, 40)),
+    st.builds(lambda lo, width, n: _stretched(lo, lo + width, n),
+              st.floats(-200.0, 200.0), st.floats(1e-2, 1e3), st.integers(3, 40)),
+)
+_ENTRIES = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([np.inf, -np.inf, np.nan]))
+
+
+@given(x=_GRADIENT_GRIDS, data=st.data())
+@settings(max_examples=300, deadline=None, database=None)
+def test_gradient_is_numpys_bitwise(x, data):
+    # 2-D planes and stacked 3-D slabs, the grid along any axis, with inf and nan entries
+    ndim = data.draw(st.sampled_from([2, 3]))
+    axis = data.draw(st.integers(-ndim, ndim - 1))
+    shape = [data.draw(st.integers(1, 4)) for _ in range(ndim)]
+    shape[axis] = x.size
+    f = np.array(data.draw(st.lists(_ENTRIES, min_size=math.prod(shape), max_size=math.prod(shape))),
+                 dtype=np.float64).reshape(shape)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = fd.gradient(x)(f, axis), np.gradient(f, x, axis=axis)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_gradient_takes_both_of_numpys_formulas(heston):
+    # the pricer's linspace grids are uneven by an ulp and take the three-point
+    # formula; an exactly uniform grid takes the two-point one
+    cfg = PricingConfig(heston=heston, strike=100.0, T=1.0)
+    uniform = 2.0 * np.arange(cfg.s.size)
+    rng = np.random.default_rng(5)
+    f = rng.normal(size=(3, cfg.s.size, cfg.nu.size))
+    f[0, 7, 3], f[1, 0, 0], f[2, 80, 30] = np.inf, -np.inf, np.nan
+    for x, axis in [(cfg.s, 1), (cfg.nu, -1), (uniform, -2)]:
+        steps = np.diff(x)
+        assert (steps == steps[0]).all() == (x is uniform)
+        with np.errstate(invalid="ignore"):
+            got, want = fd.gradient(x)(f, axis), np.gradient(f, x, axis=axis)
+        assert got.tobytes() == want.tobytes()

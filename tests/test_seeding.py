@@ -264,9 +264,9 @@ def test_os_array_is_a_mapping_released_with_the_array():
 
 
 def test_pricing_surfaces_are_os_mappings(pricing_grid):
-    """The grid's stacked slices, the largest array of an option-mm run,
+    """The grid's call values, the largest array of an option-mm run,
     never pass through malloc."""
-    assert isinstance(_mapping(pricing_grid.stack), mmap.mmap)
+    assert isinstance(_mapping(pricing_grid.values), mmap.mmap)
 
 
 def test_hjb_arrays_are_os_mappings(heston, arrival, risk):
